@@ -23,6 +23,7 @@ use crate::search::{beam_search, beam_search_traced, SearchScratch, SearchStats}
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use weavess_data::{Dataset, Neighbor};
+use weavess_graph::adjacency::GraphView;
 use weavess_graph::CsrGraph;
 
 /// HNSW parameters (`M`, `M0`, `ef_construction`).
@@ -218,7 +219,14 @@ fn search_one(
     let lp = levels[p as usize];
     let mut ep = enter;
     for l in ((lp + 1)..=enter_level).rev() {
-        ep = greedy_closest(ds, &layers[l], ds.point(p), ep, stats);
+        ep = greedy_closest(
+            ds,
+            layers[l].as_slice(),
+            ds.point(p),
+            ep,
+            &mut scratch.batch_dists,
+            stats,
+        );
     }
     let mut out = Vec::with_capacity(lp.min(enter_level) + 1);
     for l in (0..=lp.min(enter_level)).rev() {
@@ -272,23 +280,27 @@ fn commit_one(
     }
 }
 
-/// One-at-a-time greedy descent on a single layer (HNSW's upper-layer
-/// `ef = 1` search).
-fn greedy_closest(
+/// Greedy descent on a single layer (HNSW's upper-layer `ef = 1` search):
+/// score the current vertex's whole adjacency with one `dist_to_many`
+/// into `dists`, move to the nearest strict improvement (first in
+/// adjacency order among equals), stop when there is none.
+pub(crate) fn greedy_closest(
     ds: &Dataset,
-    layer: &[Vec<u32>],
+    layer: &(impl GraphView + ?Sized),
     query: &[f32],
     start: u32,
+    dists: &mut Vec<f32>,
     stats: &mut SearchStats,
 ) -> u32 {
     let mut cur = start;
     let mut cur_d = ds.dist_to(query, cur);
     stats.ndc += 1;
     loop {
+        let nbrs = layer.neighbors(cur);
+        stats.ndc += nbrs.len() as u64;
+        ds.dist_to_many(query, nbrs, dists);
         let mut improved = false;
-        for &u in &layer[cur as usize] {
-            stats.ndc += 1;
-            let d = ds.dist_to(query, u);
+        for (&u, &d) in nbrs.iter().zip(dists.iter()) {
             if d < cur_d {
                 cur = u;
                 cur_d = d;
@@ -317,7 +329,14 @@ impl AnnIndex for HnswIndex {
     ) -> Vec<Neighbor> {
         let mut ep = self.enter;
         for l in (1..self.layers.len()).rev() {
-            ep = greedy_closest_csr(ds, &self.layers[l], query, ep, &mut ctx.stats);
+            ep = greedy_closest(
+                ds,
+                &self.layers[l],
+                query,
+                ep,
+                &mut ctx.scratch.batch_dists,
+                &mut ctx.stats,
+            );
         }
         ctx.scratch.next_epoch();
         let mut pool = beam_search(
@@ -347,7 +366,14 @@ impl AnnIndex for HnswIndex {
     ) -> Vec<Neighbor> {
         let mut ep = self.enter;
         for l in (1..self.layers.len()).rev() {
-            ep = greedy_closest_csr(ds, &self.layers[l], query, ep, &mut ctx.stats);
+            ep = greedy_closest(
+                ds,
+                &self.layers[l],
+                query,
+                ep,
+                &mut ctx.scratch.batch_dists,
+                &mut ctx.stats,
+            );
         }
         ctx.scratch.next_epoch();
         let mut pool = beam_search_traced(
@@ -370,34 +396,6 @@ impl AnnIndex for HnswIndex {
 
     fn memory_bytes(&self) -> usize {
         self.layers.iter().map(|l| l.memory_bytes()).sum()
-    }
-}
-
-fn greedy_closest_csr(
-    ds: &Dataset,
-    layer: &CsrGraph,
-    query: &[f32],
-    start: u32,
-    stats: &mut SearchStats,
-) -> u32 {
-    let mut cur = start;
-    let mut cur_d = ds.dist_to(query, cur);
-    stats.ndc += 1;
-    loop {
-        let mut improved = false;
-        for &u in layer.neighbors(cur) {
-            stats.ndc += 1;
-            let d = ds.dist_to(query, u);
-            if d < cur_d {
-                cur = u;
-                cur_d = d;
-                improved = true;
-            }
-        }
-        if !improved {
-            return cur;
-        }
-        stats.hops += 1;
     }
 }
 
@@ -430,6 +428,42 @@ mod tests {
         }
         let r = total / qs.len() as f64;
         assert!(r > 0.9, "recall={r}");
+    }
+
+    /// Batched descent against the one-neighbor-at-a-time walk it
+    /// replaced: same vertex, same NDC and hops, on a layer dense enough
+    /// that several neighbors improve on the current vertex at once.
+    #[test]
+    fn batched_greedy_descent_matches_per_neighbor_scoring() {
+        let (ds, qs) = dataset();
+        let idx = build(&ds, &HnswParams::tuned(2, 1));
+        let layer = &idx.layers[0];
+        let mut dists = Vec::new();
+        for qi in 0..qs.len() as u32 {
+            let q = qs.point(qi);
+            let start = qi * 37 % ds.len() as u32;
+            let mut stats = SearchStats::default();
+            let got = greedy_closest(&ds, layer, q, start, &mut dists, &mut stats);
+
+            let mut want = SearchStats::default();
+            let (mut cur, mut cur_d) = (start, ds.dist_to(q, start));
+            want.ndc += 1;
+            loop {
+                let mut improved = false;
+                for &u in layer.neighbors(cur) {
+                    want.ndc += 1;
+                    let d = ds.dist_to(q, u);
+                    if d < cur_d {
+                        (cur, cur_d, improved) = (u, d, true);
+                    }
+                }
+                if !improved {
+                    break;
+                }
+                want.hops += 1;
+            }
+            assert_eq!((got, stats), (cur, want), "query {qi}");
+        }
     }
 
     #[test]

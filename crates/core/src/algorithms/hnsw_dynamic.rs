@@ -334,25 +334,14 @@ impl DynamicHnsw {
     }
 
     fn greedy_closest(&mut self, layer: usize, query: &[f32], start: u32) -> u32 {
-        let mut cur = start;
-        let mut cur_d = self.data.dist_to(query, cur);
-        self.stats.ndc += 1;
-        loop {
-            let mut improved = false;
-            for &u in &self.layers[layer][cur as usize] {
-                self.stats.ndc += 1;
-                let d = self.data.dist_to(query, u);
-                if d < cur_d {
-                    cur = u;
-                    cur_d = d;
-                    improved = true;
-                }
-            }
-            if !improved {
-                return cur;
-            }
-            self.stats.hops += 1;
-        }
+        hnsw::greedy_closest(
+            &self.data,
+            self.layers[layer].as_slice(),
+            query,
+            start,
+            &mut self.scratch.batch_dists,
+            &mut self.stats,
+        )
     }
 }
 

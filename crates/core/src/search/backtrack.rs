@@ -3,17 +3,20 @@
 //! §4.2 / §3.2 (A3): best-first search is susceptible to local optima;
 //! FANNG "uses backtrack to the second-closest vertex and considers its
 //! edges that have not been explored yet". We run best-first to
-//! convergence while recording every candidate that fell off the bounded
-//! pool, then spend up to `extra` additional expansions on the nearest of
-//! those rejected candidates — slightly better accuracy for notably more
-//! search time, the trade-off Figure 10(f) reports for `C7_FANNG`.
+//! convergence, then spend up to `extra` additional expansions on the
+//! nearest candidates the bounded pool turned away — slightly better
+//! accuracy for notably more search time, the trade-off Figure 10(f)
+//! reports for `C7_FANNG`.
+//!
+//! Which candidates are kept for backtracking: exactly those the pool
+//! **rejected on arrival** (no nearer than the worst entry of a full
+//! pool, or already present). An entry that was admitted and later
+//! **evicted** by nearer arrivals is dropped, not reserved.
 
-use super::scratch::SearchScratch;
+use super::scratch::{score_unvisited, SearchScratch};
 use super::SearchStats;
 use crate::telemetry::{NoopTracer, RouteTracer};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use weavess_data::neighbor::insert_into_pool;
 use weavess_data::prefetch::prefetch_enabled;
 use weavess_data::vectors::VectorView;
 use weavess_data::Neighbor;
@@ -60,136 +63,65 @@ pub fn backtrack_search_traced<T: RouteTracer>(
     stats: &mut SearchStats,
     tracer: &mut T,
 ) -> Vec<Neighbor> {
-    let beam = beam.max(1);
     let pf = prefetch_enabled();
     let SearchScratch {
         visited,
         pool,
-        expanded,
         heap: overflow,
-        batch_ids,
-        batch_dists,
+        batch_ids: ids,
+        batch_dists: dists,
         ..
     } = scratch;
-    pool.clear();
-    expanded.clear();
+    pool.reset(beam.max(1));
     overflow.clear();
-
-    // Plain best-first phase, tracking rejected candidates.
-    let push = |pool: &mut Vec<Neighbor>,
-                expanded: &mut Vec<bool>,
-                overflow: &mut BinaryHeap<Reverse<Neighbor>>,
-                n: Neighbor|
-     -> Option<usize> {
-        match insert_into_pool(pool, beam, n) {
-            Some(pos) => {
-                expanded.insert(pos, false);
-                if expanded.len() > pool.len() {
-                    // An entry fell off the end of the bounded pool; it is a
-                    // backtracking candidate now.
-                    expanded.truncate(pool.len());
-                }
-                Some(pos)
-            }
-            None => {
-                overflow.push(Reverse(n));
-                None
-            }
-        }
-    };
-
     for &s in seeds {
         if visited.visit(s) {
             stats.ndc += 1;
             let d = ds.dist_to(query, s);
             tracer.on_seed(s, d);
-            push(pool, expanded, overflow, Neighbor::new(s, d));
+            let n = Neighbor::new(s, d);
+            if pool.insert(n).is_none() {
+                overflow.push(Reverse(n));
+            }
         }
     }
     stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
 
     let mut budget = extra;
     loop {
-        let mut k = 0usize;
-        let mut progressed = false;
-        while k < pool.len() {
-            if expanded[k] {
-                k += 1;
-                continue;
-            }
-            expanded[k] = true;
-            progressed = true;
-            stats.hops += 1;
-            let v = pool[k].id;
-            tracer.on_hop(v, pool[k].dist, stats.ndc, pool.len());
-            if pf {
-                if let Some(next) = pool.get(k + 1) {
-                    g.prefetch_neighbors(next.id);
+        // Best-first to convergence, then one backtrack hop into the
+        // nearest rejected candidate while budget remains. A hop that puts
+        // new candidates into the pool restarts best-first on them.
+        let c = match pool.next_unexpanded() {
+            Some(c) => c,
+            None => {
+                if budget == 0 {
+                    break;
                 }
+                let Some(Reverse(c)) = overflow.pop() else {
+                    break;
+                };
+                budget -= 1;
+                c
             }
-            batch_ids.clear();
-            for &u in g.neighbors(v) {
-                if visited.visit(u) {
-                    if pf {
-                        ds.prefetch_vector(u);
-                    }
-                    batch_ids.push(u);
-                }
-            }
-            stats.ndc += batch_ids.len() as u64;
-            ds.dist_to_many(query, batch_ids, batch_dists);
-            let mut lowest = usize::MAX;
-            for (&u, &d) in batch_ids.iter().zip(batch_dists.iter()) {
-                if let Some(pos) = push(pool, expanded, overflow, Neighbor::new(u, d)) {
-                    lowest = lowest.min(pos);
-                }
-            }
-            stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-            // <= : an insertion at exactly k means the expanded entry
-            // shifted right and an unexpanded one now sits at k.
-            if lowest <= k {
-                k = lowest;
-            } else {
-                k += 1;
-            }
-        }
-        // Converged. Backtrack into the nearest rejected candidate, if any
-        // budget remains.
-        if budget == 0 {
-            break;
-        }
-        let Some(Reverse(c)) = overflow.pop() else {
-            break;
         };
-        budget -= 1;
         stats.hops += 1;
         tracer.on_hop(c.id, c.dist, stats.ndc, pool.len());
-        batch_ids.clear();
-        for &u in g.neighbors(c.id) {
-            if visited.visit(u) {
-                if pf {
-                    ds.prefetch_vector(u);
-                }
-                batch_ids.push(u);
+        if pf {
+            if let Some(next) = pool.peek() {
+                g.prefetch_neighbors(next);
             }
         }
-        stats.ndc += batch_ids.len() as u64;
-        ds.dist_to_many(query, batch_ids, batch_dists);
-        let mut injected = false;
-        for (&u, &d) in batch_ids.iter().zip(batch_dists.iter()) {
-            if push(pool, expanded, overflow, Neighbor::new(u, d)).is_some() {
-                injected = true;
+        score_unvisited(ds, g, query, c.id, pf, visited, ids, dists, stats);
+        for (&u, &d) in ids.iter().zip(dists.iter()) {
+            let n = Neighbor::new(u, d);
+            if pool.insert(n).is_none() {
+                overflow.push(Reverse(n));
             }
         }
         stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-        if !injected && !progressed {
-            // Neither the main loop nor backtracking changed anything.
-            if overflow.is_empty() {
-                break;
-            }
-        }
     }
-    pool.clone()
+    pool.to_vec()
 }
 
 #[cfg(test)]
@@ -228,6 +160,55 @@ mod tests {
                 .count();
         }
         (hits, stats.ndc)
+    }
+
+    /// Pins which candidates backtracking reserves, on a hand-built case.
+    /// Query at 0, beam 2; vertex `i` sits at `xs[i]` on a line. Expanding
+    /// the seed offers b, a, c, e in that order: b is admitted and then
+    /// evicted (unexpanded) when c arrives, e is rejected outright.
+    #[test]
+    fn rejected_candidates_are_reserved_and_evicted_ones_dropped() {
+        use crate::telemetry::{RecordingTracer, RouteEvent};
+        let (seed, a, b, c, e, f) = (0u32, 1, 2, 3, 4, 5);
+        let xs = [10.0f32, 5.0, 8.0, 3.0, 9.0, 20.0];
+        let ds = Dataset::from_rows(&xs.iter().map(|&x| vec![x]).collect::<Vec<_>>());
+        let g = CsrGraph::from_lists(&[
+            vec![b, a, c, e],
+            vec![seed],
+            vec![f],
+            vec![seed],
+            vec![f],
+            vec![],
+        ]);
+        let mut scratch = SearchScratch::new(ds.len());
+        let mut stats = SearchStats::default();
+        let mut tracer = RecordingTracer::default();
+        scratch.next_epoch();
+        let res = backtrack_search_traced(
+            &ds,
+            &g,
+            &[0.0],
+            &[seed],
+            2,
+            8,
+            &mut scratch,
+            &mut stats,
+            &mut tracer,
+        );
+        let hops: Vec<u32> = tracer
+            .events
+            .iter()
+            .filter_map(|ev| match *ev {
+                RouteEvent::Hop { vertex, .. } => Some(vertex),
+                RouteEvent::Seed { .. } => None,
+            })
+            .collect();
+        // Best-first converges after seed, c, a; the first backtrack hop is
+        // the rejected e, which reaches f. The evicted b is never expanded
+        // although budget (8) outlasts the reserve.
+        assert_eq!(hops, [seed, c, a, e, f]);
+        assert_eq!(res.iter().map(|n| n.id).collect::<Vec<_>>(), [c, a]);
+        assert_eq!(stats.hops, 5);
     }
 
     #[test]

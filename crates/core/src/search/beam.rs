@@ -1,7 +1,7 @@
 //! Best-first search — the paper's Algorithm 1 (Appendix F), C7's
 //! dominant implementation.
 
-use super::scratch::{insert_unexpanded, SearchScratch};
+use super::scratch::{score_unvisited, SearchScratch};
 use super::SearchStats;
 use crate::telemetry::{NoopTracer, RouteTracer};
 use weavess_data::prefetch::prefetch_enabled;
@@ -70,71 +70,53 @@ pub fn beam_search_traced<T: RouteTracer>(
     stats: &mut SearchStats,
     tracer: &mut T,
 ) -> Vec<Neighbor> {
-    let beam = beam.max(1);
+    scratch.pool.reset(beam.max(1));
+    for &s in seeds {
+        if scratch.visited.visit(s) {
+            stats.ndc += 1;
+            let d = ds.dist_to(query, s);
+            tracer.on_seed(s, d);
+            scratch.pool.insert(Neighbor::new(s, d));
+        }
+    }
+    best_first(ds, g, query, scratch, stats, tracer)
+}
+
+/// Algorithm 1's loop over an already-seeded `scratch.pool`: expand the
+/// nearest unexpanded candidate, offer its unvisited neighbors to the
+/// pool, stop when every entry is expanded.
+fn best_first<T: RouteTracer>(
+    ds: &(impl VectorView + ?Sized),
+    g: &(impl GraphView + ?Sized),
+    query: &[f32],
+    scratch: &mut SearchScratch,
+    stats: &mut SearchStats,
+    tracer: &mut T,
+) -> Vec<Neighbor> {
     let pf = prefetch_enabled();
     let SearchScratch {
         visited,
         pool,
-        expanded,
-        batch_ids,
-        batch_dists,
+        batch_ids: ids,
+        batch_dists: dists,
         ..
     } = scratch;
-    pool.clear();
-    expanded.clear();
-    for &s in seeds {
-        if visited.visit(s) {
-            stats.ndc += 1;
-            let d = ds.dist_to(query, s);
-            tracer.on_seed(s, d);
-            insert_unexpanded(pool, expanded, beam, Neighbor::new(s, d));
-        }
-    }
     stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-
-    let mut k = 0usize;
-    while k < pool.len() {
-        if expanded[k] {
-            k += 1;
-            continue;
-        }
-        expanded[k] = true;
+    while let Some(c) = pool.next_unexpanded() {
         stats.hops += 1;
-        let v = pool[k].id;
-        tracer.on_hop(v, pool[k].dist, stats.ndc, pool.len());
+        tracer.on_hop(c.id, c.dist, stats.ndc, pool.len());
         if pf {
-            if let Some(next) = pool.get(k + 1) {
-                g.prefetch_neighbors(next.id);
+            if let Some(next) = pool.peek() {
+                g.prefetch_neighbors(next);
             }
         }
-        batch_ids.clear();
-        for &u in g.neighbors(v) {
-            if visited.visit(u) {
-                if pf {
-                    ds.prefetch_vector(u);
-                }
-                batch_ids.push(u);
-            }
-        }
-        stats.ndc += batch_ids.len() as u64;
-        ds.dist_to_many(query, batch_ids, batch_dists);
-        let mut lowest_insert = usize::MAX;
-        for (&u, &d) in batch_ids.iter().zip(batch_dists.iter()) {
-            if let Some(pos) = insert_unexpanded(pool, expanded, beam, Neighbor::new(u, d)) {
-                lowest_insert = lowest_insert.min(pos);
-            }
+        score_unvisited(ds, g, query, c.id, pf, visited, ids, dists, stats);
+        for (&u, &d) in ids.iter().zip(dists.iter()) {
+            pool.insert(Neighbor::new(u, d));
         }
         stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-        // Resume from the nearest new candidate if one arrived at or
-        // above k (an insertion at exactly k shifts the just-expanded
-        // entry right, leaving an unexpanded candidate at k).
-        if lowest_insert <= k {
-            k = lowest_insert;
-        } else {
-            k += 1;
-        }
     }
-    pool.clone()
+    pool.to_vec()
 }
 
 /// Best-first continuation from an already-scored pool: entries enter the
@@ -167,63 +149,12 @@ pub fn beam_search_seeded_traced<T: RouteTracer>(
     stats: &mut SearchStats,
     tracer: &mut T,
 ) -> Vec<Neighbor> {
-    let beam = beam.max(1);
-    let pf = prefetch_enabled();
-    let SearchScratch {
-        visited,
-        pool,
-        expanded,
-        batch_ids,
-        batch_dists,
-        ..
-    } = scratch;
-    pool.clear();
-    expanded.clear();
+    scratch.pool.reset(beam.max(1));
     for &n in scored {
-        debug_assert!(visited.is_visited(n.id));
-        insert_unexpanded(pool, expanded, beam, n);
+        debug_assert!(scratch.visited.is_visited(n.id));
+        scratch.pool.insert(n);
     }
-    stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-    let mut k = 0usize;
-    while k < pool.len() {
-        if expanded[k] {
-            k += 1;
-            continue;
-        }
-        expanded[k] = true;
-        stats.hops += 1;
-        let v = pool[k].id;
-        tracer.on_hop(v, pool[k].dist, stats.ndc, pool.len());
-        if pf {
-            if let Some(next) = pool.get(k + 1) {
-                g.prefetch_neighbors(next.id);
-            }
-        }
-        batch_ids.clear();
-        for &u in g.neighbors(v) {
-            if visited.visit(u) {
-                if pf {
-                    ds.prefetch_vector(u);
-                }
-                batch_ids.push(u);
-            }
-        }
-        stats.ndc += batch_ids.len() as u64;
-        ds.dist_to_many(query, batch_ids, batch_dists);
-        let mut lowest_insert = usize::MAX;
-        for (&u, &d) in batch_ids.iter().zip(batch_dists.iter()) {
-            if let Some(pos) = insert_unexpanded(pool, expanded, beam, Neighbor::new(u, d)) {
-                lowest_insert = lowest_insert.min(pos);
-            }
-        }
-        stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-        if lowest_insert <= k {
-            k = lowest_insert;
-        } else {
-            k += 1;
-        }
-    }
-    pool.clone()
+    best_first(ds, g, query, scratch, stats, tracer)
 }
 
 #[cfg(test)]

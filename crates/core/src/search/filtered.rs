@@ -10,7 +10,7 @@
 //! The search ends when the traversal pool converges and the result pool
 //! holds `k` passing vertices no frontier candidate can improve.
 
-use super::scratch::SearchScratch;
+use super::scratch::{score_unvisited, SearchScratch};
 use super::SearchStats;
 use crate::telemetry::{NoopTracer, RouteTracer};
 use weavess_data::neighbor::insert_into_pool;
@@ -66,90 +66,51 @@ pub fn filtered_beam_search_traced<T: RouteTracer>(
     stats: &mut SearchStats,
     tracer: &mut T,
 ) -> Vec<Neighbor> {
-    let beam = beam.max(1);
     let k = k.max(1);
     let pf = prefetch_enabled();
     let SearchScratch {
         visited,
         pool,
-        expanded,
         results,
-        batch_ids,
-        batch_dists,
+        batch_ids: ids,
+        batch_dists: dists,
         ..
     } = scratch;
-    // Traversal pool (unfiltered) with expansion flags; result pool
-    // (filtered).
-    pool.clear();
-    expanded.clear();
+    // Traversal pool (unfiltered); result pool (filtered).
+    pool.reset(beam.max(1));
     results.clear();
-
-    let push = |pool: &mut Vec<Neighbor>,
-                expanded: &mut Vec<bool>,
-                results: &mut Vec<Neighbor>,
-                n: Neighbor|
-     -> Option<usize> {
-        if filter(n.id) {
-            insert_into_pool(results, k, n);
-        }
-        let pos = insert_into_pool(pool, beam, n);
-        if let Some(p) = pos {
-            expanded.insert(p, false);
-            expanded.truncate(pool.len());
-        }
-        pos
-    };
 
     for &s in seeds {
         if visited.visit(s) {
             stats.ndc += 1;
             let d = ds.dist_to(query, s);
             tracer.on_seed(s, d);
-            push(pool, expanded, results, Neighbor::new(s, d));
+            let n = Neighbor::new(s, d);
+            if filter(s) {
+                insert_into_pool(results, k, n);
+            }
+            pool.insert(n);
         }
     }
     stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
 
-    let mut i = 0usize;
-    while i < pool.len() {
-        if expanded[i] {
-            i += 1;
-            continue;
-        }
-        expanded[i] = true;
+    while let Some(c) = pool.next_unexpanded() {
         stats.hops += 1;
-        let v = pool[i].id;
-        tracer.on_hop(v, pool[i].dist, stats.ndc, pool.len());
+        tracer.on_hop(c.id, c.dist, stats.ndc, pool.len());
         if pf {
-            if let Some(next) = pool.get(i + 1) {
-                g.prefetch_neighbors(next.id);
+            if let Some(next) = pool.peek() {
+                g.prefetch_neighbors(next);
             }
         }
-        batch_ids.clear();
-        for &u in g.neighbors(v) {
-            if visited.visit(u) {
-                if pf {
-                    ds.prefetch_vector(u);
-                }
-                batch_ids.push(u);
+        score_unvisited(ds, g, query, c.id, pf, visited, ids, dists, stats);
+        for (&u, &d) in ids.iter().zip(dists.iter()) {
+            let n = Neighbor::new(u, d);
+            if filter(u) {
+                insert_into_pool(results, k, n);
             }
-        }
-        stats.ndc += batch_ids.len() as u64;
-        ds.dist_to_many(query, batch_ids, batch_dists);
-        let mut lowest = usize::MAX;
-        for (&u, &d) in batch_ids.iter().zip(batch_dists.iter()) {
-            if let Some(pos) = push(pool, expanded, results, Neighbor::new(u, d)) {
-                lowest = lowest.min(pos);
-            }
+            pool.insert(n);
         }
         stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-        // <= : an insertion at exactly i means the expanded entry
-        // shifted right and an unexpanded one now sits at i.
-        if lowest <= i {
-            i = lowest;
-        } else {
-            i += 1;
-        }
     }
     results.clone()
 }

@@ -12,7 +12,7 @@
 //! direction along `d*`. Neighbors aligned with the query's dominant
 //! direction always pass.
 
-use super::scratch::{insert_unexpanded, SearchScratch};
+use super::scratch::SearchScratch;
 use super::SearchStats;
 use crate::telemetry::{NoopTracer, RouteTracer};
 use weavess_data::prefetch::prefetch_enabled;
@@ -50,43 +50,33 @@ pub fn guided_search_traced<T: RouteTracer>(
     stats: &mut SearchStats,
     tracer: &mut T,
 ) -> Vec<Neighbor> {
-    let beam = beam.max(1);
     let pf = prefetch_enabled();
     let SearchScratch {
         visited,
         pool,
-        expanded,
-        batch_ids,
-        batch_dists,
+        batch_ids: ids,
+        batch_dists: dists,
         ..
     } = scratch;
-    pool.clear();
-    expanded.clear();
+    pool.reset(beam.max(1));
     for &s in seeds {
         if visited.visit(s) {
             stats.ndc += 1;
             let d = ds.dist_to(query, s);
             tracer.on_seed(s, d);
-            insert_unexpanded(pool, expanded, beam, Neighbor::new(s, d));
+            pool.insert(Neighbor::new(s, d));
         }
     }
     stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-    let mut k = 0usize;
-    while k < pool.len() {
-        if expanded[k] {
-            k += 1;
-            continue;
-        }
-        expanded[k] = true;
+    while let Some(c) = pool.next_unexpanded() {
         stats.hops += 1;
-        let v = pool[k].id;
-        tracer.on_hop(v, pool[k].dist, stats.ndc, pool.len());
+        tracer.on_hop(c.id, c.dist, stats.ndc, pool.len());
         if pf {
-            if let Some(next) = pool.get(k + 1) {
-                g.prefetch_neighbors(next.id);
+            if let Some(next) = pool.peek() {
+                g.prefetch_neighbors(next);
             }
         }
-        let x = ds.vector(v);
+        let x = ds.vector(c.id);
         // Dominant query direction at x: one O(dim) scan per expansion.
         let mut dstar = 0usize;
         let mut best = 0.0f32;
@@ -101,8 +91,8 @@ pub fn guided_search_traced<T: RouteTracer>(
         // Stage the neighbors that survive the direction gate, then score
         // them in one batched pass (order preserved, so results are
         // identical to per-neighbor scoring).
-        batch_ids.clear();
-        for &u in g.neighbors(v) {
+        ids.clear();
+        for &u in g.neighbors(c.id) {
             if visited.is_visited(u) {
                 continue;
             }
@@ -112,26 +102,16 @@ pub fn guided_search_traced<T: RouteTracer>(
                 continue; // gated out: moves away from the query
             }
             visited.visit(u);
-            batch_ids.push(u);
+            ids.push(u);
         }
-        stats.ndc += batch_ids.len() as u64;
-        ds.dist_to_many(query, batch_ids, batch_dists);
-        let mut lowest = usize::MAX;
-        for (&u, &d) in batch_ids.iter().zip(batch_dists.iter()) {
-            if let Some(pos) = insert_unexpanded(pool, expanded, beam, Neighbor::new(u, d)) {
-                lowest = lowest.min(pos);
-            }
+        stats.ndc += ids.len() as u64;
+        ds.dist_to_many(query, ids, dists);
+        for (&u, &d) in ids.iter().zip(dists.iter()) {
+            pool.insert(Neighbor::new(u, d));
         }
         stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-        // <= : an insertion at exactly k means the expanded entry
-        // shifted right and an unexpanded one now sits at k.
-        if lowest <= k {
-            k = lowest;
-        } else {
-            k += 1;
-        }
     }
-    pool.clone()
+    pool.to_vec()
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@ mod backtrack;
 mod beam;
 pub mod filtered;
 mod guided;
+mod pool;
 mod range;
 mod scratch;
 mod visited;

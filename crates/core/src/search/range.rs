@@ -7,7 +7,7 @@
 //! cost of more distance computations — the "precision ceiling" behaviour
 //! the component evaluation observes for `C7_NGT` (Figure 10f).
 
-use super::scratch::SearchScratch;
+use super::scratch::{score_unvisited, SearchScratch};
 use super::SearchStats;
 use crate::telemetry::{NoopTracer, RouteTracer};
 use std::cmp::Reverse;
@@ -69,8 +69,8 @@ pub fn range_search_traced<T: RouteTracer>(
         visited,
         results,
         heap: queue,
-        batch_ids,
-        batch_dists,
+        batch_ids: ids,
+        batch_dists: dists,
         ..
     } = scratch;
     results.clear();
@@ -102,18 +102,8 @@ pub fn range_search_traced<T: RouteTracer>(
                 g.prefetch_neighbors(next.id);
             }
         }
-        batch_ids.clear();
-        for &u in g.neighbors(c.id) {
-            if visited.visit(u) {
-                if pf {
-                    ds.prefetch_vector(u);
-                }
-                batch_ids.push(u);
-            }
-        }
-        stats.ndc += batch_ids.len() as u64;
-        ds.dist_to_many(query, batch_ids, batch_dists);
-        for (&u, &d) in batch_ids.iter().zip(batch_dists.iter()) {
+        score_unvisited(ds, g, query, c.id, pf, visited, ids, dists, stats);
+        for (&u, &d) in ids.iter().zip(dists.iter()) {
             let radius = if results.len() == beam {
                 results.last().map_or(f32::INFINITY, |w| w.dist)
             } else {

@@ -8,10 +8,14 @@
 //! [`crate::index::SearchContext`]. Each search function clears what it
 //! uses on entry; nothing leaks between queries except capacity.
 
+use super::pool::{CandidatePool, MAX_VERTICES};
+use super::SearchStats;
 use crate::search::VisitedPool;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use weavess_data::vectors::VectorView;
 use weavess_data::Neighbor;
+use weavess_graph::adjacency::GraphView;
 
 /// Scratch space for one searcher (one thread / one worker at a time).
 #[derive(Debug, Clone)]
@@ -19,43 +23,67 @@ pub struct SearchScratch {
     /// Epoch-stamped visited set; call `visited.next_epoch()` (or
     /// [`Self::next_epoch`]) before each query.
     pub visited: VisitedPool,
-    /// Bounded nearest-first candidate pool.
-    pub(crate) pool: Vec<Neighbor>,
-    /// Expansion flags parallel to `pool`.
-    pub(crate) expanded: Vec<bool>,
-    /// Second bounded pool (filtered results, backtrack overflow mirror).
+    /// Bounded nearest-first candidate pool with expansion flags.
+    pub(crate) pool: CandidatePool,
+    /// Second bounded pool (filtered and range results).
     pub(crate) results: Vec<Neighbor>,
     /// Unbounded min-heap (range search queue, backtrack overflow).
     pub(crate) heap: BinaryHeap<Reverse<Neighbor>>,
     /// Unvisited neighbor ids staged for one batched scoring pass.
     pub(crate) batch_ids: Vec<u32>,
-    /// Distances matching `batch_ids`, filled by `Dataset::dist_to_many`.
+    /// Distances matching `batch_ids`, filled by `dist_to_many`.
     pub(crate) batch_dists: Vec<f32>,
 }
 
-/// Inserts `n` (unexpanded) into a bounded nearest-first pool, keeping the
-/// expansion-flag vector parallel; returns the insertion position, or
-/// `None` when rejected (duplicate or beyond capacity).
+/// One expansion's scoring pass: marks `v`'s not-yet-visited neighbors
+/// visited, stages them in adjacency order (requesting each vector's
+/// first lines when `pf`), and scores the batch with a single
+/// [`VectorView::dist_to_many`] — one kernel-tier dispatch per expansion.
+/// `ids[i]`'s distance is `dists[i]`, bit-equal to scoring one at a time.
 #[inline]
-pub(crate) fn insert_unexpanded(
-    pool: &mut Vec<Neighbor>,
-    expanded: &mut Vec<bool>,
-    cap: usize,
-    n: Neighbor,
-) -> Option<usize> {
-    let pos = weavess_data::neighbor::insert_into_pool(pool, cap, n)?;
-    expanded.insert(pos, false);
-    expanded.truncate(pool.len());
-    Some(pos)
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn score_unvisited(
+    ds: &(impl VectorView + ?Sized),
+    g: &(impl GraphView + ?Sized),
+    query: &[f32],
+    v: u32,
+    pf: bool,
+    visited: &mut VisitedPool,
+    ids: &mut Vec<u32>,
+    dists: &mut Vec<f32>,
+    stats: &mut SearchStats,
+) {
+    ids.clear();
+    for &u in g.neighbors(v) {
+        if visited.visit(u) {
+            if pf {
+                ds.prefetch_vector(u);
+            }
+            ids.push(u);
+        }
+    }
+    stats.ndc += ids.len() as u64;
+    ds.dist_to_many(query, ids, dists);
+}
+
+/// Pool entries keep the expanded flag in a spare id bit.
+fn check_vertex_count(n: usize) {
+    assert!(
+        n <= MAX_VERTICES,
+        "SearchScratch covers at most 2^31 vertices, got {n}"
+    );
 }
 
 impl SearchScratch {
     /// Scratch for a graph of `n` vertices, all buffers empty.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds 2^31.
     pub fn new(n: usize) -> Self {
+        check_vertex_count(n);
         SearchScratch {
             visited: VisitedPool::new(n),
-            pool: Vec::new(),
-            expanded: Vec::new(),
+            pool: CandidatePool::default(),
             results: Vec::new(),
             heap: BinaryHeap::new(),
             batch_ids: Vec::new(),
@@ -71,7 +99,11 @@ impl SearchScratch {
 
     /// Grows the visited set to cover at least `n` vertices (dynamic
     /// indexes; the other buffers grow on demand).
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds 2^31.
     pub fn ensure_len(&mut self, n: usize) {
+        check_vertex_count(n);
         self.visited.ensure_len(n);
     }
 }
@@ -84,7 +116,20 @@ mod tests {
     fn new_scratch_covers_n_vertices() {
         let s = SearchScratch::new(7);
         assert_eq!(s.visited.len(), 7);
-        assert!(s.pool.is_empty() && s.batch_ids.is_empty());
+        assert!(s.pool.len() == 0 && s.batch_ids.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^31 vertices")]
+    fn vertex_counts_that_collide_with_the_flag_bit_are_rejected() {
+        // Checked before anything is allocated.
+        SearchScratch::new((1 << 31) + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^31 vertices")]
+    fn ensure_len_rejects_them_too() {
+        SearchScratch::new(2).ensure_len((1 << 31) + 1);
     }
 
     #[test]

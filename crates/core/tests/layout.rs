@@ -12,8 +12,8 @@ use weavess_core::components::SeedStrategy;
 use weavess_core::index::{AnnIndex, FlatIndex, SearchContext};
 use weavess_core::persist::{load_layout_index, save_layout_index};
 use weavess_core::search::{
-    backtrack_search, beam_search, filtered_beam_search, guided_search, range_search, Router,
-    SearchScratch, SearchStats,
+    backtrack_search, beam_search, beam_search_seeded, filtered_beam_search, guided_search,
+    range_search, Router, SearchScratch, SearchStats,
 };
 use weavess_core::{LayoutIndex, NodeLayout};
 use weavess_data::prefetch::set_prefetch_enabled;
@@ -117,6 +117,24 @@ proptest! {
                 "guided pool_peak {} out of [1, {beam}]", st_a.pool_peak
             );
             prop_assert_eq!(st_a, st_b, "guided stats");
+
+            // Two-stage continuation: stage 2 resumes from stage 1's
+            // scored pool inside the same visited epoch.
+            let b1 = (beam / 2).max(4).min(beam);
+            let mut st_a = SearchStats::default();
+            let mut st_b = SearchStats::default();
+            sc_a.next_epoch();
+            let s1 = guided_search(&ds, &g, q, &seeds, b1, &mut sc_a, &mut st_a);
+            let a = beam_search_seeded(&ds, &g, q, &s1, beam, &mut sc_a, &mut st_a);
+            sc_b.next_epoch();
+            let s1 = guided_search(&arena, &arena, q, &mapped, b1, &mut sc_b, &mut st_b);
+            let b = beam_search_seeded(&arena, &arena, q, &s1, beam, &mut sc_b, &mut st_b);
+            assert_pools_identical(&a, &to_original(&perm, b), "seeded");
+            prop_assert!(
+                st_a.pool_peak >= 1 && st_a.pool_peak <= beam as u64,
+                "seeded pool_peak {} out of [1, {beam}]", st_a.pool_peak
+            );
+            prop_assert_eq!(st_a, st_b, "seeded stats");
 
             // The predicate sees original ids on the left and renamed ids
             // on the right; composing with `to_old` makes them the same

@@ -49,10 +49,20 @@ impl Ord for Neighbor {
 ///
 /// Returns the insertion position, or `None` when `n` was rejected (already
 /// present, or farther than the current worst while the pool is full). This
-/// is the primitive behind both NN-Descent's neighbor pools and the
-/// best-first search candidate set of the paper's Algorithm 1.
+/// is the primitive behind NN-Descent's neighbor pools, the builders'
+/// candidate gathering and the routers' result pools; the best-first
+/// candidate set of the paper's Algorithm 1 (`weavess_core::search`) keeps
+/// the same order and outcomes on a packed array.
+#[inline]
 pub fn insert_into_pool(pool: &mut Vec<Neighbor>, capacity: usize, n: Neighbor) -> Option<usize> {
     debug_assert!(capacity > 0);
+    // A full pool turns most candidates away, so settle those with one
+    // comparison against the current worst. Strictly worse only: a
+    // candidate that ties the worst entry may be its duplicate, which the
+    // search below decides.
+    if pool.len() >= capacity && pool[capacity - 1] < n {
+        return None;
+    }
     // Binary search on the full (dist, id) order keeps ties deterministic.
     let pos = pool.partition_point(|x| x < &n);
     // A true duplicate (same id, same distance — distances are a pure

@@ -8,11 +8,11 @@
 //! (asymmetric f32-vs-u8 distances), or a fused node arena that stores
 //! each vertex's vector next to its adjacency list.
 //!
-//! The provided [`VectorView::dist_to_many`] mirrors
-//! [`Dataset::dist_to_many`] bit-for-bit (same per-id kernel, same
-//! accumulation order) and adds software-prefetch look-ahead: while id
-//! `j` is being scored, the lines for id `j + AHEAD` are requested.
-//! Prefetch is a pure hint, so distances are unchanged with it on or off.
+//! The provided [`VectorView::dist_to_many`] scores one id at a time with
+//! software-prefetch look-ahead: while id `j` is being scored, the lines
+//! for id `j + AHEAD` are requested. Prefetch is a pure hint, so distances
+//! are unchanged with it on or off. [`Dataset`] and [`Sq8Dataset`]
+//! override it with their batch kernels, bit-equal to per-id scoring.
 
 use crate::dataset::Dataset;
 use crate::prefetch::prefetch_enabled;
@@ -98,6 +98,15 @@ impl VectorView for Dataset {
     fn prefetch_vector(&self, i: u32) {
         let p = self.point(i);
         crate::prefetch::prefetch_span(p.as_ptr(), p.len());
+    }
+
+    /// The batch kernel: the tier is resolved once for the whole id list
+    /// and, on the simd tier, every row is scored inside one
+    /// `#[target_feature]` region. No look-ahead here — the routers
+    /// already request each staged vector while they build `ids`.
+    #[inline]
+    fn dist_to_many(&self, query: &[f32], ids: &[u32], out: &mut Vec<f32>) {
+        Dataset::dist_to_many(self, query, ids, out);
     }
 }
 

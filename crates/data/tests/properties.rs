@@ -295,3 +295,47 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The worst-entry early reject never changes an outcome: against the
+    /// binary-search-only insertion it fronts, pools and returned positions
+    /// stay equal step by step — from a palette that makes ties, exact
+    /// duplicates and inserts equal to the worst entry common, and
+    /// starting from a pool already longer than `capacity`.
+    #[test]
+    fn pool_early_reject_matches_binary_search_only(
+        start in prop::collection::vec((0u32..4, 0usize..8), 0..12),
+        entries in prop::collection::vec((0u32..4, 0usize..8), 1..60),
+        cap in 1usize..8,
+    ) {
+        const DISTS: [f32; 8] =
+            [0.0, -0.0, 0.5, 1.0, 2.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        fn search_only(pool: &mut Vec<Neighbor>, capacity: usize, n: Neighbor) -> Option<usize> {
+            let pos = pool.partition_point(|x| x < &n);
+            if (pos < pool.len() && pool[pos] == n) || pos >= capacity {
+                return None;
+            }
+            pool.insert(pos, n);
+            pool.truncate(capacity);
+            Some(pos)
+        }
+        let bits = |p: &[Neighbor]| -> Vec<(u32, u32)> {
+            p.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+        };
+        let mut fast: Vec<Neighbor> =
+            start.iter().map(|&(id, d)| Neighbor::new(id, DISTS[d])).collect();
+        fast.sort();
+        let mut slow = fast.clone();
+        for &(id, d) in &entries {
+            let n = Neighbor::new(id, DISTS[d]);
+            prop_assert_eq!(
+                insert_into_pool(&mut fast, cap, n),
+                search_only(&mut slow, cap, n),
+                "insert {:?}", n
+            );
+            prop_assert_eq!(bits(&fast), bits(&slow));
+        }
+    }
+}

@@ -1,7 +1,7 @@
 //! Forced-tier dispatch test: proves [`KernelTier::force`] reaches every
 //! public scoring entry point — the free distance functions, the
-//! `Dataset` batch seam, SQ8 asymmetric scoring (single and batch), and
-//! PQ ADC lookups.
+//! `Dataset` batch seam (inherent and through `VectorView`), SQ8
+//! asymmetric scoring (single and batch), and PQ ADC lookups.
 //!
 //! The kernel tier is process-wide state, so every assertion lives in
 //! ONE `#[test]` in its OWN test binary: the libtest harness runs tests
@@ -15,8 +15,10 @@
 
 use weavess_data::distance::{self, scalar, simd, unrolled, KernelTier};
 use weavess_data::pq::PqDataset;
+use weavess_data::prefetch::{prefetch_enabled, set_prefetch_enabled};
 use weavess_data::quant::{sq8_distance, sq8_kernels, Sq8Dataset};
 use weavess_data::synthetic::MixtureSpec;
+use weavess_data::VectorView;
 
 /// Reference implementation of the dispatched `squared_euclidean` for a
 /// given tier, bypassing the dispatcher.
@@ -55,6 +57,7 @@ fn direct_sq8(tier: KernelTier, residual: &[f32], step: &[f32], codes: &[u8]) ->
 #[test]
 fn forced_tier_reaches_every_public_entry_point() {
     let initial = KernelTier::active();
+    let initial_prefetch = prefetch_enabled();
 
     // Dim 96 exercises full lanes; the mixture gives non-trivial data.
     let (ds, qs) = MixtureSpec::table10(96, 400, 3, 5.0, 4).generate();
@@ -123,6 +126,23 @@ fn forced_tier_reaches_every_public_entry_point() {
                     "Dataset::dist_to_many missed tier {tier} at id {id}"
                 );
             }
+
+            // The seam the routers score through: `VectorView` on a
+            // `Dataset` takes the batch kernel, bit-equal to per-id
+            // `dist_to`, with the prefetch switch (a pure hint) either way.
+            for pf in [true, false] {
+                set_prefetch_enabled(pf);
+                VectorView::dist_to_many(&ds, q, &ids, &mut batch);
+                assert_eq!(batch.len(), ids.len());
+                for (&id, &d) in ids.iter().zip(&batch) {
+                    assert_eq!(
+                        d.to_bits(),
+                        VectorView::dist_to(&ds, q, id).to_bits(),
+                        "VectorView::dist_to_many on Dataset, tier {tier}, prefetch {pf}, id {id}"
+                    );
+                }
+            }
+            set_prefetch_enabled(initial_prefetch);
 
             // SQ8: single-point wrapper and batch path both score the
             // residual form on the forced tier's kernel.
