@@ -31,7 +31,9 @@
 //! - [`parallel`]: the deterministic parallel-construction layer — fixed
 //!   chunking, in-order combination, and the prefix-doubling batch
 //!   scheduler; every builder's threading goes through it, so built graphs
-//!   are bit-identical at any thread count.
+//!   are bit-identical at any thread count. Also home of
+//!   [`parallel::WorkerPool`], the standing fork-join pool both serving
+//!   engines scatter through.
 //! - [`persist`]: save/load built indexes without rebuilding.
 //! - [`quantized`]: SQ8-routed search with full-precision rerank (the §6
 //!   "data encoding" challenge).

@@ -4,10 +4,12 @@
 //! The survey measures every algorithm one query at a time on one core
 //! (its QPS columns); a serving system answers query *batches* on many
 //! cores. [`QueryEngine`] wraps any built [`AnnIndex`] behind a shared
-//! read-only reference and fans each batch across a fixed worker pool
-//! (`std::thread::scope` — no runtime dependency), giving every worker a
-//! reusable [`SearchContext`] checked out of a scratch pool so the hot
-//! path performs no per-query allocation of search state.
+//! read-only reference and fans each batch across a standing
+//! [`WorkerPool`] in which the calling thread works beside the parked
+//! workers (no thread is created per batch, no runtime dependency),
+//! giving every worker a reusable [`SearchContext`] checked out of a
+//! scratch pool so the hot path performs no per-query allocation of
+//! search state.
 //!
 //! # Determinism
 //!
@@ -40,6 +42,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::index::{AnnIndex, SearchContext};
+use crate::parallel::WorkerPool;
 use crate::search::SearchStats;
 use crate::telemetry::expose::{
     json_histogram, prometheus_counter, prometheus_gauge, prometheus_histogram,
@@ -254,6 +257,8 @@ pub struct QueryEngine<'a> {
     index: &'a dyn AnnIndex,
     ds: &'a Dataset,
     opts: EngineOptions,
+    /// The workers beside each `search_batch` caller.
+    pool: WorkerPool,
     scratch: Mutex<Vec<SearchContext>>,
     queries_total: ShardedCounter,
     batches_total: ShardedCounter,
@@ -271,6 +276,7 @@ impl<'a> QueryEngine<'a> {
         QueryEngine {
             index,
             ds,
+            pool: WorkerPool::new(opts.effective_workers() - 1),
             opts,
             scratch: Mutex::new(Vec::new()),
             queries_total: ShardedCounter::new(),
@@ -530,71 +536,63 @@ impl<'a> QueryEngine<'a> {
 
         if nq > 0 {
             let cursor = AtomicUsize::new(0);
-            // Each worker returns (claimed queries with results and
+            // Each worker slot returns (claimed queries with results and
             // latencies, its per-worker report, its local histograms,
             // its flight parts); the parent scatters results back into
             // input order and merges the aggregates (order-independent
-            // by construction).
-            let mut parts = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut ctx = self.checkout();
-                            let mut got: Vec<(usize, Vec<Neighbor>, u64)> =
-                                Vec::with_capacity(nq / workers + 1);
-                            let mut acc = SearchStats::default();
-                            let mut lat_h = Histogram::new();
-                            let mut ndc_h = Histogram::new();
-                            let mut hops_h = Histogram::new();
-                            let mut sampled: Vec<QueryFlightPart> = Vec::new();
-                            let mut slowest: Option<QueryFlightPart> = None;
-                            loop {
-                                let qi = cursor.fetch_add(1, Ordering::Relaxed);
-                                if qi >= nq {
-                                    break;
-                                }
-                                let q = queries.point(qi as u32);
-                                let fp = query_fingerprint(q);
-                                let tq = Instant::now();
-                                let res = self.run_query_fp(q, fp, k, beam, &mut ctx);
-                                let nanos = tq.elapsed().as_nanos() as u64;
-                                // Per-query counters: take what this query
-                                // added, fold into the worker total.
-                                let qstats = ctx.take_stats();
-                                acc.merge(qstats);
-                                lat_h.record(nanos);
-                                ndc_h.record(qstats.ndc);
-                                hops_h.record(qstats.hops);
-                                if F::ENABLED {
-                                    let part = QueryFlightPart {
-                                        qi: qi as u32,
-                                        fingerprint: fp,
-                                        lat_ns: nanos,
-                                        ndc: qstats.ndc,
-                                        hops: qstats.hops,
-                                    };
-                                    if obs.recorder().is_some_and(|r| r.is_sampled(fp)) {
-                                        sampled.push(part);
-                                    }
-                                    if slowest.is_none_or(|s| nanos > s.lat_ns) {
-                                        slowest = Some(part);
-                                    }
-                                }
-                                got.push((qi, res, nanos));
-                            }
-                            self.restore(ctx);
-                            let report = WorkerReport {
-                                queries_claimed: got.len() as u64,
-                                stats: acc,
-                            };
-                            (got, report, lat_h, ndc_h, hops_h, sampled, slowest)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("query worker panicked"))
-                    .collect::<Vec<_>>()
+            // by construction). The caller takes the first slot, so a
+            // worker that wakes after the cursor ran dry reports zero
+            // claims.
+            let mut parts = self.pool.map(workers, |_| {
+                let mut ctx = self.checkout();
+                let mut got: Vec<(usize, Vec<Neighbor>, u64)> =
+                    Vec::with_capacity(nq / workers + 1);
+                let mut acc = SearchStats::default();
+                let mut lat_h = Histogram::new();
+                let mut ndc_h = Histogram::new();
+                let mut hops_h = Histogram::new();
+                let mut sampled: Vec<QueryFlightPart> = Vec::new();
+                let mut slowest: Option<QueryFlightPart> = None;
+                loop {
+                    let qi = cursor.fetch_add(1, Ordering::Relaxed);
+                    if qi >= nq {
+                        break;
+                    }
+                    let q = queries.point(qi as u32);
+                    let fp = query_fingerprint(q);
+                    let tq = Instant::now();
+                    let res = self.run_query_fp(q, fp, k, beam, &mut ctx);
+                    let nanos = tq.elapsed().as_nanos() as u64;
+                    // Per-query counters: take what this query
+                    // added, fold into the worker total.
+                    let qstats = ctx.take_stats();
+                    acc.merge(qstats);
+                    lat_h.record(nanos);
+                    ndc_h.record(qstats.ndc);
+                    hops_h.record(qstats.hops);
+                    if F::ENABLED {
+                        let part = QueryFlightPart {
+                            qi: qi as u32,
+                            fingerprint: fp,
+                            lat_ns: nanos,
+                            ndc: qstats.ndc,
+                            hops: qstats.hops,
+                        };
+                        if obs.recorder().is_some_and(|r| r.is_sampled(fp)) {
+                            sampled.push(part);
+                        }
+                        if slowest.is_none_or(|s| nanos > s.lat_ns) {
+                            slowest = Some(part);
+                        }
+                    }
+                    got.push((qi, res, nanos));
+                }
+                self.restore(ctx);
+                let report = WorkerReport {
+                    queries_claimed: got.len() as u64,
+                    stats: acc,
+                };
+                (got, report, lat_h, ndc_h, hops_h, sampled, slowest)
             });
             for (got, report, lat_h, ndc_h, hops_h, sampled, slowest) in parts.drain(..) {
                 stats.merge(report.stats);

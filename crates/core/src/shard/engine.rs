@@ -18,6 +18,7 @@ use super::partition::partition_ids;
 use super::ShardError;
 use crate::index::{AnnIndex, FlatIndex};
 use crate::locality::{LayoutIndex, NodeLayout};
+use crate::parallel::WorkerPool;
 use crate::search::SearchStats;
 use crate::serve::{BatchReport, EngineOptions, EngineSnapshot, LatencySummary, QueryEngine};
 use crate::telemetry::expose::{json_histogram, prometheus_counter, prometheus_histogram};
@@ -432,13 +433,16 @@ impl FleetReport {
 /// Every shard gets its own [`QueryEngine`] with the same
 /// [`EngineOptions`]; per-query RNG reseeding (a function of the engine
 /// seed and the query vector only) therefore behaves identically at any
-/// shard count. Batches scatter concurrently — one scope thread per
-/// shard, each running that shard's worker pool — and gather through
-/// [`merge_topk`], whose `(distance-bits, global id)` order makes the
-/// merged results independent of shard response order.
+/// shard count. Batches scatter concurrently — one task per shard on a
+/// standing [`WorkerPool`] the caller works beside, each task running
+/// that shard's own engine — and gather through [`merge_topk`], whose
+/// `(distance-bits, global id)` order makes the merged results
+/// independent of shard response order.
 pub struct ShardedEngine<'a> {
     set: &'a ShardSet,
     engines: Vec<QueryEngine<'a>>,
+    /// The scatter workers beside each `search_batch` caller.
+    pool: WorkerPool,
     queries_total: ShardedCounter,
     batches_total: ShardedCounter,
 }
@@ -452,13 +456,14 @@ impl<'a> ShardedEngine<'a> {
     /// An engine with explicit per-shard options (`workers` applies
     /// within each shard; size it so `shards × workers` fits the host).
     pub fn with_options(set: &'a ShardSet, opts: EngineOptions) -> Self {
-        let engines = set
+        let engines: Vec<_> = set
             .shards
             .iter()
             .map(|s| QueryEngine::with_options(&s.index, &s.data, opts.clone()))
             .collect();
         ShardedEngine {
             set,
+            pool: WorkerPool::new(engines.len() - 1),
             engines,
             queries_total: ShardedCounter::new(),
             batches_total: ShardedCounter::new(),
@@ -541,32 +546,19 @@ impl<'a> ShardedEngine<'a> {
         use crate::serve::BatchFlightParts;
         let nq = queries.len();
         let t0 = Instant::now();
-        // Scatter: one scope thread per shard; slot results by shard index
-        // so the gather below is independent of completion order.
+        // Scatter: one task per shard; results come back slotted by shard
+        // index, so the gather below is independent of completion order.
         let mut shard_results: Vec<(Vec<Vec<Neighbor>>, BatchReport, BatchFlightParts)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .engines
-                    .iter()
-                    .zip(&self.set.shards)
-                    .map(|(engine, shard)| {
-                        scope.spawn(move || {
-                            let (mut report, parts) =
-                                engine.search_batch_obs(queries, k, beam, obs);
-                            let mut globalized = std::mem::take(&mut report.results);
-                            for pool in &mut globalized {
-                                for n in pool.iter_mut() {
-                                    n.id = shard.to_global(n.id);
-                                }
-                            }
-                            (globalized, report, parts)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard scatter panicked"))
-                    .collect()
+            self.pool.map(self.engines.len(), |s| {
+                let shard = &self.set.shards[s];
+                let (mut report, parts) = self.engines[s].search_batch_obs(queries, k, beam, obs);
+                let mut globalized = std::mem::take(&mut report.results);
+                for pool in &mut globalized {
+                    for n in pool.iter_mut() {
+                        n.id = shard.to_global(n.id);
+                    }
+                }
+                (globalized, report, parts)
             });
         let scatter_ns = t0.elapsed().as_nanos() as u64;
 

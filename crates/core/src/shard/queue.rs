@@ -2,8 +2,9 @@
 //! batches under a latency budget.
 //!
 //! Streaming traffic arrives one query at a time, but both engines are at
-//! their best answering batches (worker pools amortize scatter and
-//! scratch checkout). [`BatchQueue::submit`] blocks the caller until its
+//! their best answering batches (one scatter, one gather and one scratch
+//! checkout per worker serve every query in the batch).
+//! [`BatchQueue::submit`] blocks the caller until its
 //! answer is ready; internally, concurrent submitters coalesce by a
 //! leader–follower protocol:
 //!
@@ -15,7 +16,10 @@
 //!   batch can form and even execute concurrently while this one runs),
 //!   executes the batch through the engine, and publishes per-ticket
 //!   results;
-//! - followers wake on publication and collect their own ticket.
+//! - followers wake on publication and collect their own ticket. If the
+//!   executor panicked, the leader publishes the batch's tickets as
+//!   failed before unwinding, so each follower unwinds too instead of
+//!   sleeping forever, and the queue keeps serving.
 //!
 //! Queries enter the closed batch in submission order, and results are
 //! keyed by ticket, so every caller gets exactly its own query's answer.
@@ -28,6 +32,7 @@
 //! vendored `parking_lot` shim carries no condvar).
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -160,7 +165,9 @@ struct PendingQuery {
 #[derive(Default)]
 struct QueueInner {
     pending: Vec<PendingQuery>,
-    done: HashMap<u64, Vec<Neighbor>>,
+    /// Answered tickets awaiting collection; `None` marks a ticket whose
+    /// batch the executor panicked on.
+    done: HashMap<u64, Option<Vec<Neighbor>>>,
     next_ticket: u64,
     has_leader: bool,
     stats: QueueStats,
@@ -227,7 +234,9 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
     /// Results are identical to the executor answering the query alone.
     ///
     /// # Panics
-    /// Panics on a query dimensionality mismatch.
+    /// Panics on a query dimensionality mismatch, and when the executor
+    /// panicked on the batch this query rode in (the leader re-raises the
+    /// executor's own payload).
     pub fn submit(&self, query: &[f32]) -> Vec<Neighbor> {
         let dim = self.exec.dim();
         assert_eq!(query.len(), dim, "query dimensionality mismatch");
@@ -243,8 +252,15 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
         self.cv.notify_all();
 
         loop {
-            if let Some(res) = g.done.remove(&ticket) {
-                return res;
+            match g.done.remove(&ticket) {
+                Some(Some(res)) => return res,
+                Some(None) => {
+                    // Unlock first: unwinding through the guard would
+                    // poison the queue for every later submit.
+                    drop(g);
+                    panic!("the batch executor panicked on this query's batch");
+                }
+                None => {}
             }
             let still_pending = g.pending.iter().any(|p| p.ticket == ticket);
             if still_pending && !g.has_leader {
@@ -275,7 +291,7 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
                     flat.extend_from_slice(&p.query);
                 }
                 let queries = Dataset::from_flat(flat, batch.len(), dim);
-                let results = match self.flights {
+                let results = catch_unwind(AssertUnwindSafe(|| match self.flights {
                     Some(rec) => {
                         // Note admission waits for the queries whose
                         // flights the engine will assemble, *before*
@@ -291,17 +307,30 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
                             .execute_recorded(&queries, self.opts.k, self.opts.beam, rec)
                     }
                     None => self.exec.execute(&queries, self.opts.k, self.opts.beam),
-                };
-                debug_assert_eq!(results.len(), batch.len());
+                }));
 
                 g = self.inner.lock().unwrap();
+                let results = match results {
+                    Ok(results) => results,
+                    Err(payload) => {
+                        // The followers' tickets are in neither `pending`
+                        // nor `done`: fail them so they wake and unwind.
+                        for p in batch.iter().filter(|p| p.ticket != ticket) {
+                            g.done.insert(p.ticket, None);
+                        }
+                        self.cv.notify_all();
+                        drop(g);
+                        resume_unwind(payload);
+                    }
+                };
+                debug_assert_eq!(results.len(), batch.len());
                 g.stats.batches_total += 1;
                 g.stats.queries_total += batch.len() as u64;
                 g.stats.batch_size.record(batch.len() as u64);
                 for (p, res) in batch.into_iter().zip(results) {
                     let waited = closed_at.saturating_duration_since(p.enqueued);
                     g.stats.queue_delay_ns.record(waited.as_nanos() as u64);
-                    g.done.insert(p.ticket, res);
+                    g.done.insert(p.ticket, Some(res));
                 }
                 self.cv.notify_all();
                 // Loop back: the next pass collects this thread's own

@@ -12,9 +12,13 @@
 //!   resolve by global id, exactly as the unsharded pool orders them);
 //! - `SearchStats`/histogram aggregation: the fleet totals are the fold
 //!   of the per-shard reports;
+//! - concurrent callers on one shared engine: every report field equals
+//!   the single-caller reference at 1/2/4/8 shards;
 //! - the admission queue: latency-budget close under sparse arrivals,
-//!   full-batch coalescing with per-ticket results, and a concurrent
-//!   stress run — all answers equal to the unbatched reference;
+//!   full-batch coalescing with per-ticket results, a concurrent stress
+//!   run — all answers equal to the unbatched reference — and an
+//!   executor panic that must unwind every rider of the batch and leave
+//!   the queue serving;
 //! - typed build errors ([`ShardError`], [`IndexError`]) where the seed
 //!   code panicked.
 
@@ -26,7 +30,8 @@ use weavess_core::quantized::QuantizedIndex;
 use weavess_core::search::Router;
 use weavess_core::serve::{EngineOptions, QueryEngine};
 use weavess_core::shard::{
-    merge_topk, merge_two, BatchQueue, QueueOptions, ShardError, ShardSet, ShardedEngine,
+    merge_topk, merge_two, BatchExecutor, BatchQueue, QueueOptions, ShardError, ShardSet,
+    ShardedBatchReport, ShardedEngine,
 };
 use weavess_data::synthetic::MixtureSpec;
 use weavess_data::{Dataset, Neighbor};
@@ -290,6 +295,88 @@ fn batch_stats_and_fleet_report_aggregate_per_shard_work() {
     assert!(json.contains("\"logical_queries\""));
 }
 
+/// Every deterministic field of a scattered batch's report.
+fn assert_reports_identical(got: &ShardedBatchReport, want: &ShardedBatchReport, what: &str) {
+    assert_eq!(got.results, want.results, "{what}: results");
+    assert_eq!(got.stats, want.stats, "{what}: merged stats");
+    assert_eq!(got.ndc_hist, want.ndc_hist, "{what}: ndc_hist");
+    assert_eq!(got.hops_hist, want.hops_hist, "{what}: hops_hist");
+    assert_eq!(got.per_shard.len(), want.per_shard.len(), "{what}: shards");
+    for (s, (g, w)) in got.per_shard.iter().zip(&want.per_shard).enumerate() {
+        assert_eq!(g.stats, w.stats, "{what}: shard {s} stats");
+        let claimed: u64 = g.per_worker.iter().map(|p| p.queries_claimed).sum();
+        assert_eq!(
+            claimed,
+            got.results.len() as u64,
+            "{what}: shard {s} claims"
+        );
+    }
+}
+
+/// Serving determinism under concurrency: four caller threads share one
+/// engine (and so its scatter workers and every shard's workers) and
+/// issue empty, single, double, and full batches in different orders;
+/// each report equals the one a lone caller gets for the same batch.
+#[test]
+fn concurrent_callers_get_the_single_caller_reports_at_1_2_4_8_shards() {
+    let (base, queries) = dataset(400, 16);
+    let (k, beam) = (10, 48);
+    let all: Vec<u32> = (0..queries.len() as u32).collect();
+    let batches = [
+        queries.subset(&[]),
+        queries.subset(&[5]),
+        queries.subset(&[9, 2]),
+        queries.subset(&all),
+    ];
+    let build = |ds: &Dataset, _: usize| FlatIndex {
+        name: "walk",
+        graph: exact_knng(ds, 8, 1),
+        seeds: SeedStrategy::Random { count: 4 },
+        router: Router::BestFirst,
+    };
+    for shards in [1usize, 2, 4, 8] {
+        let set = ShardSet::build(
+            &base,
+            shards,
+            PARTITION_SEED,
+            NodeLayout::Split,
+            false,
+            2,
+            build,
+        )
+        .unwrap();
+        let engine = ShardedEngine::with_options(
+            &set,
+            EngineOptions {
+                workers: 2,
+                seed: 42,
+            },
+        );
+        let reference: Vec<ShardedBatchReport> = batches
+            .iter()
+            .map(|b| engine.search_batch(b, k, beam))
+            .collect();
+        assert!(reference[3].stats.hops > 0, "the walks must do work");
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4usize {
+                let (engine, batches, reference, start) = (&engine, &batches, &reference, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..6 {
+                        let b = (t + round) % batches.len();
+                        assert_reports_identical(
+                            &engine.search_batch(&batches[b], k, beam),
+                            &reference[b],
+                            &format!("{shards} shards, caller {t}, round {round}, batch {b}"),
+                        );
+                    }
+                });
+            }
+        });
+    }
+}
+
 /// Typed errors where the seed code panicked: empty datasets, impossible
 /// shard counts, and graph/dataset size mismatches all come back as
 /// matchable values with intact context.
@@ -522,6 +609,111 @@ fn queue_stress_concurrent_submitters_match_unbatched_reference() {
     assert!(stats.batches_total <= stats.queries_total);
     assert_eq!(stats.batch_size.count(), stats.batches_total);
     assert_eq!(stats.queue_delay_ns.count(), stats.queries_total);
+}
+
+/// An executor that fails on one recognizable query.
+struct PanicsOnMarker<'a> {
+    inner: &'a ShardedEngine<'a>,
+}
+
+const MARKER: f32 = 12345.0;
+
+impl BatchExecutor for PanicsOnMarker<'_> {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    fn execute(&self, queries: &Dataset, k: usize, beam: usize) -> Vec<Vec<Neighbor>> {
+        if (0..queries.len() as u32).any(|qi| queries.point(qi)[0] == MARKER) {
+            panic!("marker query reached the executor");
+        }
+        self.inner.execute(queries, k, beam)
+    }
+}
+
+/// Liveness under an executor panic: the four submitters sharing the
+/// failed batch all unwind (the leader with the executor's own payload)
+/// instead of sleeping forever, and the queue answers the next batch.
+/// Everything is leaked to `'static` so a regression fails on the
+/// timeout below instead of hanging a scope's join.
+#[test]
+fn queue_executor_panic_unwinds_every_rider_and_the_queue_keeps_serving() {
+    let (base, queries) = dataset(300, 4);
+    let beam = base.len();
+    let set: &'static ShardSet = Box::leak(Box::new(
+        ShardSet::build(
+            &base,
+            2,
+            PARTITION_SEED,
+            NodeLayout::Split,
+            false,
+            1,
+            exact_builder(Router::BestFirst),
+        )
+        .unwrap(),
+    ));
+    let engine: &'static ShardedEngine<'static> = Box::leak(Box::new(ShardedEngine::new(set)));
+    let exec: &'static PanicsOnMarker<'static> =
+        Box::leak(Box::new(PanicsOnMarker { inner: engine }));
+    let queue: &'static BatchQueue<'static, PanicsOnMarker<'static>> =
+        Box::leak(Box::new(BatchQueue::new(
+            exec,
+            QueueOptions {
+                max_batch: 4,
+                max_delay: std::time::Duration::from_secs(30),
+                k: 10,
+                beam,
+            },
+        )));
+
+    // One batch of `points`, one submitter each; outcomes in arrival order.
+    let ride = |points: Vec<Vec<f32>>| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        for (i, q) in points.into_iter().enumerate() {
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                let outcome =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| queue.submit(&q)));
+                let _ = tx.send((i, outcome));
+            });
+        }
+        (0..4)
+            .map(|_| {
+                rx.recv_timeout(std::time::Duration::from_secs(20))
+                    .expect("a submitter neither returned nor unwound")
+            })
+            .collect::<Vec<_>>()
+    };
+
+    let mut poisoned: Vec<Vec<f32>> = (0..3).map(|qi| queries.point(qi).to_vec()).collect();
+    poisoned.push(vec![MARKER; base.dim()]);
+    let messages: Vec<String> = ride(poisoned)
+        .into_iter()
+        .map(|(i, outcome)| {
+            let payload = outcome.expect_err(&format!("submitter {i} got an answer"));
+            payload
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .expect("a string payload")
+        })
+        .collect();
+    let original = messages
+        .iter()
+        .filter(|m| m.as_str() == "marker query reached the executor")
+        .count();
+    assert_eq!(original, 1, "the leader re-raises verbatim: {messages:?}");
+    assert_eq!(queue.depth(), 0);
+
+    let clean: Vec<Vec<f32>> = (0..4).map(|qi| queries.point(qi).to_vec()).collect();
+    for (i, outcome) in ride(clean) {
+        let got = outcome.expect("the queue must keep serving after a failed batch");
+        let want = engine.search_one(queries.point(i as u32), 10, beam);
+        assert_pools_identical(&got, &want, &format!("post-panic query {i}"));
+    }
+    let stats = queue.stats();
+    assert_eq!(stats.batches_total, 1, "only the answered batch counts");
+    assert_eq!(stats.queries_total, 4);
 }
 
 fn neighbors_from(raw: &[(u32, f32)]) -> Vec<Neighbor> {
