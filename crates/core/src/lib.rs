@@ -47,7 +47,7 @@
 //!   deterministic partitioning, one engine per shard behind
 //!   [`shard::ShardedEngine`], an order-stable top-k merge (results
 //!   independent of shard count when shards answer exactly), a
-//!   latency-budgeted admission queue ([`shard::BatchQueue`]), and
+//!   work-conserving admission queue ([`shard::BatchQueue`]), and
 //!   fleet-level metrics ([`shard::FleetReport`]).
 //! - [`telemetry`]: the observability layer — log2-bucketed histograms,
 //!   sharded counters, per-hop route tracing

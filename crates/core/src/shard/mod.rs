@@ -14,8 +14,9 @@
 //! - [`ShardedEngine`]: scatter a query (or batch) to every shard's
 //!   [`crate::serve::QueryEngine`], gather through the order-stable
 //!   [`merge_topk`];
-//! - [`BatchQueue`]: the admission queue coalescing streaming single
-//!   queries into engine batches under a latency budget;
+//! - [`BatchQueue`]: the admission queue — a query is dispatched at once
+//!   when the executor is free, and streaming arrivals coalesce into one
+//!   engine batch only while the batch ahead of them executes;
 //! - [`FleetReport`]: per-shard + merged observability on the existing
 //!   Prometheus/JSON exposition.
 //!

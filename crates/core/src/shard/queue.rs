@@ -9,13 +9,19 @@
 //! leader–follower protocol:
 //!
 //! - the first submitter into an empty queue becomes the **leader** and
-//!   waits until the batch reaches [`QueueOptions::max_batch`] queries or
-//!   the [`QueueOptions::max_delay`] budget (measured from the batch's
-//!   oldest enqueue) lapses — whichever comes first;
+//!   closes the batch the moment the executor is free. Only while a batch
+//!   closed by this queue is still executing does it wait — for that
+//!   batch to return, for the forming batch to reach
+//!   [`QueueOptions::max_batch`] queries, or for the
+//!   [`QueueOptions::max_delay`] budget (the upper bound on the wait
+//!   while a batch is executing, measured from the forming batch's oldest
+//!   enqueue) to lapse, whichever comes first. Idle traffic is dispatched
+//!   on arrival; under load, arrivals coalesce for exactly as long as the
+//!   batch ahead of them runs;
 //! - the leader then closes the batch, releases leadership (so a next
-//!   batch can form and even execute concurrently while this one runs),
-//!   executes the batch through the engine, and publishes per-ticket
-//!   results;
+//!   batch can form, and a full or overdue one even execute concurrently,
+//!   while this one runs), executes the batch through the engine, and
+//!   publishes per-ticket results;
 //! - followers wake on publication and collect their own ticket. If the
 //!   executor panicked, the leader publishes the batch's tickets as
 //!   failed before unwinding, so each follower unwinds too instead of
@@ -25,8 +31,8 @@
 //! keyed by ticket, so every caller gets exactly its own query's answer.
 //! Coalescing never changes results: both engines answer each query
 //! independently of its batch (per-query RNG reseeding), so a query
-//! returns bit-identical neighbors whether it rode alone under a lapsed
-//! budget or inside a full batch — the property the queue tests assert.
+//! returns bit-identical neighbors whether it rode alone through an idle
+//! queue or inside a full batch — the property the queue tests assert.
 //!
 //! Synchronization uses `std::sync::{Mutex, Condvar}` directly (the
 //! vendored `parking_lot` shim carries no condvar).
@@ -110,9 +116,10 @@ impl BatchExecutor for ShardedEngine<'_> {
 pub struct QueueOptions {
     /// Close a batch as soon as it holds this many queries.
     pub max_batch: usize,
-    /// Close a batch this long after its oldest query arrived, full or
-    /// not — the latency budget sparse traffic pays instead of waiting
-    /// for a batch that may never fill.
+    /// Upper bound on the wait while a batch is executing: a forming
+    /// batch closes this long after its oldest query arrived even if the
+    /// batch ahead of it has not returned. An idle queue never waits it
+    /// out — with the executor free a batch closes at once.
     pub max_delay: Duration,
     /// Neighbors per query.
     pub k: usize,
@@ -170,6 +177,9 @@ struct QueueInner {
     done: HashMap<u64, Option<Vec<Neighbor>>>,
     next_ticket: u64,
     has_leader: bool,
+    /// Batches closed by this queue whose executor call has neither
+    /// returned nor unwound yet.
+    in_flight: usize,
     stats: QueueStats,
 }
 
@@ -262,15 +272,16 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
                 }
                 None => {}
             }
-            let still_pending = g.pending.iter().any(|p| p.ticket == ticket);
+            // Tickets are issued in order and a close takes all of
+            // `pending`, so ours is still there iff the oldest is no newer.
+            let still_pending = g.pending.first().is_some_and(|p| p.ticket <= ticket);
             if still_pending && !g.has_leader {
-                // Lead the batch currently forming.
+                // Lead the batch currently forming: wait only while the
+                // executor is busy (its return is published by the
+                // `notify_all` below), and then no longer than the budget.
                 g.has_leader = true;
                 let deadline = g.pending[0].enqueued + self.opts.max_delay;
-                loop {
-                    if g.pending.len() >= self.opts.max_batch {
-                        break;
-                    }
+                while g.in_flight > 0 && g.pending.len() < self.opts.max_batch {
                     let now = Instant::now();
                     if now >= deadline {
                         break;
@@ -282,6 +293,7 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
                 // run) while this one is in flight.
                 let batch = std::mem::take(&mut g.pending);
                 g.has_leader = false;
+                g.in_flight += 1;
                 self.cv.notify_all();
                 drop(g);
 
@@ -308,8 +320,16 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
                     }
                     None => self.exec.execute(&queries, self.opts.k, self.opts.beam),
                 }));
+                if let Some(rec) = self.flights {
+                    // Notes the executor left unclaimed (it ignored the
+                    // recorder, or unwound) would otherwise never go away.
+                    rec.discard_queue_waits();
+                }
 
+                // Returned or unwound, the lane is free again; whichever
+                // `notify_all` follows tells a waiting leader.
                 g = self.inner.lock().unwrap();
+                g.in_flight -= 1;
                 let results = match results {
                     Ok(results) => results,
                     Err(payload) => {
@@ -341,5 +361,42 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
                 g = self.cv.wait(g).unwrap();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::telemetry::flight::FlightOptions;
+
+    /// A third-party executor: keeps the default `execute_recorded`, so
+    /// it never claims the admission waits the queue notes for it.
+    struct Echo;
+
+    impl BatchExecutor for Echo {
+        fn dim(&self) -> usize {
+            2
+        }
+
+        fn execute(&self, queries: &Dataset, _k: usize, _beam: usize) -> Vec<Vec<Neighbor>> {
+            (0..queries.len() as u32)
+                .map(|qi| vec![Neighbor::new(qi, queries.point(qi)[0])])
+                .collect()
+        }
+    }
+
+    #[test]
+    fn notes_an_executor_never_claims_do_not_accumulate() {
+        let rec = FlightRecorder::new(FlightOptions {
+            sample_every: 1,
+            ..FlightOptions::default()
+        });
+        let queue = BatchQueue::with_flights(&Echo, QueueOptions::default(), &rec);
+        for i in 0..1000 {
+            let got = queue.submit(&[i as f32, 0.0]);
+            assert_eq!(got[0].dist, i as f32);
+        }
+        assert_eq!(queue.stats().queries_total, 1000);
+        assert_eq!(rec.pending_queue_waits(), 0);
     }
 }

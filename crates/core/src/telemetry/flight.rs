@@ -38,8 +38,8 @@
 //! the seed-sampled flights (deterministic fields only) for golden
 //! tests.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::{self, ThreadId};
 
 use parking_lot::Mutex;
 
@@ -179,7 +179,14 @@ pub struct FlightRecorder {
     slowest_ns: AtomicU64,
     sampled_total: AtomicU64,
     recorded_total: AtomicU64,
-    queue_waits: Mutex<HashMap<u64, u64>>,
+    queue_waits: Mutex<Vec<QueueWaitNote>>,
+}
+
+/// One admission wait noted by a queue leader, awaiting its flight.
+struct QueueWaitNote {
+    owner: ThreadId,
+    fingerprint: u64,
+    waited_ns: u64,
 }
 
 impl FlightRecorder {
@@ -196,7 +203,7 @@ impl FlightRecorder {
             slowest_ns: AtomicU64::new(0),
             sampled_total: AtomicU64::new(0),
             recorded_total: AtomicU64::new(0),
-            queue_waits: Mutex::new(HashMap::new()),
+            queue_waits: Mutex::new(Vec::new()),
         }
     }
 
@@ -247,14 +254,40 @@ impl FlightRecorder {
 
     /// The admission queue noting how long a sampled query waited; the
     /// engine attaches it as a [`Stage::QueueWait`] span when the
-    /// query's flight is assembled.
+    /// query's flight is assembled. A note belongs to the noting thread:
+    /// the queue leader notes, then runs the executor, and both engines
+    /// assemble flights on the thread that called them — so overlapping
+    /// batches carrying the same query keep their own waits.
     pub fn note_queue_wait(&self, fingerprint: u64, waited_ns: u64) {
-        self.queue_waits.lock().insert(fingerprint, waited_ns);
+        self.queue_waits.lock().push(QueueWaitNote {
+            owner: thread::current().id(),
+            fingerprint,
+            waited_ns,
+        });
     }
 
-    /// Claims (and clears) a noted queue wait for `fingerprint`.
+    /// Claims (and clears) the calling thread's oldest noted queue wait
+    /// for `fingerprint`.
     pub fn take_queue_wait(&self, fingerprint: u64) -> Option<u64> {
-        self.queue_waits.lock().remove(&fingerprint)
+        let me = thread::current().id();
+        let mut notes = self.queue_waits.lock();
+        let at = notes
+            .iter()
+            .position(|n| n.owner == me && n.fingerprint == fingerprint)?;
+        Some(notes.remove(at).waited_ns)
+    }
+
+    /// Drops every note the calling thread left unclaimed — the queue
+    /// leader's sweep after its executor returned or unwound.
+    pub(crate) fn discard_queue_waits(&self) {
+        let me = thread::current().id();
+        self.queue_waits.lock().retain(|n| n.owner != me);
+    }
+
+    /// Notes awaiting a claim.
+    #[cfg(test)]
+    pub(crate) fn pending_queue_waits(&self) -> usize {
+        self.queue_waits.lock().len()
     }
 
     /// A snapshot of the ring's current flights, ordered by
@@ -666,6 +699,26 @@ mod tests {
         let rec = FlightRecorder::new(FlightOptions::default());
         rec.note_queue_wait(7, 1234);
         assert_eq!(rec.take_queue_wait(7), Some(1234));
+        assert_eq!(rec.take_queue_wait(7), None);
+    }
+
+    #[test]
+    fn queue_wait_notes_belong_to_the_noting_thread() {
+        let rec = FlightRecorder::new(FlightOptions::default());
+        rec.note_queue_wait(7, 100);
+        rec.note_queue_wait(7, 101);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // An overlapping batch carrying the same query.
+                rec.note_queue_wait(7, 200);
+                rec.note_queue_wait(8, 201);
+                assert_eq!(rec.take_queue_wait(7), Some(200));
+                rec.discard_queue_waits();
+            });
+        });
+        assert_eq!(rec.pending_queue_waits(), 2, "a sweep drops only its own");
+        assert_eq!(rec.take_queue_wait(7), Some(100), "oldest first");
+        assert_eq!(rec.take_queue_wait(7), Some(101));
         assert_eq!(rec.take_queue_wait(7), None);
     }
 

@@ -14,13 +14,19 @@
 //!   of the per-shard reports;
 //! - concurrent callers on one shared engine: every report field equals
 //!   the single-caller reference at 1/2/4/8 shards;
-//! - the admission queue: latency-budget close under sparse arrivals,
-//!   full-batch coalescing with per-ticket results, a concurrent stress
-//!   run — all answers equal to the unbatched reference — and an
-//!   executor panic that must unwind every rider of the batch and leave
-//!   the queue serving;
+//! - the admission queue's close rule, driven through a gated executor
+//!   rather than by timing: an idle queue dispatches on arrival, arrivals
+//!   behind a busy executor coalesce (per-ticket results, submission
+//!   order), the budget bounds that wait, a full batch never waits; a
+//!   concurrent stress run — all answers equal to the unbatched
+//!   reference — and an executor panic that must unwind every rider of
+//!   the batch, free the lane and leave the queue serving;
 //! - typed build errors ([`ShardError`], [`IndexError`]) where the seed
 //!   code panicked.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Mutex};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use weavess_core::components::seeds::SeedStrategy;
@@ -458,14 +464,10 @@ fn build_failures_return_typed_errors() {
     );
 }
 
-/// Sparse arrivals: a lone submitter's batch never fills, so only the
-/// latency budget can close it — the call must return (with the same
-/// answer as the unbatched engine) rather than wait for a full batch.
-#[test]
-fn queue_closes_on_latency_budget_under_sparse_arrivals() {
-    let (base, queries) = dataset(300, 4);
-    let set = ShardSet::build(
-        &base,
+/// Two exact shards over `base`: the fixture every close-rule test serves.
+fn two_exact_shards(base: &Dataset) -> ShardSet {
+    ShardSet::build(
+        base,
         2,
         PARTITION_SEED,
         NodeLayout::Split,
@@ -473,13 +475,118 @@ fn queue_closes_on_latency_budget_under_sparse_arrivals() {
         1,
         exact_builder(Router::BestFirst),
     )
-    .unwrap();
+    .unwrap()
+}
+
+/// A budget no passing test waits out.
+const LONG: Duration = Duration::from_secs(30);
+/// How long a test waits for something the close rule promises promptly;
+/// below `LONG`, so waiting out the budget instead reads as a failure.
+const PROMPT: Duration = Duration::from_secs(20);
+
+/// An executor that holds its *first* batch inside `execute` until the
+/// test releases it, so "a batch is executing" is a state the close-rule
+/// tests enter and leave on command instead of racing against a timer.
+/// Every batch's queries are logged in the order batches reach it.
+struct Gated<'a, E: BatchExecutor> {
+    inner: &'a E,
+    hold_next: AtomicBool,
+    entered: mpsc::Sender<()>,
+    release: Mutex<mpsc::Receiver<()>>,
+    seen: Mutex<Vec<Vec<Vec<f32>>>>,
+}
+
+/// The test's end of a [`Gated`] executor. Dropping it releases the held
+/// batch too, so a failed assertion unwinds instead of hanging the join.
+struct Gate {
+    entered: mpsc::Receiver<()>,
+    release: mpsc::Sender<()>,
+}
+
+impl<'a, E: BatchExecutor> Gated<'a, E> {
+    fn new(inner: &'a E) -> (Self, Gate) {
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let gated = Gated {
+            inner,
+            hold_next: AtomicBool::new(true),
+            entered: entered_tx,
+            release: Mutex::new(release_rx),
+            seen: Mutex::new(Vec::new()),
+        };
+        let gate = Gate {
+            entered: entered_rx,
+            release: release_tx,
+        };
+        (gated, gate)
+    }
+
+    /// The batches executed so far, each as its queries in batch order.
+    fn seen(&self) -> Vec<Vec<Vec<f32>>> {
+        self.seen.lock().unwrap().clone()
+    }
+}
+
+impl<E: BatchExecutor> BatchExecutor for Gated<'_, E> {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    fn execute(&self, queries: &Dataset, k: usize, beam: usize) -> Vec<Vec<Neighbor>> {
+        let batch = (0..queries.len() as u32)
+            .map(|qi| queries.point(qi).to_vec())
+            .collect();
+        self.seen.lock().unwrap().push(batch);
+        if self.hold_next.swap(false, Ordering::SeqCst) {
+            let _ = self.entered.send(());
+            // `Err` means the test dropped its gate: proceed either way.
+            let _ = self.release.lock().unwrap().recv();
+        }
+        self.inner.execute(queries, k, beam)
+    }
+}
+
+impl Gate {
+    /// Blocks until the held batch is inside the executor.
+    fn wait_entered(&self) {
+        self.entered
+            .recv_timeout(PROMPT)
+            .expect("the first batch never reached the executor");
+    }
+
+    fn release(&self) {
+        self.release.send(()).unwrap();
+    }
+}
+
+/// Polls `cond` (a state the test is waiting to *enter*, never a proof by
+/// elapsed time) until it holds.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let give_up = Instant::now() + PROMPT;
+    while !cond() {
+        assert!(Instant::now() < give_up, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+fn queries_as_rows(queries: &Dataset, ids: std::ops::Range<u32>) -> Vec<Vec<f32>> {
+    ids.map(|qi| queries.point(qi).to_vec()).collect()
+}
+
+/// Idle close: with the executor free, a lone query is dispatched the
+/// moment it arrives — the budget (here far longer than the test) is an
+/// upper bound on the wait behind a busy executor, not a tax on sparse
+/// traffic. Each call returns the unbatched engine's answer.
+#[test]
+fn queue_closes_at_once_when_the_executor_is_idle() {
+    let (base, queries) = dataset(300, 4);
+    let set = two_exact_shards(&base);
     let engine = ShardedEngine::new(&set);
     let queue = BatchQueue::new(
         &engine,
         QueueOptions {
             max_batch: 64,
-            max_delay: std::time::Duration::from_millis(5),
+            max_delay: LONG,
             k: 10,
             beam: base.len(),
         },
@@ -487,54 +594,50 @@ fn queue_closes_on_latency_budget_under_sparse_arrivals() {
     for qi in 0..queries.len() as u32 {
         let got = queue.submit(queries.point(qi));
         let want = engine.search_one(queries.point(qi), 10, base.len());
-        assert_pools_identical(&got, &want, &format!("sparse query {qi}"));
+        assert_pools_identical(&got, &want, &format!("idle query {qi}"));
     }
     let stats = queue.stats();
     assert_eq!(stats.queries_total, queries.len() as u64);
     assert_eq!(
         stats.batches_total,
         queries.len() as u64,
-        "sequential sparse submits must each close alone on the budget"
+        "sequential submits into an idle queue must each close alone"
     );
     assert_eq!(stats.batch_size.max(), Some(1));
+    assert!(
+        stats.queue_delay_ns.max().unwrap() < 1_000_000_000,
+        "an idle queue must not wait out the budget: {:?} ns",
+        stats.queue_delay_ns.max()
+    );
 }
 
-/// Coalescing: with `max_batch = N` and a generous budget, N concurrent
-/// submitters ride one batch, and each caller still gets exactly its own
-/// query's answer (results are keyed by ticket, the batch is closed in
-/// submission order).
+/// Coalescing while busy: everything that arrives while batch 1 executes
+/// rides batch 2, closed in submission order the moment batch 1 returns,
+/// and each caller still gets exactly its own query's answer (results are
+/// keyed by ticket).
 #[test]
-fn queue_coalesces_full_batch_and_answers_each_ticket() {
+fn queue_coalesces_arrivals_while_the_executor_is_busy() {
     let (base, queries) = dataset(300, 6);
-    let set = ShardSet::build(
-        &base,
-        2,
-        PARTITION_SEED,
-        NodeLayout::Split,
-        false,
-        1,
-        exact_builder(Router::BestFirst),
-    )
-    .unwrap();
+    let set = two_exact_shards(&base);
     let engine = ShardedEngine::new(&set);
-    let n = queries.len();
+    let (exec, gate) = Gated::new(&engine);
+    let n = queries.len() as u32;
     let queue = BatchQueue::new(
-        &engine,
+        &exec,
         QueueOptions {
-            max_batch: n,
-            max_delay: std::time::Duration::from_secs(30),
+            max_batch: 64,
+            max_delay: LONG,
             k: 10,
             beam: base.len(),
         },
     );
-    let reference: Vec<Vec<Neighbor>> = (0..n as u32)
+    let reference: Vec<Vec<Neighbor>> = (0..n)
         .map(|qi| engine.search_one(queries.point(qi), 10, base.len()))
         .collect();
     std::thread::scope(|scope| {
-        for qi in 0..n as u32 {
-            let queue = &queue;
-            let queries = &queries;
-            let reference = &reference;
+        let gate = gate;
+        for qi in 0..n {
+            let (queue, queries, reference) = (&queue, &queries, &reference);
             scope.spawn(move || {
                 let got = queue.submit(queries.point(qi));
                 assert_pools_identical(
@@ -543,15 +646,128 @@ fn queue_coalesces_full_batch_and_answers_each_ticket() {
                     &format!("coalesced query {qi}"),
                 );
             });
+            if qi == 0 {
+                gate.wait_entered();
+            } else {
+                // One at a time, so submission order is query order.
+                wait_until("the rider to enqueue", || queue.depth() == qi as usize);
+            }
         }
+        gate.release();
     });
     let stats = queue.stats();
     assert_eq!(stats.queries_total, n as u64);
     assert_eq!(
-        stats.batches_total, 1,
-        "all submitters must share one batch"
+        stats.batches_total, 2,
+        "arrivals behind a busy executor must share one batch"
     );
-    assert_eq!(stats.batch_size.max(), Some(n as u64));
+    assert_eq!(stats.batch_size.max(), Some(n as u64 - 1));
+    assert_eq!(
+        exec.seen(),
+        [
+            queries_as_rows(&queries, 0..1),
+            queries_as_rows(&queries, 1..n)
+        ],
+        "the second batch holds every rider in submission order"
+    );
+}
+
+/// The budget still bounds a busy wait: one query pending behind a held
+/// batch closes once `max_delay` has passed and executes overlapped — it
+/// returns while batch 1 is still inside the executor.
+#[test]
+fn queue_budget_bounds_the_wait_behind_a_busy_executor() {
+    let (base, queries) = dataset(300, 2);
+    let set = two_exact_shards(&base);
+    let engine = ShardedEngine::new(&set);
+    let (exec, gate) = Gated::new(&engine);
+    let budget = Duration::from_millis(50);
+    let queue = BatchQueue::new(
+        &exec,
+        QueueOptions {
+            max_batch: 64,
+            max_delay: budget,
+            k: 10,
+            beam: base.len(),
+        },
+    );
+    std::thread::scope(|scope| {
+        let gate = gate;
+        scope.spawn(|| queue.submit(queries.point(0)));
+        gate.wait_entered();
+        let (tx, rx) = mpsc::channel();
+        let (queue, queries, engine, beam) = (&queue, &queries, &engine, base.len());
+        scope.spawn(move || {
+            let got = queue.submit(queries.point(1));
+            let want = engine.search_one(queries.point(1), 10, beam);
+            assert_pools_identical(&got, &want, "overdue query");
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(PROMPT)
+            .expect("a query behind a held batch must close on the budget");
+        let stats = queue.stats();
+        assert_eq!(stats.batches_total, 1, "batch 1 is still executing");
+        assert!(
+            stats.queue_delay_ns.max().unwrap() >= budget.as_nanos() as u64,
+            "with the executor busy the close waits for the budget"
+        );
+        gate.release();
+    });
+    assert_eq!(queue.stats().batches_total, 2);
+}
+
+/// Full closes while busy: `max_batch` pending queries close and execute
+/// without waiting for the batch ahead of them, as they always have.
+#[test]
+fn queue_closes_a_full_batch_while_the_executor_is_busy() {
+    let (base, queries) = dataset(300, 4);
+    let set = two_exact_shards(&base);
+    let engine = ShardedEngine::new(&set);
+    let (exec, gate) = Gated::new(&engine);
+    let n = queries.len() as u32;
+    let queue = BatchQueue::new(
+        &exec,
+        QueueOptions {
+            max_batch: n as usize - 1,
+            max_delay: LONG,
+            k: 10,
+            beam: base.len(),
+        },
+    );
+    std::thread::scope(|scope| {
+        let gate = gate;
+        scope.spawn(|| queue.submit(queries.point(0)));
+        gate.wait_entered();
+        let (tx, rx) = mpsc::channel();
+        for qi in 1..n {
+            let (queue, queries, engine, tx) = (&queue, &queries, &engine, tx.clone());
+            scope.spawn(move || {
+                let got = queue.submit(queries.point(qi));
+                let want = engine.search_one(queries.point(qi), 10, queue.options().beam);
+                assert_pools_identical(&got, &want, &format!("full-batch query {qi}"));
+                tx.send(()).unwrap();
+            });
+            if qi + 1 < n {
+                wait_until("the rider to enqueue", || queue.depth() == qi as usize);
+            }
+        }
+        for _ in 1..n {
+            rx.recv_timeout(PROMPT)
+                .expect("a full batch must not wait for the batch ahead of it");
+        }
+        let stats = queue.stats();
+        assert_eq!(stats.batches_total, 1, "batch 1 is still executing");
+        assert_eq!(stats.batch_size.max(), Some(n as u64 - 1));
+        gate.release();
+    });
+    assert_eq!(queue.stats().batches_total, 2);
+    assert_eq!(
+        exec.seen(),
+        [
+            queries_as_rows(&queries, 0..1),
+            queries_as_rows(&queries, 1..n)
+        ]
+    );
 }
 
 /// Stress: many threads stream interleaved queries through one queue;
@@ -633,42 +849,36 @@ impl BatchExecutor for PanicsOnMarker<'_> {
 
 /// Liveness under an executor panic: the four submitters sharing the
 /// failed batch all unwind (the leader with the executor's own payload)
-/// instead of sleeping forever, and the queue answers the next batch.
-/// Everything is leaked to `'static` so a regression fails on the
-/// timeout below instead of hanging a scope's join.
+/// instead of sleeping forever, the unwound batch gives its lane back (a
+/// lone query afterwards is dispatched at once, not after the budget),
+/// and the queue answers the next batch. A held primer batch keeps the
+/// executor busy so the four coalesce into one full batch. Everything is
+/// leaked to `'static` so a regression fails on the timeouts below
+/// instead of hanging a scope's join.
 #[test]
 fn queue_executor_panic_unwinds_every_rider_and_the_queue_keeps_serving() {
     let (base, queries) = dataset(300, 4);
     let beam = base.len();
-    let set: &'static ShardSet = Box::leak(Box::new(
-        ShardSet::build(
-            &base,
-            2,
-            PARTITION_SEED,
-            NodeLayout::Split,
-            false,
-            1,
-            exact_builder(Router::BestFirst),
-        )
-        .unwrap(),
-    ));
+    let set: &'static ShardSet = Box::leak(Box::new(two_exact_shards(&base)));
     let engine: &'static ShardedEngine<'static> = Box::leak(Box::new(ShardedEngine::new(set)));
-    let exec: &'static PanicsOnMarker<'static> =
+    let panicky: &'static PanicsOnMarker<'static> =
         Box::leak(Box::new(PanicsOnMarker { inner: engine }));
-    let queue: &'static BatchQueue<'static, PanicsOnMarker<'static>> =
+    let (exec, gate) = Gated::new(panicky);
+    let exec: &'static Gated<'static, PanicsOnMarker<'static>> = Box::leak(Box::new(exec));
+    let queue: &'static BatchQueue<'static, Gated<'static, PanicsOnMarker<'static>>> =
         Box::leak(Box::new(BatchQueue::new(
             exec,
             QueueOptions {
                 max_batch: 4,
-                max_delay: std::time::Duration::from_secs(30),
+                max_delay: LONG,
                 k: 10,
                 beam,
             },
         )));
 
-    // One batch of `points`, one submitter each; outcomes in arrival order.
-    let ride = |points: Vec<Vec<f32>>| {
-        let (tx, rx) = std::sync::mpsc::channel();
+    // One submitter per point; outcomes arrive tagged with their index.
+    let launch = |points: Vec<Vec<f32>>| {
+        let (tx, rx) = mpsc::channel();
         for (i, q) in points.into_iter().enumerate() {
             let tx = tx.clone();
             std::thread::spawn(move || {
@@ -677,17 +887,32 @@ fn queue_executor_panic_unwinds_every_rider_and_the_queue_keeps_serving() {
                 let _ = tx.send((i, outcome));
             });
         }
-        (0..4)
+        rx
+    };
+    let collect = |rx: mpsc::Receiver<(usize, std::thread::Result<Vec<Neighbor>>)>, n: usize| {
+        (0..n)
             .map(|_| {
-                rx.recv_timeout(std::time::Duration::from_secs(20))
+                rx.recv_timeout(PROMPT)
                     .expect("a submitter neither returned nor unwound")
             })
             .collect::<Vec<_>>()
     };
+    let assert_answered =
+        |outcomes: Vec<(usize, std::thread::Result<Vec<Neighbor>>)>, first: u32, what: &str| {
+            for (i, outcome) in outcomes {
+                let qi = first + i as u32;
+                let got = outcome.unwrap_or_else(|_| panic!("{what} query {qi} unwound"));
+                let want = engine.search_one(queries.point(qi), 10, beam);
+                assert_pools_identical(&got, &want, &format!("{what} query {qi}"));
+            }
+        };
 
-    let mut poisoned: Vec<Vec<f32>> = (0..3).map(|qi| queries.point(qi).to_vec()).collect();
+    let primer = launch(queries_as_rows(&queries, 3..4));
+    gate.wait_entered();
+
+    let mut poisoned = queries_as_rows(&queries, 0..3);
     poisoned.push(vec![MARKER; base.dim()]);
-    let messages: Vec<String> = ride(poisoned)
+    let messages: Vec<String> = collect(launch(poisoned), 4)
         .into_iter()
         .map(|(i, outcome)| {
             let payload = outcome.expect_err(&format!("submitter {i} got an answer"));
@@ -705,15 +930,28 @@ fn queue_executor_panic_unwinds_every_rider_and_the_queue_keeps_serving() {
     assert_eq!(original, 1, "the leader re-raises verbatim: {messages:?}");
     assert_eq!(queue.depth(), 0);
 
-    let clean: Vec<Vec<f32>> = (0..4).map(|qi| queries.point(qi).to_vec()).collect();
-    for (i, outcome) in ride(clean) {
-        let got = outcome.expect("the queue must keep serving after a failed batch");
-        let want = engine.search_one(queries.point(i as u32), 10, beam);
-        assert_pools_identical(&got, &want, &format!("post-panic query {i}"));
-    }
+    gate.release();
+    assert_answered(collect(primer, 1), 3, "primer");
+
+    // Both batches are out of the executor. Had the unwind kept its lane,
+    // this lone query would wait out the 30 s budget and miss `PROMPT`.
+    assert_answered(
+        collect(launch(queries_as_rows(&queries, 0..1)), 1),
+        0,
+        "lone",
+    );
     let stats = queue.stats();
-    assert_eq!(stats.batches_total, 1, "only the answered batch counts");
-    assert_eq!(stats.queries_total, 4);
+    assert_eq!(stats.batches_total, 2, "only answered batches count");
+    assert_eq!(stats.queries_total, 2);
+
+    assert_answered(
+        collect(launch(queries_as_rows(&queries, 0..4)), 4),
+        0,
+        "post-panic",
+    );
+    let stats = queue.stats();
+    assert_eq!(stats.queries_total, 6, "the failed batch counts nowhere");
+    assert_eq!(stats.batch_size.count(), stats.batches_total);
 }
 
 fn neighbors_from(raw: &[(u32, f32)]) -> Vec<Neighbor> {
