@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use weavess_data::{Dataset, Neighbor};
 use weavess_graph::adjacency::GraphView;
-use weavess_graph::CsrGraph;
+use weavess_graph::{CsrGraph, SlotGraph};
 
 /// HNSW parameters (`M`, `M0`, `ef_construction`).
 #[derive(Debug, Clone)]
@@ -98,15 +98,188 @@ pub fn build(ds: &Dataset, params: &HnswParams) -> HnswIndex {
     let levels = crate::telemetry::span("C1 init", || {
         draw_levels(ds.len(), params, &mut StdRng::seed_from_u64(params.seed))
     });
-    let (layers, enter, _) =
-        crate::telemetry::span("C2+C3 insertion", || build_layers(ds, &levels, params));
+    let (graph, enter, _) =
+        crate::telemetry::span("C2+C3 insertion", || build_layers(ds, levels, params));
     crate::telemetry::span("freeze", || HnswIndex {
-        layers: layers
-            .into_iter()
-            .map(|l| CsrGraph::from_lists(&l))
+        layers: (0..graph.num_layers())
+            .map(|l| CsrGraph::from_rows((0..ds.len() as u32).map(|v| graph.neighbors(l, v))))
             .collect(),
         enter,
     })
+}
+
+/// The growing HNSW graph, shared by the batch builder and the dynamic
+/// index: every layer in fixed-stride blocks ([`SlotGraph`]).
+///
+/// Layer 0 is one `m0`-wide block per vertex, indexed by vertex id. All
+/// upper layers share one array of `m`-wide blocks: a vertex of level
+/// `L >= 1` owns the `L` consecutive blocks starting at `upper_at[v]`,
+/// layer `l` at `upper_at[v] + l - 1` (hnswlib's scheme). Blocks are
+/// appended in vertex-id order, so a bulk load and the same points
+/// inserted one at a time lay out the same arrays.
+#[derive(Debug, Clone)]
+pub(crate) struct LayeredGraph {
+    base: SlotGraph,
+    upper: SlotGraph,
+    /// First upper block of each vertex (where its level-1 list lives).
+    upper_at: Vec<u32>,
+    levels: Vec<usize>,
+    top: usize,
+}
+
+impl LayeredGraph {
+    /// An empty graph with `params`' degree bounds.
+    pub(crate) fn new(params: &HnswParams) -> Self {
+        LayeredGraph {
+            base: SlotGraph::new(params.m0),
+            upper: SlotGraph::new(params.m),
+            upper_at: Vec::new(),
+            levels: Vec::new(),
+            top: 0,
+        }
+    }
+
+    /// Appends an edgeless vertex present on layers `0..=level`.
+    pub(crate) fn push_vertex(&mut self, level: usize) {
+        self.upper_at.push(self.upper.len() as u32);
+        self.upper.resize(self.upper.len() + level);
+        self.levels.push(level);
+        self.base.resize(self.levels.len());
+        self.top = self.top.max(level);
+    }
+
+    /// Number of vertices.
+    pub(crate) fn len(&self) -> usize {
+        self.levels.len()
+    }
+
+    /// Number of layers (at least the bottom one).
+    pub(crate) fn num_layers(&self) -> usize {
+        self.top + 1
+    }
+
+    /// The highest layer `v` is present on.
+    pub(crate) fn level(&self, v: u32) -> usize {
+        self.levels[v as usize]
+    }
+
+    /// Layer 0, the graph every search ends on.
+    pub(crate) fn base(&self) -> &SlotGraph {
+        &self.base
+    }
+
+    /// Layer `l` as a routable graph; vertices absent from it are edgeless.
+    pub(crate) fn layer(&self, l: usize) -> Layer<'_> {
+        Layer { graph: self, l }
+    }
+
+    /// `v`'s neighbors on layer `l` (empty when `v` is absent from it).
+    #[inline]
+    pub(crate) fn neighbors(&self, l: usize, v: u32) -> &[u32] {
+        match self.slot(l, v) {
+            Some((blocks, at)) => blocks.neighbors(at),
+            None => &[],
+        }
+    }
+
+    /// Replaces `v`'s list on layer `l`, which `v` must be present on.
+    pub(crate) fn set(&mut self, l: usize, v: u32, ids: impl IntoIterator<Item = u32>) {
+        let at = self.present(l, v);
+        self.blocks_mut(l).set(at, ids);
+    }
+
+    /// Empties `v`'s list on layer `l`, if it has one.
+    pub(crate) fn clear(&mut self, l: usize, v: u32) {
+        if let Some((_, at)) = self.slot(l, v) {
+            self.blocks_mut(l).clear(at);
+        }
+    }
+
+    /// Links `p` to `selected` on layer `l` in both directions; a reverse
+    /// list pushed past the layer's degree bound is shrunk back with the
+    /// same RNG heuristic that selected `p`'s own neighbors.
+    pub(crate) fn link(&mut self, ds: &Dataset, l: usize, p: u32, selected: &[Neighbor]) {
+        let at_p = self.present(l, p);
+        for s in selected {
+            let at_s = self.present(l, s.id);
+            let blocks = self.blocks_mut(l);
+            blocks.push(at_p, s.id);
+            blocks.push(at_s, p);
+            if blocks.neighbors(at_s).len() > blocks.cap() {
+                let mut cands: Vec<Neighbor> = blocks
+                    .neighbors(at_s)
+                    .iter()
+                    .map(|&u| Neighbor::new(u, ds.dist(s.id, u)))
+                    .collect();
+                cands.sort_unstable();
+                let kept = select_rng_alpha(ds, s.id, &cands, blocks.cap(), 1.0);
+                blocks.set(at_s, kept.iter().map(|x| x.id));
+            }
+        }
+    }
+
+    /// Best-first search of layer `l` from `ep` with an `ef`-wide pool.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn beam(
+        &self,
+        ds: &Dataset,
+        l: usize,
+        query: &[f32],
+        ep: u32,
+        ef: usize,
+        scratch: &mut SearchScratch,
+        stats: &mut SearchStats,
+    ) -> Vec<Neighbor> {
+        scratch.next_epoch();
+        if l == 0 {
+            beam_search(ds, &self.base, query, &[ep], ef, scratch, stats)
+        } else {
+            beam_search(ds, &self.layer(l), query, &[ep], ef, scratch, stats)
+        }
+    }
+
+    /// The block array holding layer `l` and `v`'s block in it.
+    #[inline]
+    fn slot(&self, l: usize, v: u32) -> Option<(&SlotGraph, u32)> {
+        if l == 0 {
+            Some((&self.base, v))
+        } else if self.levels[v as usize] >= l {
+            Some((&self.upper, self.upper_at[v as usize] + (l - 1) as u32))
+        } else {
+            None
+        }
+    }
+
+    fn present(&self, l: usize, v: u32) -> u32 {
+        match self.slot(l, v) {
+            Some((_, at)) => at,
+            None => panic!("HNSW: vertex {v} is linked on layer {l}, above its level"),
+        }
+    }
+
+    fn blocks_mut(&mut self, l: usize) -> &mut SlotGraph {
+        if l == 0 {
+            &mut self.base
+        } else {
+            &mut self.upper
+        }
+    }
+}
+
+/// One layer of a [`LayeredGraph`], borrowed for routing.
+pub(crate) struct Layer<'a> {
+    graph: &'a LayeredGraph,
+    l: usize,
+}
+
+impl GraphView for Layer<'_> {
+    #[inline]
+    fn neighbors(&self, v: u32) -> &[u32] {
+        self.graph.neighbors(self.l, v)
+    }
+    fn len(&self) -> usize {
+        self.graph.len()
+    }
 }
 
 /// Draws `n` geometric levels from `rng` — one `gen_range` per point, so
@@ -128,7 +301,7 @@ pub(crate) fn draw_levels(n: usize, params: &HnswParams, rng: &mut StdRng) -> Ve
 const SEARCH_CHUNK: usize = 32;
 
 /// The deterministic batch-insert core, shared with the dynamic index:
-/// returns `(layers, enter, enter_level)` as mutable adjacency.
+/// returns `(graph, enter, enter_level)` as mutable adjacency.
 ///
 /// Each prefix-doubling batch runs two phases. The **search phase** is
 /// parallel and pure: every batch point descends and beam-searches the
@@ -140,12 +313,14 @@ const SEARCH_CHUNK: usize = 32;
 /// threads.
 pub(crate) fn build_layers(
     ds: &Dataset,
-    levels: &[usize],
+    levels: Vec<usize>,
     params: &HnswParams,
-) -> (Vec<Vec<Vec<u32>>>, u32, usize) {
+) -> (LayeredGraph, u32, usize) {
     let n = ds.len();
-    let top = levels.iter().copied().max().unwrap_or(0);
-    let mut layers: Vec<Vec<Vec<u32>>> = (0..=top).map(|_| vec![Vec::new(); n]).collect();
+    let mut graph = LayeredGraph::new(params);
+    for &level in &levels {
+        graph.push_vertex(level);
+    }
     let mut enter: u32 = 0;
     let mut enter_level: usize = levels.first().copied().unwrap_or(0);
     let threads = parallel::resolve_threads(params.threads);
@@ -154,7 +329,7 @@ pub(crate) fn build_layers(
 
     for batch in parallel::prefix_doubling(n, max_batch) {
         // Search phase: per-point selected neighbors per layer, computed
-        // against the frozen `layers` — parallel, in fixed chunks.
+        // against the frozen `graph` — parallel, in fixed chunks.
         let selected: Vec<Vec<(usize, Vec<Neighbor>)>> = parallel::par_chunks_map(
             batch.len(),
             SEARCH_CHUNK,
@@ -165,17 +340,7 @@ pub(crate) fn build_layers(
                 let out = range
                     .map(|i| {
                         let p = (batch.start + i) as u32;
-                        search_one(
-                            ds,
-                            &layers,
-                            levels,
-                            enter,
-                            enter_level,
-                            params,
-                            p,
-                            scratch,
-                            stats,
-                        )
+                        search_one(ds, &graph, enter, enter_level, params, p, scratch, stats)
                     })
                     .collect::<Vec<_>>();
                 build_ndc.fetch_add(stats.ndc - before, std::sync::atomic::Ordering::Relaxed);
@@ -189,8 +354,10 @@ pub(crate) fn build_layers(
         // Commit phase: sequential, in point-id order.
         for (i, per_layer) in selected.into_iter().enumerate() {
             let p = (batch.start + i) as u32;
-            commit_one(ds, &mut layers, params, p, &per_layer);
-            let lp = levels[p as usize];
+            for (l, selected) in &per_layer {
+                graph.link(ds, *l, p, selected);
+            }
+            let lp = graph.level(p);
             if lp > enter_level {
                 enter = p;
                 enter_level = lp;
@@ -198,17 +365,17 @@ pub(crate) fn build_layers(
         }
     }
     crate::telemetry::add_span_ndc(build_ndc.load(std::sync::atomic::Ordering::Relaxed));
-    (layers, enter, enter_level)
+    (graph, enter, enter_level)
 }
 
 /// The pure (read-only) half of one insertion: greedy descent above the
 /// point's level, then per-layer beam search + RNG selection against the
-/// frozen graph. Returns `(layer, selected)` pairs, top layer first.
+/// frozen graph. Returns `(layer, selected)` pairs, top layer first; the
+/// caller commits them with [`LayeredGraph::link`].
 #[allow(clippy::too_many_arguments)]
 fn search_one(
     ds: &Dataset,
-    layers: &[Vec<Vec<u32>>],
-    levels: &[usize],
+    graph: &LayeredGraph,
     enter: u32,
     enter_level: usize,
     params: &HnswParams,
@@ -216,13 +383,14 @@ fn search_one(
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
 ) -> Vec<(usize, Vec<Neighbor>)> {
-    let lp = levels[p as usize];
+    let lp = graph.level(p);
+    let query = ds.point(p);
     let mut ep = enter;
     for l in ((lp + 1)..=enter_level).rev() {
         ep = greedy_closest(
             ds,
-            layers[l].as_slice(),
-            ds.point(p),
+            &graph.layer(l),
+            query,
             ep,
             &mut scratch.batch_dists,
             stats,
@@ -230,54 +398,12 @@ fn search_one(
     }
     let mut out = Vec::with_capacity(lp.min(enter_level) + 1);
     for l in (0..=lp.min(enter_level)).rev() {
-        scratch.next_epoch();
-        let pool = beam_search(
-            ds,
-            layers[l].as_slice(),
-            ds.point(p),
-            &[ep],
-            params.ef_construction,
-            scratch,
-            stats,
-        );
+        let pool = graph.beam(ds, l, query, ep, params.ef_construction, scratch, stats);
         let sel = select_rng_alpha(ds, p, &pool, params.m, 1.0);
         ep = sel.first().map(|s| s.id).unwrap_or(ep);
         out.push((l, sel));
     }
     out
-}
-
-/// The mutating half of one insertion: push bidirectional edges and
-/// shrink over-full reverse lists with the same RNG heuristic.
-fn commit_one(
-    ds: &Dataset,
-    layers: &mut [Vec<Vec<u32>>],
-    params: &HnswParams,
-    p: u32,
-    per_layer: &[(usize, Vec<Neighbor>)],
-) {
-    for (l, selected) in per_layer {
-        let l = *l;
-        let max_deg = if l == 0 { params.m0 } else { params.m };
-        for s in selected {
-            layers[l][p as usize].push(s.id);
-            layers[l][s.id as usize].push(p);
-            if layers[l][s.id as usize].len() > max_deg {
-                let cands: Vec<Neighbor> = {
-                    let mut c: Vec<Neighbor> = layers[l][s.id as usize]
-                        .iter()
-                        .map(|&u| Neighbor::new(u, ds.dist(s.id, u)))
-                        .collect();
-                    c.sort_unstable();
-                    c
-                };
-                layers[l][s.id as usize] = select_rng_alpha(ds, s.id, &cands, max_deg, 1.0)
-                    .iter()
-                    .map(|x| x.id)
-                    .collect();
-            }
-        }
-    }
 }
 
 /// Greedy descent on a single layer (HNSW's upper-layer `ef = 1` search):

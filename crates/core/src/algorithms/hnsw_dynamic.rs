@@ -14,9 +14,9 @@
 //! - **Search** uses the filtered traversal from
 //!   [`crate::search::filtered`] to skip tombstones.
 
-use crate::algorithms::hnsw::{self, HnswParams};
+use crate::algorithms::hnsw::{self, HnswParams, LayeredGraph};
 use crate::components::selection::select_rng_alpha;
-use crate::search::{beam_search, filtered_beam_search, SearchScratch, SearchStats};
+use crate::search::{filtered_beam_search, SearchScratch, SearchStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use weavess_data::{Dataset, Neighbor};
@@ -37,15 +37,20 @@ use weavess_data::{Dataset, Neighbor};
 /// ```
 pub struct DynamicHnsw {
     data: Dataset,
-    /// Per-layer adjacency; `layers[l][v]` empty when `v` is absent at `l`.
-    layers: Vec<Vec<Vec<u32>>>,
-    levels: Vec<usize>,
+    /// Every layer's adjacency and each vertex's level, in fixed-stride
+    /// blocks: layer 0 is searched and prefetched as one flat array.
+    graph: LayeredGraph,
+    /// Tombstones: a deleted vertex keeps routing until `consolidate`.
     deleted: Vec<bool>,
     live: usize,
+    /// Entry vertex, present on layer `enter_level` (the top one in use).
     enter: u32,
     enter_level: usize,
     params: HnswParams,
+    /// Level stream; a bulk load leaves it where `len()` inserts would.
     rng: StdRng,
+    /// Search buffers; its visited set also dedupes `consolidate`'s
+    /// candidates.
     scratch: SearchScratch,
     stats: SearchStats,
 }
@@ -56,8 +61,7 @@ impl DynamicHnsw {
         let rng = StdRng::seed_from_u64(params.seed);
         DynamicHnsw {
             data: Dataset::empty(dim),
-            layers: vec![Vec::new()],
-            levels: Vec::new(),
+            graph: LayeredGraph::new(&params),
             deleted: Vec::new(),
             live: 0,
             enter: 0,
@@ -88,17 +92,12 @@ impl DynamicHnsw {
         for i in 0..n as u32 {
             data.push(base.point(i));
         }
-        let (layers, enter, enter_level) = if n == 0 {
-            (vec![Vec::new()], 0, 0)
-        } else {
-            crate::telemetry::span("C2+C3 insertion", || {
-                hnsw::build_layers(base, &levels, &params)
-            })
-        };
+        let (graph, enter, enter_level) = crate::telemetry::span("C2+C3 insertion", || {
+            hnsw::build_layers(base, levels, &params)
+        });
         DynamicHnsw {
             data,
-            layers,
-            levels,
+            graph,
             deleted: vec![false; n],
             live: n,
             enter,
@@ -148,15 +147,7 @@ impl DynamicHnsw {
         let ml = 1.0 / (self.params.m.max(2) as f64).ln();
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
         let lp = (-u.ln() * ml).floor() as usize;
-        self.levels.push(lp);
-        while self.layers.len() <= lp {
-            let mut layer = Vec::new();
-            layer.resize(self.data.len(), Vec::new());
-            self.layers.push(layer);
-        }
-        for layer in &mut self.layers {
-            layer.resize(self.data.len(), Vec::new());
-        }
+        self.graph.push_vertex(lp);
         if p == 0 {
             self.enter = 0;
             self.enter_level = lp;
@@ -170,38 +161,17 @@ impl DynamicHnsw {
         }
         // Beam insert on lp..=0.
         for l in (0..=lp.min(self.enter_level)).rev() {
-            self.scratch.next_epoch();
-            let pool = beam_search(
+            let pool = self.graph.beam(
                 &self.data,
-                self.layers[l].as_slice(),
+                l,
                 vector,
-                &[ep],
+                ep,
                 self.params.ef_construction,
                 &mut self.scratch,
                 &mut self.stats,
             );
-            let max_deg = if l == 0 {
-                self.params.m0
-            } else {
-                self.params.m
-            };
             let selected = select_rng_alpha(&self.data, p, &pool, self.params.m, 1.0);
-            for s in &selected {
-                self.layers[l][p as usize].push(s.id);
-                self.layers[l][s.id as usize].push(p);
-                if self.layers[l][s.id as usize].len() > max_deg {
-                    let mut cands: Vec<Neighbor> = self.layers[l][s.id as usize]
-                        .iter()
-                        .map(|&u| Neighbor::new(u, self.data.dist(s.id, u)))
-                        .collect();
-                    cands.sort_unstable();
-                    self.layers[l][s.id as usize] =
-                        select_rng_alpha(&self.data, s.id, &cands, max_deg, 1.0)
-                            .iter()
-                            .map(|x| x.id)
-                            .collect();
-                }
-            }
+            self.graph.link(&self.data, l, p, &selected);
             ep = selected.first().map(|s| s.id).unwrap_or(ep);
         }
         if lp > self.enter_level {
@@ -246,7 +216,7 @@ impl DynamicHnsw {
             self.scratch.next_epoch();
             let res = filtered_beam_search(
                 &self.data,
-                self.layers[0].as_slice(),
+                self.graph.base(),
                 query,
                 &[ep],
                 k,
@@ -278,56 +248,54 @@ impl DynamicHnsw {
     ///
     /// Returns the number of vertices whose neighborhoods were rebuilt.
     pub fn consolidate(&mut self) -> usize {
-        let n = self.data.len();
+        let n = self.data.len() as u32;
         let mut rebuilt = 0usize;
-        for l in 0..self.layers.len() {
+        // Repairs read the graph as it was: one flat copy per block array.
+        let before = self.graph.clone();
+        let mut cands: Vec<Neighbor> = Vec::new();
+        for l in 0..self.graph.num_layers() {
             let max_deg = if l == 0 {
                 self.params.m0
             } else {
                 self.params.m
             };
-            let snapshot: Vec<Vec<u32>> = self.layers[l].clone();
-            for v in 0..n as u32 {
-                if self.deleted[v as usize] {
+            for v in (0..n).filter(|&v| !self.deleted[v as usize]) {
+                let nbrs = before.neighbors(l, v);
+                if !nbrs.iter().any(|&u| self.deleted[u as usize]) {
                     continue;
                 }
-                if !snapshot[v as usize]
-                    .iter()
-                    .any(|&u| self.deleted[u as usize])
-                {
-                    continue;
-                }
-                // Live 2-hop neighborhood through tombstones.
-                let mut cands: Vec<Neighbor> = Vec::new();
-                for &u in &snapshot[v as usize] {
-                    if !self.deleted[u as usize] {
-                        push_unique(&mut cands, Neighbor::new(u, self.data.dist(v, u)));
-                    }
-                    for &w in &snapshot[u as usize] {
-                        if w != v && !self.deleted[w as usize] {
-                            push_unique(&mut cands, Neighbor::new(w, self.data.dist(v, w)));
+                // Live 2-hop neighborhood through tombstones, each vertex
+                // once (the visited stamps dedupe; `v` itself is excluded).
+                self.scratch.next_epoch();
+                self.scratch.visited.visit(v);
+                cands.clear();
+                for &u in nbrs {
+                    for &w in std::iter::once(&u).chain(before.neighbors(l, u)) {
+                        if !self.deleted[w as usize] && self.scratch.visited.visit(w) {
+                            cands.push(Neighbor::new(w, self.data.dist(v, w)));
                         }
                     }
                 }
                 cands.sort_unstable();
-                self.layers[l][v as usize] = select_rng_alpha(&self.data, v, &cands, max_deg, 1.0)
-                    .iter()
-                    .map(|x| x.id)
-                    .collect();
+                let kept = select_rng_alpha(&self.data, v, &cands, max_deg, 1.0);
+                self.graph.set(l, v, kept.iter().map(|x| x.id));
                 rebuilt += 1;
             }
             // Tombstones stop routing entirely on this layer.
-            for v in 0..n {
-                if self.deleted[v] {
-                    self.layers[l][v].clear();
-                }
+            for v in (0..n).filter(|&v| self.deleted[v as usize]) {
+                self.graph.clear(l, v);
             }
         }
-        // The entry must be live; fall back to any live vertex.
-        if self.deleted[self.enter as usize] {
-            if let Some(live) = (0..n as u32).find(|&v| !self.deleted[v as usize]) {
+        // The entry must be live. Take the live vertex of the highest
+        // level (lowest id among equals) so the hierarchy above layer 0
+        // stays in use.
+        if self.deleted.get(self.enter as usize) == Some(&true) {
+            let top = (0..n)
+                .filter(|&v| !self.deleted[v as usize])
+                .max_by_key(|&v| (self.graph.level(v), std::cmp::Reverse(v)));
+            if let Some(live) = top {
                 self.enter = live;
-                self.enter_level = self.levels[live as usize];
+                self.enter_level = self.graph.level(live);
             }
         }
         rebuilt
@@ -336,18 +304,12 @@ impl DynamicHnsw {
     fn greedy_closest(&mut self, layer: usize, query: &[f32], start: u32) -> u32 {
         hnsw::greedy_closest(
             &self.data,
-            self.layers[layer].as_slice(),
+            &self.graph.layer(layer),
             query,
             start,
             &mut self.scratch.batch_dists,
             &mut self.stats,
         )
-    }
-}
-
-fn push_unique(cands: &mut Vec<Neighbor>, n: Neighbor) {
-    if !cands.iter().any(|c| c.id == n.id) {
-        cands.push(n);
     }
 }
 
@@ -466,12 +428,13 @@ mod tests {
         assert!(rebuilt > 0);
         // No live vertex points at a tombstone anymore; tombstones have no
         // out-edges.
-        for v in 0..base.len() {
-            for l in 0..idx.layers.len() {
-                if idx.deleted[v] {
-                    assert!(idx.layers[l][v].is_empty());
+        for v in 0..base.len() as u32 {
+            for l in 0..idx.graph.num_layers() {
+                let list = idx.graph.neighbors(l, v);
+                if idx.deleted[v as usize] {
+                    assert!(list.is_empty());
                 } else {
-                    assert!(idx.layers[l][v].iter().all(|&u| !idx.deleted[u as usize]));
+                    assert!(list.iter().all(|&u| !idx.deleted[u as usize]));
                 }
             }
         }
@@ -499,12 +462,157 @@ mod tests {
         let (base, _) = vectors(400);
         let mut idx = build_dynamic(&base);
         let entry_before = idx.enter;
+        assert!(idx.graph.num_layers() >= 2, "no hierarchy to lose");
         idx.delete(entry_before);
         idx.consolidate();
         assert_ne!(idx.enter, entry_before);
         assert!(!idx.deleted[idx.enter as usize]);
+        // The new entry is the top of the live hierarchy (lowest id among
+        // equals), so searches keep descending through the upper layers.
+        let top_live = (0..base.len() as u32)
+            .filter(|&v| !idx.deleted[v as usize])
+            .map(|v| idx.graph.level(v))
+            .max()
+            .unwrap();
+        assert!(top_live >= 1);
+        assert_eq!(idx.enter_level, top_live);
+        let first_at_top = (0..base.len() as u32)
+            .find(|&v| !idx.deleted[v as usize] && idx.graph.level(v) == top_live);
+        assert_eq!(Some(idx.enter), first_at_top);
         let res = idx.search(base.point(3), 5, 40);
         assert_eq!(res.len(), 5);
+    }
+
+    /// Small-integer coordinates: every distance is exact in any summation
+    /// order, so a digest over them holds under every kernel tier.
+    fn integer_vectors(n: usize, dim: usize) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(41);
+        let rows: Vec<Vec<f32>> = (0..n)
+            .map(|_| (0..dim).map(|_| rng.gen_range(-16i32..17) as f32).collect())
+            .collect();
+        Dataset::from_rows(&rows)
+    }
+
+    /// `consolidate` repairs to exactly the graph it produced when it
+    /// deduped candidates by linear scan over nested lists (digest recorded
+    /// on commit f2bcfbf): every layer, every list, order included.
+    #[test]
+    fn consolidate_repairs_to_the_recorded_graph() {
+        let base = integer_vectors(1_500, 16);
+        let mut idx = DynamicHnsw::bulk_load(&base, HnswParams::tuned(2, 7));
+        let mut rng = StdRng::seed_from_u64(23);
+        for id in 0..base.len() as u32 {
+            if rng.gen_range(0..10) < 3 {
+                idx.delete(id);
+            }
+        }
+        let rebuilt = idx.consolidate();
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        let mut fnv1a = |word: u32| {
+            for b in word.to_le_bytes() {
+                digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        assert!(
+            idx.graph.num_layers() >= 3,
+            "the pin must cover upper layers"
+        );
+        for l in 0..idx.graph.num_layers() {
+            for v in 0..base.len() as u32 {
+                let list = idx.graph.neighbors(l, v);
+                fnv1a(list.len() as u32);
+                list.iter().for_each(|&u| fnv1a(u));
+            }
+        }
+        assert_eq!((rebuilt, digest), (1_083, 0xcd6c6abd81280470));
+    }
+
+    /// Every stored list is a valid HNSW list: bounded, duplicate- and
+    /// loop-free, and only between vertices present on that layer.
+    fn assert_lists_are_valid(idx: &DynamicHnsw) {
+        for l in 0..idx.graph.num_layers() {
+            let max_deg = if l == 0 { idx.params.m0 } else { idx.params.m };
+            for v in 0..idx.len() as u32 {
+                let list = idx.graph.neighbors(l, v);
+                assert!(list.len() <= max_deg, "layer {l} vertex {v}: {list:?}");
+                assert!(idx.graph.level(v) >= l || list.is_empty());
+                for (i, &u) in list.iter().enumerate() {
+                    assert!((u as usize) < idx.len() && u != v, "layer {l} vertex {v}");
+                    assert!(idx.graph.level(u) >= l, "layer {l}: {v} -> absent {u}");
+                    assert!(!list[..i].contains(&u), "layer {l} vertex {v}: {list:?}");
+                }
+            }
+        }
+    }
+
+    /// Seeded insert/delete/search/consolidate interleavings against a
+    /// brute-force oracle over the live points.
+    #[test]
+    fn interleaved_ops_keep_every_invariant() {
+        for (seed, start) in [(1u64, 300usize), (2, 550), (3, 800)] {
+            let (points, queries) = vectors(start + 400);
+            let base = points.subset(&(0..start as u32).collect::<Vec<u32>>());
+            let mut idx = DynamicHnsw::bulk_load(&base, HnswParams::tuned(2, seed));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut live: Vec<u32> = (0..start as u32).collect();
+            let (mut hits, mut wanted) = (0usize, 0usize);
+            for batch in 0..16 {
+                for _ in 0..50 {
+                    match rng.gen_range(0..10) {
+                        0..=2 if idx.len() < points.len() => {
+                            let id = idx.insert(points.point(idx.len() as u32));
+                            assert_eq!(id as usize, idx.len() - 1);
+                            live.push(id);
+                        }
+                        3..=4 if live.len() > 20 => {
+                            let id = live.swap_remove(rng.gen_range(0..live.len()));
+                            assert!(idx.delete(id) && !idx.delete(id));
+                        }
+                        _ => {
+                            let q = queries.point(rng.gen_range(0..queries.len() as u32));
+                            let k = [1, 10, 40][rng.gen_range(0..3)];
+                            let res = idx.search(q, k, 80);
+                            assert_eq!(res.len(), k.min(live.len()));
+                            assert!(res.windows(2).all(|w| w[0] < w[1]), "unsorted or duplicate");
+                            assert!(
+                                res.iter().all(|n| live.contains(&n.id)),
+                                "dead or foreign id"
+                            );
+                            if k == 10 {
+                                let truth: Vec<u32> = knn_scan(idx.dataset(), q, idx.len(), None)
+                                    .into_iter()
+                                    .filter(|n| live.contains(&n.id))
+                                    .take(k)
+                                    .map(|n| n.id)
+                                    .collect();
+                                hits += res.iter().filter(|n| truth.contains(&n.id)).count();
+                                wanted += truth.len();
+                            }
+                        }
+                    }
+                }
+                assert_eq!(idx.live_len(), live.len());
+                if batch % 4 == 3 {
+                    idx.consolidate();
+                    assert!(!idx.deleted[idx.enter as usize]);
+                    for v in 0..idx.len() as u32 {
+                        for l in 0..idx.graph.num_layers() {
+                            let list = idx.graph.neighbors(l, v);
+                            assert!(list.iter().all(|&u| !idx.deleted[u as usize]));
+                            assert!(!idx.deleted[v as usize] || list.is_empty());
+                        }
+                    }
+                }
+                assert_lists_are_valid(&idx);
+            }
+            let recall = hits as f64 / wanted as f64;
+            assert!(recall > 0.85, "seed {seed}: recall {recall} over {wanted}");
+        }
+        // Nothing to repair, nothing to index out of.
+        assert_eq!(
+            DynamicHnsw::new(4, HnswParams::tuned(1, 1)).consolidate(),
+            0
+        );
     }
 
     #[test]

@@ -2,10 +2,11 @@
 
 use proptest::prelude::*;
 use weavess_data::Dataset;
+use weavess_graph::adjacency::GraphView;
 use weavess_graph::base::{exact_knng, exact_rng, mst_kruskal, mst_prim, total_weight};
 use weavess_graph::connectivity::{reachable_from, weak_components};
 use weavess_graph::metrics::{degree_stats, graph_quality};
-use weavess_graph::{CsrGraph, UnionFind};
+use weavess_graph::{CsrGraph, SlotGraph, UnionFind};
 
 fn dataset(points: &[(f32, f32)]) -> Dataset {
     Dataset::from_rows(&points.iter().map(|&(x, y)| vec![x, y]).collect::<Vec<_>>())
@@ -86,6 +87,58 @@ proptest! {
         prop_assert!((stats.avg - total as f64 / n as f64).abs() < 1e-9);
         prop_assert_eq!(stats.max, lists.iter().map(|l| l.len()).max().unwrap());
         prop_assert_eq!(stats.min, lists.iter().map(|l| l.len()).min().unwrap());
+    }
+
+    /// The fixed-stride block graph behaves as the `Vec<Vec<u32>>` it
+    /// replaces under any resize/push/set/clear sequence, and a push past
+    /// the over-full slot panics naming the vertex instead of truncating.
+    #[test]
+    fn slot_graph_matches_nested_lists(
+        cap in 0usize..5,
+        ops in prop::collection::vec(
+            (0u8..4, 0u32..12, prop::collection::vec(0u32..40, 0..8)),
+            1..60,
+        ),
+    ) {
+        let mut g = SlotGraph::new(cap);
+        let mut model: Vec<Vec<u32>> = Vec::new();
+        for (kind, v, ids) in ops {
+            if kind == 0 {
+                g.resize(v as usize);
+                model.resize(v as usize, Vec::new());
+            } else if !model.is_empty() {
+                let v = v % model.len() as u32;
+                let list = &mut model[v as usize];
+                match kind {
+                    1 if list.len() == cap + 1 => {
+                        let full = std::panic::catch_unwind(
+                            std::panic::AssertUnwindSafe(|| g.push(v, 7)),
+                        );
+                        let msg = full.expect_err("push past cap + 1 must panic");
+                        let msg = msg.downcast_ref::<String>().cloned().unwrap_or_default();
+                        prop_assert!(msg.contains(&format!("vertex {v} ")), "{msg}");
+                    }
+                    1 => {
+                        g.push(v, ids.len() as u32);
+                        list.push(ids.len() as u32);
+                    }
+                    2 => {
+                        *list = ids[..ids.len().min(cap + 1)].to_vec();
+                        g.set(v, list.iter().copied());
+                    }
+                    _ => {
+                        g.clear(v);
+                        list.clear();
+                    }
+                }
+            }
+            prop_assert_eq!(g.len(), model.len());
+            prop_assert_eq!(g.is_empty(), model.is_empty());
+            for (v, list) in model.iter().enumerate() {
+                prop_assert_eq!(g.neighbors(v as u32), list.as_slice());
+                prop_assert_eq!(GraphView::neighbors(&g, v as u32), list.as_slice());
+            }
+        }
     }
 
     /// Adding edges never increases the number of weak components, and

@@ -10,8 +10,10 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_weavess"))
 }
 
-fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("weavess_cli_it_{}", std::process::id()));
+/// One directory per test: the two tests run on parallel threads of one
+/// process and each rewrites `base.fvecs` while the other's CLI reads it.
+fn workdir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("weavess_cli_it_{}_{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -30,7 +32,7 @@ fn prepare_files(dir: &Path) {
 
 #[test]
 fn full_cli_workflow() {
-    let dir = workdir();
+    let dir = workdir("workflow");
     prepare_files(&dir);
     let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
 
@@ -122,7 +124,7 @@ fn full_cli_workflow() {
 
 #[test]
 fn cli_rejects_bad_input() {
-    let dir = workdir();
+    let dir = workdir("bad_input");
     prepare_files(&dir);
     let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
 
