@@ -17,7 +17,10 @@
 //! on [`TIER_LOCK`] so libtest's parallel runner cannot interleave them.
 
 use std::sync::Mutex;
-use weavess_core::search::{beam_search, SearchScratch, SearchStats};
+use weavess_core::search::{
+    beam_search, filtered_beam_search_traced, Router, SearchScratch, SearchStats,
+};
+use weavess_core::telemetry::RecordingTracer;
 use weavess_data::{Dataset, KernelTier};
 use weavess_graph::base::exact_knng;
 
@@ -92,6 +95,80 @@ fn search_digest() -> u64 {
     digest
 }
 
+/// The same recipe for each of the six routing routines, traced: per query
+/// the result ids and distance bits plus the [`RecordingTracer::dump`] bytes
+/// (seed order, hop order, `ndc_so_far` and the reported pool length — range
+/// search reports its *queue* length), then the block's `ndc`, `hops` and
+/// `pool_peak`. A relative test (traced == untraced, layout A == layout B)
+/// passes when both sides are wrong the same way; these constants do not.
+fn routine_digests() -> Vec<String> {
+    let base = integer_dataset(600, 24);
+    let queries = integer_dataset(40, 24);
+    let g = exact_knng(&base, 10, 2);
+    let seeds = [0u32, 151, 313, 599];
+    let even = |id: u32| id.is_multiple_of(2);
+    let routers = [
+        ("best-first", Some(Router::BestFirst)),
+        ("range", Some(Router::Range { epsilon: 0.1 })),
+        ("backtrack", Some(Router::Backtrack { extra: 8 })),
+        ("guided", Some(Router::Guided)),
+        (
+            "two-stage",
+            Some(Router::TwoStage {
+                stage1_beam_frac: 0.5,
+            }),
+        ),
+        ("filtered", None),
+    ];
+    let mut scratch = SearchScratch::new(base.len());
+    let mut tracer = RecordingTracer::new();
+    routers
+        .iter()
+        .map(|(name, router)| {
+            let mut stats = SearchStats::default();
+            let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+            for qi in 0..queries.len() as u32 {
+                let q = queries.point(qi);
+                scratch.next_epoch();
+                tracer.clear();
+                let res = match router {
+                    Some(r) => r.search_traced(
+                        &base,
+                        &g,
+                        q,
+                        &seeds,
+                        32,
+                        &mut scratch,
+                        &mut stats,
+                        &mut tracer,
+                    ),
+                    None => filtered_beam_search_traced(
+                        &base,
+                        &g,
+                        q,
+                        &seeds,
+                        10,
+                        32,
+                        &even,
+                        &mut scratch,
+                        &mut stats,
+                        &mut tracer,
+                    ),
+                };
+                for n in &res {
+                    fnv1a(&mut digest, &n.id.to_le_bytes());
+                    fnv1a(&mut digest, &n.dist.to_bits().to_le_bytes());
+                }
+                fnv1a(&mut digest, tracer.dump().as_bytes());
+            }
+            fnv1a(&mut digest, &stats.ndc.to_le_bytes());
+            fnv1a(&mut digest, &stats.hops.to_le_bytes());
+            fnv1a(&mut digest, &stats.pool_peak.to_le_bytes());
+            format!("{name} {digest:#018x}")
+        })
+        .collect()
+}
+
 /// Golden digest: identical under every runnable kernel tier — the test
 /// forces each available tier in turn (scalar, unrolled, simd) and
 /// demands the same constant from all of them, which together with the
@@ -111,6 +188,33 @@ fn search_trace_digest_is_kernel_tier_independent() {
             0xc37d_01d6_cc76_4036,
             "search trace diverged on tier {tier}"
         );
+    }
+    if !cfg!(feature = "paper-fidelity") {
+        KernelTier::force(initial).unwrap();
+    }
+}
+
+/// Golden digests of all six routines, recorded before the routers were
+/// folded into one loop and held under every runnable tier: a change to
+/// any of these constants is a change to what a router returns, counts or
+/// reports to its tracer.
+#[test]
+fn every_routine_digest_is_pinned_under_every_tier() {
+    const GOLDEN: [&str; 6] = [
+        "best-first 0xda88d259ae36c866",
+        "range 0x7151761be5f3c4fe",
+        "backtrack 0x3d2482f0e108e4d9",
+        "guided 0x413ea0693f5eb40c",
+        "two-stage 0x461288ceead4fe3f",
+        "filtered 0xb7efa5807ddfa53b",
+    ];
+    let _guard = TIER_LOCK.lock().unwrap();
+    let initial = KernelTier::active();
+    for tier in runnable_tiers() {
+        if !cfg!(feature = "paper-fidelity") {
+            KernelTier::force(tier).unwrap();
+        }
+        assert_eq!(routine_digests(), GOLDEN, "diverged on tier {tier}");
     }
     if !cfg!(feature = "paper-fidelity") {
         KernelTier::force(initial).unwrap();
