@@ -19,7 +19,8 @@
 use crate::components::selection::select_rng_alpha;
 use crate::index::{AnnIndex, SearchContext};
 use crate::parallel;
-use crate::search::{beam_search, beam_search_traced, SearchScratch, SearchStats};
+use crate::search::{beam_search, Router, SearchScratch, SearchStats};
+use crate::telemetry::{NoopTracer, RouteTracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use weavess_data::{Dataset, Neighbor};
@@ -440,6 +441,48 @@ pub(crate) fn greedy_closest(
     }
 }
 
+impl HnswIndex {
+    /// The query body behind [`AnnIndex::search`] and
+    /// [`AnnIndex::search_traced`]. The upper-layer greedy descent is
+    /// untraced (its `ef = 1` walk has no candidate pool); the tracer
+    /// observes the layer-0 beam search, whose entry point is reported as
+    /// the seed.
+    fn route<T: RouteTracer>(
+        &self,
+        ds: &Dataset,
+        query: &[f32],
+        k: usize,
+        beam: usize,
+        ctx: &mut SearchContext,
+        tracer: &mut T,
+    ) -> Vec<Neighbor> {
+        let mut ep = self.enter;
+        for l in (1..self.layers.len()).rev() {
+            ep = greedy_closest(
+                ds,
+                &self.layers[l],
+                query,
+                ep,
+                &mut ctx.scratch.batch_dists,
+                &mut ctx.stats,
+            );
+        }
+        ctx.scratch.next_epoch();
+        let mut pool = Router::BestFirst.search_traced(
+            ds,
+            &self.layers[0],
+            query,
+            &[ep],
+            beam.max(k),
+            &mut ctx.scratch,
+            &mut ctx.stats,
+            tracer,
+        );
+        pool.truncate(k);
+        pool
+    }
+}
+
 impl AnnIndex for HnswIndex {
     fn name(&self) -> &'static str {
         "HNSW"
@@ -453,34 +496,9 @@ impl AnnIndex for HnswIndex {
         beam: usize,
         ctx: &mut SearchContext,
     ) -> Vec<Neighbor> {
-        let mut ep = self.enter;
-        for l in (1..self.layers.len()).rev() {
-            ep = greedy_closest(
-                ds,
-                &self.layers[l],
-                query,
-                ep,
-                &mut ctx.scratch.batch_dists,
-                &mut ctx.stats,
-            );
-        }
-        ctx.scratch.next_epoch();
-        let mut pool = beam_search(
-            ds,
-            &self.layers[0],
-            query,
-            &[ep],
-            beam.max(k),
-            &mut ctx.scratch,
-            &mut ctx.stats,
-        );
-        pool.truncate(k);
-        pool
+        self.route(ds, query, k, beam, ctx, &mut NoopTracer)
     }
 
-    /// Traced variant: the upper-layer greedy descent is untraced (its
-    /// `ef = 1` walk has no candidate pool); the tracer observes the
-    /// layer-0 beam search, whose entry point is reported as the seed.
     fn search_traced(
         &self,
         ds: &Dataset,
@@ -488,32 +506,9 @@ impl AnnIndex for HnswIndex {
         k: usize,
         beam: usize,
         ctx: &mut SearchContext,
-        mut tracer: &mut dyn crate::telemetry::RouteTracer,
+        mut tracer: &mut dyn RouteTracer,
     ) -> Vec<Neighbor> {
-        let mut ep = self.enter;
-        for l in (1..self.layers.len()).rev() {
-            ep = greedy_closest(
-                ds,
-                &self.layers[l],
-                query,
-                ep,
-                &mut ctx.scratch.batch_dists,
-                &mut ctx.stats,
-            );
-        }
-        ctx.scratch.next_epoch();
-        let mut pool = beam_search_traced(
-            ds,
-            &self.layers[0],
-            query,
-            &[ep],
-            beam.max(k),
-            &mut ctx.scratch,
-            &mut ctx.stats,
-            &mut tracer,
-        );
-        pool.truncate(k);
-        pool
+        self.route(ds, query, k, beam, ctx, &mut tracer)
     }
 
     fn graph(&self) -> &CsrGraph {

@@ -11,7 +11,7 @@
 
 use crate::components::seeds::SeedStrategy;
 use crate::index::FlatIndex;
-use crate::search::{range_search, Router, SearchScratch, SearchStats};
+use crate::search::{Router, SearchScratch, SearchStats};
 use crate::telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,6 +86,9 @@ pub fn build(ds: &Dataset, params: &NgtParams) -> FlatIndex {
     // --- ANNG: incremental undirected construction via range search. ---
     let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
     telemetry::span("C1 init", || {
+        let router = Router::Range {
+            epsilon: params.epsilon,
+        };
         let mut scratch = SearchScratch::new(n);
         let mut stats = SearchStats::default();
         for p in 1..n as u32 {
@@ -94,13 +97,12 @@ pub fn build(ds: &Dataset, params: &NgtParams) -> FlatIndex {
                 .collect();
             scratch.next_epoch();
             let inserted = &adj[..p as usize];
-            let pool = range_search(
+            let pool = router.search(
                 ds,
                 inserted,
                 ds.point(p),
                 &seeds,
                 params.ef_construction,
-                params.epsilon,
                 &mut scratch,
                 &mut stats,
             );

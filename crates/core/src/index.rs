@@ -2,7 +2,7 @@
 
 use crate::components::SeedStrategy;
 use crate::search::{Router, SearchScratch, SearchStats};
-use crate::telemetry::RouteTracer;
+use crate::telemetry::{NoopTracer, RouteTracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use weavess_data::{Dataset, Neighbor};
@@ -86,7 +86,10 @@ pub trait AnnIndex: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Searches for `k` nearest neighbors of `query` with candidate-set
-    /// size `beam` (the paper's CS; `beam ≥ k`). Results are nearest-first.
+    /// size `beam` (the paper's CS; a `beam` below `k` is served as `k`).
+    /// Results are nearest-first and hold *up to* `k` entries: fewer when
+    /// the index has fewer than `k` points or the router reached fewer —
+    /// [`Router::Guided`] in particular can strand early.
     fn search(
         &self,
         ds: &Dataset,
@@ -147,6 +150,36 @@ pub struct FlatIndex {
     pub router: Router,
 }
 
+impl FlatIndex {
+    /// The query body behind [`AnnIndex::search`] and
+    /// [`AnnIndex::search_traced`].
+    fn route<T: RouteTracer>(
+        &self,
+        ds: &Dataset,
+        query: &[f32],
+        k: usize,
+        beam: usize,
+        ctx: &mut SearchContext,
+        tracer: &mut T,
+    ) -> Vec<Neighbor> {
+        let beam = beam.max(k);
+        let seeds = self.seeds.seeds(ds, query, &mut ctx.rng, &mut ctx.stats);
+        ctx.scratch.next_epoch();
+        let mut pool = self.router.search_traced(
+            ds,
+            &self.graph,
+            query,
+            &seeds,
+            beam,
+            &mut ctx.scratch,
+            &mut ctx.stats,
+            tracer,
+        );
+        pool.truncate(k);
+        pool
+    }
+}
+
 impl AnnIndex for FlatIndex {
     fn name(&self) -> &'static str {
         self.name
@@ -160,20 +193,7 @@ impl AnnIndex for FlatIndex {
         beam: usize,
         ctx: &mut SearchContext,
     ) -> Vec<Neighbor> {
-        let beam = beam.max(k);
-        let seeds = self.seeds.seeds(ds, query, &mut ctx.rng, &mut ctx.stats);
-        ctx.scratch.next_epoch();
-        let mut pool = self.router.search(
-            ds,
-            &self.graph,
-            query,
-            &seeds,
-            beam,
-            &mut ctx.scratch,
-            &mut ctx.stats,
-        );
-        pool.truncate(k);
-        pool
+        self.route(ds, query, k, beam, ctx, &mut NoopTracer)
     }
 
     fn search_traced(
@@ -185,21 +205,7 @@ impl AnnIndex for FlatIndex {
         ctx: &mut SearchContext,
         mut tracer: &mut dyn RouteTracer,
     ) -> Vec<Neighbor> {
-        let beam = beam.max(k);
-        let seeds = self.seeds.seeds(ds, query, &mut ctx.rng, &mut ctx.stats);
-        ctx.scratch.next_epoch();
-        let mut pool = self.router.search_traced(
-            ds,
-            &self.graph,
-            query,
-            &seeds,
-            beam,
-            &mut ctx.scratch,
-            &mut ctx.stats,
-            &mut tracer,
-        );
-        pool.truncate(k);
-        pool
+        self.route(ds, query, k, beam, ctx, &mut tracer)
     }
 
     fn graph(&self) -> &CsrGraph {

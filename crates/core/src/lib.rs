@@ -97,6 +97,6 @@ pub use shard::{
     ShardedEngine,
 };
 pub use telemetry::{
-    query_fingerprint, BuildProfile, Flight, FlightObserver, FlightOptions, FlightRecorder,
-    NoFlight, NoopTracer, RecordingTracer, RouteTracer, TraceAggregate,
+    query_fingerprint, BuildProfile, Flight, FlightOptions, FlightRecorder, NoopTracer,
+    RecordingTracer, RouteTracer, TraceAggregate,
 };

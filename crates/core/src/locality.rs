@@ -14,6 +14,7 @@
 use crate::components::SeedStrategy;
 use crate::index::{AnnIndex, FlatIndex, IndexError, SearchContext};
 use crate::search::Router;
+use crate::telemetry::{NoopTracer, RouteTracer};
 use weavess_data::{Dataset, Neighbor};
 use weavess_graph::reorder::{bfs_order, Permutation};
 use weavess_graph::{merge_overlay, strip_overlay, CsrGraph, FusedArena};
@@ -269,6 +270,51 @@ impl LayoutIndex {
     }
 }
 
+impl LayoutIndex {
+    /// The query body behind [`AnnIndex::search`] and
+    /// [`AnnIndex::search_traced`].
+    fn route<T: RouteTracer>(
+        &self,
+        ds: &Dataset,
+        query: &[f32],
+        k: usize,
+        beam: usize,
+        ctx: &mut SearchContext,
+        tracer: &mut T,
+    ) -> Vec<Neighbor> {
+        let beam = beam.max(k);
+        // Seeds in original space, against the caller's dataset (same RNG
+        // stream and NDC accounting as the wrapped FlatIndex)…
+        let mut seeds = self.seeds.seeds(ds, query, &mut ctx.rng, &mut ctx.stats);
+        // …then into the index's id space.
+        if let Some(p) = &self.perm {
+            for s in &mut seeds {
+                *s = p.to_new(*s);
+            }
+        }
+        ctx.scratch.next_epoch();
+        let (scratch, stats) = (&mut ctx.scratch, &mut ctx.stats);
+        let mut pool = match &self.store {
+            LayoutStore::Split { graph, vectors } => self
+                .router
+                .search_traced(vectors, graph, query, &seeds, beam, scratch, stats, tracer),
+            LayoutStore::Fused { arena, .. } => self
+                .router
+                .search_traced(arena, arena, query, &seeds, beam, scratch, stats, tracer),
+        };
+        if let Some(p) = &self.perm {
+            for n in &mut pool {
+                n.id = p.to_old(n.id);
+            }
+            // Canonical (distance, original id) order: without ties this
+            // only reorders equal-distance pairs the renaming shuffled.
+            pool.sort_unstable();
+        }
+        pool.truncate(k);
+        pool
+    }
+}
+
 impl AnnIndex for LayoutIndex {
     fn name(&self) -> &'static str {
         self.name
@@ -282,53 +328,12 @@ impl AnnIndex for LayoutIndex {
         beam: usize,
         ctx: &mut SearchContext,
     ) -> Vec<Neighbor> {
-        let beam = beam.max(k);
-        // Seeds in original space, against the caller's dataset (same RNG
-        // stream and NDC accounting as the wrapped FlatIndex)…
-        let mut seeds = self.seeds.seeds(ds, query, &mut ctx.rng, &mut ctx.stats);
-        // …then into the index's id space.
-        if let Some(p) = &self.perm {
-            for s in &mut seeds {
-                *s = p.to_new(*s);
-            }
-        }
-        ctx.scratch.next_epoch();
-        let mut pool = match &self.store {
-            LayoutStore::Split { graph, vectors } => self.router.search(
-                vectors,
-                graph,
-                query,
-                &seeds,
-                beam,
-                &mut ctx.scratch,
-                &mut ctx.stats,
-            ),
-            LayoutStore::Fused { arena, .. } => self.router.search(
-                arena,
-                arena,
-                query,
-                &seeds,
-                beam,
-                &mut ctx.scratch,
-                &mut ctx.stats,
-            ),
-        };
-        if let Some(p) = &self.perm {
-            for n in &mut pool {
-                n.id = p.to_old(n.id);
-            }
-            // Canonical (distance, original id) order: without ties this
-            // only reorders equal-distance pairs the renaming shuffled.
-            pool.sort_unstable();
-        }
-        pool.truncate(k);
-        pool
+        self.route(ds, query, k, beam, ctx, &mut NoopTracer)
     }
 
-    /// Traced variant of the layout search. Route events carry *index
-    /// id-space* vertex ids (the ids the traversal actually touches);
-    /// reordered layouts therefore trace the renamed ids, matching the
-    /// graph returned by [`AnnIndex::graph`].
+    /// Route events carry *index id-space* vertex ids (the ids the
+    /// traversal actually touches); reordered layouts therefore trace the
+    /// renamed ids, matching the graph returned by [`AnnIndex::graph`].
     fn search_traced(
         &self,
         ds: &Dataset,
@@ -336,46 +341,9 @@ impl AnnIndex for LayoutIndex {
         k: usize,
         beam: usize,
         ctx: &mut SearchContext,
-        mut tracer: &mut dyn crate::telemetry::RouteTracer,
+        mut tracer: &mut dyn RouteTracer,
     ) -> Vec<Neighbor> {
-        let beam = beam.max(k);
-        let mut seeds = self.seeds.seeds(ds, query, &mut ctx.rng, &mut ctx.stats);
-        if let Some(p) = &self.perm {
-            for s in &mut seeds {
-                *s = p.to_new(*s);
-            }
-        }
-        ctx.scratch.next_epoch();
-        let mut pool = match &self.store {
-            LayoutStore::Split { graph, vectors } => self.router.search_traced(
-                vectors,
-                graph,
-                query,
-                &seeds,
-                beam,
-                &mut ctx.scratch,
-                &mut ctx.stats,
-                &mut tracer,
-            ),
-            LayoutStore::Fused { arena, .. } => self.router.search_traced(
-                arena,
-                arena,
-                query,
-                &seeds,
-                beam,
-                &mut ctx.scratch,
-                &mut ctx.stats,
-                &mut tracer,
-            ),
-        };
-        if let Some(p) = &self.perm {
-            for n in &mut pool {
-                n.id = p.to_old(n.id);
-            }
-            pool.sort_unstable();
-        }
-        pool.truncate(k);
-        pool
+        self.route(ds, query, k, beam, ctx, &mut tracer)
     }
 
     /// The routing graph *in index id space* — reordered when

@@ -13,121 +13,43 @@
 //! pool, or already present). An entry that was admitted and later
 //! **evicted** by nearer arrivals is dropped, not reserved.
 
-use super::scratch::{score_unvisited, SearchScratch};
-use super::SearchStats;
-use crate::telemetry::{NoopTracer, RouteTracer};
+use super::core::Frontier;
+use super::scratch::Stores;
 use std::cmp::Reverse;
-use weavess_data::prefetch::prefetch_enabled;
-use weavess_data::vectors::VectorView;
 use weavess_data::Neighbor;
-use weavess_graph::adjacency::GraphView;
 
-/// Backtracking best-first search from `seeds`. Expansion is batch-scored
-/// like [`super::beam_search`]; insertions stay in adjacency order, so
-/// results match per-neighbor scoring exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn backtrack_search(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    seeds: &[u32],
-    beam: usize,
-    extra: usize,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-) -> Vec<Neighbor> {
-    backtrack_search_traced(
-        ds,
-        g,
-        query,
-        seeds,
-        beam,
-        extra,
-        scratch,
-        stats,
-        &mut NoopTracer,
-    )
+/// Best-first to convergence, then one backtrack hop into the nearest
+/// reserved candidate (the heap) while budget remains; a hop that puts new
+/// candidates into the pool restarts best-first on them. Reserve hops
+/// count in `hops` and are traced like any other expansion.
+pub(crate) struct Backtracking {
+    /// Backtrack hops left.
+    pub budget: usize,
 }
 
-/// [`backtrack_search`] with a [`RouteTracer`]. Both best-first and
-/// backtrack expansions are reported as hops, in expansion order.
-#[allow(clippy::too_many_arguments)]
-pub fn backtrack_search_traced<T: RouteTracer>(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    seeds: &[u32],
-    beam: usize,
-    extra: usize,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-    tracer: &mut T,
-) -> Vec<Neighbor> {
-    let pf = prefetch_enabled();
-    let SearchScratch {
-        visited,
-        pool,
-        heap: overflow,
-        batch_ids: ids,
-        batch_dists: dists,
-        ..
-    } = scratch;
-    pool.reset(beam.max(1));
-    overflow.clear();
-    for &s in seeds {
-        if visited.visit(s) {
-            stats.ndc += 1;
-            let d = ds.dist_to(query, s);
-            tracer.on_seed(s, d);
-            let n = Neighbor::new(s, d);
-            if pool.insert(n).is_none() {
-                overflow.push(Reverse(n));
-            }
+impl Frontier for Backtracking {
+    #[inline]
+    fn offer(&mut self, s: &mut Stores, n: Neighbor) {
+        if s.pool.insert(n).is_none() {
+            s.heap.push(Reverse(n));
         }
     }
-    stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
 
-    let mut budget = extra;
-    loop {
-        // Best-first to convergence, then one backtrack hop into the
-        // nearest rejected candidate while budget remains. A hop that puts
-        // new candidates into the pool restarts best-first on them.
-        let c = match pool.next_unexpanded() {
-            Some(c) => c,
-            None => {
-                if budget == 0 {
-                    break;
-                }
-                let Some(Reverse(c)) = overflow.pop() else {
-                    break;
-                };
-                budget -= 1;
-                c
+    #[inline]
+    fn next(&mut self, s: &mut Stores) -> Option<Neighbor> {
+        s.pool.next_unexpanded().or_else(|| {
+            if self.budget == 0 {
+                return None;
             }
-        };
-        stats.hops += 1;
-        tracer.on_hop(c.id, c.dist, stats.ndc, pool.len());
-        if pf {
-            if let Some(next) = pool.peek() {
-                g.prefetch_neighbors(next);
-            }
-        }
-        score_unvisited(ds, g, query, c.id, pf, visited, ids, dists, stats);
-        for (&u, &d) in ids.iter().zip(dists.iter()) {
-            let n = Neighbor::new(u, d);
-            if pool.insert(n).is_none() {
-                overflow.push(Reverse(n));
-            }
-        }
-        stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
+            self.budget -= 1;
+            s.heap.pop().map(|Reverse(c)| c)
+        })
     }
-    pool.to_vec()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::beam_search;
-    use super::*;
+    use crate::search::{beam_search, Router, SearchScratch, SearchStats};
     use weavess_data::ground_truth::knn_scan;
     use weavess_data::synthetic::MixtureSpec;
     use weavess_data::Dataset;
@@ -151,7 +73,15 @@ mod tests {
         for qi in 0..qs.len() as u32 {
             let q = qs.point(qi);
             scratch.next_epoch();
-            let res = backtrack_search(&ds, &g, q, &seeds, 10, extra, &mut scratch, &mut stats);
+            let res = Router::Backtrack { extra }.search(
+                &ds,
+                &g,
+                q,
+                &seeds,
+                10,
+                &mut scratch,
+                &mut stats,
+            );
             let truth: Vec<u32> = knn_scan(&ds, q, 10, None).iter().map(|n| n.id).collect();
             hits += res
                 .iter()
@@ -184,13 +114,12 @@ mod tests {
         let mut stats = SearchStats::default();
         let mut tracer = RecordingTracer::default();
         scratch.next_epoch();
-        let res = backtrack_search_traced(
+        let res = Router::Backtrack { extra: 8 }.search_traced(
             &ds,
             &g,
             &[0.0],
             &[seed],
             2,
-            8,
             &mut scratch,
             &mut stats,
             &mut tracer,
@@ -221,7 +150,15 @@ mod tests {
         for qi in 0..qs.len() as u32 {
             let q = qs.point(qi);
             scratch.next_epoch();
-            let a = backtrack_search(&ds, &g, q, &seeds, 12, 0, &mut scratch, &mut s1);
+            let a = Router::Backtrack { extra: 0 }.search(
+                &ds,
+                &g,
+                q,
+                &seeds,
+                12,
+                &mut scratch,
+                &mut s1,
+            );
             scratch.next_epoch();
             let b = beam_search(&ds, &g, q, &seeds, 12, &mut scratch, &mut s2);
             assert_eq!(a, b, "query {qi}");

@@ -1,16 +1,15 @@
 //! Best-first search — the paper's Algorithm 1 (Appendix F), C7's
-//! dominant implementation.
+//! dominant implementation: the shared loop over the bounded candidate
+//! pool of Definition 4.7.
 
-use super::scratch::{score_unvisited, SearchScratch};
-use super::SearchStats;
-use crate::telemetry::{NoopTracer, RouteTracer};
-use weavess_data::prefetch::prefetch_enabled;
+use super::{Router, SearchScratch, SearchStats};
 use weavess_data::vectors::VectorView;
 use weavess_data::Neighbor;
 use weavess_graph::adjacency::GraphView;
 
 /// Best-first (beam) search from `seeds`, returning up to `beam` nearest
-/// candidates nearest-first.
+/// candidates nearest-first — [`Router::BestFirst`] by its builder-facing
+/// name.
 ///
 /// ```
 /// use weavess_core::search::{beam_search, SearchScratch, SearchStats};
@@ -28,22 +27,8 @@ use weavess_graph::adjacency::GraphView;
 /// assert!(stats.ndc >= 3);
 /// ```
 ///
-/// The pool is a fixed-capacity sorted array; each iteration expands the
-/// nearest unexpanded candidate and inserts its neighbors, exactly the
-/// candidate-set discipline of Definition 4.7. Terminates when every pool
-/// entry is expanded (the result set can no longer improve).
-///
-/// Expansion is batch-scored: all not-yet-visited neighbors of the
-/// expanded vertex are staged and scored with one
-/// [`VectorView::dist_to_many`] call, then inserted in the original
-/// adjacency order — visit order, distances, and hence results are
-/// bit-identical to scoring one neighbor at a time.
-///
 /// `ds` is any [`VectorView`]: the raw [`weavess_data::Dataset`], an SQ8
-/// code table, or a fused node arena. While vertex `k` is expanded the
-/// next pool candidate's node block and each staged neighbor's vector are
-/// prefetched — pure hints, so results are identical with prefetch on or
-/// off.
+/// code table, or a fused node arena.
 pub fn beam_search(
     ds: &(impl VectorView + ?Sized),
     g: &(impl GraphView + ?Sized),
@@ -53,108 +38,7 @@ pub fn beam_search(
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
-    beam_search_traced(ds, g, query, seeds, beam, scratch, stats, &mut NoopTracer)
-}
-
-/// [`beam_search`] with a [`RouteTracer`] observing seeds and expansions.
-/// The tracer is monomorphized; with [`NoopTracer`] every hook inlines to
-/// nothing and this is exactly [`beam_search`].
-#[allow(clippy::too_many_arguments)]
-pub fn beam_search_traced<T: RouteTracer>(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    seeds: &[u32],
-    beam: usize,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-    tracer: &mut T,
-) -> Vec<Neighbor> {
-    scratch.pool.reset(beam.max(1));
-    for &s in seeds {
-        if scratch.visited.visit(s) {
-            stats.ndc += 1;
-            let d = ds.dist_to(query, s);
-            tracer.on_seed(s, d);
-            scratch.pool.insert(Neighbor::new(s, d));
-        }
-    }
-    best_first(ds, g, query, scratch, stats, tracer)
-}
-
-/// Algorithm 1's loop over an already-seeded `scratch.pool`: expand the
-/// nearest unexpanded candidate, offer its unvisited neighbors to the
-/// pool, stop when every entry is expanded.
-fn best_first<T: RouteTracer>(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-    tracer: &mut T,
-) -> Vec<Neighbor> {
-    let pf = prefetch_enabled();
-    let SearchScratch {
-        visited,
-        pool,
-        batch_ids: ids,
-        batch_dists: dists,
-        ..
-    } = scratch;
-    stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-    while let Some(c) = pool.next_unexpanded() {
-        stats.hops += 1;
-        tracer.on_hop(c.id, c.dist, stats.ndc, pool.len());
-        if pf {
-            if let Some(next) = pool.peek() {
-                g.prefetch_neighbors(next);
-            }
-        }
-        score_unvisited(ds, g, query, c.id, pf, visited, ids, dists, stats);
-        for (&u, &d) in ids.iter().zip(dists.iter()) {
-            pool.insert(Neighbor::new(u, d));
-        }
-        stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-    }
-    pool.to_vec()
-}
-
-/// Best-first continuation from an already-scored pool: entries enter the
-/// pool *without* re-computing distances or touching the visited set (they
-/// must already be marked visited this epoch). The two-stage router uses
-/// this so stage 2 pays only for vertices stage 1 never scored.
-pub fn beam_search_seeded(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    scored: &[Neighbor],
-    beam: usize,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-) -> Vec<Neighbor> {
-    beam_search_seeded_traced(ds, g, query, scored, beam, scratch, stats, &mut NoopTracer)
-}
-
-/// [`beam_search_seeded`] with a [`RouteTracer`]. Pre-scored entries were
-/// already reported by the stage that scored them, so only expansions are
-/// traced here.
-#[allow(clippy::too_many_arguments)]
-pub fn beam_search_seeded_traced<T: RouteTracer>(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    scored: &[Neighbor],
-    beam: usize,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-    tracer: &mut T,
-) -> Vec<Neighbor> {
-    scratch.pool.reset(beam.max(1));
-    for &n in scored {
-        debug_assert!(scratch.visited.is_visited(n.id));
-        scratch.pool.insert(n);
-    }
-    best_first(ds, g, query, scratch, stats, tracer)
+    Router::BestFirst.search(ds, g, query, seeds, beam, scratch, stats)
 }
 
 #[cfg(test)]
@@ -298,7 +182,7 @@ mod tests {
         let mut traced = SearchStats::default();
         let mut tracer = crate::telemetry::RecordingTracer::default();
         scratch.next_epoch();
-        let b = beam_search_traced(
+        let b = Router::BestFirst.search_traced(
             &ds,
             &g,
             qs.point(0),

@@ -10,11 +10,11 @@
 //! The search ends when the traversal pool converges and the result pool
 //! holds `k` passing vertices no frontier candidate can improve.
 
-use super::scratch::{score_unvisited, SearchScratch};
+use super::core::{Frontier, Open, Start, Walk};
+use super::scratch::{SearchScratch, Stores};
 use super::SearchStats;
 use crate::telemetry::{NoopTracer, RouteTracer};
 use weavess_data::neighbor::insert_into_pool;
-use weavess_data::prefetch::prefetch_enabled;
 use weavess_data::vectors::VectorView;
 use weavess_data::Neighbor;
 use weavess_graph::adjacency::GraphView;
@@ -23,8 +23,7 @@ use weavess_graph::adjacency::GraphView;
 ///
 /// `beam` bounds the traversal pool as usual; the result pool holds up to
 /// `k` accepted vertices. With a constant-true filter this returns exactly
-/// the top-k of [`super::beam_search`]. Expansion is batch-scored like
-/// `beam_search`, preserving per-neighbor insertion order.
+/// the top-k of [`super::beam_search`].
 #[allow(clippy::too_many_arguments)]
 pub fn filtered_beam_search(
     ds: &(impl VectorView + ?Sized),
@@ -37,18 +36,8 @@ pub fn filtered_beam_search(
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
-    filtered_beam_search_traced(
-        ds,
-        g,
-        query,
-        seeds,
-        k,
-        beam,
-        filter,
-        scratch,
-        stats,
-        &mut NoopTracer,
-    )
+    let tracer = &mut NoopTracer;
+    filtered_beam_search_traced(ds, g, query, seeds, k, beam, filter, scratch, stats, tracer)
 }
 
 /// [`filtered_beam_search`] with a [`RouteTracer`] observing the
@@ -66,53 +55,38 @@ pub fn filtered_beam_search_traced<T: RouteTracer>(
     stats: &mut SearchStats,
     tracer: &mut T,
 ) -> Vec<Neighbor> {
+    let mut walk = Walk {
+        ds,
+        g,
+        query,
+        scratch,
+        stats,
+        tracer,
+    };
+    // A `k` of 0 is served as 1: the nearest accepted vertex found.
     let k = k.max(1);
-    let pf = prefetch_enabled();
-    let SearchScratch {
-        visited,
-        pool,
-        results,
-        batch_ids: ids,
-        batch_dists: dists,
-        ..
-    } = scratch;
-    // Traversal pool (unfiltered); result pool (filtered).
-    pool.reset(beam.max(1));
-    results.clear();
+    walk.run(Start::Seeds(seeds), beam, Filtered { k, filter }, Open)
+}
 
-    for &s in seeds {
-        if visited.visit(s) {
-            stats.ndc += 1;
-            let d = ds.dist_to(query, s);
-            tracer.on_seed(s, d);
-            let n = Neighbor::new(s, d);
-            if filter(s) {
-                insert_into_pool(results, k, n);
-            }
-            pool.insert(n);
-        }
-    }
-    stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
+/// The unfiltered traversal pool plus the result pool of up to `k`
+/// accepted vertices, which is what is returned.
+struct Filtered<'a> {
+    k: usize,
+    filter: &'a dyn Fn(u32) -> bool,
+}
 
-    while let Some(c) = pool.next_unexpanded() {
-        stats.hops += 1;
-        tracer.on_hop(c.id, c.dist, stats.ndc, pool.len());
-        if pf {
-            if let Some(next) = pool.peek() {
-                g.prefetch_neighbors(next);
-            }
+impl Frontier for Filtered<'_> {
+    #[inline]
+    fn offer(&mut self, s: &mut Stores, n: Neighbor) {
+        if (self.filter)(n.id) {
+            insert_into_pool(&mut s.results, self.k, n);
         }
-        score_unvisited(ds, g, query, c.id, pf, visited, ids, dists, stats);
-        for (&u, &d) in ids.iter().zip(dists.iter()) {
-            let n = Neighbor::new(u, d);
-            if filter(u) {
-                insert_into_pool(results, k, n);
-            }
-            pool.insert(n);
-        }
-        stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
+        s.pool.insert(n);
     }
-    results.clone()
+
+    fn finish(&self, s: &Stores) -> Vec<Neighbor> {
+        s.results.clone()
+    }
 }
 
 #[cfg(test)]

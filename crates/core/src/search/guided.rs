@@ -12,72 +12,20 @@
 //! direction along `d*`. Neighbors aligned with the query's dominant
 //! direction always pass.
 
-use super::scratch::SearchScratch;
-use super::SearchStats;
-use crate::telemetry::{NoopTracer, RouteTracer};
-use weavess_data::prefetch::prefetch_enabled;
+use super::core::Gate;
 use weavess_data::vectors::VectorView;
-use weavess_data::Neighbor;
-use weavess_graph::adjacency::GraphView;
 
-/// Guided best-first search from `seeds`.
-///
-/// Requires a [`VectorView`] with raw coordinates ([`VectorView::vector`])
-/// for the direction gate — SQ8-only storage cannot run guided search.
-pub fn guided_search(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    seeds: &[u32],
-    beam: usize,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-) -> Vec<Neighbor> {
-    guided_search_traced(ds, g, query, seeds, beam, scratch, stats, &mut NoopTracer)
-}
+/// The dominant-coordinate gate. Requires a [`VectorView`] with raw
+/// coordinates ([`VectorView::vector`]) — SQ8-only storage cannot run
+/// guided search. Gated-out neighbors are invisible to the tracer (they
+/// are never scored) and stay unvisited.
+pub(crate) struct Dominant;
 
-/// [`guided_search`] with a [`RouteTracer`]. Gated-out neighbors are
-/// invisible to the tracer (they are never scored); only scored seeds and
-/// expanded vertices are reported.
-#[allow(clippy::too_many_arguments)]
-pub fn guided_search_traced<T: RouteTracer>(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    seeds: &[u32],
-    beam: usize,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-    tracer: &mut T,
-) -> Vec<Neighbor> {
-    let pf = prefetch_enabled();
-    let SearchScratch {
-        visited,
-        pool,
-        batch_ids: ids,
-        batch_dists: dists,
-        ..
-    } = scratch;
-    pool.reset(beam.max(1));
-    for &s in seeds {
-        if visited.visit(s) {
-            stats.ndc += 1;
-            let d = ds.dist_to(query, s);
-            tracer.on_seed(s, d);
-            pool.insert(Neighbor::new(s, d));
-        }
-    }
-    stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-    while let Some(c) = pool.next_unexpanded() {
-        stats.hops += 1;
-        tracer.on_hop(c.id, c.dist, stats.ndc, pool.len());
-        if pf {
-            if let Some(next) = pool.peek() {
-                g.prefetch_neighbors(next);
-            }
-        }
-        let x = ds.vector(c.id);
-        // Dominant query direction at x: one O(dim) scan per expansion.
+impl Gate for Dominant {
+    #[inline]
+    fn aim(&self, ds: &(impl VectorView + ?Sized), query: &[f32], v: u32) -> impl Fn(u32) -> bool {
+        let x = ds.vector(v);
+        // Dominant query direction at `v`: one O(dim) scan per expansion.
         let mut dstar = 0usize;
         let mut best = 0.0f32;
         for (d, (&qd, &xd)) in query.iter().zip(x).enumerate() {
@@ -87,37 +35,16 @@ pub fn guided_search_traced<T: RouteTracer>(
                 dstar = d;
             }
         }
-        let want_positive = query[dstar] >= x[dstar];
-        // Stage the neighbors that survive the direction gate, then score
-        // them in one batched pass (order preserved, so results are
-        // identical to per-neighbor scoring).
-        ids.clear();
-        for &u in g.neighbors(c.id) {
-            if visited.is_visited(u) {
-                continue;
-            }
-            let nu = ds.vector(u);
-            let goes_positive = nu[dstar] >= x[dstar];
-            if goes_positive != want_positive {
-                continue; // gated out: moves away from the query
-            }
-            visited.visit(u);
-            ids.push(u);
-        }
-        stats.ndc += ids.len() as u64;
-        ds.dist_to_many(query, ids, dists);
-        for (&u, &d) in ids.iter().zip(dists.iter()) {
-            pool.insert(Neighbor::new(u, d));
-        }
-        stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
+        let origin = x[dstar];
+        let want_positive = query[dstar] >= origin;
+        // Refuse a neighbor that moves away from the query along `dstar`.
+        move |u| (ds.vector(u)[dstar] >= origin) == want_positive
     }
-    pool.to_vec()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::beam_search;
-    use super::*;
+    use crate::search::{beam_search, Router, SearchScratch, SearchStats};
     use weavess_data::ground_truth::knn_scan;
     use weavess_data::synthetic::MixtureSpec;
     use weavess_data::Dataset;
@@ -140,7 +67,7 @@ mod tests {
         for qi in 0..qs.len() as u32 {
             let q = qs.point(qi);
             scratch.next_epoch();
-            guided_search(&ds, &g, q, &seeds, 20, &mut scratch, &mut s_guided);
+            Router::Guided.search(&ds, &g, q, &seeds, 20, &mut scratch, &mut s_guided);
             scratch.next_epoch();
             beam_search(&ds, &g, q, &seeds, 20, &mut scratch, &mut s_beam);
         }
@@ -162,7 +89,7 @@ mod tests {
         for qi in 0..qs.len() as u32 {
             let q = qs.point(qi);
             scratch.next_epoch();
-            let res = guided_search(&ds, &g, q, &seeds, 30, &mut scratch, &mut stats);
+            let res = Router::Guided.search(&ds, &g, q, &seeds, 30, &mut scratch, &mut stats);
             let truth: Vec<u32> = knn_scan(&ds, q, 10, None).iter().map(|n| n.id).collect();
             hits += res
                 .iter()
@@ -180,7 +107,8 @@ mod tests {
         let mut scratch = SearchScratch::new(ds.len());
         let mut stats = SearchStats::default();
         scratch.next_epoch();
-        let res = guided_search(&ds, &g, qs.point(0), &[0, 9], 12, &mut scratch, &mut stats);
+        let res =
+            Router::Guided.search(&ds, &g, qs.point(0), &[0, 9], 12, &mut scratch, &mut stats);
         assert!(res.len() <= 12);
         assert!(res.windows(2).all(|w| w[0].dist <= w[1].dist));
     }

@@ -6,9 +6,13 @@
 //! `ndc` (number of distance computations — the denominator of the paper's
 //! *speedup* metric) and `hops` (expanded vertices — the paper's *query
 //! path length*, which proxies I/O count on disk-resident indexes, §5.3).
+//!
+//! There is one best-first loop (`search/core.rs`); each [`Router`]
+//! variant, and the attribute-filtered search, is a policy of it.
 
 mod backtrack;
 mod beam;
+mod core;
 pub mod filtered;
 mod guided;
 mod pool;
@@ -16,15 +20,16 @@ mod range;
 mod scratch;
 mod visited;
 
-pub use backtrack::{backtrack_search, backtrack_search_traced};
-pub use beam::{beam_search, beam_search_seeded, beam_search_seeded_traced, beam_search_traced};
+pub use beam::beam_search;
 pub use filtered::{filtered_beam_search, filtered_beam_search_traced};
-pub use guided::{guided_search, guided_search_traced};
-pub use range::{range_search, range_search_traced};
 pub use scratch::SearchScratch;
 pub use visited::VisitedPool;
 
+use self::core::{Bounded, Open, Start, Walk};
 use crate::telemetry::{NoopTracer, RouteTracer};
+use backtrack::Backtracking;
+use guided::Dominant;
+use range::Radius;
 use weavess_data::vectors::VectorView;
 use weavess_data::Neighbor;
 use weavess_graph::adjacency::GraphView;
@@ -73,26 +78,35 @@ pub enum Router {
     },
     /// HCNNG's guided search: skips neighbors whose dominant-coordinate
     /// direction disagrees with the query's, trading a little accuracy for
-    /// fewer distance computations.
+    /// fewer distance computations. The gate can *strand* a walk: when
+    /// every unvisited neighbor of the remaining candidates moves away
+    /// from the query the search converges early and returns fewer than
+    /// `beam` results (possibly only the seeds). [`Router::TwoStage`]
+    /// finishes with an ungated stage for that reason.
     Guided,
     /// The optimized algorithm's two-stage routing (§6): guided search with
     /// a reduced beam to approach the target cheaply, then best-first with
     /// the full beam to finish precisely.
     TwoStage {
-        /// Fraction of the full beam used by the guided first stage.
+        /// Fraction of the full beam used by the guided first stage (the
+        /// stage-1 beam is kept within `4..=beam`).
         stage1_beam_frac: f32,
     },
 }
 
 impl Router {
-    /// Routes a query from `seeds`, returning up to `beam` nearest
-    /// candidates, nearest first. `beam` is the paper's *candidate set
-    /// size* (CS); result quality and cost both grow with it.
+    /// Routes a query from `seeds`, returning *up to* `beam` nearest
+    /// candidates, nearest first and duplicate-free — fewer when the walk
+    /// reaches fewer vertices (a small component, or a stranded
+    /// [`Router::Guided`] walk), none when `seeds` is empty. `beam` is the
+    /// paper's *candidate set size* (CS); result quality and cost both
+    /// grow with it, and a `beam` of 0 is served as 1.
     ///
     /// `ds` is any [`VectorView`] — the raw dataset, SQ8 codes, or a
     /// fused node arena ([`Router::Guided`] and [`Router::TwoStage`]
     /// additionally require raw coordinates for the direction gate).
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub fn search(
         &self,
         ds: &(impl VectorView + ?Sized),
@@ -106,11 +120,12 @@ impl Router {
         self.search_traced(ds, g, query, seeds, beam, scratch, stats, &mut NoopTracer)
     }
 
-    /// [`Router::search`] with a [`RouteTracer`] observing the route. The
-    /// tracer is a monomorphized generic: with [`NoopTracer`] the hook
-    /// calls inline to nothing and this compiles to exactly
-    /// [`Router::search`].
+    /// [`Router::search`] with a [`RouteTracer`] observing the route:
+    /// every scored seed and every expansion, in order. The tracer is a
+    /// monomorphized generic: with [`NoopTracer`] the hook calls inline to
+    /// nothing and this compiles to exactly [`Router::search`].
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub fn search_traced<T: RouteTracer>(
         &self,
         ds: &(impl VectorView + ?Sized),
@@ -122,31 +137,35 @@ impl Router {
         stats: &mut SearchStats,
         tracer: &mut T,
     ) -> Vec<Neighbor> {
+        let mut walk = Walk {
+            ds,
+            g,
+            query,
+            scratch,
+            stats,
+            tracer,
+        };
+        let seeds = Start::Seeds(seeds);
         match *self {
-            Router::BestFirst => {
-                beam_search_traced(ds, g, query, seeds, beam, scratch, stats, tracer)
-            }
+            Router::BestFirst => walk.run(seeds, beam, Bounded, Open),
             Router::Range { epsilon } => {
-                range_search_traced(ds, g, query, seeds, beam, epsilon, scratch, stats, tracer)
+                // A negative ε is read as 0; distances are squared.
+                let inflate = (1.0 + epsilon.max(0.0)).powi(2);
+                walk.run(seeds, beam, Radius { inflate }, Open)
             }
-            Router::Backtrack { extra } => {
-                backtrack_search_traced(ds, g, query, seeds, beam, extra, scratch, stats, tracer)
+            Router::Backtrack { extra: budget } => {
+                walk.run(seeds, beam, Backtracking { budget }, Open)
             }
-            Router::Guided => {
-                guided_search_traced(ds, g, query, seeds, beam, scratch, stats, tracer)
-            }
+            Router::Guided => walk.run(seeds, beam, Bounded, Dominant),
             Router::TwoStage { stage1_beam_frac } => {
                 let b1 = ((beam as f32 * stage1_beam_frac) as usize).max(4).min(beam);
-                let stage1 = guided_search_traced(ds, g, query, seeds, b1, scratch, stats, tracer);
-                if stage1.is_empty() {
-                    return stage1;
-                }
+                let stage1 = walk.run(seeds, b1, Bounded, Dominant);
                 // Stage 2 continues from stage 1's already-scored pool in
                 // the same visited epoch: the full beam re-expands every
                 // frontier vertex, but only vertices stage 1 *gated out*
-                // (guided search leaves skipped neighbors unvisited) cost
-                // new distance computations.
-                beam_search_seeded_traced(ds, g, query, &stage1, beam, scratch, stats, tracer)
+                // (the gate leaves refused neighbors unvisited) cost new
+                // distance computations.
+                walk.run(Start::Scored(&stage1), beam, Bounded, Open)
             }
         }
     }

@@ -7,122 +7,79 @@
 //! cost of more distance computations — the "precision ceiling" behaviour
 //! the component evaluation observes for `C7_NGT` (Figure 10f).
 
-use super::scratch::{score_unvisited, SearchScratch};
-use super::SearchStats;
-use crate::telemetry::{NoopTracer, RouteTracer};
+use super::core::Frontier;
+use super::scratch::Stores;
 use std::cmp::Reverse;
 use weavess_data::neighbor::insert_into_pool;
-use weavess_data::prefetch::prefetch_enabled;
-use weavess_data::vectors::VectorView;
 use weavess_data::Neighbor;
-use weavess_graph::adjacency::GraphView;
 
-/// Range search from `seeds`; returns up to `beam` nearest results.
-///
-/// Expansion is batch-scored (every visited neighbor's distance was always
-/// computed before the radius test, so batching changes neither NDC nor
-/// results); the ε-inflated acceptance test still runs per neighbor, in
-/// adjacency order, against the live radius.
-#[allow(clippy::too_many_arguments)]
-pub fn range_search(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    seeds: &[u32],
-    beam: usize,
-    epsilon: f32,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-) -> Vec<Neighbor> {
-    range_search_traced(
-        ds,
-        g,
-        query,
-        seeds,
-        beam,
-        epsilon,
-        scratch,
-        stats,
-        &mut NoopTracer,
-    )
+/// The heap as an unbounded candidate queue beside a `beam`-bounded result
+/// pool. The ε-inflated acceptance test runs per neighbor, in adjacency
+/// order, against the live radius; every visited neighbor's distance is
+/// computed before the test, so batch scoring changes neither NDC nor
+/// results. The occupancy the tracer and `pool_peak` see is the *queue's*.
+pub(crate) struct Radius {
+    /// `(1 + ε)²`: distances are squared.
+    pub inflate: f32,
 }
 
-/// [`range_search`] with a [`RouteTracer`]. The reported pool occupancy is
-/// the unbounded candidate queue's length at expansion time, and
-/// `pool_peak` tracks the queue's high-water mark.
-#[allow(clippy::too_many_arguments)]
-pub fn range_search_traced<T: RouteTracer>(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    seeds: &[u32],
-    beam: usize,
-    epsilon: f32,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-    tracer: &mut T,
-) -> Vec<Neighbor> {
-    let beam = beam.max(1);
-    let pf = prefetch_enabled();
-    let inflate = (1.0 + epsilon.max(0.0)).powi(2); // squared-distance space
-    let SearchScratch {
-        visited,
-        results,
-        heap: queue,
-        batch_ids: ids,
-        batch_dists: dists,
-        ..
-    } = scratch;
-    results.clear();
-    queue.clear();
-    for &s in seeds {
-        if visited.visit(s) {
-            stats.ndc += 1;
-            let d = ds.dist_to(query, s);
-            tracer.on_seed(s, d);
-            let n = Neighbor::new(s, d);
-            insert_into_pool(results, beam, n);
-            queue.push(Reverse(n));
-        }
-    }
-    stats.pool_peak = stats.pool_peak.max(queue.len() as u64);
-    while let Some(Reverse(c)) = queue.pop() {
-        let radius = if results.len() == beam {
-            results.last().map_or(f32::INFINITY, |w| w.dist)
+impl Radius {
+    /// Inflated distance of the worst result once `beam` are held;
+    /// infinite before.
+    #[inline]
+    fn bound(&self, s: &Stores) -> f32 {
+        if s.results.len() == s.beam {
+            self.inflate * s.results.last().map_or(f32::INFINITY, |w| w.dist)
         } else {
             f32::INFINITY
-        };
-        if c.dist > inflate * radius {
-            break; // nothing left within the inflated radius
         }
-        stats.hops += 1;
-        tracer.on_hop(c.id, c.dist, stats.ndc, queue.len());
-        if pf {
-            if let Some(Reverse(next)) = queue.peek() {
-                g.prefetch_neighbors(next.id);
-            }
-        }
-        score_unvisited(ds, g, query, c.id, pf, visited, ids, dists, stats);
-        for (&u, &d) in ids.iter().zip(dists.iter()) {
-            let radius = if results.len() == beam {
-                results.last().map_or(f32::INFINITY, |w| w.dist)
-            } else {
-                f32::INFINITY
-            };
-            if d < inflate * radius {
-                let n = Neighbor::new(u, d);
-                queue.push(Reverse(n));
-                insert_into_pool(results, beam, n);
-            }
-        }
-        stats.pool_peak = stats.pool_peak.max(queue.len() as u64);
     }
-    results.clone()
+}
+
+impl Frontier for Radius {
+    #[inline]
+    fn offer(&mut self, s: &mut Stores, n: Neighbor) {
+        if n.dist < self.bound(s) {
+            self.seed(s, n);
+        }
+    }
+
+    /// Seeds enter unconditionally.
+    #[inline]
+    fn seed(&mut self, s: &mut Stores, n: Neighbor) {
+        insert_into_pool(&mut s.results, s.beam, n);
+        s.heap.push(Reverse(n));
+    }
+
+    /// Stops once nothing is left within the inflated radius.
+    #[inline]
+    fn next(&mut self, s: &mut Stores) -> Option<Neighbor> {
+        let Reverse(c) = s.heap.pop()?;
+        if c.dist > self.bound(s) {
+            None
+        } else {
+            Some(c)
+        }
+    }
+
+    #[inline]
+    fn peek(&self, s: &Stores) -> Option<u32> {
+        s.heap.peek().map(|Reverse(n)| n.id)
+    }
+
+    #[inline]
+    fn len(&self, s: &Stores) -> usize {
+        s.heap.len()
+    }
+
+    fn finish(&self, s: &Stores) -> Vec<Neighbor> {
+        s.results.clone()
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::search::{Router, SearchScratch, SearchStats};
     use weavess_data::ground_truth::knn_scan;
     use weavess_data::synthetic::MixtureSpec;
     use weavess_data::Dataset;
@@ -144,7 +101,15 @@ mod tests {
         for qi in 0..qs.len() as u32 {
             let q = qs.point(qi);
             scratch.next_epoch();
-            let res = range_search(&ds, &g, q, &seeds, 10, eps, &mut scratch, &mut stats);
+            let res = Router::Range { epsilon: eps }.search(
+                &ds,
+                &g,
+                q,
+                &seeds,
+                10,
+                &mut scratch,
+                &mut stats,
+            );
             let truth: Vec<u32> = knn_scan(&ds, q, 10, None).iter().map(|n| n.id).collect();
             hits += res
                 .iter()
@@ -175,13 +140,12 @@ mod tests {
         let mut scratch = SearchScratch::new(ds.len());
         let mut stats = SearchStats::default();
         scratch.next_epoch();
-        let res = range_search(
+        let res = Router::Range { epsilon: 0.2 }.search(
             &ds,
             &g,
             qs.point(0),
             &[0, 3],
             7,
-            0.2,
             &mut scratch,
             &mut stats,
         );

@@ -5,17 +5,14 @@
 //! batch-scored expansion) an id/distance staging pair. Allocating them per
 //! query costs more than the search on small beams, so they live here and
 //! are checked out alongside the RNG and stats in
-//! [`crate::index::SearchContext`]. Each search function clears what it
+//! [`crate::index::SearchContext`]. Each routing policy clears what it
 //! uses on entry; nothing leaks between queries except capacity.
 
 use super::pool::{CandidatePool, MAX_VERTICES};
-use super::SearchStats;
 use crate::search::VisitedPool;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use weavess_data::vectors::VectorView;
 use weavess_data::Neighbor;
-use weavess_graph::adjacency::GraphView;
 
 /// Scratch space for one searcher (one thread / one worker at a time).
 #[derive(Debug, Clone)]
@@ -23,47 +20,37 @@ pub struct SearchScratch {
     /// Epoch-stamped visited set; call `visited.next_epoch()` (or
     /// [`Self::next_epoch`]) before each query.
     pub visited: VisitedPool,
-    /// Bounded nearest-first candidate pool with expansion flags.
-    pub(crate) pool: CandidatePool,
-    /// Second bounded pool (filtered and range results).
-    pub(crate) results: Vec<Neighbor>,
-    /// Unbounded min-heap (range search queue, backtrack overflow).
-    pub(crate) heap: BinaryHeap<Reverse<Neighbor>>,
+    /// Where the routing policy keeps its candidates.
+    pub(crate) stores: Stores,
     /// Unvisited neighbor ids staged for one batched scoring pass.
     pub(crate) batch_ids: Vec<u32>,
     /// Distances matching `batch_ids`, filled by `dist_to_many`.
     pub(crate) batch_dists: Vec<f32>,
 }
 
-/// One expansion's scoring pass: marks `v`'s not-yet-visited neighbors
-/// visited, stages them in adjacency order (requesting each vector's
-/// first lines when `pf`), and scores the batch with a single
-/// [`VectorView::dist_to_many`] — one kernel-tier dispatch per expansion.
-/// `ids[i]`'s distance is `dists[i]`, bit-equal to scoring one at a time.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn score_unvisited(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    v: u32,
-    pf: bool,
-    visited: &mut VisitedPool,
-    ids: &mut Vec<u32>,
-    dists: &mut Vec<f32>,
-    stats: &mut SearchStats,
-) {
-    ids.clear();
-    for &u in g.neighbors(v) {
-        if visited.visit(u) {
-            if pf {
-                ds.prefetch_vector(u);
-            }
-            ids.push(u);
-        }
+/// The candidate containers a routing policy draws on.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Stores {
+    /// The walk's candidate-set size (the paper's CS), at least 1.
+    pub beam: usize,
+    /// Nearest-first candidate pool of `beam` entries with expansion flags.
+    pub pool: CandidatePool,
+    /// Nearest-first result pool (filtered and range search answer from
+    /// it), kept within the policy's bound by `insert_into_pool`.
+    pub results: Vec<Neighbor>,
+    /// Unbounded min-heap (range search queue, backtrack reserve).
+    pub heap: BinaryHeap<Reverse<Neighbor>>,
+}
+
+impl Stores {
+    /// Empties every container for a new walk. A `beam` of 0 is served as
+    /// 1: the walk is greedy and returns the nearest vertex it found.
+    pub(crate) fn reset(&mut self, beam: usize) {
+        self.beam = beam.max(1);
+        self.pool.reset(self.beam);
+        self.results.clear();
+        self.heap.clear();
     }
-    stats.ndc += ids.len() as u64;
-    ds.dist_to_many(query, ids, dists);
 }
 
 /// Pool entries keep the expanded flag in a spare id bit.
@@ -83,9 +70,7 @@ impl SearchScratch {
         check_vertex_count(n);
         SearchScratch {
             visited: VisitedPool::new(n),
-            pool: CandidatePool::default(),
-            results: Vec::new(),
-            heap: BinaryHeap::new(),
+            stores: Stores::default(),
             batch_ids: Vec::new(),
             batch_dists: Vec::new(),
         }
@@ -116,7 +101,7 @@ mod tests {
     fn new_scratch_covers_n_vertices() {
         let s = SearchScratch::new(7);
         assert_eq!(s.visited.len(), 7);
-        assert!(s.pool.len() == 0 && s.batch_ids.is_empty());
+        assert!(s.stores.pool.len() == 0 && s.batch_ids.is_empty());
     }
 
     #[test]

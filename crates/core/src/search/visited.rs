@@ -34,8 +34,16 @@ impl VisitedPool {
     /// epoch (i.e. the caller should process it).
     #[inline]
     pub fn visit(&mut self, v: u32) -> bool {
+        self.visit_if(v, || true)
+    }
+
+    /// [`Self::visit`] for callers that may turn a fresh vertex away:
+    /// `admit` runs only when `v` is unvisited, and a refused `v` stays
+    /// unvisited.
+    #[inline]
+    pub(crate) fn visit_if(&mut self, v: u32, admit: impl FnOnce() -> bool) -> bool {
         let s = &mut self.stamp[v as usize];
-        if *s == self.epoch {
+        if *s == self.epoch || !admit() {
             false
         } else {
             *s = self.epoch;

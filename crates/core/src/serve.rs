@@ -47,10 +47,8 @@ use crate::search::SearchStats;
 use crate::telemetry::expose::{
     json_histogram, prometheus_counter, prometheus_gauge, prometheus_histogram,
 };
-use crate::telemetry::flight::{
-    query_fingerprint, Flight, FlightObserver, FlightRecorder, NoFlight, SpanRec, Stage,
-};
-use crate::telemetry::{Histogram, ShardedCounter};
+use crate::telemetry::flight::{query_fingerprint, Flight, FlightRecorder, SpanRec, Stage};
+use crate::telemetry::{Histogram, RouteTracer, ShardedCounter};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -418,48 +416,41 @@ impl<'a> QueryEngine<'a> {
     /// to the same query inside any [`search_batch`](Self::search_batch)
     /// call (per-query seeding is position-independent).
     pub fn search_one(&self, query: &[f32], k: usize, beam: usize) -> Vec<Neighbor> {
-        let mut ctx = self.checkout();
-        let out = self.run_query(query, k, beam, &mut ctx);
-        self.restore(ctx);
-        self.queries_total.incr();
-        out
+        self.answer_one(query, k, beam, None)
     }
 
-    /// [`search_one`](Self::search_one) with a
-    /// [`RouteTracer`](crate::telemetry::RouteTracer) observing the
-    /// route — e.g. a [`crate::telemetry::RecordingTracer`] to capture a
-    /// dumpable per-hop trace of exactly how the index answered `query`.
+    /// [`search_one`](Self::search_one) with a [`RouteTracer`] observing
+    /// the route — e.g. a [`crate::telemetry::RecordingTracer`] to capture
+    /// a dumpable per-hop trace of exactly how the index answered `query`.
     pub fn search_one_traced(
         &self,
         query: &[f32],
         k: usize,
         beam: usize,
-        tracer: &mut dyn crate::telemetry::RouteTracer,
+        tracer: &mut dyn RouteTracer,
+    ) -> Vec<Neighbor> {
+        self.answer_one(query, k, beam, Some(tracer))
+    }
+
+    fn answer_one(
+        &self,
+        query: &[f32],
+        k: usize,
+        beam: usize,
+        tracer: Option<&mut dyn RouteTracer>,
     ) -> Vec<Neighbor> {
         let mut ctx = self.checkout();
-        ctx.rng = StdRng::seed_from_u64(self.opts.seed ^ query_fingerprint(query));
-        let out = self
-            .index
-            .search_traced(self.ds, query, k, beam, &mut ctx, tracer);
+        let fp = query_fingerprint(query);
+        let out = self.run_query_fp(query, fp, k, beam, &mut ctx, tracer);
         self.restore(ctx);
         self.queries_total.incr();
         out
     }
 
-    /// The single-query hot path: deterministic RNG reseed, then search.
-    fn run_query(
-        &self,
-        query: &[f32],
-        k: usize,
-        beam: usize,
-        ctx: &mut SearchContext,
-    ) -> Vec<Neighbor> {
-        self.run_query_fp(query, query_fingerprint(query), k, beam, ctx)
-    }
-
-    /// [`run_query`](Self::run_query) with the fingerprint already
-    /// computed — the batch loop hashes each query exactly once and
-    /// shares the value between RNG reseeding and flight sampling.
+    /// The single-query hot path, traced or not: deterministic RNG reseed,
+    /// then search. `fp` is the query's [`query_fingerprint`] — the batch
+    /// loop hashes each query exactly once and shares the value between
+    /// RNG reseeding and flight sampling.
     fn run_query_fp(
         &self,
         query: &[f32],
@@ -467,9 +458,15 @@ impl<'a> QueryEngine<'a> {
         k: usize,
         beam: usize,
         ctx: &mut SearchContext,
+        tracer: Option<&mut dyn RouteTracer>,
     ) -> Vec<Neighbor> {
         ctx.rng = StdRng::seed_from_u64(self.opts.seed ^ fp);
-        self.index.search(self.ds, query, k, beam, ctx)
+        match tracer {
+            Some(tracer) => self
+                .index
+                .search_traced(self.ds, query, k, beam, ctx, tracer),
+            None => self.index.search(self.ds, query, k, beam, ctx),
+        }
     }
 
     /// Answers a whole batch across the worker pool, returning per-query
@@ -480,7 +477,7 @@ impl<'a> QueryEngine<'a> {
     /// don't idle the other workers; determinism is unaffected because
     /// per-query state never depends on the claiming worker.
     pub fn search_batch(&self, queries: &Dataset, k: usize, beam: usize) -> BatchReport {
-        self.search_batch_obs(queries, k, beam, &NoFlight).0
+        self.search_batch_obs(queries, k, beam, None).0
     }
 
     /// [`search_batch`](Self::search_batch) with the per-query flight
@@ -496,7 +493,7 @@ impl<'a> QueryEngine<'a> {
         beam: usize,
         rec: &FlightRecorder,
     ) -> BatchReport {
-        let (report, parts) = self.search_batch_obs(queries, k, beam, rec);
+        let (report, parts) = self.search_batch_obs(queries, k, beam, Some(rec));
         let batch = rec.next_batch();
         for p in &parts.sampled {
             rec.push(assemble_unsharded(rec, batch, p, k, beam, &report, true));
@@ -509,18 +506,17 @@ impl<'a> QueryEngine<'a> {
         report
     }
 
-    /// The generic batch loop: with [`NoFlight`] every flight branch is
-    /// `if false` and compiles away; with a recorder each query pays one
-    /// sampling hash plus a copy of its deterministic counters. Flights
-    /// are *collected*, not pushed — the caller owns assembly so the
-    /// sharded tier can gather per-shard parts into one flight per
-    /// query.
-    pub(crate) fn search_batch_obs<F: FlightObserver>(
+    /// The batch loop behind both entry points. With a recorder each query
+    /// pays one sampling hash plus a copy of its deterministic counters —
+    /// a per-query branch beside the walk, not a per-hop one. Flights are
+    /// *collected*, not pushed — the caller owns assembly so the sharded
+    /// tier can gather per-shard parts into one flight per query.
+    pub(crate) fn search_batch_obs(
         &self,
         queries: &Dataset,
         k: usize,
         beam: usize,
-        obs: &F,
+        rec: Option<&FlightRecorder>,
     ) -> (BatchReport, BatchFlightParts) {
         let nq = queries.len();
         let workers = self.opts.effective_workers().min(nq).max(1);
@@ -561,7 +557,7 @@ impl<'a> QueryEngine<'a> {
                     let q = queries.point(qi as u32);
                     let fp = query_fingerprint(q);
                     let tq = Instant::now();
-                    let res = self.run_query_fp(q, fp, k, beam, &mut ctx);
+                    let res = self.run_query_fp(q, fp, k, beam, &mut ctx, None);
                     let nanos = tq.elapsed().as_nanos() as u64;
                     // Per-query counters: take what this query
                     // added, fold into the worker total.
@@ -570,7 +566,7 @@ impl<'a> QueryEngine<'a> {
                     lat_h.record(nanos);
                     ndc_h.record(qstats.ndc);
                     hops_h.record(qstats.hops);
-                    if F::ENABLED {
+                    if let Some(rec) = rec {
                         let part = QueryFlightPart {
                             qi: qi as u32,
                             fingerprint: fp,
@@ -578,7 +574,7 @@ impl<'a> QueryEngine<'a> {
                             ndc: qstats.ndc,
                             hops: qstats.hops,
                         };
-                        if obs.recorder().is_some_and(|r| r.is_sampled(fp)) {
+                        if rec.is_sampled(fp) {
                             sampled.push(part);
                         }
                         if slowest.is_none_or(|s| nanos > s.lat_ns) {
@@ -600,23 +596,19 @@ impl<'a> QueryEngine<'a> {
                 ndc_hist.merge(&ndc_h);
                 hops_hist.merge(&hops_h);
                 per_worker.push(report);
-                if F::ENABLED {
-                    flights.sampled.extend(sampled);
-                    if let Some(s) = slowest {
-                        if flights.slowest.is_none_or(|g| s.lat_ns > g.lat_ns) {
-                            flights.slowest = Some(s);
-                        }
+                flights.sampled.extend(sampled);
+                if let Some(s) = slowest {
+                    if flights.slowest.is_none_or(|g| s.lat_ns > g.lat_ns) {
+                        flights.slowest = Some(s);
                     }
                 }
                 for (qi, res, _) in got {
                     results[qi] = res;
                 }
             }
-            if F::ENABLED {
-                // The sampled *set* is deterministic; sort by batch
-                // position so its order is too (claim order is not).
-                flights.sampled.sort_by_key(|p| p.qi);
-            }
+            // The sampled *set* is deterministic; sort by batch position
+            // so its order is too (claim order is not).
+            flights.sampled.sort_by_key(|p| p.qi);
         }
 
         let wall = t0.elapsed();

@@ -22,7 +22,7 @@ use crate::parallel::WorkerPool;
 use crate::search::SearchStats;
 use crate::serve::{BatchReport, EngineOptions, EngineSnapshot, LatencySummary, QueryEngine};
 use crate::telemetry::expose::{json_histogram, prometheus_counter, prometheus_histogram};
-use crate::telemetry::flight::{Flight, FlightObserver, FlightRecorder, NoFlight, SpanRec, Stage};
+use crate::telemetry::flight::{Flight, FlightRecorder, SpanRec, Stage};
 use crate::telemetry::{Histogram, ShardedCounter};
 use weavess_data::{Dataset, Neighbor};
 
@@ -514,7 +514,7 @@ impl<'a> ShardedEngine<'a> {
     /// worker pool concurrently, then per-query pools are gathered in
     /// input order.
     pub fn search_batch(&self, queries: &Dataset, k: usize, beam: usize) -> ShardedBatchReport {
-        self.search_batch_obs(queries, k, beam, &NoFlight)
+        self.search_batch_obs(queries, k, beam, None)
     }
 
     /// [`search_batch`](Self::search_batch) with the per-query flight
@@ -531,17 +531,17 @@ impl<'a> ShardedEngine<'a> {
         beam: usize,
         rec: &FlightRecorder,
     ) -> ShardedBatchReport {
-        self.search_batch_obs(queries, k, beam, rec)
+        self.search_batch_obs(queries, k, beam, Some(rec))
     }
 
-    /// The generic scatter-gather: with [`NoFlight`] every flight branch
-    /// compiles away to exactly the old batch path.
-    fn search_batch_obs<F: FlightObserver>(
+    /// The scatter-gather behind both entry points; with a recorder it
+    /// also times each merge and assembles the batch's flights.
+    pub(crate) fn search_batch_obs(
         &self,
         queries: &Dataset,
         k: usize,
         beam: usize,
-        obs: &F,
+        rec: Option<&FlightRecorder>,
     ) -> ShardedBatchReport {
         use crate::serve::BatchFlightParts;
         let nq = queries.len();
@@ -551,7 +551,7 @@ impl<'a> ShardedEngine<'a> {
         let mut shard_results: Vec<(Vec<Vec<Neighbor>>, BatchReport, BatchFlightParts)> =
             self.pool.map(self.engines.len(), |s| {
                 let shard = &self.set.shards[s];
-                let (mut report, parts) = self.engines[s].search_batch_obs(queries, k, beam, obs);
+                let (mut report, parts) = self.engines[s].search_batch_obs(queries, k, beam, rec);
                 let mut globalized = std::mem::take(&mut report.results);
                 for pool in &mut globalized {
                     for n in pool.iter_mut() {
@@ -573,7 +573,7 @@ impl<'a> ShardedEngine<'a> {
             }
         }
         let mut merge_ns: Vec<u64> = Vec::new();
-        let results: Vec<Vec<Neighbor>> = if F::ENABLED {
+        let results: Vec<Vec<Neighbor>> = if rec.is_some() {
             merge_ns.reserve(nq);
             per_query
                 .iter()
@@ -588,12 +588,9 @@ impl<'a> ShardedEngine<'a> {
             per_query.iter().map(|p| merge_topk(p, k)).collect()
         };
 
-        if F::ENABLED {
-            if let Some(rec) = obs.recorder() {
-                let parts: Vec<&BatchFlightParts> =
-                    shard_results.iter().map(|(_, _, p)| p).collect();
-                self.assemble_flights(rec, k, beam, scatter_ns, &merge_ns, &parts, &results);
-            }
+        if let Some(rec) = rec {
+            let parts: Vec<&BatchFlightParts> = shard_results.iter().map(|(_, _, p)| p).collect();
+            self.assemble_flights(rec, k, beam, scatter_ns, &merge_ns, &parts, &results);
         }
 
         let mut stats = SearchStats::default();

@@ -52,23 +52,17 @@ use weavess_data::{Dataset, Neighbor};
 pub trait BatchExecutor: Sync {
     /// Query dimensionality the executor expects.
     fn dim(&self) -> usize;
-    /// Answers `queries`, one result pool per query, in input order.
-    fn execute(&self, queries: &Dataset, k: usize, beam: usize) -> Vec<Vec<Neighbor>>;
-    /// [`execute`](Self::execute) while recording per-query flights into
-    /// `rec`. The default ignores the recorder, so third-party executors
-    /// stay correct without opting in; both engines override it with
-    /// their flight-recording batch paths. Results must be identical to
-    /// [`execute`](Self::execute).
-    fn execute_recorded(
+    /// Answers `queries`, one result pool per query, in input order. `rec`
+    /// is the queue's flight recorder, when it has one: an executor that
+    /// records per-query flights pushes them there, any other ignores it.
+    /// Results must not depend on it.
+    fn execute(
         &self,
         queries: &Dataset,
         k: usize,
         beam: usize,
-        rec: &FlightRecorder,
-    ) -> Vec<Vec<Neighbor>> {
-        let _ = rec;
-        self.execute(queries, k, beam)
-    }
+        rec: Option<&FlightRecorder>,
+    ) -> Vec<Vec<Neighbor>>;
 }
 
 impl BatchExecutor for QueryEngine<'_> {
@@ -76,18 +70,18 @@ impl BatchExecutor for QueryEngine<'_> {
         self.dataset().dim()
     }
 
-    fn execute(&self, queries: &Dataset, k: usize, beam: usize) -> Vec<Vec<Neighbor>> {
-        self.search_batch(queries, k, beam).results
-    }
-
-    fn execute_recorded(
+    fn execute(
         &self,
         queries: &Dataset,
         k: usize,
         beam: usize,
-        rec: &FlightRecorder,
+        rec: Option<&FlightRecorder>,
     ) -> Vec<Vec<Neighbor>> {
-        self.search_batch_flights(queries, k, beam, rec).results
+        match rec {
+            Some(rec) => self.search_batch_flights(queries, k, beam, rec),
+            None => self.search_batch(queries, k, beam),
+        }
+        .results
     }
 }
 
@@ -96,18 +90,14 @@ impl BatchExecutor for ShardedEngine<'_> {
         self.shard_set().dim()
     }
 
-    fn execute(&self, queries: &Dataset, k: usize, beam: usize) -> Vec<Vec<Neighbor>> {
-        self.search_batch(queries, k, beam).results
-    }
-
-    fn execute_recorded(
+    fn execute(
         &self,
         queries: &Dataset,
         k: usize,
         beam: usize,
-        rec: &FlightRecorder,
+        rec: Option<&FlightRecorder>,
     ) -> Vec<Vec<Neighbor>> {
-        self.search_batch_flights(queries, k, beam, rec).results
+        self.search_batch_obs(queries, k, beam, rec).results
     }
 }
 
@@ -208,8 +198,7 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
     /// A queue that records per-query flights: each seed-sampled query's
     /// admission wait is noted into `rec` (surfacing as a
     /// [`Stage::QueueWait`](crate::telemetry::Stage) span on its flight)
-    /// and batches execute through
-    /// [`BatchExecutor::execute_recorded`].
+    /// and `rec` is handed to [`BatchExecutor::execute`] with every batch.
     pub fn with_flights(exec: &'a E, opts: QueueOptions, rec: &'a FlightRecorder) -> Self {
         let mut q = Self::new(exec, opts);
         q.flights = Some(rec);
@@ -303,8 +292,8 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
                     flat.extend_from_slice(&p.query);
                 }
                 let queries = Dataset::from_flat(flat, batch.len(), dim);
-                let results = catch_unwind(AssertUnwindSafe(|| match self.flights {
-                    Some(rec) => {
+                let results = catch_unwind(AssertUnwindSafe(|| {
+                    if let Some(rec) = self.flights {
                         // Note admission waits for the queries whose
                         // flights the engine will assemble, *before*
                         // executing so the spans are claimable there.
@@ -315,10 +304,9 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
                                 rec.note_queue_wait(fp, waited.as_nanos() as u64);
                             }
                         }
-                        self.exec
-                            .execute_recorded(&queries, self.opts.k, self.opts.beam, rec)
                     }
-                    None => self.exec.execute(&queries, self.opts.k, self.opts.beam),
+                    self.exec
+                        .execute(&queries, self.opts.k, self.opts.beam, self.flights)
                 }));
                 if let Some(rec) = self.flights {
                     // Notes the executor left unclaimed (it ignored the
@@ -369,8 +357,8 @@ mod tests {
     use super::*;
     use crate::telemetry::flight::FlightOptions;
 
-    /// A third-party executor: keeps the default `execute_recorded`, so
-    /// it never claims the admission waits the queue notes for it.
+    /// A third-party executor: ignores the recorder, so it never claims
+    /// the admission waits the queue notes for it.
     struct Echo;
 
     impl BatchExecutor for Echo {
@@ -378,7 +366,13 @@ mod tests {
             2
         }
 
-        fn execute(&self, queries: &Dataset, _k: usize, _beam: usize) -> Vec<Vec<Neighbor>> {
+        fn execute(
+            &self,
+            queries: &Dataset,
+            _k: usize,
+            _beam: usize,
+            _rec: Option<&FlightRecorder>,
+        ) -> Vec<Vec<Neighbor>> {
             (0..queries.len() as u32)
                 .map(|qi| vec![Neighbor::new(qi, queries.point(qi)[0])])
                 .collect()

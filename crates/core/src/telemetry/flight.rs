@@ -4,12 +4,12 @@
 //! A *flight* is one served query's lifecycle — queue admission →
 //! scatter → per-shard search → top-k merge — recorded as a small list
 //! of [`SpanRec`]s plus the query's deterministic identity (fingerprint,
-//! k/beam, result ids). The recorder follows the same monomorphization
-//! contract as [`RouteTracer`](crate::telemetry::RouteTracer): the
-//! serving hot paths are generic over [`FlightObserver`], and with
-//! [`NoFlight`] every recording branch is guarded by a
-//! `const ENABLED: bool = false` the compiler folds away, so the
-//! recorder costs nothing when off.
+//! k/beam, result ids). The serving paths carry the recorder as an
+//! `Option<&FlightRecorder>` — the same one
+//! [`BatchQueue`](crate::shard::BatchQueue) holds — and branch on it once
+//! per query, beside a walk of tens of microseconds; per-hop observation
+//! is [`RouteTracer`](crate::telemetry::RouteTracer)'s job, and that one
+//! compiles away.
 //!
 //! # Sampling
 //!
@@ -359,37 +359,6 @@ impl FlightRecorder {
             }
         }
         format!("{{\"traceEvents\": [\n{events}\n]}}")
-    }
-}
-
-/// The compile-away observer the serving hot paths are generic over.
-/// With [`NoFlight`] every `if F::ENABLED` guard is a constant the
-/// compiler deletes; with a [`FlightRecorder`] the per-query cost is one
-/// sampling hash and a handful of copies.
-pub trait FlightObserver: Sync {
-    /// Whether this observer records anything (a const so disabled
-    /// branches fold away under monomorphization).
-    const ENABLED: bool;
-
-    /// The recorder behind this observer, when enabled.
-    fn recorder(&self) -> Option<&FlightRecorder> {
-        None
-    }
-}
-
-/// The disabled observer: recording code compiles away entirely.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFlight;
-
-impl FlightObserver for NoFlight {
-    const ENABLED: bool = false;
-}
-
-impl FlightObserver for FlightRecorder {
-    const ENABLED: bool = true;
-
-    fn recorder(&self) -> Option<&FlightRecorder> {
-        Some(self)
     }
 }
 

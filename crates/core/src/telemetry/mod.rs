@@ -21,8 +21,8 @@
 //! - [`flight`]: the per-query flight recorder — stage-attributed
 //!   lifecycle spans (queue wait → scatter → shard search → merge) with
 //!   deterministic seeded sampling, a bounded ring, Chrome trace-event
-//!   export, and a byte-stable dump; compile-away via the same
-//!   monomorphization contract as the tracer.
+//!   export, and a byte-stable dump; an optional recorder the serving
+//!   paths branch on once per query.
 
 pub mod aggregate;
 pub mod counter;
@@ -34,10 +34,7 @@ pub mod tracer;
 
 pub use aggregate::{PairStat, TraceAggregate};
 pub use counter::ShardedCounter;
-pub use flight::{
-    query_fingerprint, Flight, FlightObserver, FlightOptions, FlightRecorder, NoFlight, SpanRec,
-    Stage,
-};
+pub use flight::{query_fingerprint, Flight, FlightOptions, FlightRecorder, SpanRec, Stage};
 pub use histogram::Histogram;
 pub use profile::{add_span_ndc, profile_build, span, BuildProfile, BuildSpan};
 pub use tracer::{NoopTracer, RecordingTracer, RouteEvent, RouteTracer};

@@ -39,6 +39,23 @@ fn runnable_tiers() -> Vec<KernelTier> {
     }
 }
 
+/// Runs `check` under each runnable tier in turn (forced, unless
+/// `paper-fidelity` pins scalar), serialized on [`TIER_LOCK`], then
+/// restores the tier the process started with.
+fn under_every_tier(mut check: impl FnMut(KernelTier)) {
+    let _guard = TIER_LOCK.lock().unwrap();
+    let initial = KernelTier::active();
+    for tier in runnable_tiers() {
+        if !cfg!(feature = "paper-fidelity") {
+            KernelTier::force(tier).unwrap();
+        }
+        check(tier);
+    }
+    if !cfg!(feature = "paper-fidelity") {
+        KernelTier::force(initial).unwrap();
+    }
+}
+
 /// Deterministic small-integer dataset: coordinates in [-16, 16].
 fn integer_dataset(n: usize, dim: usize) -> Dataset {
     let mut state = 0x9e37_79b9_u64;
@@ -177,21 +194,13 @@ fn routine_digests() -> Vec<String> {
 /// tier diverges, the search itself changed (update the constant).
 #[test]
 fn search_trace_digest_is_kernel_tier_independent() {
-    let _guard = TIER_LOCK.lock().unwrap();
-    let initial = KernelTier::active();
-    for tier in runnable_tiers() {
-        if !cfg!(feature = "paper-fidelity") {
-            KernelTier::force(tier).unwrap();
-        }
+    under_every_tier(|tier| {
         assert_eq!(
             search_digest(),
             0xc37d_01d6_cc76_4036,
             "search trace diverged on tier {tier}"
         );
-    }
-    if !cfg!(feature = "paper-fidelity") {
-        KernelTier::force(initial).unwrap();
-    }
+    });
 }
 
 /// Golden digests of all six routines, recorded before the routers were
@@ -208,17 +217,9 @@ fn every_routine_digest_is_pinned_under_every_tier() {
         "two-stage 0x461288ceead4fe3f",
         "filtered 0xb7efa5807ddfa53b",
     ];
-    let _guard = TIER_LOCK.lock().unwrap();
-    let initial = KernelTier::active();
-    for tier in runnable_tiers() {
-        if !cfg!(feature = "paper-fidelity") {
-            KernelTier::force(tier).unwrap();
-        }
+    under_every_tier(|tier| {
         assert_eq!(routine_digests(), GOLDEN, "diverged on tier {tier}");
-    }
-    if !cfg!(feature = "paper-fidelity") {
-        KernelTier::force(initial).unwrap();
-    }
+    });
 }
 
 /// Recall parity across tiers on *non-integer* data, where tiers are
@@ -231,8 +232,6 @@ fn recall_parity_across_tiers() {
     use weavess_data::metrics::recall;
     use weavess_data::synthetic::MixtureSpec;
 
-    let _guard = TIER_LOCK.lock().unwrap();
-    let initial = KernelTier::active();
     let (base, queries) = MixtureSpec::table10(48, 1_200, 4, 5.0, 60).generate();
     let g = exact_knng(&base, 12, 2);
     let truth: Vec<Vec<u32>> = (0..queries.len() as u32)
@@ -245,10 +244,7 @@ fn recall_parity_across_tiers() {
         .collect();
 
     let mut recalls = Vec::new();
-    for tier in runnable_tiers() {
-        if !cfg!(feature = "paper-fidelity") {
-            KernelTier::force(tier).unwrap();
-        }
+    under_every_tier(|tier| {
         let mut scratch = SearchScratch::new(base.len());
         let mut stats = SearchStats::default();
         let mut total = 0.0f64;
@@ -267,10 +263,7 @@ fn recall_parity_across_tiers() {
             total += recall(&truth[qi as usize], &got);
         }
         recalls.push((tier, total / queries.len() as f64));
-    }
-    if !cfg!(feature = "paper-fidelity") {
-        KernelTier::force(initial).unwrap();
-    }
+    });
 
     for (ta, ra) in &recalls {
         for (tb, rb) in &recalls {

@@ -11,10 +11,7 @@ use proptest::prelude::*;
 use weavess_core::components::SeedStrategy;
 use weavess_core::index::{AnnIndex, FlatIndex, SearchContext};
 use weavess_core::persist::{load_layout_index, save_layout_index};
-use weavess_core::search::{
-    backtrack_search, beam_search, beam_search_seeded, filtered_beam_search, guided_search,
-    range_search, Router, SearchScratch, SearchStats,
-};
+use weavess_core::search::{beam_search, filtered_beam_search, Router, SearchScratch, SearchStats};
 use weavess_core::{LayoutIndex, NodeLayout};
 use weavess_data::prefetch::set_prefetch_enabled;
 use weavess_data::synthetic::MixtureSpec;
@@ -98,9 +95,10 @@ proptest! {
             let mut st_a = SearchStats::default();
             let mut st_b = SearchStats::default();
             sc_a.next_epoch();
-            let a = backtrack_search(&ds, &g, q, &seeds, beam, 4, &mut sc_a, &mut st_a);
+            let backtrack = Router::Backtrack { extra: 4 };
+            let a = backtrack.search(&ds, &g, q, &seeds, beam, &mut sc_a, &mut st_a);
             sc_b.next_epoch();
-            let b = backtrack_search(&arena, &arena, q, &mapped, beam, 4, &mut sc_b, &mut st_b);
+            let b = backtrack.search(&arena, &arena, q, &mapped, beam, &mut sc_b, &mut st_b);
             assert_pools_identical(&a, &to_original(&perm, b), "backtrack");
             prop_assert!(st_a.pool_peak >= 1, "backtrack pool_peak missing");
             prop_assert_eq!(st_a, st_b, "backtrack stats");
@@ -108,9 +106,9 @@ proptest! {
             let mut st_a = SearchStats::default();
             let mut st_b = SearchStats::default();
             sc_a.next_epoch();
-            let a = guided_search(&ds, &g, q, &seeds, beam, &mut sc_a, &mut st_a);
+            let a = Router::Guided.search(&ds, &g, q, &seeds, beam, &mut sc_a, &mut st_a);
             sc_b.next_epoch();
-            let b = guided_search(&arena, &arena, q, &mapped, beam, &mut sc_b, &mut st_b);
+            let b = Router::Guided.search(&arena, &arena, q, &mapped, beam, &mut sc_b, &mut st_b);
             assert_pools_identical(&a, &to_original(&perm, b), "guided");
             prop_assert!(
                 st_a.pool_peak >= 1 && st_a.pool_peak <= beam as u64,
@@ -120,15 +118,13 @@ proptest! {
 
             // Two-stage continuation: stage 2 resumes from stage 1's
             // scored pool inside the same visited epoch.
-            let b1 = (beam / 2).max(4).min(beam);
+            let two_stage = Router::TwoStage { stage1_beam_frac: 0.5 };
             let mut st_a = SearchStats::default();
             let mut st_b = SearchStats::default();
             sc_a.next_epoch();
-            let s1 = guided_search(&ds, &g, q, &seeds, b1, &mut sc_a, &mut st_a);
-            let a = beam_search_seeded(&ds, &g, q, &s1, beam, &mut sc_a, &mut st_a);
+            let a = two_stage.search(&ds, &g, q, &seeds, beam, &mut sc_a, &mut st_a);
             sc_b.next_epoch();
-            let s1 = guided_search(&arena, &arena, q, &mapped, b1, &mut sc_b, &mut st_b);
-            let b = beam_search_seeded(&arena, &arena, q, &s1, beam, &mut sc_b, &mut st_b);
+            let b = two_stage.search(&arena, &arena, q, &mapped, beam, &mut sc_b, &mut st_b);
             assert_pools_identical(&a, &to_original(&perm, b), "seeded");
             prop_assert!(
                 st_a.pool_peak >= 1 && st_a.pool_peak <= beam as u64,
@@ -158,9 +154,10 @@ proptest! {
             let mut st_a = SearchStats::default();
             let mut st_b = SearchStats::default();
             sc_a.next_epoch();
-            let a = range_search(&ds, &g, q, &seeds, beam, 0.2, &mut sc_a, &mut st_a);
+            let range = Router::Range { epsilon: 0.2 };
+            let a = range.search(&ds, &g, q, &seeds, beam, &mut sc_a, &mut st_a);
             sc_b.next_epoch();
-            let b = range_search(&arena, &arena, q, &mapped, beam, 0.2, &mut sc_b, &mut st_b);
+            let b = range.search(&arena, &arena, q, &mapped, beam, &mut sc_b, &mut st_b);
             assert_pools_identical(&a, &to_original(&perm, b), "range");
             prop_assert!(
                 st_a.pool_peak >= 1 && st_a.pool_peak <= ds.len() as u64,

@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use weavess_core::search::{
-    backtrack_search, beam_search, filtered_beam_search, guided_search, range_search, Router,
-    SearchScratch, SearchStats, VisitedPool,
+    beam_search, filtered_beam_search, Router, SearchScratch, SearchStats, VisitedPool,
 };
 use weavess_data::ground_truth::knn_scan;
 use weavess_data::synthetic::MixtureSpec;
@@ -127,7 +126,7 @@ proptest! {
         let q = qs.point(0);
         let mut s_guided = SearchStats::default();
         scratch.next_epoch();
-        guided_search(&ds, &g, q, &seeds, 20, &mut scratch, &mut s_guided);
+        Router::Guided.search(&ds, &g, q, &seeds, 20, &mut scratch, &mut s_guided);
         let mut s_beam = SearchStats::default();
         scratch.next_epoch();
         beam_search(&ds, &g, q, &seeds, 20, &mut scratch, &mut s_beam);
@@ -144,7 +143,7 @@ proptest! {
         let seeds = [0u32, 120];
         let mut s1 = SearchStats::default();
         scratch.next_epoch();
-        let bt = backtrack_search(&ds, &g, q, &seeds, 16, 0, &mut scratch, &mut s1);
+        let bt = Router::Backtrack { extra: 0 }.search(&ds, &g, q, &seeds, 16, &mut scratch, &mut s1);
         let mut s2 = SearchStats::default();
         scratch.next_epoch();
         let bf = beam_search(&ds, &g, q, &seeds, 16, &mut scratch, &mut s2);
@@ -152,7 +151,7 @@ proptest! {
 
         let mut s3 = SearchStats::default();
         scratch.next_epoch();
-        range_search(&ds, &g, q, &seeds, 16, 10.0, &mut scratch, &mut s3);
+        Router::Range { epsilon: 10.0 }.search(&ds, &g, q, &seeds, 16, &mut scratch, &mut s3);
         prop_assert!(s3.ndc >= s2.ndc);
     }
 
@@ -235,6 +234,101 @@ proptest! {
             let res = beam_search(&ds, &g, q, &[0], ds.len(), &mut scratch, &mut stats);
             let truth = knn_scan(&ds, q, 1, None)[0];
             prop_assert_eq!(res[0], truth, "query {}", qi);
+        }
+    }
+}
+
+/// Degenerate parameters, one table over all six routines: nothing
+/// panics, and every answer is sorted by `(dist, id)`, duplicate-free,
+/// within its bound (`beam`, or `k` for filtered; a bound of 0 is served
+/// as 1) and costs at most one distance computation per vertex.
+#[test]
+fn degenerate_parameters_leave_every_routine_wellformed() {
+    let (ds, qs, g) = setup(7, 120);
+    let q = qs.point(0).to_vec();
+    let nan_q: Vec<f32> = q.iter().map(|_| f32::NAN).collect();
+    let one = Dataset::from_rows(std::slice::from_ref(&q));
+    let lonely = CsrGraph::from_lists(&[vec![]]);
+    // Vertex 0 has no out-edges; everything else keeps its KNNG list.
+    let mut lists = g.to_lists();
+    lists[0].clear();
+    let cut = CsrGraph::from_lists(&lists);
+
+    struct Case<'a> {
+        name: &'a str,
+        ds: &'a Dataset,
+        g: &'a CsrGraph,
+        q: &'a [f32],
+        seeds: &'a [u32],
+        beam: usize,
+        k: usize,
+    }
+    let usual = Case {
+        name: "",
+        ds: &ds,
+        g: &g,
+        q: &q,
+        seeds: &[0, 60],
+        beam: 16,
+        k: 5,
+    };
+    #[rustfmt::skip]
+    let cases = [
+        Case { name: "beam = 0", beam: 0, ..usual },
+        Case { name: "k = 0", k: 0, ..usual },
+        Case { name: "empty seeds", seeds: &[], ..usual },
+        Case { name: "duplicate seeds", seeds: &[3, 3, 60, 3, 60], ..usual },
+        Case { name: "single-vertex graph", ds: &one, g: &lonely, seeds: &[0], ..usual },
+        Case { name: "isolated seed", g: &cut, seeds: &[0], ..usual },
+        Case { name: "NaN query", q: &nan_q, ..usual },
+    ];
+    let routers = [
+        Router::BestFirst,
+        Router::Range { epsilon: 0.1 },
+        Router::Backtrack { extra: 8 },
+        Router::Guided,
+        Router::TwoStage {
+            stage1_beam_frac: 0.5,
+        },
+    ];
+    for Case {
+        name: case,
+        ds,
+        g,
+        q,
+        seeds,
+        beam,
+        k,
+    } in cases
+    {
+        let mut scratch = SearchScratch::new(ds.len());
+        let mut runs: Vec<(String, usize, Vec<_>, SearchStats)> = Vec::new();
+        for router in &routers {
+            let mut stats = SearchStats::default();
+            scratch.next_epoch();
+            let res = router.search(ds, g, q, seeds, beam, &mut scratch, &mut stats);
+            runs.push((format!("{router:?}"), beam, res, stats));
+        }
+        let mut stats = SearchStats::default();
+        scratch.next_epoch();
+        let even = |id: u32| id.is_multiple_of(2);
+        let res = filtered_beam_search(ds, g, q, seeds, k, beam, &even, &mut scratch, &mut stats);
+        assert!(res.iter().all(|n| even(n.id)), "{case}: filtered");
+        runs.push(("filtered".into(), k, res, stats));
+
+        for (routine, bound, res, stats) in runs {
+            let what = format!("{case}: {routine}");
+            assert!(res.len() <= bound.max(1), "{what}: {} results", res.len());
+            assert!(res.windows(2).all(|w| w[0] < w[1]), "{what}: unsorted");
+            let mut ids: Vec<u32> = res.iter().map(|n| n.id).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), res.len(), "{what}: duplicate id");
+            assert!(stats.ndc <= ds.len() as u64, "{what}: ndc {}", stats.ndc);
+            if seeds.is_empty() {
+                assert!(res.is_empty(), "{what}");
+                assert_eq!(stats, SearchStats::default(), "{what}");
+            }
         }
     }
 }

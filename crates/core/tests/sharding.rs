@@ -39,6 +39,7 @@ use weavess_core::shard::{
     merge_topk, merge_two, BatchExecutor, BatchQueue, QueueOptions, ShardError, ShardSet,
     ShardedBatchReport, ShardedEngine,
 };
+use weavess_core::telemetry::FlightRecorder;
 use weavess_data::synthetic::MixtureSpec;
 use weavess_data::{Dataset, Neighbor};
 use weavess_graph::base::exact_knng;
@@ -532,7 +533,13 @@ impl<E: BatchExecutor> BatchExecutor for Gated<'_, E> {
         self.inner.dim()
     }
 
-    fn execute(&self, queries: &Dataset, k: usize, beam: usize) -> Vec<Vec<Neighbor>> {
+    fn execute(
+        &self,
+        queries: &Dataset,
+        k: usize,
+        beam: usize,
+        rec: Option<&FlightRecorder>,
+    ) -> Vec<Vec<Neighbor>> {
         let batch = (0..queries.len() as u32)
             .map(|qi| queries.point(qi).to_vec())
             .collect();
@@ -542,7 +549,7 @@ impl<E: BatchExecutor> BatchExecutor for Gated<'_, E> {
             // `Err` means the test dropped its gate: proceed either way.
             let _ = self.release.lock().unwrap().recv();
         }
-        self.inner.execute(queries, k, beam)
+        self.inner.execute(queries, k, beam, rec)
     }
 }
 
@@ -839,11 +846,17 @@ impl BatchExecutor for PanicsOnMarker<'_> {
         self.inner.dim()
     }
 
-    fn execute(&self, queries: &Dataset, k: usize, beam: usize) -> Vec<Vec<Neighbor>> {
+    fn execute(
+        &self,
+        queries: &Dataset,
+        k: usize,
+        beam: usize,
+        rec: Option<&FlightRecorder>,
+    ) -> Vec<Vec<Neighbor>> {
         if (0..queries.len() as u32).any(|qi| queries.point(qi)[0] == MARKER) {
             panic!("marker query reached the executor");
         }
-        self.inner.execute(queries, k, beam)
+        self.inner.execute(queries, k, beam, rec)
     }
 }
 

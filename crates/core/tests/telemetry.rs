@@ -18,12 +18,10 @@ use weavess_core::algorithms::nsg::{self, NsgParams};
 use weavess_core::algorithms::oa::{self, OaParams};
 use weavess_core::index::AnnIndex;
 use weavess_core::search::{
-    backtrack_search, backtrack_search_traced, beam_search, beam_search_traced,
-    filtered_beam_search, filtered_beam_search_traced, guided_search, guided_search_traced,
-    range_search, range_search_traced, SearchScratch, SearchStats,
+    filtered_beam_search, filtered_beam_search_traced, Router, SearchScratch, SearchStats,
 };
 use weavess_core::serve::{EngineOptions, QueryEngine};
-use weavess_core::telemetry::{profile_build, Histogram, NoopTracer, RecordingTracer};
+use weavess_core::telemetry::{profile_build, Histogram, NoopTracer, RecordingTracer, RouteEvent};
 use weavess_data::synthetic::MixtureSpec;
 use weavess_data::{Dataset, Neighbor};
 use weavess_graph::base::exact_knng;
@@ -96,7 +94,8 @@ proptest! {
 
     /// Tracing is the identity on every routine: same pools to the bit,
     /// same `SearchStats` (including `pool_peak`), whether the tracer is
-    /// the no-op or a full recorder.
+    /// the no-op or a full recorder; and the recorder sees every scored
+    /// seed once, then one event per hop.
     #[test]
     fn tracing_is_identity_for_all_five_routines(
         seed in 0u64..80,
@@ -107,49 +106,56 @@ proptest! {
         let mut sc_a = SearchScratch::new(ds.len());
         let mut sc_b = SearchScratch::new(ds.len());
         let q = qs.point(0);
-        let pred = |id: u32| id.is_multiple_of(3);
 
-        // beam: plain vs noop vs recording.
-        let mut st_a = SearchStats::default();
-        let mut st_b = SearchStats::default();
-        sc_a.next_epoch();
-        let a = beam_search(&ds, &g, q, &seeds, beam, &mut sc_a, &mut st_a);
-        sc_b.next_epoch();
-        let b = beam_search_traced(&ds, &g, q, &seeds, beam, &mut sc_b, &mut st_b, &mut NoopTracer);
-        assert_pools_identical(&a, &b, "beam noop");
-        prop_assert_eq!(st_a, st_b, "beam noop stats");
-        let mut rec = RecordingTracer::new();
-        let mut st_r = SearchStats::default();
-        sc_b.next_epoch();
-        let r = beam_search_traced(&ds, &g, q, &seeds, beam, &mut sc_b, &mut st_r, &mut rec);
-        assert_pools_identical(&a, &r, "beam recording");
-        prop_assert_eq!(st_a, st_r, "beam recording stats");
-        prop_assert_eq!(rec.hops() as u64, st_r.hops, "one event per hop");
-        prop_assert!(rec.replay_check(&ds, q), "recorded route must replay");
+        // The five routers — `TwoStage` is the seeded continuation: stage
+        // 1's seeds are traced once, stage 2's pre-scored pool entries are
+        // not re-reported, and hop indices run on across the two stages.
+        for router in [
+            Router::BestFirst,
+            Router::Backtrack { extra: 4 },
+            Router::Guided,
+            Router::Range { epsilon: 0.2 },
+            Router::TwoStage { stage1_beam_frac: 0.5 },
+        ] {
+            let what = format!("{router:?}");
+            let mut st_a = SearchStats::default();
+            let mut st_b = SearchStats::default();
+            sc_a.next_epoch();
+            let a = router.search(&ds, &g, q, &seeds, beam, &mut sc_a, &mut st_a);
+            sc_b.next_epoch();
+            let b = router.search_traced(
+                &ds, &g, q, &seeds, beam, &mut sc_b, &mut st_b, &mut NoopTracer,
+            );
+            assert_pools_identical(&a, &b, &format!("{what} noop"));
+            prop_assert_eq!(st_a, st_b, "{} noop stats", what);
 
-        // backtrack.
-        let mut st_a = SearchStats::default();
-        let mut st_b = SearchStats::default();
-        sc_a.next_epoch();
-        let a = backtrack_search(&ds, &g, q, &seeds, beam, 4, &mut sc_a, &mut st_a);
-        sc_b.next_epoch();
-        let b = backtrack_search_traced(
-            &ds, &g, q, &seeds, beam, 4, &mut sc_b, &mut st_b, &mut NoopTracer,
-        );
-        assert_pools_identical(&a, &b, "backtrack noop");
-        prop_assert_eq!(st_a, st_b, "backtrack noop stats");
-
-        // guided.
-        let mut st_a = SearchStats::default();
-        let mut st_b = SearchStats::default();
-        sc_a.next_epoch();
-        let a = guided_search(&ds, &g, q, &seeds, beam, &mut sc_a, &mut st_a);
-        sc_b.next_epoch();
-        let b = guided_search_traced(&ds, &g, q, &seeds, beam, &mut sc_b, &mut st_b, &mut NoopTracer);
-        assert_pools_identical(&a, &b, "guided noop");
-        prop_assert_eq!(st_a, st_b, "guided noop stats");
+            let mut rec = RecordingTracer::new();
+            let mut st_r = SearchStats::default();
+            sc_b.next_epoch();
+            let r = router.search_traced(&ds, &g, q, &seeds, beam, &mut sc_b, &mut st_r, &mut rec);
+            assert_pools_identical(&a, &r, &format!("{what} recording"));
+            prop_assert_eq!(st_a, st_r, "{} recording stats", what);
+            prop_assert_eq!(rec.hops() as u64, st_r.hops, "{}: one event per hop", what);
+            prop_assert!(rec.replay_check(&ds, q), "{}: recorded route must replay", what);
+            let (head, tail) = rec.events.split_at(seeds.len());
+            let seen: Vec<u32> = head
+                .iter()
+                .filter_map(|e| match *e {
+                    RouteEvent::Seed { vertex, .. } => Some(vertex),
+                    RouteEvent::Hop { .. } => None,
+                })
+                .collect();
+            prop_assert_eq!(&seen[..], &seeds[..], "{}: each seed reported once, first", what);
+            for (i, e) in tail.iter().enumerate() {
+                match *e {
+                    RouteEvent::Hop { hop, .. } => prop_assert_eq!(hop as usize, i, "{}", what),
+                    RouteEvent::Seed { .. } => prop_assert!(false, "{}: seed after a hop", what),
+                }
+            }
+        }
 
         // filtered.
+        let pred = |id: u32| id.is_multiple_of(3);
         let mut st_a = SearchStats::default();
         let mut st_b = SearchStats::default();
         sc_a.next_epoch();
@@ -160,18 +166,6 @@ proptest! {
         );
         assert_pools_identical(&a, &b, "filtered noop");
         prop_assert_eq!(st_a, st_b, "filtered noop stats");
-
-        // range.
-        let mut st_a = SearchStats::default();
-        let mut st_b = SearchStats::default();
-        sc_a.next_epoch();
-        let a = range_search(&ds, &g, q, &seeds, beam, 0.2, &mut sc_a, &mut st_a);
-        sc_b.next_epoch();
-        let b = range_search_traced(
-            &ds, &g, q, &seeds, beam, 0.2, &mut sc_b, &mut st_b, &mut NoopTracer,
-        );
-        assert_pools_identical(&a, &b, "range noop");
-        prop_assert_eq!(st_a, st_b, "range noop stats");
     }
 }
 
