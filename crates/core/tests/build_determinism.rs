@@ -23,7 +23,7 @@ use weavess_core::rnndescent::{rnn_descent, RnnDescentParams};
 use weavess_data::ground_truth::ground_truth;
 use weavess_data::metrics::recall;
 use weavess_data::synthetic::MixtureSpec;
-use weavess_data::Dataset;
+use weavess_data::{Dataset, KernelTier, Neighbor};
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 
@@ -136,14 +136,48 @@ fn nn_descent_is_thread_count_independent() {
     }
 }
 
+/// Digest of emitted k-NN rows: row length, ids and distance bits.
+fn knn_digest(g: &[Vec<Neighbor>]) -> u64 {
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    for row in g {
+        fnv1a(&mut digest, &(row.len() as u32).to_le_bytes());
+        for n in row {
+            fnv1a(&mut digest, &n.id.to_le_bytes());
+            fnv1a(&mut digest, &n.dist.to_bits().to_le_bytes());
+        }
+    }
+    digest
+}
+
+/// The golden digest for the kernel tier this process runs: kernels are
+/// bit-stable within a tier and differ by reassociation across tiers
+/// (float data), so an absolute pin is one constant per tier.
+fn golden_for_tier(scalar: u64, unrolled: u64, simd: u64) -> u64 {
+    match KernelTier::active() {
+        KernelTier::Scalar => scalar,
+        KernelTier::Unrolled => unrolled,
+        KernelTier::Simd => simd,
+    }
+}
+
+/// Thread counts the absolute RNN-Descent pins hold at.
+const RNN_THREADS: [usize; 4] = [1, 2, 3, 8];
+
 /// RNN-Descent shares NN-Descent's determinism contract: the two-phase
 /// update pass (own-chunk rewrites, then order-independent offer
 /// application) must emit the same lists — ids AND distance bits — at any
-/// worker count.
+/// worker count. Pinned absolutely (recorded before the flat-table
+/// rewrite), so a rewrite that is wrong the same way at every thread
+/// count still fails.
 #[test]
 fn rnn_descent_is_thread_count_independent() {
     let ds = dataset(400);
-    let run = |threads: usize| -> u64 {
+    let golden = golden_for_tier(
+        0x42e8_a327_0772_66b2,
+        0x42e8_a327_0772_66b2,
+        0xbf86_46c7_1cfc_c014,
+    );
+    for threads in RNN_THREADS {
         let params = RnnDescentParams {
             k: 10,
             r: 12,
@@ -153,20 +187,110 @@ fn rnn_descent_is_thread_count_independent() {
             seed: 11,
             threads,
         };
-        let g = rnn_descent(&ds, &params, None);
-        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
-        for row in &g {
-            fnv1a(&mut digest, &(row.len() as u32).to_le_bytes());
-            for n in row {
-                fnv1a(&mut digest, &n.id.to_le_bytes());
-                fnv1a(&mut digest, &n.dist.to_bits().to_le_bytes());
-            }
+        let got = knn_digest(&rnn_descent(&ds, &params, None));
+        assert_eq!(
+            got, golden,
+            "RNN-Descent at {threads} threads: {got:016x} != golden {golden:016x}"
+        );
+    }
+}
+
+/// Absolute pins for `rnn_descent` on the `matching` configuration NSG
+/// and friends run, from random initialization and with the first
+/// output fed back as `initial` (the EFANNA path): one chunk, an odd
+/// size, several chunks, and a size spanning several staging waves and
+/// twenty owner buckets with `n` not a multiple of 256.
+#[test]
+fn rnn_descent_matches_golden_digests() {
+    // (dim, n, [scalar, unrolled, simd] random-init, same for seeded).
+    type Golden = [u64; 3];
+    let cases: [(usize, usize, Golden, Golden); 4] = [
+        (
+            16,
+            400,
+            [
+                0xded4_e5b8_c1b3_e5d2,
+                0x0d0c_63a5_8cc3_5684,
+                0x5c14_9592_aa01_4314,
+            ],
+            [
+                0xae84_a21d_d15f_91ee,
+                0xc2ca_4d47_6ac4_101f,
+                0x48a9_ba35_82a3_1632,
+            ],
+        ),
+        (
+            8,
+            777,
+            [
+                0xe414_c2d9_b388_bc79,
+                0xe414_c2d9_b388_bc79,
+                0x11e9_d5b9_9645_96e8,
+            ],
+            [
+                0x2b1d_26c4_5be2_e136,
+                0x2b1d_26c4_5be2_e136,
+                0xdc3a_a4c4_a569_81e2,
+            ],
+        ),
+        (
+            24,
+            1000,
+            [
+                0x4237_f2cf_aa97_2762,
+                0x81f3_6b94_80de_364f,
+                0x329c_a5a8_96bc_6198,
+            ],
+            [
+                0x24dd_c460_d835_77af,
+                0x54fd_4dd9_3d61_7e2c,
+                0xb7ef_e583_8b94_9e9d,
+            ],
+        ),
+        (
+            32,
+            5000,
+            [
+                0x5e93_cae4_30fe_5a1d,
+                0x8ead_4f6e_88ca_c5a9,
+                0xfd8a_3576_7ca5_03a5,
+            ],
+            [
+                0x85b3_8ba7_4c3d_3878,
+                0xb178_63fe_9ff3_d279,
+                0x9507_bae0_1628_b04a,
+            ],
+        ),
+    ];
+    for (dim, n, random, seeded) in cases {
+        let ds = MixtureSpec::table10(dim, n, 5, 1.0, 1)
+            .with_seed(5)
+            .generate()
+            .0;
+        let want_random = golden_for_tier(random[0], random[1], random[2]);
+        let want_seeded = golden_for_tier(seeded[0], seeded[1], seeded[2]);
+        for threads in RNN_THREADS {
+            let params = RnnDescentParams::matching(&NnDescentParams {
+                k: 20,
+                l: 30,
+                iters: 6,
+                sample: 10,
+                reverse: 15,
+                seed: 9,
+                threads,
+            });
+            let first = rnn_descent(&ds, &params, None);
+            let got = knn_digest(&first);
+            assert_eq!(
+                got, want_random,
+                "{n}x{dim} random init, {threads} threads: {got:016x} != {want_random:016x}"
+            );
+            let got = knn_digest(&rnn_descent(&ds, &params, Some(&first)));
+            assert_eq!(
+                got, want_seeded,
+                "{n}x{dim} seeded, {threads} threads: {got:016x} != {want_seeded:016x}"
+            );
         }
-        digest
-    };
-    let base = run(1);
-    for &t in &THREAD_SWEEP[1..] {
-        assert_eq!(base, run(t), "RNN-Descent diverges at {t} threads");
     }
 }
 
