@@ -60,14 +60,6 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// The ranges `[0, chunk), [chunk, 2*chunk), ...` covering `0..n`.
-fn chunk_ranges(n: usize, chunk: usize) -> Vec<Range<usize>> {
-    let chunk = chunk.max(1);
-    (0..n.div_ceil(chunk))
-        .map(|c| c * chunk..((c + 1) * chunk).min(n))
-        .collect()
-}
-
 /// Maps fixed-size chunks of `0..n` through `f` on up to `threads`
 /// workers; returns one result per chunk, **in chunk order**.
 ///
@@ -82,58 +74,46 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, Range<usize>) -> R + Sync,
 {
-    let ranges = chunk_ranges(n, chunk);
-    let threads = threads.max(1).min(ranges.len().max(1));
-    if threads <= 1 {
-        let mut state = init();
-        return ranges.into_iter().map(|r| f(&mut state, r)).collect();
-    }
-    let slots: Vec<Mutex<Option<R>>> = ranges.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= ranges.len() {
-                        break;
-                    }
-                    *slots[c].lock() = Some(f(&mut state, ranges[c].clone()));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("chunk not processed"))
-        .collect()
+    // The index range is [`par_fill`]'s chunk of a zero-sized slice.
+    par_fill(
+        &mut vec![(); n],
+        chunk,
+        threads,
+        init,
+        |state, start, slot| f(state, start..start + slot.len()),
+    )
 }
 
-/// Fills `out` in place by fixed-size chunks: `f(state, start, slot)`
-/// writes `slot = out[start..start+slot.len()]`. Same determinism contract
-/// as [`par_chunks_map`]; used where each work unit owns a disjoint
-/// output range (per-point neighbor lists).
-pub fn par_fill<T, S, I, F>(out: &mut [T], chunk: usize, threads: usize, init: I, f: F)
+/// Hands `out` to `f` in place by fixed-size chunks — `f(state, start,
+/// slot)` owns `slot = out[start..start+slot.len()]` — and returns what
+/// each call produced, **in chunk order**. Same determinism contract as
+/// [`par_chunks_map`]; used where each work unit owns a disjoint output
+/// range (per-point neighbor lists) and, through the return value, where
+/// it also emits something for other ranges (staged offers).
+pub fn par_fill<T, R, S, I, F>(out: &mut [T], chunk: usize, threads: usize, init: I, f: F) -> Vec<R>
 where
     T: Send,
+    R: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut [T]) + Sync,
+    F: Fn(&mut S, usize, &mut [T]) -> R + Sync,
 {
     let chunk = chunk.max(1);
     let n_chunks = out.len().div_ceil(chunk);
     let threads = threads.max(1).min(n_chunks.max(1));
     if threads <= 1 {
         let mut state = init();
-        for (c, slot) in out.chunks_mut(chunk).enumerate() {
-            f(&mut state, c * chunk, slot);
-        }
-        return;
+        return out
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(c, slot)| f(&mut state, c * chunk, slot))
+            .collect();
     }
-    // Hand each chunk's mutable slice out through a one-shot slot; the
-    // slices are disjoint so workers never alias.
+    // Each chunk's mutable slice goes out through a one-shot slot and its
+    // result comes back through another, keyed by chunk index; the slices
+    // are disjoint so workers never alias.
     let work: Vec<Mutex<Option<&mut [T]>>> =
         out.chunks_mut(chunk).map(|s| Mutex::new(Some(s))).collect();
+    let done: Vec<Mutex<Option<R>>> = work.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -145,11 +125,14 @@ where
                         break;
                     }
                     let slot = work[c].lock().take().expect("chunk taken twice");
-                    f(&mut state, c * chunk, slot);
+                    *done[c].lock() = Some(f(&mut state, c * chunk, slot));
                 }
             });
         }
     });
+    done.into_iter()
+        .map(|s| s.into_inner().expect("chunk not processed"))
+        .collect()
 }
 
 /// One [`WorkerPool::run`] call: the task cursor the caller and the
@@ -389,7 +372,7 @@ mod tests {
 
     #[test]
     fn par_chunks_map_is_thread_count_independent() {
-        let expect: Vec<usize> = chunk_ranges(1_000, 64).iter().map(|r| r.len()).collect();
+        let expect: Vec<usize> = (0..1_000).step_by(64).map(|s| 64.min(1_000 - s)).collect();
         for threads in [1, 2, 8] {
             let got = par_chunks_map(1_000, 64, threads, || 0usize, |_, r| r.len());
             assert_eq!(got, expect, "threads={threads}");
@@ -413,6 +396,37 @@ mod tests {
             );
             assert!(out.iter().enumerate().all(|(i, &x)| x == i));
         }
+    }
+
+    #[test]
+    fn par_fill_mutates_chunks_and_returns_their_values_in_chunk_order() {
+        // Each chunk rewrites its own slots and reports (start, sum of
+        // what it found there): the phase-A shape — owned rows mutated,
+        // a per-chunk product collected.
+        let input: Vec<u64> = (0..997).map(|i| i * i % 31).collect();
+        let expect: Vec<(usize, u64)> = input
+            .chunks(100)
+            .enumerate()
+            .map(|(c, s)| (c * 100, s.iter().sum()))
+            .collect();
+        for threads in [1, 2, 8] {
+            let mut out = input.clone();
+            let got = par_fill(
+                &mut out,
+                100,
+                threads,
+                || (),
+                |_, start, slot| {
+                    let sum = slot.iter().sum::<u64>();
+                    slot.iter_mut().for_each(|x| *x += 1);
+                    (start, sum)
+                },
+            );
+            assert_eq!(got, expect, "threads={threads}");
+            assert!(out.iter().zip(&input).all(|(o, i)| *o == i + 1));
+        }
+        let none: Vec<u8> = par_fill(&mut [0u8; 0], 4, 3, || (), |_, _, _| 1u8);
+        assert!(none.is_empty());
     }
 
     #[test]

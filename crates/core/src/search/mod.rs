@@ -15,7 +15,7 @@ mod beam;
 mod core;
 pub mod filtered;
 mod guided;
-mod pool;
+pub(crate) mod pool;
 mod range;
 mod scratch;
 mod visited;

@@ -20,22 +20,33 @@ use weavess_data::Neighbor;
 /// its low 32 bits.
 pub(crate) const MAX_VERTICES: usize = 1 << 31;
 
-/// Slot key of an unexpanded entry: `total_cmp` rank of the distance in
+/// The spare low bit of a slot, its owner's to define: *expanded* in
+/// [`CandidatePool`], *new* in the [`crate::rnndescent`] tables.
+pub(crate) const FLAG: u64 = 1;
+
+/// Slot key of an unflagged entry: `total_cmp` rank of the distance in
 /// the high half (sign bit flipped for positives, all bits for negatives,
 /// which is `total_cmp`'s own mapping made unsigned), id above the flag
 /// bit in the low half.
 #[inline]
-fn slot(n: Neighbor) -> u64 {
+pub(crate) fn slot(n: Neighbor) -> u64 {
     debug_assert!((n.id as usize) < MAX_VERTICES);
     let bits = n.dist.to_bits();
     let rank = bits ^ ((((bits as i32) >> 31) as u32) | 0x8000_0000);
     (rank as u64) << 32 | (n.id as u64) << 1
 }
 
+/// The distance rank a slot sorts by first: `slot(a) >> 32` orders like
+/// `a.dist` under `total_cmp`.
+#[inline]
+pub(crate) fn dist_rank(slot: u64) -> u32 {
+    (slot >> 32) as u32
+}
+
 /// Inverse of [`slot`], dropping the flag.
 #[inline]
-fn neighbor(slot: u64) -> Neighbor {
-    let rank = (slot >> 32) as u32;
+pub(crate) fn neighbor(slot: u64) -> Neighbor {
+    let rank = dist_rank(slot);
     let bits = if rank & 0x8000_0000 != 0 {
         rank ^ 0x8000_0000
     } else {
@@ -107,8 +118,8 @@ impl CandidatePool {
     pub(crate) fn next_unexpanded(&mut self) -> Option<Neighbor> {
         while let Some(s) = self.slots.get_mut(self.cursor) {
             self.cursor += 1;
-            if *s & 1 == 0 {
-                *s |= 1;
+            if *s & FLAG == 0 {
+                *s |= FLAG;
                 return Some(neighbor(*s));
             }
         }

@@ -119,16 +119,7 @@ fn nn_descent_is_thread_count_independent() {
             seed: 11,
             threads,
         };
-        let g = nn_descent(&ds, &params, None);
-        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
-        for row in &g {
-            fnv1a(&mut digest, &(row.len() as u32).to_le_bytes());
-            for n in row {
-                fnv1a(&mut digest, &n.id.to_le_bytes());
-                fnv1a(&mut digest, &n.dist.to_bits().to_le_bytes());
-            }
-        }
-        digest
+        knn_digest(&nn_descent(&ds, &params, None))
     };
     let base = run(1);
     for &t in &THREAD_SWEEP[1..] {
@@ -152,7 +143,7 @@ fn knn_digest(g: &[Vec<Neighbor>]) -> u64 {
 /// The golden digest for the kernel tier this process runs: kernels are
 /// bit-stable within a tier and differ by reassociation across tiers
 /// (float data), so an absolute pin is one constant per tier.
-fn golden_for_tier(scalar: u64, unrolled: u64, simd: u64) -> u64 {
+fn golden_for_tier([scalar, unrolled, simd]: [u64; 3]) -> u64 {
     match KernelTier::active() {
         KernelTier::Scalar => scalar,
         KernelTier::Unrolled => unrolled,
@@ -172,11 +163,11 @@ const RNN_THREADS: [usize; 4] = [1, 2, 3, 8];
 #[test]
 fn rnn_descent_is_thread_count_independent() {
     let ds = dataset(400);
-    let golden = golden_for_tier(
+    let golden = golden_for_tier([
         0x42e8_a327_0772_66b2,
         0x42e8_a327_0772_66b2,
         0xbf86_46c7_1cfc_c014,
-    );
+    ]);
     for threads in RNN_THREADS {
         let params = RnnDescentParams {
             k: 10,
@@ -267,8 +258,7 @@ fn rnn_descent_matches_golden_digests() {
             .with_seed(5)
             .generate()
             .0;
-        let want_random = golden_for_tier(random[0], random[1], random[2]);
-        let want_seeded = golden_for_tier(seeded[0], seeded[1], seeded[2]);
+        let (want_random, want_seeded) = (golden_for_tier(random), golden_for_tier(seeded));
         for threads in RNN_THREADS {
             let params = RnnDescentParams::matching(&NnDescentParams {
                 k: 20,
