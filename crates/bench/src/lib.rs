@@ -11,8 +11,6 @@
 //! - [`runner`]: build reports, beam sweeps (recall / QPS / NDC / hops),
 //!   and target-recall searches.
 //! - [`report`]: aligned-table printing and CSV export to `results/`.
-//! - [`workload`]: the clustered-data + Zipf-skewed-query serving
-//!   workload shared by `adapt_bench` and `serve_bench`.
 //!
 //! Environment knobs (all binaries):
 //! - `WEAVESS_SCALE` — cardinality scale for the stand-ins (default 0.003,
@@ -27,7 +25,6 @@ pub mod plot;
 pub mod report;
 pub mod runner;
 pub mod tuning;
-pub mod workload;
 
 /// Reads the cardinality scale from `WEAVESS_SCALE`.
 pub fn env_scale() -> f64 {

@@ -39,8 +39,7 @@ use weavess_data::Dataset;
 use weavess_graph::reorder::Permutation;
 use weavess_graph::{merge_overlay, CsrGraph, GraphOverlay, OverlayError};
 
-/// Tuning knobs for one adaptation pass. The defaults are the
-/// `adapt_bench` configuration.
+/// Tuning knobs for one adaptation pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptParams {
     /// Minimum *mean* detour length (hops saved per observed traversal)

@@ -9,7 +9,9 @@
 //! because the traversal visits the same vertices through the same
 //! kernels. Only the memory-access pattern moves, which is the entire
 //! point: after PR 2 the routing hot path is memory-bound, so layout is
-//! where the remaining QPS lives. `layout_bench` sweeps the matrix.
+//! where the remaining QPS lives. `crates/core/tests/layout.rs` holds the
+//! identity over the matrix; the `layout.*_qps_ratio` rows of
+//! `benchmark/run.sh --trace 1` time it.
 
 use crate::components::SeedStrategy;
 use crate::index::{AnnIndex, FlatIndex, IndexError, SearchContext};

@@ -155,11 +155,7 @@ fn read_seeds(r: &mut impl Read) -> Result<SeedStrategy, PersistError> {
         },
         1 => {
             let len = read_u64(r)? as usize;
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push(read_u32(r)?);
-            }
-            SeedStrategy::Fixed(v)
+            SeedStrategy::Fixed(read_u32s(r, len)?)
         }
         t => return Err(PersistError::BadFormat(format!("unknown seed tag {t}"))),
     })
@@ -178,18 +174,14 @@ fn write_graph_lists(w: &mut impl Write, lists: &[Vec<u32>]) -> Result<(), Persi
 
 fn read_graph_lists(r: &mut impl Read) -> Result<Vec<Vec<u32>>, PersistError> {
     let n = read_u64(r)? as usize;
-    let mut lists: Vec<Vec<u32>> = Vec::with_capacity(n);
+    let mut lists: Vec<Vec<u32>> = Vec::with_capacity(n.min(MAX_PREALLOC));
     for _ in 0..n {
         let deg = read_u32(r)? as usize;
-        let mut l = Vec::with_capacity(deg);
-        for _ in 0..deg {
-            let id = read_u32(r)?;
-            if id as usize >= n {
-                return Err(PersistError::BadFormat(format!(
-                    "edge target {id} out of range (n={n})"
-                )));
-            }
-            l.push(id);
+        let l = read_u32s(r, deg)?;
+        if let Some(id) = l.iter().find(|&&id| id as usize >= n) {
+            return Err(PersistError::BadFormat(format!(
+                "edge target {id} out of range (n={n})"
+            )));
         }
         lists.push(l);
     }
@@ -323,10 +315,7 @@ pub fn load_layout_index(path: &Path, ds: &Dataset) -> Result<LayoutIndex, Persi
         0 => None,
         1 => {
             let n = read_u64(&mut r)? as usize;
-            let mut inverse = Vec::with_capacity(n);
-            for _ in 0..n {
-                inverse.push(read_u32(&mut r)?);
-            }
+            let inverse = read_u32s(&mut r, n)?;
             Some(Permutation::from_inverse(inverse).map_err(PersistError::BadFormat)?)
         }
         t => {
@@ -417,14 +406,7 @@ pub fn write_hnsw(w: &mut impl Write, index: &HnswIndex) -> Result<(), PersistEr
     w.write_all(&index.enter_point().to_le_bytes())?;
     w.write_all(&(index.num_layers() as u32).to_le_bytes())?;
     for l in 0..index.num_layers() {
-        let lists = index.layer(l).to_lists();
-        w.write_all(&(lists.len() as u64).to_le_bytes())?;
-        for list in &lists {
-            w.write_all(&(list.len() as u32).to_le_bytes())?;
-            for &x in list {
-                w.write_all(&x.to_le_bytes())?;
-            }
-        }
+        write_graph_lists(w, &index.layer(l).to_lists())?;
     }
     Ok(())
 }
@@ -453,26 +435,11 @@ pub fn load_hnsw(path: &Path) -> Result<HnswIndex, PersistError> {
     let mut layers = Vec::with_capacity(n_layers);
     let mut n0 = 0usize;
     for li in 0..n_layers {
-        let n = read_u64(&mut r)? as usize;
+        let lists = read_graph_lists(&mut r)?;
         if li == 0 {
-            n0 = n;
-        } else if n != n0 {
+            n0 = lists.len();
+        } else if lists.len() != n0 {
             return Err(PersistError::BadFormat("layer size mismatch".into()));
-        }
-        let mut lists: Vec<Vec<u32>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let deg = read_u32(&mut r)? as usize;
-            let mut l = Vec::with_capacity(deg);
-            for _ in 0..deg {
-                let id = read_u32(&mut r)?;
-                if id as usize >= n {
-                    return Err(PersistError::BadFormat(format!(
-                        "edge target {id} out of range (n={n})"
-                    )));
-                }
-                l.push(id);
-            }
-            lists.push(l);
         }
         layers.push(CsrGraph::from_lists(&lists));
     }
@@ -519,6 +486,20 @@ fn read_f32(r: &mut impl Read) -> io::Result<f32> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b)?;
     Ok(f32::from_le_bytes(b))
+}
+
+/// Most elements reserved ahead of reading them. A count in the file is
+/// unvalidated input: reserving it whole lets a 25-byte file panic with
+/// "capacity overflow" or abort in the allocator, where reading on simply
+/// runs into `UnexpectedEof`.
+const MAX_PREALLOC: usize = 1 << 16;
+
+fn read_u32s(r: &mut impl Read, count: usize) -> io::Result<Vec<u32>> {
+    let mut v = Vec::with_capacity(count.min(MAX_PREALLOC));
+    for _ in 0..count {
+        v.push(read_u32(r)?);
+    }
+    Ok(v)
 }
 
 #[cfg(test)]
@@ -703,6 +684,66 @@ mod tests {
         assert!(matches!(load_index(&path), Err(PersistError::BadFormat(_))));
         std::fs::write(&path, b"WV").unwrap();
         assert!(matches!(load_index(&path), Err(PersistError::Io(_))));
+
+        // Short files that stop right after an element count far past their
+        // own length (the first is the 25-byte `WVSS` whose seed count is
+        // `u64::MAX`): every loader must run into EOF, not reserve the count.
+        let (ds, _) = MixtureSpec::table10(4, 10, 1, 5.0, 2).generate();
+        let header = |magic: &[u8; 4], version: u32| {
+            let mut b = magic.to_vec();
+            b.extend(version.to_le_bytes());
+            write_str(&mut b, "NSG").unwrap();
+            write_router(&mut b, &Router::BestFirst).unwrap();
+            b
+        };
+        // The `SeedStrategy::Fixed` tag: its length is the hostile count.
+        let fixed_seeds = |mut b: Vec<u8>| {
+            b.push(1);
+            b
+        };
+        // A complete seed block, then the tag bytes up to the next count.
+        let random_seeds = |mut b: Vec<u8>, tags: &[u8]| {
+            write_seeds(&mut b, &SeedStrategy::Random { count: 1 }).unwrap();
+            b.extend(tags);
+            b
+        };
+        let flat_header = || header(MAGIC, VERSION);
+        let layout_header = || header(LAYOUT_MAGIC, LAYOUT_VERSION);
+        let mut hnsw = HNSW_MAGIC.to_vec();
+        hnsw.extend(HNSW_VERSION.to_le_bytes());
+        hnsw.extend(0u32.to_le_bytes()); // enter point
+        hnsw.extend(1u32.to_le_bytes()); // layer count
+        type Loader<'a> = &'a dyn Fn(&Path) -> Option<PersistError>;
+        let flat: Loader = &|p| load_index(p).err();
+        let layout: Loader = &|p| load_layout_index(p, &ds).err();
+        let cases: [(&str, Vec<u8>, Loader); 6] = [
+            ("flat seeds", fixed_seeds(flat_header()), flat),
+            ("flat graph", random_seeds(flat_header(), &[]), flat),
+            ("layout seeds", fixed_seeds(layout_header()), layout),
+            // Split layout, permutation flag set / clear.
+            (
+                "layout permutation",
+                random_seeds(layout_header(), &[0, 1]),
+                layout,
+            ),
+            (
+                "layout graph",
+                random_seeds(layout_header(), &[0, 0]),
+                layout,
+            ),
+            ("hnsw layer", hnsw, &|p| load_hnsw(p).err()),
+        ];
+        for (what, prefix, load) in &cases {
+            for count in [u64::MAX, 1u64 << 42] {
+                let mut bytes = prefix.clone();
+                bytes.extend(count.to_le_bytes());
+                std::fs::write(&path, &bytes).unwrap();
+                match load(&path) {
+                    Some(PersistError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {}
+                    other => panic!("{what}, count {count}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! Plain NN-Descent ([`crate::nndescent`]) scores every sampled
 //! new×(new+old) pair of every vertex's pool each iteration — the local
 //! join dominates refinement-strategy construction end to end (~87% of an
-//! NSG build in `BENCH_obs.json`). RNN-Descent replaces the join with a
+//! NSG build's `C1 init` span when this module was written). RNN-Descent
+//! replaces the join with a
 //! *prune-and-propagate* step built on the relative-neighborhood rule:
 //!
 //! 1. **Update (prune + add).** Scan each vertex `u`'s pool nearest-first.
@@ -25,8 +26,9 @@
 //!
 //! Working pools stay near the pruned (RNG-sparse) degree instead of the
 //! KNN degree, so each pass touches far fewer pairs than a local join —
-//! the paper reports substantially faster construction at equal recall,
-//! and `BENCH_build.json` reproduces that on this harness.
+//! the paper reports substantially faster construction at equal recall;
+//! the `build.span_s.c1_init` row of `benchmark/run.sh --workload hidim
+//! --trace 1` is this module's wall time.
 //!
 //! **The emitted graph.** A pruned pool's nearest-`k` is deliberately
 //! *not* the KNN — mutually-close neighbors occlude each other — but C1
@@ -154,8 +156,9 @@ impl RnnDescentParams {
     /// Derives an RNN-Descent configuration that stands in for a given
     /// NN-Descent configuration as C1: same output degree, seed and
     /// threads, with descent knobs sized so the pruned pools regrow a
-    /// comparable candidate stream. These are the settings
-    /// `BENCH_build.json`'s RNN-vs-NND comparison runs.
+    /// comparable candidate stream. These are the settings the
+    /// `C1Choice::RnnDescent` builders (and so the benchmark's NSG
+    /// workloads) run.
     pub fn matching(nd: &NnDescentParams) -> Self {
         // Two outer rounds with a generous inner budget beat three lean
         // rounds at equal wall-clock: the inner loop self-terminates via
@@ -858,8 +861,8 @@ mod tests {
     #[test]
     fn matches_nn_descent_quality() {
         // The headline claim at unit scale: RNN-Descent reaches
-        // NN-Descent-level graph quality. (That it does so *faster* is
-        // asserted by the BENCH_build.json harness at bench scale.)
+        // NN-Descent-level graph quality. (How fast is the benchmark's
+        // `build.span_s.c1_init` row, not a unit test's business.)
         let ds = dataset();
         let exact = exact_knn_graph(&ds, 10, 4);
         let nd = NnDescentParams {

@@ -226,7 +226,7 @@ pub struct ShardedBatchReport {
     /// Per-(query, shard) component latencies, merged across shards. A
     /// query's end-to-end latency under concurrent scatter is its slowest
     /// shard, not this histogram's sum; the serving-path numbers come
-    /// from the admission queue and `serve_bench`.
+    /// from the admission queue (`benchmark/run.sh --workload serve-open`).
     pub latency_hist: Histogram,
     /// Per-(query, shard) NDC distribution, merged across shards.
     pub ndc_hist: Histogram,

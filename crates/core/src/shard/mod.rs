@@ -30,8 +30,8 @@
 //! this bit-for-bit at 1/2/4/8 shards against the unsharded engine for
 //! all five search routines, and property-tests the merge law in
 //! isolation. With approximate per-shard search the invariant degrades
-//! gracefully into "merged recall ≥ per-shard recall", and `serve_bench`
-//! reports both.
+//! gracefully into "merged recall ≥ per-shard recall"; the benchmark's
+//! `serve-open` workload gates the merged `recall_at_10`.
 
 pub mod engine;
 pub mod merge;

@@ -53,7 +53,7 @@ fn clone_flat(flat: &FlatIndex) -> FlatIndex {
     }
 }
 
-/// The adapt_bench hosting: NSG on the fused arena, BFS-reordered — the
+/// The serving configuration: NSG on the fused arena, BFS-reordered — the
 /// layout where index ids differ from caller ids, so the permutation
 /// plumbing is actually exercised.
 fn build_layout(base: &Dataset) -> (FlatIndex, LayoutIndex) {
@@ -63,8 +63,8 @@ fn build_layout(base: &Dataset) -> (FlatIndex, LayoutIndex) {
 }
 
 /// Mining parameters sized for the small test workload (the defaults
-/// target the bench scale and would leave too few candidates here, and
-/// the reach gate is widened so every seed mines at least one shortcut).
+/// would leave too few candidates here, and the reach gate is widened so
+/// every seed mines at least one shortcut).
 fn params() -> AdaptParams {
     AdaptParams {
         min_gap: 2.0,
@@ -239,9 +239,11 @@ fn recall(base: &Dataset, q: &[f32], pool: &[Neighbor]) -> f64 {
     hit as f64 / K as f64
 }
 
-/// Recall parity at a fixed beam: adapting on a trace of the evaluation
-/// traffic itself must not lose more than 0.001 Recall@10 on it (the
-/// adapt_bench smoke gate, as a unit-scale test).
+/// Recall parity at a fixed beam, and the effect's direction: adapting on
+/// a trace of the evaluation traffic itself must not lose more than 0.001
+/// Recall@10 on it, and must answer it in fewer hops and fewer distance
+/// computations at the same beam (the catapult shortcuts exist to shorten
+/// exactly these routes).
 #[test]
 fn adaptation_keeps_recall_parity_at_fixed_beam() {
     let (base, queries) = setup(71, 700, 60);
@@ -249,21 +251,26 @@ fn adaptation_keeps_recall_parity_at_fixed_beam() {
     let (agg, _) = record_routes(&idx, &base, &queries);
 
     let mut ctx = SearchContext::new(base.len());
-    let mean_recall = |idx: &LayoutIndex, ctx: &mut SearchContext| {
+    let mut measure = |idx: &LayoutIndex| {
         let mut total = 0.0;
         for qi in 0..queries.len() as u32 {
             let q = queries.point(qi);
-            total += recall(&base, q, &idx.search(&base, q, K, BEAM, ctx));
+            total += recall(&base, q, &idx.search(&base, q, K, BEAM, &mut ctx));
         }
-        total / queries.len() as f64
+        (total / queries.len() as f64, ctx.take_stats())
     };
-    let before = mean_recall(&idx, &mut ctx);
+    let (before, work_before) = measure(&idx);
     let report = idx.adapt(&base, &agg, &params()).expect("adapt");
     assert!(report.edges_added > 0, "vacuous test: no shortcuts mined");
-    let after = mean_recall(&idx, &mut ctx);
+    let (after, work_after) = measure(&idx);
     assert!(
         after >= before - 0.001,
         "adaptation regressed Recall@{K} at beam {BEAM}: {before:.4} -> {after:.4}"
+    );
+    assert!(
+        work_after.hops < work_before.hops && work_after.ndc < work_before.ndc,
+        "adaptation did not shorten the traced routes at beam {BEAM}: \
+         {work_before:?} -> {work_after:?}"
     );
 }
 

@@ -9,8 +9,9 @@
 //! an FNV-1a digest of the adjacency (and, where an index persists, of
 //! the exact serialized bytes).
 //!
-//! CI runs this file under both kernel modes (default and
-//! `paper-fidelity`), so the guarantee holds for either distance flavor.
+//! CI runs this file under every kernel tier (the `kernel-matrix` job's
+//! `WEAVESS_KERNEL=scalar|unrolled|simd`), so the guarantee holds for each
+//! distance flavor.
 
 use proptest::prelude::*;
 use weavess_core::algorithms::hnsw::{self, HnswParams};

@@ -3,8 +3,8 @@
 //! The contracts under test, per the observability design:
 //!
 //! - **compile-away**: the recorded and plain batch paths return
-//!   bit-identical results (the ≤5% overhead half of the contract is
-//!   `obs_serve_bench --smoke`'s gate);
+//!   bit-identical results (what recording costs is the benchmark's
+//!   `trace.overhead_share` and `flight.*_share` rows on `serve-open`);
 //! - **deterministic sampling**: the stable dump of seed-sampled
 //!   flights is byte-identical at 1/2/8 workers and across repeated
 //!   runs at 1/2/4 shards, and the sampled fingerprint *set* is

@@ -1,12 +1,11 @@
 //! Cross-kernel-tier identity guard.
 //!
 //! The workspace runs one of three distance-kernel tiers: scalar
-//! (pinned by `--features paper-fidelity`), unrolled, or explicit AVX2
-//! simd — selected at runtime via [`KernelTier`]. These tests pin a
-//! golden FNV-1a digest of full search traces; the SAME constant must
-//! hold under every tier, so one `cargo test` run on an AVX2 host plus
-//! the `paper-fidelity` CI job proves all three kernel flavors route
-//! searches identically.
+//! (`WEAVESS_KERNEL=scalar`, the survey-faithful loops), unrolled, or
+//! explicit AVX2 simd — selected at runtime via [`KernelTier`]. These
+//! tests pin a golden FNV-1a digest of full search traces; the SAME
+//! constant must hold under every tier, so one `cargo test` run on an
+//! AVX2 host proves all three kernel flavors route searches identically.
 //!
 //! The dataset uses small-integer coordinates: every squared difference and
 //! every partial sum is an integer far below 2^24, so f32 arithmetic is
@@ -27,33 +26,17 @@ use weavess_graph::base::exact_knng;
 /// Serializes tests that force the process-wide kernel tier.
 static TIER_LOCK: Mutex<()> = Mutex::new(());
 
-/// The tiers this process can actually run (paper-fidelity pins scalar).
-fn runnable_tiers() -> Vec<KernelTier> {
-    if cfg!(feature = "paper-fidelity") {
-        vec![KernelTier::Scalar]
-    } else {
-        KernelTier::ALL
-            .into_iter()
-            .filter(|t| t.is_available())
-            .collect()
-    }
-}
-
-/// Runs `check` under each runnable tier in turn (forced, unless
-/// `paper-fidelity` pins scalar), serialized on [`TIER_LOCK`], then
+/// Runs `check` under each tier this host can run (`simd` needs
+/// AVX2+FMA), forced in turn and serialized on [`TIER_LOCK`], then
 /// restores the tier the process started with.
 fn under_every_tier(mut check: impl FnMut(KernelTier)) {
     let _guard = TIER_LOCK.lock().unwrap();
     let initial = KernelTier::active();
-    for tier in runnable_tiers() {
-        if !cfg!(feature = "paper-fidelity") {
-            KernelTier::force(tier).unwrap();
-        }
+    for tier in KernelTier::ALL.into_iter().filter(|t| t.is_available()) {
+        KernelTier::force(tier).unwrap();
         check(tier);
     }
-    if !cfg!(feature = "paper-fidelity") {
-        KernelTier::force(initial).unwrap();
-    }
+    KernelTier::force(initial).unwrap();
 }
 
 /// Deterministic small-integer dataset: coordinates in [-16, 16].
@@ -188,8 +171,7 @@ fn routine_digests() -> Vec<String> {
 
 /// Golden digest: identical under every runnable kernel tier — the test
 /// forces each available tier in turn (scalar, unrolled, simd) and
-/// demands the same constant from all of them, which together with the
-/// `paper-fidelity` CI job gives the full three-column digest guard.
+/// demands the same constant from all of them.
 /// If one tier diverges, that kernel flavor changed results; if every
 /// tier diverges, the search itself changed (update the constant).
 #[test]

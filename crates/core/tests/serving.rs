@@ -22,9 +22,9 @@ fn dataset() -> (Dataset, Dataset) {
 /// both a fixed-seed index (HNSW) and a random-seed index (KGraph, whose
 /// per-query seed draws go through the engine's deterministic reseeding).
 ///
-/// This runs under the default (unrolled, batch-scored) kernels; the CI
-/// `paper-fidelity` job re-runs it under the scalar reference kernels, so
-/// worker-count determinism is certified in both kernel modes.
+/// This runs under the detected kernel tier; the CI `kernel-matrix` job
+/// re-runs it under `WEAVESS_KERNEL=scalar|unrolled|simd`, so worker-count
+/// determinism is certified on every tier.
 #[test]
 fn engine_results_identical_across_1_2_8_workers() {
     let (base, queries) = dataset();

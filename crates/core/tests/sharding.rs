@@ -98,9 +98,9 @@ fn assert_pools_identical(a: &[Neighbor], b: &[Neighbor], what: &str) {
 /// merged results at 1, 2, 4, and 8 shards are bit-identical to the
 /// unsharded engine over the whole dataset.
 ///
-/// This runs under the default (unrolled, batch-scored) kernels; the CI
-/// `paper-fidelity` job re-runs it under the scalar reference kernels, so
-/// shard-count determinism is certified in both kernel modes.
+/// This runs under the detected kernel tier; the CI `kernel-matrix` job
+/// re-runs it under `WEAVESS_KERNEL=scalar|unrolled|simd`, so shard-count
+/// determinism is certified on every tier.
 #[test]
 fn sharded_results_identical_to_unsharded_at_1_2_4_8_shards() {
     let (base, queries) = dataset(600, 16);

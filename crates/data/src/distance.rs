@@ -16,9 +16,8 @@
 //! feature detection (`simd` where AVX2+FMA exist, else `unrolled`),
 //! overridable by the `WEAVESS_KERNEL=scalar|unrolled|simd` environment
 //! variable and programmatically by [`KernelTier::force`] — so every tier
-//! is testable on any box. The `paper-fidelity` cargo feature pins the
-//! scalar tier at compile time for survey-faithful runs (the dispatcher
-//! is bypassed entirely; `force` to another tier reports an error).
+//! is testable on any box. A survey-faithful run is `WEAVESS_KERNEL=scalar`
+//! (or `KernelTier::force(KernelTier::Scalar)`).
 //!
 //! **Determinism contract**: within one tier the kernels are fully
 //! deterministic — accumulation order is fixed, so equal inputs always
@@ -35,8 +34,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 pub mod simd;
 
-/// Survey-faithful plain scalar loops (§5.1). Selected by the
-/// `paper-fidelity` feature; always available for tests and benches.
+/// Survey-faithful plain scalar loops (§5.1): the [`KernelTier::Scalar`]
+/// tier, and the reference the other tiers are tested against.
 pub mod scalar {
     /// Squared Euclidean distance between two equal-length vectors.
     #[inline]
@@ -256,8 +255,7 @@ impl KernelTier {
     }
 
     /// The best tier the hardware supports: `simd` where AVX2+FMA exist,
-    /// else `unrolled`. (Under `paper-fidelity` the dispatcher never
-    /// consults this — the scalar tier is pinned.)
+    /// else `unrolled`.
     pub fn detect() -> KernelTier {
         if simd::available() {
             KernelTier::Simd
@@ -270,29 +268,20 @@ impl KernelTier {
     ///
     /// Resolved on first call: `WEAVESS_KERNEL` if set (falling back with
     /// a warning when it names an unavailable or unknown tier), else
-    /// [`KernelTier::detect`]. Under `paper-fidelity` this is always
-    /// [`KernelTier::Scalar`].
+    /// [`KernelTier::detect`].
     #[inline]
     pub fn active() -> KernelTier {
-        #[cfg(feature = "paper-fidelity")]
-        {
-            KernelTier::Scalar
-        }
-        #[cfg(not(feature = "paper-fidelity"))]
-        {
-            match ACTIVE.load(Ordering::Relaxed) {
-                0 => KernelTier::Scalar,
-                1 => KernelTier::Unrolled,
-                2 => KernelTier::Simd,
-                _ => Self::init_active(),
-            }
+        match ACTIVE.load(Ordering::Relaxed) {
+            0 => KernelTier::Scalar,
+            1 => KernelTier::Unrolled,
+            2 => KernelTier::Simd,
+            _ => Self::init_active(),
         }
     }
 
     /// Cold path of [`KernelTier::active`]: resolves env override +
     /// detection and publishes the result.
     #[cold]
-    #[cfg_attr(feature = "paper-fidelity", allow(dead_code))]
     fn init_active() -> KernelTier {
         let tier = match std::env::var("WEAVESS_KERNEL") {
             Ok(v) => match KernelTier::parse(&v) {
@@ -323,12 +312,9 @@ impl KernelTier {
 
     /// Forces the active tier for every dispatched entry point in this
     /// process (tests, benches, reproductions). Fails without changing
-    /// anything when the tier cannot run here — forcing `simd` on a
-    /// non-AVX2 box, or any non-scalar tier under `paper-fidelity`.
+    /// anything when the tier cannot run here (forcing `simd` on a
+    /// non-AVX2 box).
     pub fn force(tier: KernelTier) -> Result<(), &'static str> {
-        if cfg!(feature = "paper-fidelity") && tier != KernelTier::Scalar {
-            return Err("paper-fidelity pins the scalar kernel tier");
-        }
         if !tier.is_available() {
             return Err("kernel tier is unavailable on this host (needs AVX2+FMA)");
         }
@@ -373,11 +359,7 @@ pub fn host_features() -> String {
     }
 }
 
-#[cfg(feature = "paper-fidelity")]
-pub use scalar::{cosine_angle_at, dot, squared_euclidean};
-
 /// Squared Euclidean distance through the active [`KernelTier`].
-#[cfg(not(feature = "paper-fidelity"))]
 #[inline]
 pub fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
     match KernelTier::active() {
@@ -388,7 +370,6 @@ pub fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Inner product through the active [`KernelTier`].
-#[cfg(not(feature = "paper-fidelity"))]
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     match KernelTier::active() {
@@ -399,7 +380,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Cosine of the angle at `p` through the active [`KernelTier`].
-#[cfg(not(feature = "paper-fidelity"))]
 #[inline]
 pub fn cosine_angle_at(p: &[f32], a: &[f32], b: &[f32]) -> f32 {
     match KernelTier::active() {
@@ -421,7 +401,6 @@ pub fn squared_euclidean_to_many(
     ids: &[u32],
     out: &mut Vec<f32>,
 ) {
-    #[cfg(not(feature = "paper-fidelity"))]
     if KernelTier::active() == KernelTier::Simd {
         simd::squared_euclidean_to_many(query, flat, dim, ids, out);
         return;

@@ -9,8 +9,9 @@
 //! Prefetching is a pure hardware hint: it never changes what is read or
 //! computed, so results, NDC, and hops are bit-identical with it on or
 //! off. It is therefore toggled at *runtime* (a relaxed atomic read per
-//! search call, not per line) so one binary can A/B it — `layout_bench`
-//! sweeps both states into `BENCH_layout.json`.
+//! search call, not per line) so one binary can A/B it — the
+//! `layout.prefetch_qps_ratio` row of `benchmark/run.sh --trace 1`
+//! measures both states.
 //!
 //! On non-x86_64 targets the hint compiles to nothing.
 

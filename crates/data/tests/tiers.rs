@@ -7,11 +7,6 @@
 //! ONE `#[test]` in its OWN test binary: the libtest harness runs tests
 //! within a binary in parallel, and a second test here could observe a
 //! tier mid-force.
-//!
-//! Not compiled under `paper-fidelity`: that feature pins the scalar
-//! tier and `force(non-scalar)` is defined to fail.
-
-#![cfg(not(feature = "paper-fidelity"))]
 
 use weavess_data::distance::{self, scalar, simd, unrolled, KernelTier};
 use weavess_data::pq::PqDataset;

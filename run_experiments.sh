@@ -21,10 +21,20 @@ BINS=(
   ablation_oa
   tune_params
 )
+mkdir -p results/logs
+failed=0
 for b in "${BINS[@]}"; do
   echo "=== running $b (scale=$SCALE) ==="
-  cargo run --release -p weavess-bench --bin "$b" \
-    > "results/logs/$b.log" 2> "results/logs/$b.err" \
-    && echo "    ok" || echo "    FAILED (see results/logs/$b.err)"
+  if cargo run --release -p weavess-bench --bin "$b" \
+    > "results/logs/$b.log" 2> "results/logs/$b.err"; then
+    echo "    ok"
+  else
+    echo "    FAILED (see results/logs/$b.err)"
+    failed=$((failed + 1))
+  fi
 done
+if [ "$failed" -gt 0 ]; then
+  echo "$failed of ${#BINS[@]} experiments FAILED"
+  exit 1
+fi
 echo "all experiments done"
