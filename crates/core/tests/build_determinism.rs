@@ -16,10 +16,13 @@
 use proptest::prelude::*;
 use weavess_core::algorithms::hnsw::{self, HnswParams};
 use weavess_core::algorithms::hnsw_dynamic::DynamicHnsw;
-use weavess_core::algorithms::{nsg, nsw, Algo};
-use weavess_core::index::{AnnIndex, SearchContext};
+use weavess_core::algorithms::{
+    dpg, efanna, fanng, hcnng, ieh, kdr, kgraph, nsg, nssg, nsw, oa, sptag, vamana, Algo,
+};
+use weavess_core::index::{AnnIndex, FlatIndex, SearchContext};
 use weavess_core::nndescent::{nn_descent, NnDescentParams};
-use weavess_core::persist::{write_hnsw, write_index};
+use weavess_core::persist::{write_hnsw, write_index, PersistError};
+use weavess_core::pipeline::{CandidateChoice, ConnectivityChoice, PipelineBuilder};
 use weavess_core::rnndescent::{rnn_descent, RnnDescentParams};
 use weavess_data::ground_truth::ground_truth;
 use weavess_data::metrics::recall;
@@ -283,6 +286,231 @@ fn rnn_descent_matches_golden_digests() {
             );
         }
     }
+}
+
+/// Digest of everything a [`FlatIndex`] persists (name, router, seeds,
+/// adjacency) where its seed strategy serialises; of the adjacency alone
+/// where the seeds are a tree or hash table the format does not carry.
+fn index_digest(idx: &FlatIndex) -> u64 {
+    let mut buf = Vec::new();
+    match write_index(&mut buf, idx) {
+        Ok(()) => {
+            let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+            fnv1a(&mut digest, &buf);
+            digest
+        }
+        Err(PersistError::UnsupportedSeeds(_)) => adjacency_digest(&idx.graph.to_lists()),
+        Err(e) => panic!("{}: {e}", idx.name),
+    }
+}
+
+/// Absolute pins for every builder that runs a per-point C2/C3 pass or
+/// freezes neighbor lists into a CSR (recorded on the commit before those
+/// loops were folded into one skeleton): thread-count *equality* alone
+/// passes a rewrite that changes every graph the same way at 1, 2 and 8
+/// threads. Three chunks of work, `n` not a multiple of the chunk size.
+#[test]
+fn refinement_builders_match_golden_digests() {
+    type Build = fn(&Dataset, usize) -> u64;
+    // (name, build at `threads`, [scalar, unrolled, simd]).
+    let cases: [(&str, Build, [u64; 3]); 18] = [
+        (
+            "KGraph",
+            |ds, t| index_digest(&kgraph::build(ds, &kgraph::KGraphParams::tuned(t, 7))),
+            [
+                0x1ac0_a0e9_620e_e15a,
+                0x1ac0_a0e9_620e_e15a,
+                0x9cf3_cfb9_710d_1eda,
+            ],
+        ),
+        (
+            "EFANNA",
+            |ds, t| index_digest(&efanna::build(ds, &efanna::EfannaParams::tuned(t, 7))),
+            [
+                0x172e_5062_2df7_58c1,
+                0x172e_5062_2df7_58c1,
+                0xdcc5_87e5_a61f_0221,
+            ],
+        ),
+        (
+            "IEH",
+            |ds, t| index_digest(&ieh::build(ds, &ieh::IehParams::tuned(t, 7))),
+            [
+                0xca3b_9e11_af8e_d16d,
+                0xca3b_9e11_af8e_d16d,
+                0xaf00_b633_a78d_c84d,
+            ],
+        ),
+        (
+            "FANNG exact (n <= exact_cutoff)",
+            |ds, t| index_digest(&fanng::build(ds, &fanng::FanngParams::tuned(t, 7))),
+            [
+                0xc7a1_eb84_0e10_2e62,
+                0xc7a1_eb84_0e10_2e62,
+                0xc7a1_eb84_0e10_2e62,
+            ],
+        ),
+        (
+            "FANNG shortcut (n > exact_cutoff)",
+            |ds, t| {
+                let mut p = fanng::FanngParams::tuned(t, 7);
+                p.exact_cutoff = 100;
+                index_digest(&fanng::build(ds, &p))
+            },
+            [
+                0xe4c1_01b6_027c_933b,
+                0xe4c1_01b6_027c_933b,
+                0xe4c1_01b6_027c_933b,
+            ],
+        ),
+        (
+            "DPG",
+            |ds, t| index_digest(&dpg::build(ds, &dpg::DpgParams::tuned(t, 7))),
+            [
+                0x8cb5_dc40_b481_650e,
+                0x8cb5_dc40_b481_650e,
+                0x8cb5_dc40_b481_650e,
+            ],
+        ),
+        (
+            "NSG",
+            |ds, t| index_digest(&nsg::build(ds, &nsg::NsgParams::tuned(t, 7))),
+            [
+                0xba73_73a3_1214_81e0,
+                0xba73_73a3_1214_81e0,
+                0xba73_73a3_1214_81e0,
+            ],
+        ),
+        (
+            "NSG (RNN-C1)",
+            |ds, t| index_digest(&nsg::build(ds, &nsg::NsgParams::tuned(t, 7).with_rnn_c1())),
+            [
+                0x3b5a_8d46_d9b1_7917,
+                0x3b5a_8d46_d9b1_7917,
+                0x3b5a_8d46_d9b1_7917,
+            ],
+        ),
+        (
+            "NSSG",
+            |ds, t| index_digest(&nssg::build(ds, &nssg::NssgParams::tuned(t, 7))),
+            [
+                0xbbc1_2f3c_90ee_3b7f,
+                0xbbc1_2f3c_90ee_3b7f,
+                0xbbc1_2f3c_90ee_3b7f,
+            ],
+        ),
+        (
+            "OA",
+            |ds, t| index_digest(&oa::build(ds, &oa::OaParams::tuned(t, 7))),
+            [
+                0xb311_e849_69e8_64cc,
+                0xb311_e849_69e8_64cc,
+                0xb311_e849_69e8_64cc,
+            ],
+        ),
+        (
+            "Vamana",
+            |ds, t| index_digest(&vamana::build(ds, &vamana::VamanaParams::tuned(t, 7))),
+            [
+                0xf804_4333_60b6_8eb2,
+                0xf804_4333_60b6_8eb2,
+                0x19d4_c878_f4cf_ba32,
+            ],
+        ),
+        (
+            "HCNNG",
+            |ds, t| index_digest(&hcnng::build(ds, &hcnng::HcnngParams::tuned(t, 7))),
+            [
+                0x7af3_0b43_772d_7e7e,
+                0x7af3_0b43_772d_7e7e,
+                0x7af3_0b43_772d_7e7e,
+            ],
+        ),
+        (
+            "SPTAG-KDT",
+            |ds, t| {
+                let idx = sptag::build(ds, &sptag::SptagParams::kdt(t, 7));
+                adjacency_digest(&idx.graph().to_lists())
+            },
+            [
+                0x29a3_713a_747e_17f0,
+                0x29a3_713a_747e_17f0,
+                0x29a3_713a_747e_17f0,
+            ],
+        ),
+        (
+            "SPTAG-BKT",
+            |ds, t| {
+                let idx = sptag::build(ds, &sptag::SptagParams::bkt(t, 7));
+                adjacency_digest(&idx.graph().to_lists())
+            },
+            [
+                0x9cc8_78bf_05d5_1115,
+                0x9cc8_78bf_05d5_1115,
+                0x9cc8_78bf_05d5_1115,
+            ],
+        ),
+        (
+            "SPTAG-BKT, one division, two propagation passes",
+            |ds, t| {
+                let mut p = sptag::SptagParams::bkt(t, 7);
+                p.divisions = 1;
+                p.propagation_passes = 2;
+                adjacency_digest(&sptag::build(ds, &p).graph().to_lists())
+            },
+            [
+                0x5ee8_ddae_8510_b5ec,
+                0x5ee8_ddae_8510_b5ec,
+                0x5ee8_ddae_8510_b5ec,
+            ],
+        ),
+        (
+            "k-DR",
+            |ds, t| index_digest(&kdr::build(ds, &kdr::KdrParams::tuned(t, 7))),
+            [
+                0x94db_443e_0f67_c03b,
+                0x94db_443e_0f67_c03b,
+                0x94db_443e_0f67_c03b,
+            ],
+        ),
+        (
+            "PipelineBuilder::benchmark",
+            |ds, t| index_digest(&PipelineBuilder::benchmark(4, t).build(ds)),
+            [
+                0x7e4d_3c4c_add2_714c,
+                0x7e4d_3c4c_add2_714c,
+                0x7e4d_3c4c_add2_714c,
+            ],
+        ),
+        (
+            "pipeline, C2 search + C5 DFS repair",
+            |ds, t| {
+                let mut b = PipelineBuilder::benchmark(4, t);
+                b.candidates = CandidateChoice::Search { beam: 40, cap: 80 };
+                b.connectivity = ConnectivityChoice::DfsRepair;
+                index_digest(&b.build(ds))
+            },
+            [
+                0xa5bd_2b0b_1467_5e4a,
+                0xa5bd_2b0b_1467_5e4a,
+                0xa5bd_2b0b_1467_5e4a,
+            ],
+        ),
+    ];
+    let ds = dataset(700);
+    let mut wrong = Vec::new();
+    for (name, build, golden) in cases {
+        let want = golden_for_tier(golden);
+        for threads in [1, 8] {
+            let got = build(&ds, threads);
+            if got != want {
+                wrong.push(format!(
+                    "{name} at {threads} threads: {got:#018x} != golden {want:#018x}"
+                ));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
 /// Swapping C1 keeps the persisted-bytes guarantee: an NSG built from
