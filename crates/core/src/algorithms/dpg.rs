@@ -5,26 +5,20 @@
 //! index (Figure 6).
 
 use crate::components::connectivity::add_reverse_edges;
-use crate::components::init::C1Choice;
+use crate::components::refine::{freeze, per_point};
 use crate::components::seeds::SeedStrategy;
 use crate::components::selection::select_dpg;
 use crate::index::FlatIndex;
-use crate::nndescent::NnDescentParams;
-use crate::parallel;
-use crate::rnndescent::RnnDescentParams;
+use crate::nndescent::{nn_descent, NnDescentParams};
 use crate::search::Router;
 use crate::telemetry;
-use weavess_data::{Dataset, Neighbor};
-use weavess_graph::CsrGraph;
+use weavess_data::Dataset;
 
 /// DPG parameters.
 #[derive(Debug, Clone)]
 pub struct DpgParams {
     /// NN-Descent configuration for the initial KGraph.
     pub nd: NnDescentParams,
-    /// Which descent engine actually runs as C1 (defaults to NN-Descent;
-    /// see [`DpgParams::with_rnn_c1`]).
-    pub init: C1Choice,
     /// Per-vertex degree cap after undirection (reverse edges can push
     /// hub degrees far beyond κ; the paper notes they "surge back").
     pub reverse_cap: usize,
@@ -46,57 +40,27 @@ impl DpgParams {
                 seed,
                 threads,
             },
-            init: C1Choice::NnDescent,
             reverse_cap: 80,
             search_seeds: 10,
         }
-    }
-
-    /// Swaps C1 to RNN-Descent, sized to stand in for the configured
-    /// NN-Descent ([`RnnDescentParams::matching`]); C2–C7 are untouched.
-    pub fn with_rnn_c1(mut self) -> Self {
-        self.init = C1Choice::RnnDescent(RnnDescentParams::matching(&self.nd));
-        self
     }
 }
 
 /// Builds a DPG index.
 pub fn build(ds: &Dataset, params: &DpgParams) -> FlatIndex {
-    let init = telemetry::span("C1 init", || params.init.build(ds, &params.nd, None));
+    let init = telemetry::span("C1 init", || nn_descent(ds, &params.nd, None));
     let kappa = (params.nd.k / 2).max(2);
-    let threads = parallel::resolve_threads(params.nd.threads);
-    let n = ds.len();
-    // Angular diversification (C3_DPG), parallel over vertices.
-    let mut lists: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-    telemetry::span("C3 selection", || {
-        parallel::par_fill(
-            &mut lists,
-            parallel::CHUNK,
-            threads,
-            || (),
-            |_, start, slot| {
-                for (j, out) in slot.iter_mut().enumerate() {
-                    let p = (start + j) as u32;
-                    *out = select_dpg(ds, p, &init[p as usize], kappa);
-                }
-            },
-        );
+    // Angular diversification (C3_DPG) of each point's own neighbors.
+    let mut lists = per_point(ds, params.nd.threads, "C3 selection", |p, _, _| {
+        select_dpg(ds, p, &init[p as usize], kappa)
     });
     // Undirect (C5_DPG).
     telemetry::span("C5 connectivity", || {
         add_reverse_edges(&mut lists, params.reverse_cap);
     });
-    let graph = telemetry::span("freeze", || {
-        CsrGraph::from_lists(
-            &lists
-                .iter()
-                .map(|l| l.iter().map(|n| n.id).collect::<Vec<u32>>())
-                .collect::<Vec<_>>(),
-        )
-    });
     FlatIndex {
         name: "DPG",
-        graph,
+        graph: freeze(&lists),
         seeds: SeedStrategy::Random {
             count: params.search_seeds,
         },

@@ -2,17 +2,16 @@
 //! initializes NN-Descent's pools (better starting quality, fewer
 //! iterations) and supplies query-adjacent seeds at search time.
 
-use crate::components::init::{kd_seed_pools, C1Choice};
+use crate::components::init::init_kdtree_nn_descent;
+use crate::components::refine::freeze;
 use crate::components::seeds::SeedStrategy;
 use crate::index::FlatIndex;
 use crate::nndescent::NnDescentParams;
-use crate::rnndescent::RnnDescentParams;
 use crate::search::Router;
 use crate::telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use weavess_data::Dataset;
-use weavess_graph::CsrGraph;
 use weavess_trees::KdForest;
 
 /// EFANNA parameters: KGraph's knobs plus the forest (`nTrees`) and budgets.
@@ -20,9 +19,6 @@ use weavess_trees::KdForest;
 pub struct EfannaParams {
     /// NN-Descent configuration.
     pub nd: NnDescentParams,
-    /// Which descent engine refines the tree-seeded pools (defaults to
-    /// NN-Descent; see [`EfannaParams::with_rnn_c1`]).
-    pub init: C1Choice,
     /// Number of KD-trees (`nTrees`).
     pub n_trees: usize,
     /// Distance budget per tree during initialization.
@@ -46,20 +42,11 @@ impl EfannaParams {
                 seed,
                 threads,
             },
-            init: C1Choice::NnDescent,
             n_trees: 4,
             init_checks: 200,
             seed_checks: 64,
             search_seeds: 10,
         }
-    }
-
-    /// Swaps the refinement engine to RNN-Descent, sized to stand in for
-    /// the configured NN-Descent ([`RnnDescentParams::matching`]); the
-    /// KD-forest seeding and search-time seed acquisition are untouched.
-    pub fn with_rnn_c1(mut self) -> Self {
-        self.init = C1Choice::RnnDescent(RnnDescentParams::matching(&self.nd));
-        self
     }
 }
 
@@ -70,26 +57,17 @@ pub fn build(ds: &Dataset, params: &EfannaParams) -> FlatIndex {
         KdForest::build(ds, params.n_trees, 32, &mut rng)
     });
     let lists = telemetry::span("C1 init", || {
-        let initial = kd_seed_pools(
+        init_kdtree_nn_descent(
             ds,
             &forest,
             params.init_checks,
-            params.nd.l,
+            &params.nd,
             params.nd.threads,
-        );
-        params.init.build(ds, &params.nd, Some(&initial))
-    });
-    let graph = telemetry::span("freeze", || {
-        CsrGraph::from_lists(
-            &lists
-                .iter()
-                .map(|l| l.iter().map(|n| n.id).collect::<Vec<u32>>())
-                .collect::<Vec<_>>(),
         )
     });
     FlatIndex {
         name: "EFANNA",
-        graph,
+        graph: freeze(&lists),
         seeds: SeedStrategy::KdSearch {
             forest,
             count: params.search_seeds,

@@ -9,14 +9,13 @@
 //! candidate list — above `exact_cutoff` points.
 
 use crate::components::init::init_brute_force;
+use crate::components::refine::{freeze, per_point};
 use crate::components::seeds::SeedStrategy;
 use crate::components::selection::select_rng_alpha;
 use crate::index::FlatIndex;
-use crate::parallel;
 use crate::search::Router;
 use crate::telemetry;
 use weavess_data::{Dataset, Neighbor};
-use weavess_graph::CsrGraph;
 
 /// FANNG parameters (`R` degree bound, `L` candidate count).
 #[derive(Debug, Clone)]
@@ -52,59 +51,32 @@ impl FanngParams {
 
 /// Builds a FANNG index.
 pub fn build(ds: &Dataset, params: &FanngParams) -> FlatIndex {
-    let n = ds.len();
-    let threads = parallel::resolve_threads(params.threads);
-    let mut lists: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-    if n <= params.exact_cutoff {
+    let n = ds.len() as u32;
+    let lists = if ds.len() <= params.exact_cutoff {
         // Exact: every other point, sorted, through the occlusion rule.
-        telemetry::span("C2+C3 candidates+selection", || {
-            parallel::par_fill(
-                &mut lists,
-                parallel::CHUNK,
-                threads,
-                || (),
-                |_, start, slot| {
-                    for (j, out) in slot.iter_mut().enumerate() {
-                        let p = (start + j) as u32;
-                        let mut cands: Vec<Neighbor> = (0..n as u32)
-                            .filter(|&x| x != p)
-                            .map(|x| Neighbor::new(x, ds.dist(p, x)))
-                            .collect();
-                        cands.sort_unstable();
-                        *out = select_rng_alpha(ds, p, &cands, params.r, 1.0);
-                    }
-                },
-            );
-        });
+        per_point(
+            ds,
+            params.threads,
+            "C2+C3 candidates+selection",
+            |p, _, _| {
+                let mut cands: Vec<Neighbor> = (0..n)
+                    .filter(|&x| x != p)
+                    .map(|x| Neighbor::new(x, ds.dist(p, x)))
+                    .collect();
+                cands.sort_unstable();
+                select_rng_alpha(ds, p, &cands, params.r, 1.0)
+            },
+        )
     } else {
         // Shortcut: oversized exact-KNN candidates.
-        let knn = telemetry::span("C1 init", || init_brute_force(ds, params.l, threads));
-        telemetry::span("C3 selection", || {
-            parallel::par_fill(
-                &mut lists,
-                parallel::CHUNK,
-                threads,
-                || (),
-                |_, start, slot| {
-                    for (j, out) in slot.iter_mut().enumerate() {
-                        let p = (start + j) as u32;
-                        *out = select_rng_alpha(ds, p, &knn[p as usize], params.r, 1.0);
-                    }
-                },
-            );
-        });
-    }
-    let graph = telemetry::span("freeze", || {
-        CsrGraph::from_lists(
-            &lists
-                .iter()
-                .map(|l| l.iter().map(|x| x.id).collect::<Vec<u32>>())
-                .collect::<Vec<_>>(),
-        )
-    });
+        let knn = telemetry::span("C1 init", || init_brute_force(ds, params.l, params.threads));
+        per_point(ds, params.threads, "C3 selection", |p, _, _| {
+            select_rng_alpha(ds, p, &knn[p as usize], params.r, 1.0)
+        })
+    };
     FlatIndex {
         name: "FANNG",
-        graph,
+        graph: freeze(&lists),
         seeds: SeedStrategy::Random {
             count: params.search_seeds,
         },

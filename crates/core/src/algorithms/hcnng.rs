@@ -5,6 +5,7 @@
 //! provide distance-free seeds (value comparisons only) and guided search
 //! (C7) cuts redundant neighbor visits.
 
+use crate::components::refine::freeze;
 use crate::components::seeds::SeedStrategy;
 use crate::index::FlatIndex;
 use crate::parallel;
@@ -14,7 +15,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use weavess_data::{Dataset, Neighbor};
 use weavess_graph::base::mst_prim;
-use weavess_graph::CsrGraph;
 use weavess_trees::KdForest;
 
 /// HCNNG parameters (`m` clustering rounds, `n_min` cluster size).
@@ -103,14 +103,7 @@ pub fn build(ds: &Dataset, params: &HcnngParams) -> FlatIndex {
     for l in &mut lists {
         l.sort_unstable();
     }
-    let graph = telemetry::span("freeze", || {
-        CsrGraph::from_lists(
-            &lists
-                .iter()
-                .map(|l| l.iter().map(|x| x.id).collect::<Vec<u32>>())
-                .collect::<Vec<_>>(),
-        )
-    });
+    let graph = freeze(&lists);
     let forest = telemetry::span("C4 seeds", || {
         KdForest::build(ds, params.n_trees, 32, &mut rng)
     });

@@ -8,6 +8,7 @@
 //! sign-random-projection LSH (DESIGN.md §5).
 
 use crate::components::init::init_brute_force;
+use crate::components::refine::freeze;
 use crate::components::seeds::SeedStrategy;
 use crate::index::FlatIndex;
 use crate::search::Router;
@@ -15,7 +16,6 @@ use crate::telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use weavess_data::Dataset;
-use weavess_graph::CsrGraph;
 use weavess_trees::LshTable;
 
 /// IEH parameters (`p` seeds, `k` graph degree; the paper's `s` expansion
@@ -30,7 +30,8 @@ pub struct IehParams {
     pub tables: usize,
     /// Bits per table.
     pub bits: usize,
-    /// Construction threads (for the brute-force KNNG).
+    /// Construction threads for the brute-force KNNG (0 = one per
+    /// available core). The built graph is identical for every value.
     pub threads: usize,
     /// RNG seed.
     pub seed: u64,
@@ -52,17 +53,8 @@ impl IehParams {
 
 /// Builds an IEH index.
 pub fn build(ds: &Dataset, params: &IehParams) -> FlatIndex {
-    let lists = telemetry::span("C1 init", || {
-        init_brute_force(ds, params.k, params.threads.max(1))
-    });
-    let graph = telemetry::span("freeze", || {
-        CsrGraph::from_lists(
-            &lists
-                .iter()
-                .map(|l| l.iter().map(|n| n.id).collect::<Vec<u32>>())
-                .collect::<Vec<_>>(),
-        )
-    });
+    let lists = telemetry::span("C1 init", || init_brute_force(ds, params.k, params.threads));
+    let graph = freeze(&lists);
     let mut rng = StdRng::seed_from_u64(params.seed);
     let table = telemetry::span("C4 seeds", || {
         LshTable::build(ds, params.tables, params.bits, &mut rng)

@@ -26,8 +26,10 @@ pub struct KdrParams {
     pub search_seeds: usize,
     /// Range-search ε at query time.
     pub epsilon: f32,
-    /// Construction threads (brute-force KNNG only; pruning is sequential
-    /// because each decision depends on previously kept edges).
+    /// Construction threads (0 = one per available core) for the
+    /// brute-force KNNG; pruning is sequential because each decision
+    /// depends on previously kept edges. The built graph is identical for
+    /// every value.
     pub threads: usize,
 }
 
@@ -48,9 +50,7 @@ impl KdrParams {
 /// Builds a k-DR index.
 pub fn build(ds: &Dataset, params: &KdrParams) -> FlatIndex {
     let n = ds.len();
-    let knn = telemetry::span("C1 init", || {
-        init_brute_force(ds, params.k, params.threads.max(1))
-    });
+    let knn = telemetry::span("C1 init", || init_brute_force(ds, params.k, params.threads));
     let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
     // Global nearest-first edge order would be ideal; per-vertex
     // nearest-first matches the k-DR paper.

@@ -5,24 +5,19 @@
 //! expansion C2 (inside NN-Descent's local join), distance-only C3, no C5,
 //! random C6, best-first C7.
 
-use crate::components::init::C1Choice;
+use crate::components::refine::freeze;
 use crate::components::seeds::SeedStrategy;
 use crate::index::FlatIndex;
-use crate::nndescent::NnDescentParams;
-use crate::rnndescent::RnnDescentParams;
+use crate::nndescent::{nn_descent, NnDescentParams};
 use crate::search::Router;
 use crate::telemetry;
 use weavess_data::Dataset;
-use weavess_graph::CsrGraph;
 
 /// KGraph parameters — the five sensitive knobs of Appendix H plus seeds.
 #[derive(Debug, Clone)]
 pub struct KGraphParams {
     /// NN-Descent configuration (K, L, iter, S, R).
     pub nd: NnDescentParams,
-    /// Which descent engine actually runs as C1 (defaults to NN-Descent;
-    /// see [`KGraphParams::with_rnn_c1`]).
-    pub init: C1Choice,
     /// Random seeds per query.
     pub search_seeds: usize,
 }
@@ -40,35 +35,17 @@ impl KGraphParams {
                 seed,
                 threads,
             },
-            init: C1Choice::NnDescent,
             search_seeds: 10,
         }
-    }
-
-    /// Swaps C1 to RNN-Descent, sized to stand in for the configured
-    /// NN-Descent ([`RnnDescentParams::matching`]). For KGraph the C1
-    /// output *is* the index graph, so this changes the served graph —
-    /// the `matching` sizing keeps its quality at NN-Descent level.
-    pub fn with_rnn_c1(mut self) -> Self {
-        self.init = C1Choice::RnnDescent(RnnDescentParams::matching(&self.nd));
-        self
     }
 }
 
 /// Builds a KGraph index.
 pub fn build(ds: &Dataset, params: &KGraphParams) -> FlatIndex {
-    let lists = telemetry::span("C1 init", || params.init.build(ds, &params.nd, None));
-    let graph = telemetry::span("freeze", || {
-        CsrGraph::from_lists(
-            &lists
-                .iter()
-                .map(|l| l.iter().map(|n| n.id).collect::<Vec<u32>>())
-                .collect::<Vec<_>>(),
-        )
-    });
+    let lists = telemetry::span("C1 init", || nn_descent(ds, &params.nd, None));
     FlatIndex {
         name: "KGraph",
-        graph,
+        graph: freeze(&lists),
         seeds: SeedStrategy::Random {
             count: params.search_seeds,
         },

@@ -1,5 +1,8 @@
 //! The surveyed algorithms (§3.2's A1–A13, Appendix N's k-DR, and §6's
-//! optimized algorithm), each built from the shared components.
+//! optimized algorithm), each built from the shared components. The
+//! refinement builders' per-point C2+C3 pass and every builder's final
+//! freeze are one skeleton (`components::refine`): a module here supplies
+//! what happens for one point, plus its own C1, C4 and C5.
 //!
 //! | module | algorithms | base graph | construction strategy |
 //! |--------|-----------|------------|----------------------|

@@ -6,16 +6,16 @@
 use crate::components::candidates::candidates_by_search;
 use crate::components::connectivity::dfs_repair;
 use crate::components::init::C1Choice;
+use crate::components::refine::{freeze, per_point};
 use crate::components::seeds::SeedStrategy;
 use crate::components::selection::select_rng_alpha;
 use crate::index::FlatIndex;
 use crate::nndescent::NnDescentParams;
-use crate::parallel;
 use crate::rnndescent::RnnDescentParams;
-use crate::search::{Router, SearchScratch, SearchStats};
+use crate::search::Router;
 use crate::telemetry;
-use std::sync::atomic::{AtomicU64, Ordering};
-use weavess_data::{Dataset, Neighbor};
+use weavess_data::neighbor::insert_into_pool;
+use weavess_data::Dataset;
 use weavess_graph::CsrGraph;
 
 /// NSG parameters (Appendix H: `L`, `R`, `C` over a KGraph base).
@@ -66,66 +66,39 @@ impl NsgParams {
 pub fn build(ds: &Dataset, params: &NsgParams) -> FlatIndex {
     let (init, init_csr, medoid) = telemetry::span("C1 init", || {
         let init = params.init.build(ds, &params.nd, None);
-        let init_csr = CsrGraph::from_lists(
-            &init
-                .iter()
-                .map(|l| l.iter().map(|n| n.id).collect::<Vec<u32>>())
-                .collect::<Vec<_>>(),
-        );
-        let medoid = ds.medoid();
-        (init, init_csr, medoid)
+        let init_csr = CsrGraph::from_neighbor_lists(&init);
+        (init, init_csr, ds.medoid())
     });
-    let n = ds.len();
-    let threads = parallel::resolve_threads(params.nd.threads);
-    let mut lists: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-    telemetry::span("C2+C3 candidates+selection", || {
-        let ndc = AtomicU64::new(0);
-        parallel::par_fill(
-            &mut lists,
-            parallel::CHUNK,
-            threads,
-            || (SearchScratch::new(n), SearchStats::default()),
-            |(scratch, stats), start, slot| {
-                let before = stats.ndc;
-                for (j, out) in slot.iter_mut().enumerate() {
-                    let p = (start + j) as u32;
-                    let mut cands = candidates_by_search(
-                        ds,
-                        &init_csr,
-                        p,
-                        &[medoid],
-                        params.l,
-                        params.c,
-                        scratch,
-                        stats,
-                    );
-                    // NSG's sync_prune merges the point's initial-graph
-                    // neighbors into the pool before selection.
-                    for x in &init[p as usize] {
-                        weavess_data::neighbor::insert_into_pool(&mut cands, params.c, *x);
-                    }
-                    *out = select_rng_alpha(ds, p, &cands, params.r, 1.0);
-                }
-                ndc.fetch_add(stats.ndc - before, Ordering::Relaxed);
-            },
-        );
-        telemetry::add_span_ndc(ndc.load(Ordering::Relaxed));
-    });
+    let mut lists = per_point(
+        ds,
+        params.nd.threads,
+        "C2+C3 candidates+selection",
+        |p, scratch, stats| {
+            let mut cands = candidates_by_search(
+                ds,
+                &init_csr,
+                p,
+                &[medoid],
+                params.l,
+                params.c,
+                scratch,
+                stats,
+            );
+            // NSG's sync_prune merges the point's initial-graph
+            // neighbors into the pool before selection.
+            for x in &init[p as usize] {
+                insert_into_pool(&mut cands, params.c, *x);
+            }
+            select_rng_alpha(ds, p, &cands, params.r, 1.0)
+        },
+    );
     drop(init_csr);
     telemetry::span("C5 connectivity", || {
         dfs_repair(ds, &mut lists, medoid, params.l);
     });
-    let graph = telemetry::span("freeze", || {
-        CsrGraph::from_lists(
-            &lists
-                .iter()
-                .map(|l| l.iter().map(|n| n.id).collect::<Vec<u32>>())
-                .collect::<Vec<_>>(),
-        )
-    });
     FlatIndex {
         name: "NSG",
-        graph,
+        graph: freeze(&lists),
         seeds: SeedStrategy::Fixed(vec![medoid]),
         router: Router::BestFirst,
     }

@@ -7,26 +7,20 @@
 
 use crate::components::candidates::candidates_by_expansion;
 use crate::components::connectivity::dfs_repair;
-use crate::components::init::C1Choice;
+use crate::components::refine::{freeze, per_point};
 use crate::components::seeds::{spread_entries, SeedStrategy};
 use crate::components::selection::select_angle;
 use crate::index::FlatIndex;
-use crate::nndescent::NnDescentParams;
-use crate::parallel;
-use crate::rnndescent::RnnDescentParams;
+use crate::nndescent::{nn_descent, NnDescentParams};
 use crate::search::Router;
 use crate::telemetry;
-use weavess_data::{Dataset, Neighbor};
-use weavess_graph::CsrGraph;
+use weavess_data::Dataset;
 
 /// NSSG parameters (Appendix H: `L`, `R`, `Angle` over a KGraph base).
 #[derive(Debug, Clone)]
 pub struct NssgParams {
     /// NN-Descent configuration for the initial graph.
     pub nd: NnDescentParams,
-    /// Which descent engine actually runs as C1 (defaults to NN-Descent;
-    /// see [`NssgParams::with_rnn_c1`]).
-    pub init: C1Choice,
     /// Candidate cap (`L`).
     pub l: usize,
     /// Maximum out-degree (`R`).
@@ -51,43 +45,26 @@ impl NssgParams {
                 seed,
                 threads,
             },
-            init: C1Choice::NnDescent,
             l: 100,
             r: 40,
             angle: 60.0,
             entries: 8,
         }
     }
-
-    /// Swaps C1 to RNN-Descent, sized to stand in for the configured
-    /// NN-Descent ([`RnnDescentParams::matching`]); C2–C7 are untouched.
-    pub fn with_rnn_c1(mut self) -> Self {
-        self.init = C1Choice::RnnDescent(RnnDescentParams::matching(&self.nd));
-        self
-    }
 }
 
 /// Builds an NSSG index.
 pub fn build(ds: &Dataset, params: &NssgParams) -> FlatIndex {
-    let init = telemetry::span("C1 init", || params.init.build(ds, &params.nd, None));
-    let n = ds.len();
-    let threads = parallel::resolve_threads(params.nd.threads);
-    let mut lists: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-    telemetry::span("C2+C3 candidates+selection", || {
-        parallel::par_fill(
-            &mut lists,
-            parallel::CHUNK,
-            threads,
-            || (),
-            |_, start, slot| {
-                for (j, out) in slot.iter_mut().enumerate() {
-                    let p = (start + j) as u32;
-                    let cands = candidates_by_expansion(ds, &init, p, params.l);
-                    *out = select_angle(ds, p, &cands, params.r, params.angle);
-                }
-            },
-        );
-    });
+    let init = telemetry::span("C1 init", || nn_descent(ds, &params.nd, None));
+    let mut lists = per_point(
+        ds,
+        params.nd.threads,
+        "C2+C3 candidates+selection",
+        |p, _, _| {
+            let cands = candidates_by_expansion(ds, &init, p, params.l);
+            select_angle(ds, p, &cands, params.r, params.angle)
+        },
+    );
     // DFS connectivity from a fixed entry (NSSG attaches DFS like NSG).
     // Entries are fixed at build time; farthest-point sampling spreads them
     // across the dataset so each cluster has a nearby entry.
@@ -97,17 +74,9 @@ pub fn build(ds: &Dataset, params: &NssgParams) -> FlatIndex {
     telemetry::span("C5 connectivity", || {
         dfs_repair(ds, &mut lists, entries[0], params.l.min(64));
     });
-    let graph = telemetry::span("freeze", || {
-        CsrGraph::from_lists(
-            &lists
-                .iter()
-                .map(|l| l.iter().map(|n| n.id).collect::<Vec<u32>>())
-                .collect::<Vec<_>>(),
-        )
-    });
     FlatIndex {
         name: "NSSG",
-        graph,
+        graph: freeze(&lists),
         seeds: SeedStrategy::Fixed(entries),
         router: Router::BestFirst,
     }

@@ -15,17 +15,14 @@
 
 use crate::components::candidates::candidates_by_expansion;
 use crate::components::connectivity::dfs_repair;
-use crate::components::init::C1Choice;
+use crate::components::refine::{freeze, per_point};
 use crate::components::seeds::{spread_entries, SeedStrategy};
 use crate::components::selection::select_rng_alpha;
 use crate::index::FlatIndex;
-use crate::nndescent::NnDescentParams;
-use crate::parallel;
-use crate::rnndescent::RnnDescentParams;
+use crate::nndescent::{nn_descent, NnDescentParams};
 use crate::search::Router;
 use crate::telemetry;
-use weavess_data::{Dataset, Neighbor};
-use weavess_graph::CsrGraph;
+use weavess_data::Dataset;
 
 /// OA parameters.
 #[derive(Debug, Clone)]
@@ -33,9 +30,6 @@ pub struct OaParams {
     /// NN-Descent configuration (the paper settles on 8 iterations,
     /// Appendix L).
     pub nd: NnDescentParams,
-    /// Which descent engine actually runs as C1 (defaults to NN-Descent;
-    /// see [`OaParams::with_rnn_c1`]).
-    pub init: C1Choice,
     /// Candidate cap for the 2-hop expansion.
     pub l: usize,
     /// Maximum out-degree.
@@ -59,60 +53,35 @@ impl OaParams {
                 seed,
                 threads,
             },
-            init: C1Choice::NnDescent,
             l: 100,
             r: 30,
             entries: 8,
             stage1_frac: 0.4,
         }
     }
-
-    /// Swaps C1 to RNN-Descent, sized to stand in for the configured
-    /// NN-Descent ([`RnnDescentParams::matching`]); C2–C7 are untouched.
-    pub fn with_rnn_c1(mut self) -> Self {
-        self.init = C1Choice::RnnDescent(RnnDescentParams::matching(&self.nd));
-        self
-    }
 }
 
 /// Builds the optimized algorithm's index.
 pub fn build(ds: &Dataset, params: &OaParams) -> FlatIndex {
-    let init = telemetry::span("C1 init", || params.init.build(ds, &params.nd, None));
-    let n = ds.len();
-    let threads = parallel::resolve_threads(params.nd.threads);
-    let mut lists: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-    telemetry::span("C2+C3 candidates+selection", || {
-        parallel::par_fill(
-            &mut lists,
-            parallel::CHUNK,
-            threads,
-            || (),
-            |_, start, slot| {
-                for (j, out) in slot.iter_mut().enumerate() {
-                    let p = (start + j) as u32;
-                    let cands = candidates_by_expansion(ds, &init, p, params.l);
-                    *out = select_rng_alpha(ds, p, &cands, params.r, 1.0);
-                }
-            },
-        );
-    });
+    let init = telemetry::span("C1 init", || nn_descent(ds, &params.nd, None));
+    let mut lists = per_point(
+        ds,
+        params.nd.threads,
+        "C2+C3 candidates+selection",
+        |p, _, _| {
+            let cands = candidates_by_expansion(ds, &init, p, params.l);
+            select_rng_alpha(ds, p, &cands, params.r, 1.0)
+        },
+    );
     let entries = telemetry::span("C4 seeds", || {
         spread_entries(ds, params.entries.max(1), params.nd.seed ^ 0x0A0A)
     });
     telemetry::span("C5 connectivity", || {
         dfs_repair(ds, &mut lists, entries[0], 64);
     });
-    let graph = telemetry::span("freeze", || {
-        CsrGraph::from_lists(
-            &lists
-                .iter()
-                .map(|l| l.iter().map(|x| x.id).collect::<Vec<u32>>())
-                .collect::<Vec<_>>(),
-        )
-    });
     FlatIndex {
         name: "OA",
-        graph,
+        graph: freeze(&lists),
         seeds: SeedStrategy::Fixed(entries),
         router: Router::TwoStage {
             stage1_beam_frac: params.stage1_frac,

@@ -12,6 +12,7 @@
 //! rounds so each restart explores new territory.
 
 use crate::components::candidates::candidates_subspace;
+use crate::components::refine::{freeze, per_point};
 use crate::components::seeds::SeedStrategy;
 use crate::components::selection::select_rng_alpha;
 use crate::index::FlatIndex;
@@ -22,7 +23,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use weavess_data::neighbor::insert_into_pool;
 use weavess_data::{Dataset, Neighbor};
-use weavess_graph::CsrGraph;
 use weavess_trees::tptree::tp_partition;
 use weavess_trees::{BkTree, KdForest};
 
@@ -128,45 +128,32 @@ pub fn build(ds: &Dataset, params: &SptagParams) -> SptagIndex {
         }
     });
 
-    // --- Neighborhood propagation: neighbors of neighbors, one pass. ---
-    telemetry::span("C2 candidates", || {
-        for _ in 0..params.propagation_passes {
-            let snapshot = lists.clone();
-            for p in 0..n as u32 {
-                let hop1: Vec<u32> = snapshot[p as usize].iter().map(|x| x.id).collect();
-                for &h in &hop1 {
-                    for x in &snapshot[h as usize] {
-                        if x.id != p {
-                            insert_into_pool(
-                                &mut lists[p as usize],
-                                params.k,
-                                Neighbor::new(x.id, ds.dist(p, x.id)),
-                            );
-                        }
+    // --- Neighborhood propagation: every pass offers each point the
+    // neighbors of its neighbors as they stood before the pass. ---
+    for _ in 0..params.propagation_passes {
+        let snapshot = lists;
+        lists = per_point(ds, params.threads, "C2 candidates", |p, _, _| {
+            let mut pool = snapshot[p as usize].clone();
+            for hop1 in &snapshot[p as usize] {
+                for x in &snapshot[hop1.id as usize] {
+                    if x.id != p {
+                        let x = Neighbor::new(x.id, ds.dist(p, x.id));
+                        insert_into_pool(&mut pool, params.k, x);
                     }
                 }
             }
-        }
-    });
-
-    // --- BKT variant: RNG pruning. ---
-    if params.variant == SptagVariant::Bkt {
-        telemetry::span("C3 selection", || {
-            for p in 0..n as u32 {
-                let cands = lists[p as usize].clone();
-                lists[p as usize] = select_rng_alpha(ds, p, &cands, params.k, 1.0);
-            }
+            pool
         });
     }
 
-    let graph = telemetry::span("freeze", || {
-        CsrGraph::from_lists(
-            &lists
-                .iter()
-                .map(|l| l.iter().map(|x| x.id).collect::<Vec<u32>>())
-                .collect::<Vec<_>>(),
-        )
-    });
+    // --- BKT variant: RNG pruning. ---
+    if params.variant == SptagVariant::Bkt {
+        lists = per_point(ds, params.threads, "C3 selection", |p, _, _| {
+            select_rng_alpha(ds, p, &lists[p as usize], params.k, 1.0)
+        });
+    }
+
+    let graph = freeze(&lists);
     let (name, seeds, restart_forest) = telemetry::span("C4 seeds", || {
         let (name, seeds) = match params.variant {
             SptagVariant::Kdt => (

@@ -13,6 +13,7 @@
 
 use crate::components::candidates::candidates_by_search;
 use crate::components::init::init_random;
+use crate::components::refine::freeze;
 use crate::components::seeds::SeedStrategy;
 use crate::components::selection::select_rng_alpha;
 use crate::index::FlatIndex;
@@ -71,14 +72,7 @@ pub fn build(ds: &Dataset, params: &VamanaParams) -> FlatIndex {
             refine_pass_inplace(ds, &mut lists, medoid, params, pass_alpha);
         });
     }
-    let graph = telemetry::span("freeze", || {
-        CsrGraph::from_lists(
-            &lists
-                .iter()
-                .map(|l| l.iter().map(|n| n.id).collect::<Vec<u32>>())
-                .collect::<Vec<_>>(),
-        )
-    });
+    let graph = freeze(&lists);
     debug_assert_eq!(graph.len(), n);
     FlatIndex {
         name: "Vamana",
@@ -103,12 +97,7 @@ fn refine_pass_inplace(
     let pass_ndc = AtomicU64::new(0);
     for batch_ids in ids.chunks(batch) {
         // Snapshot of the *current* graph for this batch's searches.
-        let csr = CsrGraph::from_lists(
-            &lists
-                .iter()
-                .map(|l| l.iter().map(|x| x.id).collect::<Vec<u32>>())
-                .collect::<Vec<_>>(),
-        );
+        let csr = CsrGraph::from_neighbor_lists(lists);
         // Parallel candidate acquisition + pruning for the batch; results
         // combine in chunk order, so the sequential apply below sees the
         // same sequence at any thread count.

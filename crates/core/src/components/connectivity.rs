@@ -21,12 +21,7 @@ pub fn dfs_repair(ds: &Dataset, lists: &mut [Vec<Neighbor>], entry: u32, beam: u
     let mut stats = SearchStats::default();
     // One frozen snapshot for bridge searches; bridge targets are checked
     // against the live `reach` array, so the snapshot staying stale is fine.
-    let csr = CsrGraph::from_lists(
-        &lists
-            .iter()
-            .map(|l| l.iter().map(|x| x.id).collect::<Vec<u32>>())
-            .collect::<Vec<_>>(),
-    );
+    let csr = CsrGraph::from_neighbor_lists(lists);
     let mut reach = reachable_from(&csr, entry);
     let mut scan = 0usize;
     loop {
@@ -98,15 +93,6 @@ mod tests {
     use weavess_data::synthetic::MixtureSpec;
     use weavess_graph::connectivity::weak_components;
 
-    fn lists_to_csr(lists: &[Vec<Neighbor>]) -> CsrGraph {
-        CsrGraph::from_lists(
-            &lists
-                .iter()
-                .map(|l| l.iter().map(|x| x.id).collect::<Vec<u32>>())
-                .collect::<Vec<_>>(),
-        )
-    }
-
     #[test]
     fn dfs_repair_makes_everything_reachable() {
         let ds = MixtureSpec::table10(4, 60, 3, 1.0, 5).generate().0;
@@ -122,7 +108,7 @@ mod tests {
             .collect();
         let added = dfs_repair(&ds, &mut lists, 0, 10);
         assert!(added >= 2, "added={added}");
-        let csr = lists_to_csr(&lists);
+        let csr = CsrGraph::from_neighbor_lists(&lists);
         let reach = reachable_from(&csr, 0);
         assert!(reach.iter().all(|&r| r));
     }
@@ -158,7 +144,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(weak_components(&lists_to_csr(&lists)), 1);
+        assert_eq!(weak_components(&CsrGraph::from_neighbor_lists(&lists)), 1);
     }
 
     #[test]

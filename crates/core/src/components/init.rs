@@ -11,12 +11,14 @@ use weavess_trees::KdForest;
 
 /// The descent engine a *Refinement*-strategy builder runs as C1.
 ///
-/// Every consumer of NN-Descent output (NSG, NSSG, DPG, OA, EFANNA,
-/// KGraph) carries one of these next to its [`NnDescentParams`]; the
-/// builder's C2–C7 stages are untouched by the choice. Both engines
-/// produce the same shape (per-vertex nearest-`k`, sorted, kernel
-/// distances attached) under the same determinism and termination
-/// contracts — see [`crate::nndescent`] and [`crate::rnndescent`].
+/// NSG carries one next to its [`NnDescentParams`]
+/// ([`crate::algorithms::nsg::NsgParams::with_rnn_c1`]); its C2–C7 stages
+/// are untouched by the choice. The other NN-Descent consumers swap C1
+/// the way the survey does, through
+/// [`crate::pipeline::InitChoice::RnnDescent`]. Both engines produce the
+/// same shape (per-vertex nearest-`k`, sorted, kernel distances attached)
+/// under the same determinism and termination contracts — see
+/// [`crate::nndescent`] and [`crate::rnndescent`].
 #[derive(Debug, Clone, Default)]
 pub enum C1Choice {
     /// Plain NN-Descent local joins (the surveyed algorithms' default).
@@ -70,20 +72,6 @@ pub fn init_random(ds: &Dataset, k: usize, seed: u64) -> Vec<Vec<Neighbor>> {
         .collect()
 }
 
-/// NN-Descent initialization (NSG, DPG, NSSG, OA): a good-quality
-/// approximate KNNG in a few iterations.
-pub fn init_nn_descent(ds: &Dataset, params: &NnDescentParams) -> Vec<Vec<Neighbor>> {
-    nn_descent(ds, params, None)
-}
-
-/// RNN-Descent initialization: the same approximate-KNNG contract as
-/// [`init_nn_descent`], at a fraction of the distance computations
-/// (pruning decides which pairs are worth scoring — see
-/// [`crate::rnndescent`]).
-pub fn init_rnn_descent(ds: &Dataset, params: &RnnDescentParams) -> Vec<Vec<Neighbor>> {
-    rnn_descent(ds, params, None)
-}
-
 /// Budgeted KD-forest search pools — the seed material for EFANNA-style
 /// tree-assisted descent (`pool_size` entries per vertex, self excluded).
 pub fn kd_seed_pools(
@@ -126,9 +114,10 @@ pub fn init_kdtree_nn_descent(
 }
 
 /// Brute-force initialization (IEH, FANNG, k-DR): the exact KNNG with
-/// distances attached.
+/// distances attached. `threads == 0` is one per available core, as for
+/// every builder.
 pub fn init_brute_force(ds: &Dataset, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
-    weavess_data::ground_truth::exact_knn_graph(ds, k, threads)
+    weavess_data::ground_truth::exact_knn_graph(ds, k, parallel::resolve_threads(threads))
         .into_iter()
         .enumerate()
         .map(|(v, row)| {

@@ -8,10 +8,14 @@
 //! | C4 seed preprocessing + C6 seed acquisition | [`seeds`] | random, fixed, KD-forest, VP-tree, BK-tree, LSH |
 //! | C5 connectivity | [`connectivity`] | DFS repair, reverse edges |
 //! | C7 routing | [`crate::search`] | best-first, range, backtrack, guided, two-stage |
+//!
+//! The per-point loop that runs C2 + C3 for every vertex, and the freeze
+//! of the resulting lists, are the crate-private `refine` skeleton.
 
 pub mod candidates;
 pub mod connectivity;
 pub mod init;
+pub(crate) mod refine;
 pub mod seeds;
 pub mod selection;
 

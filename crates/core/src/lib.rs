@@ -16,7 +16,8 @@
 //! - [`rnndescent`]: Relative NN-Descent — the faster C1 alternative that
 //!   interleaves RNG-style pruning into the descent loop itself; same
 //!   output shape and determinism contract as [`nndescent`], selectable
-//!   per builder through [`components::init::C1Choice`].
+//!   on NSG through [`components::init::C1Choice`] and on any component
+//!   pipeline through [`pipeline::InitChoice::RnnDescent`].
 //! - [`components`]: the C1–C6 pipeline stages as free functions and
 //!   strategy enums, so any combination can be composed.
 //! - [`pipeline`]: the §5.4 benchmark algorithm — a

@@ -161,6 +161,25 @@ fn read_seeds(r: &mut impl Read) -> Result<SeedStrategy, PersistError> {
     })
 }
 
+/// Rejects seeds no saved index carries and no query could use: a fixed
+/// id outside the graph (an out-of-bounds read at the first query, or in
+/// the permutation remap at load), or a per-query random draw above
+/// [`MAX_PREALLOC`]. The count is not held to `n`: a tiny index may carry
+/// the default ten draws over fewer points, and seeding clamps it.
+fn check_seeds(seeds: &SeedStrategy, n: usize) -> Result<(), PersistError> {
+    let problem = match seeds {
+        SeedStrategy::Fixed(ids) => ids
+            .iter()
+            .find(|&&id| id as usize >= n)
+            .map(|id| format!("fixed seed {id} out of range (n={n})")),
+        SeedStrategy::Random { count } if *count > MAX_PREALLOC => {
+            Some(format!("implausible random seed count {count}"))
+        }
+        _ => None,
+    };
+    problem.map_or(Ok(()), |m| Err(PersistError::BadFormat(m)))
+}
+
 fn write_graph_lists(w: &mut impl Write, lists: &[Vec<u32>]) -> Result<(), PersistError> {
     w.write_all(&(lists.len() as u64).to_le_bytes())?;
     for l in lists {
@@ -206,6 +225,7 @@ pub fn load_index(path: &Path) -> Result<FlatIndex, PersistError> {
     let router = read_router(&mut r)?;
     let seeds = read_seeds(&mut r)?;
     let lists = read_graph_lists(&mut r)?;
+    check_seeds(&seeds, lists.len())?;
     Ok(FlatIndex {
         // Leak the small name string to fit FlatIndex's &'static str; index
         // names come from a fixed set in practice.
@@ -325,6 +345,7 @@ pub fn load_layout_index(path: &Path, ds: &Dataset) -> Result<LayoutIndex, Persi
         }
     };
     let lists = read_graph_lists(&mut r)?;
+    check_seeds(&seeds, lists.len())?;
     if lists.len() != ds.len() {
         return Err(PersistError::BadFormat(format!(
             "graph has {} vertices but dataset has {}",
@@ -741,6 +762,60 @@ mod tests {
                 match load(&path) {
                     Some(PersistError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {}
                     other => panic!("{what}, count {count}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// Seeds are file input like any count: a fixed id past the graph or
+    /// an absurd random-draw count is `BadFormat` from both loaders, not an
+    /// out-of-bounds panic or an O(n²) draw at the first query.
+    #[test]
+    fn hostile_seeds_are_rejected() {
+        use crate::locality::{LayoutIndex, NodeLayout};
+        let n = 10u64;
+        let (ds, _) = MixtureSpec::table10(4, n as usize, 1, 5.0, 2).generate();
+        let index = |seeds: SeedStrategy| FlatIndex {
+            name: "t",
+            graph: weavess_graph::base::exact_knng(&ds, 2, 1),
+            seeds,
+            router: Router::BestFirst,
+        };
+        // Magic, version, the one-byte name and router, then the seed tag:
+        // a `Random` count follows it, a `Fixed` id follows its length.
+        let seeds_at = 4 + 4 + (4 + 1) + 1;
+        let (count_at, id_at) = (seeds_at + 1, seeds_at + 1 + 8);
+        let random = || SeedStrategy::Random { count: 1 };
+        let fixed = || SeedStrategy::Fixed(vec![0]);
+        let max = MAX_PREALLOC as u64;
+        type Seeds<'a> = &'a dyn Fn() -> SeedStrategy;
+        let cases: [(Seeds, usize, Vec<u8>, bool); 7] = [
+            (&fixed, id_at, (n as u32 - 1).to_le_bytes().to_vec(), true),
+            (&fixed, id_at, (n as u32).to_le_bytes().to_vec(), false),
+            (&fixed, id_at, u32::MAX.to_le_bytes().to_vec(), false),
+            // More draws than points is legitimate (seeding clamps).
+            (&random, count_at, (5 * n).to_le_bytes().to_vec(), true),
+            (&random, count_at, max.to_le_bytes().to_vec(), true),
+            (&random, count_at, (max + 1).to_le_bytes().to_vec(), false),
+            (&random, count_at, u64::MAX.to_le_bytes().to_vec(), false),
+        ];
+        let path = tmp("hostile_seeds.wvss");
+        for (seeds, at, patch, ok) in &cases {
+            let mut flat = Vec::new();
+            write_index(&mut flat, &index(seeds())).unwrap();
+            let mut layout = Vec::new();
+            let reordered = LayoutIndex::from_flat(index(seeds()), &ds, NodeLayout::Split, true);
+            write_layout_index(&mut layout, &reordered).unwrap();
+            for (what, mut bytes) in [("flat", flat), ("layout", layout)] {
+                bytes[*at..*at + patch.len()].copy_from_slice(patch);
+                std::fs::write(&path, &bytes).unwrap();
+                let err = match what {
+                    "flat" => load_index(&path).err(),
+                    _ => load_layout_index(&path, &ds).err(),
+                };
+                match (ok, &err) {
+                    (true, None) | (false, Some(PersistError::BadFormat(_))) => {}
+                    _ => panic!("{what}, seed bytes {patch:?}: {err:?}"),
                 }
             }
         }

@@ -12,22 +12,19 @@ use crate::components::candidates::{
     candidates_by_expansion, candidates_by_search, candidates_direct,
 };
 use crate::components::connectivity::{add_reverse_edges, dfs_repair};
-use crate::components::init::{
-    init_brute_force, init_kdtree_nn_descent, init_nn_descent, init_random, init_rnn_descent,
-};
+use crate::components::init::{init_brute_force, init_kdtree_nn_descent, init_random};
+use crate::components::refine::{freeze, per_point};
 use crate::components::seeds::SeedStrategy;
 use crate::components::selection::{
     select_angle, select_closest, select_dpg, select_mst, select_rng_alpha,
 };
 use crate::index::FlatIndex;
-use crate::nndescent::NnDescentParams;
-use crate::parallel;
-use crate::rnndescent::RnnDescentParams;
-use crate::search::{Router, SearchScratch, SearchStats};
+use crate::nndescent::{nn_descent, NnDescentParams};
+use crate::rnndescent::{rnn_descent, RnnDescentParams};
+use crate::search::Router;
 use crate::telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
 use weavess_data::{Dataset, Neighbor};
 use weavess_graph::CsrGraph;
 use weavess_trees::{BkTree, KdForest, LshTable, VpTree};
@@ -264,23 +261,22 @@ impl PipelineBuilder {
     /// for the Table 15 per-component construction-time study.
     pub fn build_timed(&self, ds: &Dataset) -> (FlatIndex, f64, f64) {
         let t0 = std::time::Instant::now();
-        let threads = parallel::resolve_threads(self.threads);
         let mut rng = StdRng::seed_from_u64(self.seed);
 
         // --- C1: initialization ---
         let init_lists: Vec<Vec<Neighbor>> = telemetry::span("C1 init", || match &self.init {
             InitChoice::Random { k } => init_random(ds, *k, self.seed),
-            InitChoice::NnDescent(p) => init_nn_descent(ds, p),
-            InitChoice::RnnDescent(p) => init_rnn_descent(ds, p),
+            InitChoice::NnDescent(p) => nn_descent(ds, p, None),
+            InitChoice::RnnDescent(p) => rnn_descent(ds, p, None),
             InitChoice::KdTree {
                 n_trees,
                 checks_per_tree,
                 nd,
             } => {
                 let forest = KdForest::build(ds, *n_trees, 32, &mut rng);
-                init_kdtree_nn_descent(ds, &forest, *checks_per_tree, nd, threads)
+                init_kdtree_nn_descent(ds, &forest, *checks_per_tree, nd, self.threads)
             }
-            InitChoice::BruteForce { k } => init_brute_force(ds, *k, threads),
+            InitChoice::BruteForce { k } => init_brute_force(ds, *k, self.threads),
         });
         let init_secs = t0.elapsed().as_secs_f64();
 
@@ -288,58 +284,42 @@ impl PipelineBuilder {
         let medoid = ds.medoid();
 
         // --- C2 + C3: per-point candidate acquisition and selection ---
-        let init_csr = CsrGraph::from_lists(
-            &init_lists
-                .iter()
-                .map(|l| l.iter().map(|x| x.id).collect::<Vec<u32>>())
-                .collect::<Vec<_>>(),
-        );
+        let init_csr = CsrGraph::from_neighbor_lists(&init_lists);
         let n = ds.len();
-        let mut new_lists: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-        telemetry::span("C2+C3 candidates+selection", || {
-            let ndc = AtomicU64::new(0);
-            parallel::par_fill(
-                &mut new_lists,
-                parallel::CHUNK,
-                threads,
-                || (SearchScratch::new(n), SearchStats::default()),
-                |(scratch, stats), start, slot| {
-                    let before = stats.ndc;
-                    for (j, out) in slot.iter_mut().enumerate() {
-                        let p = (start + j) as u32;
-                        let cands = match &self.candidates {
-                            CandidateChoice::Search { beam, cap } => candidates_by_search(
-                                ds,
-                                &init_csr,
-                                p,
-                                &[medoid],
-                                *beam,
-                                *cap,
-                                scratch,
-                                stats,
-                            ),
-                            CandidateChoice::Expansion { cap } => {
-                                candidates_by_expansion(ds, &init_lists, p, *cap)
-                            }
-                            CandidateChoice::Direct => candidates_direct(&init_lists, p),
-                        };
-                        *out = match &self.selection {
-                            SelectionChoice::Closest { degree } => select_closest(&cands, *degree),
-                            SelectionChoice::RngAlpha { degree, alpha } => {
-                                select_rng_alpha(ds, p, &cands, *degree, *alpha)
-                            }
-                            SelectionChoice::Angle { degree, min_deg } => {
-                                select_angle(ds, p, &cands, *degree, *min_deg)
-                            }
-                            SelectionChoice::Dpg { kappa } => select_dpg(ds, p, &cands, *kappa),
-                            SelectionChoice::Mst => select_mst(ds, p, &cands),
-                        };
+        let mut new_lists = per_point(
+            ds,
+            self.threads,
+            "C2+C3 candidates+selection",
+            |p, scratch, stats| {
+                let cands = match &self.candidates {
+                    CandidateChoice::Search { beam, cap } => candidates_by_search(
+                        ds,
+                        &init_csr,
+                        p,
+                        &[medoid],
+                        *beam,
+                        *cap,
+                        scratch,
+                        stats,
+                    ),
+                    CandidateChoice::Expansion { cap } => {
+                        candidates_by_expansion(ds, &init_lists, p, *cap)
                     }
-                    ndc.fetch_add(stats.ndc - before, Ordering::Relaxed);
-                },
-            );
-            telemetry::add_span_ndc(ndc.load(Ordering::Relaxed));
-        });
+                    CandidateChoice::Direct => candidates_direct(&init_lists, p),
+                };
+                match &self.selection {
+                    SelectionChoice::Closest { degree } => select_closest(&cands, *degree),
+                    SelectionChoice::RngAlpha { degree, alpha } => {
+                        select_rng_alpha(ds, p, &cands, *degree, *alpha)
+                    }
+                    SelectionChoice::Angle { degree, min_deg } => {
+                        select_angle(ds, p, &cands, *degree, *min_deg)
+                    }
+                    SelectionChoice::Dpg { kappa } => select_dpg(ds, p, &cands, *kappa),
+                    SelectionChoice::Mst => select_mst(ds, p, &cands),
+                }
+            },
+        );
         drop(init_csr);
 
         // --- C5: connectivity ---
@@ -399,14 +379,7 @@ impl PipelineBuilder {
             },
         });
 
-        let graph = telemetry::span("freeze", || {
-            CsrGraph::from_lists(
-                &new_lists
-                    .iter()
-                    .map(|l| l.iter().map(|x| x.id).collect::<Vec<u32>>())
-                    .collect::<Vec<_>>(),
-            )
-        });
+        let graph = freeze(&new_lists);
         let total_secs = t0.elapsed().as_secs_f64();
         (
             FlatIndex {

@@ -55,13 +55,15 @@ fn dataset(n: usize) -> Dataset {
 }
 
 /// The headline guarantee: all seventeen algorithms build bit-identical
-/// adjacency at 1, 2, and 8 construction threads.
+/// adjacency at 1, 2, and 8 construction threads, and at 0 ("one per
+/// available core", which every builder must resolve rather than clamp).
 #[test]
 fn every_algorithm_builds_identically_at_1_2_8_threads() {
     let ds = dataset(350);
     for &algo in Algo::all() {
         let digests: Vec<u64> = THREAD_SWEEP
             .iter()
+            .chain(&[0])
             .map(|&t| adjacency_digest(&algo.build(&ds, t, 7).graph().to_lists()))
             .collect();
         assert!(

@@ -10,12 +10,17 @@
 //! - Histogram merge is commutative and associative, so any partition of
 //!   the samples yields the same distribution.
 //! - [`profile_build`] attributes per-component wall time (and NDC for
-//!   the search-based phases) for HNSW, NSG, and OA.
+//!   the search-based phases) for HNSW and every builder on the
+//!   refinement skeleton, under the span names the benchmark maps.
 
 use proptest::prelude::*;
+use weavess_core::algorithms::dpg::{self, DpgParams};
+use weavess_core::algorithms::fanng::{self, FanngParams};
 use weavess_core::algorithms::hnsw::{self, HnswParams};
 use weavess_core::algorithms::nsg::{self, NsgParams};
+use weavess_core::algorithms::nssg::{self, NssgParams};
 use weavess_core::algorithms::oa::{self, OaParams};
+use weavess_core::algorithms::sptag::{self, SptagParams};
 use weavess_core::index::AnnIndex;
 use weavess_core::search::{
     filtered_beam_search, filtered_beam_search_traced, Router, SearchScratch, SearchStats,
@@ -253,8 +258,10 @@ fn batch_histograms_are_worker_count_independent() {
 }
 
 /// `profile_build` attributes per-component cost for representative
-/// builders of all three init families: HNSW (incremental insertion),
-/// NSG (KNNG refinement), OA (NN-descent + angular selection).
+/// builders of all three construction strategies: HNSW (incremental
+/// insertion), the refinement builders that run the shared per-point
+/// skeleton (NSG, OA, NSSG, DPG, FANNG) and SPTAG-BKT (divide and
+/// conquer, then the same skeleton).
 #[test]
 fn build_profiles_cover_hnsw_nsg_oa() {
     let spec = MixtureSpec::table10(10, 700, 3, 4.0, 2).with_seed(21);
@@ -276,42 +283,86 @@ fn build_profiles_cover_hnsw_nsg_oa() {
         .unwrap();
     assert!(insertion.ndc > 0, "insertion phase must attribute NDC");
 
-    let (_, nsg_profile) = profile_build("NSG", || nsg::build(&base, &NsgParams::tuned(2, 4)));
-    for component in [
-        "C1 init",
-        "C2+C3 candidates+selection",
-        "C5 connectivity",
-        "freeze",
-    ] {
-        assert!(
-            nsg_profile.span_secs(component).is_some(),
-            "NSG profile missing {component}: {:?}",
-            nsg_profile.spans
-        );
+    // The refinement and divide-and-conquer builders: every span, in
+    // order — the benchmark harness maps `"C1 init"`, the `"C2+C3"` and
+    // `"C5"` prefixes and `"freeze"` by name — and the distance
+    // computations attributed to each per-point pass. Search-based C2
+    // (NSG) counts its beam searches; expansion-only passes score through
+    // `Dataset::dist` and have always reported 0 (ROADMAP 7(c)).
+    const C2_C3: &str = "C2+C3 candidates+selection";
+    type Build<'a> = &'a dyn Fn() -> Box<dyn AnnIndex>;
+    let fanng_shortcut = FanngParams {
+        exact_cutoff: 100,
+        ..FanngParams::tuned(2, 4)
+    };
+    // (name, build, every span in order, (per-point pass, its NDC)).
+    type Case<'a> = (&'a str, Build<'a>, &'a [&'a str], (&'a str, u64));
+    let cases: [Case; 7] = [
+        (
+            "NSG",
+            &|| Box::new(nsg::build(&base, &NsgParams::tuned(2, 4))),
+            &["C1 init", C2_C3, "C5 connectivity", "freeze"],
+            (C2_C3, 150_081),
+        ),
+        (
+            "OA",
+            &|| Box::new(oa::build(&base, &OaParams::tuned(2, 4))),
+            &["C1 init", C2_C3, "C4 seeds", "C5 connectivity", "freeze"],
+            (C2_C3, 0),
+        ),
+        (
+            "NSSG",
+            &|| Box::new(nssg::build(&base, &NssgParams::tuned(2, 4))),
+            &["C1 init", C2_C3, "C4 seeds", "C5 connectivity", "freeze"],
+            (C2_C3, 0),
+        ),
+        (
+            "DPG",
+            &|| Box::new(dpg::build(&base, &DpgParams::tuned(2, 4))),
+            &["C1 init", "C3 selection", "C5 connectivity", "freeze"],
+            ("C3 selection", 0),
+        ),
+        (
+            "FANNG, exact",
+            &|| Box::new(fanng::build(&base, &FanngParams::tuned(2, 4))),
+            &[C2_C3, "freeze"],
+            (C2_C3, 0),
+        ),
+        (
+            "FANNG, shortcut",
+            &|| Box::new(fanng::build(&base, &fanng_shortcut)),
+            &["C1 init", "C3 selection", "freeze"],
+            ("C3 selection", 0),
+        ),
+        (
+            "SPTAG-BKT",
+            &|| Box::new(sptag::build(&base, &SptagParams::bkt(2, 4))),
+            &[
+                "C1 init",
+                "C2 candidates",
+                "C3 selection",
+                "freeze",
+                "C4 seeds",
+            ],
+            ("C3 selection", 0),
+        ),
+    ];
+    let mut profiles = vec![hnsw_profile];
+    for (name, build, spans, (pass, ndc)) in cases {
+        let (_, profile) = profile_build(name, build);
+        let got: Vec<&str> = profile.spans.iter().map(|s| s.component).collect();
+        assert_eq!(got, spans, "{name} spans");
+        let pass_ndc = profile
+            .spans
+            .iter()
+            .find(|s| s.component == pass)
+            .unwrap()
+            .ndc;
+        assert_eq!(pass_ndc, ndc, "{name} {pass} NDC");
+        profiles.push(profile);
     }
-    let refine = nsg_profile
-        .spans
-        .iter()
-        .find(|s| s.component == "C2+C3 candidates+selection")
-        .unwrap();
-    assert!(refine.ndc > 0, "NSG refinement must attribute NDC");
 
-    let (_, oa_profile) = profile_build("OA", || oa::build(&base, &OaParams::tuned(2, 4)));
-    for component in [
-        "C1 init",
-        "C2+C3 candidates+selection",
-        "C4 seeds",
-        "C5 connectivity",
-        "freeze",
-    ] {
-        assert!(
-            oa_profile.span_secs(component).is_some(),
-            "OA profile missing {component}: {:?}",
-            oa_profile.spans
-        );
-    }
-
-    for p in [&hnsw_profile, &nsg_profile, &oa_profile] {
+    for p in &profiles {
         assert!(p.total_secs > 0.0);
         assert!(p.spans.iter().all(|s| s.secs >= 0.0));
         let json = p.to_json();

@@ -306,6 +306,22 @@ impl CsrGraph {
         Self::from_rows(lists.iter().map(|l| l.as_ref()))
     }
 
+    /// Builds from per-vertex [`Neighbor`] lists, keeping each list's ids
+    /// in order — how every builder freezes its working lists. Two passes
+    /// (size, fill) straight into the CSR arrays: no intermediate
+    /// `Vec<Vec<u32>>`.
+    pub fn from_neighbor_lists(lists: &[Vec<Neighbor>]) -> Self {
+        let total: usize = lists.iter().map(Vec::len).sum();
+        let mut offsets = Vec::with_capacity(lists.len() + 1);
+        let mut edges = Vec::with_capacity(total);
+        offsets.push(0u64);
+        for l in lists {
+            edges.extend(l.iter().map(|n| n.id));
+            offsets.push(edges.len() as u64);
+        }
+        CsrGraph { offsets, edges }
+    }
+
     /// Builds from one neighbor slice per vertex, in vertex order — how a
     /// non-list layout (e.g. [`SlotGraph`]) freezes without materialising
     /// lists. The iterator is walked twice: once to size the edge array

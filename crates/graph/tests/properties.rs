@@ -1,7 +1,7 @@
 //! Property tests for the graph substrate.
 
 use proptest::prelude::*;
-use weavess_data::Dataset;
+use weavess_data::{Dataset, Neighbor};
 use weavess_graph::adjacency::GraphView;
 use weavess_graph::base::{exact_knng, exact_rng, mst_kruskal, mst_prim, total_weight};
 use weavess_graph::connectivity::{reachable_from, weak_components};
@@ -73,6 +73,7 @@ proptest! {
     #[test]
     fn csr_roundtrip_and_degrees(
         lists in prop::collection::vec(prop::collection::vec(0u32..20, 0..8), 1..20),
+        dist in 0.0f32..10.0,
     ) {
         // Clamp ids into range.
         let n = lists.len() as u32;
@@ -82,6 +83,12 @@ proptest! {
             .collect();
         let csr = CsrGraph::from_lists(&lists);
         prop_assert_eq!(csr.to_lists(), lists.clone());
+        // Freezing `Neighbor` lists keeps exactly the ids, in list order.
+        let neighbor_lists: Vec<Vec<Neighbor>> = lists
+            .iter()
+            .map(|l| l.iter().map(|&x| Neighbor::new(x, dist)).collect())
+            .collect();
+        prop_assert_eq!(&CsrGraph::from_neighbor_lists(&neighbor_lists), &csr);
         let stats = degree_stats(&csr);
         let total: usize = lists.iter().map(|l| l.len()).sum();
         prop_assert!((stats.avg - total as f64 / n as f64).abs() < 1e-9);
