@@ -31,6 +31,7 @@ use parking_lot::Mutex;
 use weavess_data::ground_truth::knn_scan;
 use weavess_data::{Dataset, Neighbor};
 
+use crate::telemetry::expose::{Expose, Exposition};
 use crate::telemetry::flight::splitmix64;
 use crate::telemetry::histogram::{bucket_lower_bound, bucket_upper_bound, BUCKETS};
 use crate::telemetry::Histogram;
@@ -54,6 +55,15 @@ pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
         ((center - margin) / denom).max(0.0),
         ((center + margin) / denom).min(1.0),
     )
+}
+
+/// `hits / trials`, or 0 with no trials.
+fn ratio(hits: u64, trials: u64) -> f64 {
+    if trials == 0 {
+        0.0
+    } else {
+        hits as f64 / trials as f64
+    }
 }
 
 /// Tuning knobs for a [`RecallAuditor`].
@@ -269,11 +279,7 @@ impl<'a> RecallAuditor<'a> {
             dropped_total: g.dropped_total,
             window_hits: g.window_hits,
             window_trials: g.window_trials,
-            recall: if g.window_trials == 0 {
-                0.0
-            } else {
-                g.window_hits as f64 / g.window_trials as f64
-            },
+            recall: ratio(g.window_hits, g.window_trials),
             ci_low,
             ci_high,
             lifetime_hits: g.hits_total,
@@ -324,120 +330,92 @@ pub struct AuditSnapshot {
 }
 
 impl AuditSnapshot {
-    /// Lifetime recall point estimate (0 with no data).
-    pub fn lifetime_recall(&self) -> f64 {
-        if self.lifetime_trials == 0 {
-            0.0
-        } else {
-            self.lifetime_hits as f64 / self.lifetime_trials as f64
-        }
-    }
-
     /// The audit surface in Prometheus text exposition format.
     pub fn to_prometheus(&self) -> String {
-        use crate::telemetry::expose::{prometheus_counter, prometheus_gauge};
-        let mut out = String::new();
-        out.push_str(&prometheus_counter(
-            "weavess_audit_sampled_total",
-            "Served queries selected for audit.",
-            self.sampled_total,
-        ));
-        out.push_str(&prometheus_counter(
-            "weavess_audit_completed_total",
-            "Audits completed (exact re-answers).",
-            self.audited_total,
-        ));
-        out.push_str(&prometheus_counter(
-            "weavess_audit_dropped_total",
-            "Sampled queries dropped by the bounded pending queue.",
-            self.dropped_total,
-        ));
-        out.push_str(&prometheus_gauge(
-            "weavess_audit_pending",
-            "Sampled queries awaiting exact scan.",
-            self.pending as f64,
-        ));
-        out.push_str(&prometheus_gauge(
-            "weavess_audit_recall",
-            "Rolling live Recall@k point estimate.",
-            self.recall,
-        ));
-        out.push_str(&prometheus_gauge(
-            "weavess_audit_recall_ci_low",
-            "Wilson 95% lower bound on the rolling recall.",
-            self.ci_low,
-        ));
-        out.push_str(&prometheus_gauge(
-            "weavess_audit_recall_ci_high",
-            "Wilson 95% upper bound on the rolling recall.",
-            self.ci_high,
-        ));
-        if !self.per_shard.is_empty() {
-            out.push_str(
-                "# HELP weavess_audit_shard_recall Per-shard recall of ground-truth \
-                 neighbors owned by the shard.\n\
-                 # TYPE weavess_audit_shard_recall gauge\n",
-            );
-            for (s, (hits, trials)) in self.per_shard.iter().enumerate() {
-                let r = if *trials == 0 {
-                    0.0
-                } else {
-                    *hits as f64 / *trials as f64
-                };
-                out.push_str(&format!(
-                    "weavess_audit_shard_recall{{shard=\"{s}\"}} {r}\n"
-                ));
-            }
-        }
-        out.push_str(
-            "# HELP weavess_audit_cohort_recall Recall split by overlay-vs-base serving \
-             cohort.\n# TYPE weavess_audit_cohort_recall gauge\n",
-        );
-        for (name, (hits, trials)) in [("base", self.cohort_base), ("overlay", self.cohort_overlay)]
-        {
-            let r = if trials == 0 {
-                0.0
-            } else {
-                hits as f64 / trials as f64
-            };
-            out.push_str(&format!(
-                "weavess_audit_cohort_recall{{cohort=\"{name}\"}} {r}\n"
-            ));
-        }
-        out
+        Exposition::of(&[self]).to_prometheus()
     }
 
     /// The audit surface as a JSON object.
     pub fn to_json(&self) -> String {
-        let per_shard: Vec<String> = self
-            .per_shard
-            .iter()
-            .map(|(h, t)| format!("{{\"hits\": {h}, \"trials\": {t}}}"))
-            .collect();
-        format!(
-            "{{\"k\": {}, \"sampled_total\": {}, \"audited_total\": {}, \"pending\": {}, \
-             \"dropped_total\": {}, \"window_hits\": {}, \"window_trials\": {}, \
-             \"recall\": {:.6}, \"ci_low\": {:.6}, \"ci_high\": {:.6}, \
-             \"lifetime_recall\": {:.6}, \"per_shard\": [{}], \
-             \"cohort_base\": {{\"hits\": {}, \"trials\": {}}}, \
-             \"cohort_overlay\": {{\"hits\": {}, \"trials\": {}}}}}",
-            self.k,
+        Exposition::of(&[self]).to_json()
+    }
+}
+
+impl Expose for AuditSnapshot {
+    fn expose(&self, out: &mut Exposition) {
+        out.counter(
+            "weavess_audit_sampled_total",
+            "Served queries selected for audit.",
             self.sampled_total,
+        );
+        out.counter(
+            "weavess_audit_completed_total",
+            "Audits completed (exact re-answers).",
             self.audited_total,
-            self.pending,
+        );
+        out.counter(
+            "weavess_audit_dropped_total",
+            "Sampled queries dropped by the bounded pending queue.",
             self.dropped_total,
-            self.window_hits,
-            self.window_trials,
+        );
+        out.counter(
+            "weavess_audit_hits_total",
+            "Audited result slots that held a true neighbor, since creation.",
+            self.lifetime_hits,
+        );
+        out.counter(
+            "weavess_audit_trials_total",
+            "Audited result slots since creation (k per audit).",
+            self.lifetime_trials,
+        );
+        out.gauge(
+            "weavess_audit_pending",
+            "Sampled queries awaiting exact scan.",
+            self.pending as f64,
+        );
+        out.gauge(
+            "weavess_audit_k",
+            "Neighbors audited per query (the k of Recall@k).",
+            self.k as f64,
+        );
+        out.gauge(
+            "weavess_audit_recall",
+            "Rolling live Recall@k point estimate.",
             self.recall,
+        );
+        out.gauge(
+            "weavess_audit_recall_ci_low",
+            "Wilson 95% lower bound on the rolling recall.",
             self.ci_low,
+        );
+        out.gauge(
+            "weavess_audit_recall_ci_high",
+            "Wilson 95% upper bound on the rolling recall.",
             self.ci_high,
-            self.lifetime_recall(),
-            per_shard.join(", "),
-            self.cohort_base.0,
-            self.cohort_base.1,
-            self.cohort_overlay.0,
-            self.cohort_overlay.1,
-        )
+        );
+        out.gauge(
+            "weavess_audit_window_trials",
+            "Result slots in the rolling window behind the recall estimate.",
+            self.window_trials as f64,
+        );
+        if !self.per_shard.is_empty() {
+            let shards = self.per_shard.iter().enumerate();
+            out.labeled_gauge(
+                "weavess_audit_shard_recall",
+                "Per-shard recall of ground-truth neighbors owned by the shard.",
+                shards.map(|(s, &(hits, trials))| {
+                    (vec![("shard", s.to_string())], ratio(hits, trials))
+                }),
+            );
+        }
+        let cohorts = [("base", self.cohort_base), ("overlay", self.cohort_overlay)];
+        out.labeled_gauge(
+            "weavess_audit_cohort_recall",
+            "Recall split by overlay-vs-base serving cohort.",
+            cohorts.map(|(name, (hits, trials))| {
+                (vec![("cohort", name.to_string())], ratio(hits, trials))
+            }),
+        );
     }
 }
 
@@ -522,47 +500,42 @@ pub struct SloReport {
 impl SloReport {
     /// The SLO surface in Prometheus text exposition format.
     pub fn to_prometheus(&self) -> String {
-        use crate::telemetry::expose::prometheus_gauge;
-        let mut out = String::new();
-        out.push_str(&prometheus_gauge(
-            "weavess_slo_latency_state",
-            "Latency SLO state: 0 ok, 1 warn, 2 breach.",
-            self.latency_state.as_gauge(),
-        ));
-        out.push_str(&prometheus_gauge(
-            "weavess_slo_latency_burn",
-            "Latency burn rate: window over-threshold fraction / budget.",
-            self.latency_burn,
-        ));
-        out.push_str(&prometheus_gauge(
-            "weavess_slo_recall_state",
-            "Recall SLO state: 0 ok, 1 warn, 2 breach.",
-            self.recall_state.as_gauge(),
-        ));
-        out.push_str(&prometheus_gauge(
-            "weavess_slo_recall_estimate",
-            "Rolling live Recall@k estimate the SLO state derives from.",
-            self.recall_estimate,
-        ));
-        out
+        Exposition::of(&[self]).to_prometheus()
     }
 
     /// The SLO surface as a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"latency_state\": \"{}\", \"latency_burn\": {:.6}, \"window_slow\": {:.3}, \
-             \"window_queries\": {}, \"recall_state\": \"{}\", \"recall_estimate\": {:.6}, \
-             \"recall_ci\": [{:.6}, {:.6}], \"recall_trials\": {}}}",
-            self.latency_state.name(),
+        Exposition::of(&[self]).to_json()
+    }
+}
+
+impl Expose for SloReport {
+    fn expose(&self, out: &mut Exposition) {
+        out.gauge(
+            "weavess_slo_latency_state",
+            "Latency SLO state: 0 ok, 1 warn, 2 breach.",
+            self.latency_state.as_gauge(),
+        );
+        out.gauge(
+            "weavess_slo_latency_burn",
+            "Latency burn rate: window over-threshold fraction / budget.",
             self.latency_burn,
-            self.window_slow,
-            self.window_queries,
-            self.recall_state.name(),
+        );
+        out.gauge(
+            "weavess_slo_window_queries",
+            "Queries in the window the latency burn rate was computed over.",
+            self.window_queries as f64,
+        );
+        out.gauge(
+            "weavess_slo_recall_state",
+            "Recall SLO state: 0 ok, 1 warn, 2 breach.",
+            self.recall_state.as_gauge(),
+        );
+        out.gauge(
+            "weavess_slo_recall_estimate",
+            "Rolling live Recall@k estimate the SLO state derives from.",
             self.recall_estimate,
-            self.recall_ci.0,
-            self.recall_ci.1,
-            self.recall_trials,
-        )
+        );
     }
 }
 
@@ -805,7 +778,9 @@ mod tests {
         assert!(prom.contains("weavess_audit_shard_recall{shard=\"1\"} 0.9\n"));
         assert!(prom.contains("weavess_audit_cohort_recall{cohort=\"base\"} 0.9\n"));
         let json = snap.to_json();
-        assert!(json.contains("\"recall\": 0.900000"));
-        assert!(json.contains("\"per_shard\": [{\"hits\": 18, \"trials\": 20}"));
+        assert!(json.contains("\"weavess_audit_recall\": 0.9,"));
+        assert!(
+            json.contains("\"weavess_audit_shard_recall\": [{\"shard\": \"0\", \"value\": 0.9}")
+        );
     }
 }

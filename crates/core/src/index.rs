@@ -217,46 +217,6 @@ impl AnnIndex for FlatIndex {
     }
 }
 
-/// Answers a whole query batch in parallel across `threads`, returning
-/// per-query results plus the aggregated work counters.
-///
-/// The paper measures single-threaded search (its QPS columns); this is
-/// the deployment-facing counterpart — every [`AnnIndex`] is `Sync`, so
-/// queries shard freely.
-pub fn search_batch(
-    index: &dyn AnnIndex,
-    ds: &Dataset,
-    queries: &Dataset,
-    k: usize,
-    beam: usize,
-    threads: usize,
-) -> (Vec<Vec<Neighbor>>, SearchStats) {
-    let nq = queries.len();
-    let threads = crate::parallel::resolve_threads(threads.max(1));
-    // Fixed-size chunks keep the query → worker-context assignment (and so
-    // the per-chunk stats) independent of the thread count.
-    const QUERY_CHUNK: usize = 32;
-    let per_chunk = crate::parallel::par_chunks_map(
-        nq,
-        QUERY_CHUNK,
-        threads,
-        || SearchContext::new(ds.len()),
-        |ctx, range| {
-            let out: Vec<Vec<Neighbor>> = range
-                .map(|i| index.search(ds, queries.point(i as u32), k, beam, ctx))
-                .collect();
-            (out, ctx.take_stats())
-        },
-    );
-    let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(nq);
-    let mut total = SearchStats::default();
-    for (out, stats) in per_chunk {
-        results.extend(out);
-        total.merge(stats);
-    }
-    (results, total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,32 +288,5 @@ mod tests {
     fn memory_counts_graph_and_seeds() {
         let (_, _, idx) = flat();
         assert_eq!(idx.memory_bytes(), idx.graph.memory_bytes());
-    }
-
-    #[test]
-    fn batch_search_matches_serial_results() {
-        let (ds, qs, mut idx) = flat();
-        // Fixed seeds so serial and parallel runs are comparable.
-        idx.seeds = SeedStrategy::Fixed(vec![0, 100, 200]);
-        let mut ctx = SearchContext::new(ds.len());
-        let serial: Vec<Vec<Neighbor>> = (0..qs.len() as u32)
-            .map(|qi| idx.search(&ds, qs.point(qi), 10, 40, &mut ctx))
-            .collect();
-        for threads in [1usize, 3] {
-            let (batch, stats) = search_batch(&idx, &ds, &qs, 10, 40, threads);
-            assert_eq!(batch, serial, "threads={threads}");
-            assert_eq!(stats, ctx.stats, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn batch_search_handles_more_threads_than_queries() {
-        let (ds, qs, idx) = flat();
-        let two = ds.subset(&[0, 1]);
-        let _ = two;
-        let small = qs.subset(&[0, 1]);
-        let (batch, _) = search_batch(&idx, &ds, &small, 5, 20, 16);
-        assert_eq!(batch.len(), 2);
-        assert!(batch.iter().all(|r| r.len() == 5));
     }
 }

@@ -34,9 +34,13 @@ pub enum NodeLayout {
 
 /// The owned routing storage behind a [`LayoutIndex`].
 pub(crate) enum LayoutStore {
-    /// CSR + a dataset in index id space (a reordered copy, or a clone of
-    /// the original when no permutation is applied).
-    Split { graph: CsrGraph, vectors: Dataset },
+    /// CSR + the dataset in index id space: the reordered copy, or `None`
+    /// when no permutation is applied and the caller's dataset already is
+    /// that matrix.
+    Split {
+        graph: CsrGraph,
+        vectors: Option<Dataset>,
+    },
     /// Fused arena; the CSR is kept alongside so [`AnnIndex::graph`] and
     /// persistence still see a plain graph (its bytes are counted in the
     /// stats — fusing buys speed, not memory).
@@ -48,7 +52,8 @@ pub(crate) enum LayoutStore {
 pub struct LayoutStats {
     /// CSR adjacency bytes.
     pub graph_bytes: usize,
-    /// Vector storage bytes (split layout's dataset copy).
+    /// Vector storage bytes (split layout's reordered dataset copy; 0
+    /// when not reordered — the index then reads the caller's dataset).
     pub vector_bytes: usize,
     /// Fused arena bytes (0 for split).
     pub arena_bytes: usize,
@@ -160,9 +165,9 @@ impl LayoutIndex {
         ds: &Dataset,
         layout: NodeLayout,
     ) -> Self {
-        let (base, vectors) = match &perm {
-            Some(p) => (p.apply_to_graph(base), p.apply_to_dataset(ds)),
-            None => (base.clone(), ds.clone()),
+        let base = match &perm {
+            Some(p) => p.apply_to_graph(base),
+            None => base.clone(),
         };
         let (graph, overlay) = match overlay {
             Some(o) => {
@@ -174,7 +179,7 @@ impl LayoutIndex {
             }
             None => (base, None),
         };
-        let store = Self::store_from(graph, vectors, layout);
+        let store = Self::store_from(graph, perm.as_ref(), ds, layout);
         LayoutIndex {
             name,
             router,
@@ -185,12 +190,21 @@ impl LayoutIndex {
         }
     }
 
-    /// Builds the physical store for a routing graph + index-space vectors.
-    fn store_from(graph: CsrGraph, vectors: Dataset, layout: NodeLayout) -> LayoutStore {
+    /// Builds the physical store for a routing graph in index id space
+    /// over the caller's dataset (original id space). Vectors are copied
+    /// only when `perm` renumbers them: the reordered copy is the point of
+    /// reordering, an unreordered one would be a second `ds`.
+    fn store_from(
+        graph: CsrGraph,
+        perm: Option<&Permutation>,
+        ds: &Dataset,
+        layout: NodeLayout,
+    ) -> LayoutStore {
+        let vectors = perm.map(|p| p.apply_to_dataset(ds));
         match layout {
             NodeLayout::Split => LayoutStore::Split { graph, vectors },
             NodeLayout::Fused => {
-                let arena = FusedArena::with_vectors(&graph, &vectors);
+                let arena = FusedArena::with_vectors(&graph, vectors.as_ref().unwrap_or(ds));
                 LayoutStore::Fused { graph, arena }
             }
         }
@@ -201,12 +215,7 @@ impl LayoutIndex {
     /// the current layout. `ds` is the caller's dataset in original id
     /// space. Used by [`LayoutIndex::adapt`].
     pub(crate) fn install_combined(&mut self, combined: CsrGraph, overlay: CsrGraph, ds: &Dataset) {
-        let vectors = match &self.perm {
-            Some(p) => p.apply_to_dataset(ds),
-            None => ds.clone(),
-        };
-        let layout = self.layout();
-        self.store = Self::store_from(combined, vectors, layout);
+        self.store = Self::store_from(combined, self.perm.as_ref(), ds, self.layout());
         self.overlay = Some(overlay);
     }
 
@@ -252,7 +261,8 @@ impl LayoutIndex {
     pub fn layout_stats(&self) -> LayoutStats {
         let (graph_bytes, vector_bytes, arena_bytes, arena_padding_bytes) = match &self.store {
             LayoutStore::Split { graph, vectors } => {
-                (graph.memory_bytes(), vectors.memory_bytes(), 0, 0)
+                let vector_bytes = vectors.as_ref().map_or(0, Dataset::memory_bytes);
+                (graph.memory_bytes(), vector_bytes, 0, 0)
             }
             LayoutStore::Fused { graph, arena } => (
                 graph.memory_bytes(),
@@ -297,9 +307,11 @@ impl LayoutIndex {
         ctx.scratch.next_epoch();
         let (scratch, stats) = (&mut ctx.scratch, &mut ctx.stats);
         let mut pool = match &self.store {
-            LayoutStore::Split { graph, vectors } => self
-                .router
-                .search_traced(vectors, graph, query, &seeds, beam, scratch, stats, tracer),
+            LayoutStore::Split { graph, vectors } => {
+                let vectors = vectors.as_ref().unwrap_or(ds);
+                self.router
+                    .search_traced(vectors, graph, query, &seeds, beam, scratch, stats, tracer)
+            }
             LayoutStore::Fused { arena, .. } => self
                 .router
                 .search_traced(arena, arena, query, &seeds, beam, scratch, stats, tracer),
@@ -448,7 +460,11 @@ mod tests {
         let split = LayoutIndex::from_flat(clone_flat(&flat), &ds, NodeLayout::Split, false);
         let fused = LayoutIndex::from_flat(clone_flat(&flat), &ds, NodeLayout::Fused, true);
         let s = split.layout_stats();
-        assert!(s.vector_bytes > 0 && s.arena_bytes == 0 && s.permutation_bytes == 0);
+        assert!(s.vector_bytes == 0 && s.arena_bytes == 0 && s.permutation_bytes == 0);
+        let reordered = LayoutIndex::from_flat(clone_flat(&flat), &ds, NodeLayout::Split, true);
+        let r = reordered.layout_stats();
+        assert_eq!(r.vector_bytes, ds.memory_bytes());
+        assert!(r.arena_bytes == 0 && r.permutation_bytes > 0);
         let f = fused.layout_stats();
         assert!(f.arena_bytes > 0 && f.vector_bytes == 0 && f.permutation_bytes > 0);
         assert!(f.arena_padding_bytes < f.arena_bytes);

@@ -44,9 +44,7 @@ use std::time::{Duration, Instant};
 use crate::index::{AnnIndex, SearchContext};
 use crate::parallel::WorkerPool;
 use crate::search::SearchStats;
-use crate::telemetry::expose::{
-    json_histogram, prometheus_counter, prometheus_gauge, prometheus_histogram,
-};
+use crate::telemetry::expose::{Expose, Exposition};
 use crate::telemetry::flight::{query_fingerprint, Flight, FlightRecorder, SpanRec, Stage};
 use crate::telemetry::{Histogram, RouteTracer, ShardedCounter};
 use parking_lot::Mutex;
@@ -326,76 +324,12 @@ impl<'a> QueryEngine<'a> {
     /// batch counters, pooled-context gauge, and latency/NDC/hop
     /// histograms over every batched query served so far.
     pub fn metrics_prometheus(&self) -> String {
-        let cum = self.cumulative.lock();
-        let mut out = String::new();
-        out.push_str(&prometheus_counter(
-            "weavess_queries_total",
-            "Queries served since engine creation.",
-            self.queries_total.get(),
-        ));
-        out.push_str(&prometheus_counter(
-            "weavess_batches_total",
-            "Batches served since engine creation.",
-            self.batches_total.get(),
-        ));
-        out.push_str(&prometheus_gauge(
-            "weavess_pooled_contexts",
-            "Idle pooled search contexts.",
-            self.pooled_contexts() as f64,
-        ));
-        // Adapted-vs-base signal: 0 means the served index is the base
-        // graph; nonzero means a trace-mined catapult overlay is live.
-        out.push_str(&prometheus_gauge(
-            "weavess_overlay_edges",
-            "Catapult shortcut edges in the served index's overlay segment.",
-            self.index.overlay_edges() as f64,
-        ));
-        // Info-style series: constant 1, identity in the labels. Lets a
-        // dashboard join latency series against the kernel tier that
-        // produced them.
-        out.push_str(&format!(
-            "# HELP weavess_kernel_info Active distance-kernel tier and detected host SIMD features.\n\
-             # TYPE weavess_kernel_info gauge\n\
-             weavess_kernel_info{{tier=\"{}\",host_features=\"{}\"}} 1\n",
-            weavess_data::KernelTier::active(),
-            weavess_data::host_features(),
-        ));
-        out.push_str(&prometheus_histogram(
-            "weavess_query_latency_nanoseconds",
-            "Per-query wall latency in nanoseconds.",
-            &cum.latency,
-        ));
-        out.push_str(&prometheus_histogram(
-            "weavess_query_ndc",
-            "Distance computations per query.",
-            &cum.ndc,
-        ));
-        out.push_str(&prometheus_histogram(
-            "weavess_query_hops",
-            "Expanded vertices per query.",
-            &cum.hops,
-        ));
-        out
+        Exposition::of(&[self]).to_prometheus()
     }
 
     /// The same cumulative metrics as a JSON object.
     pub fn metrics_json(&self) -> String {
-        let cum = self.cumulative.lock();
-        format!(
-            "{{\"queries_total\": {}, \"batches_total\": {}, \"pooled_contexts\": {}, \
-             \"overlay_edges\": {}, \
-             \"kernel_tier\": \"{}\", \"host_features\": \"{}\", \
-             \"latency_ns\": {}, \"ndc\": {}, \"hops\": {}}}",
-            self.queries_total.get(),
-            self.batches_total.get(),
-            self.pooled_contexts(),
-            self.index.overlay_edges(),
-            weavess_data::KernelTier::active(),
-            weavess_data::host_features(),
-            json_histogram(&cum.latency),
-            json_histogram(&cum.ndc),
-            json_histogram(&cum.hops),
-        )
+        Exposition::of(&[self]).to_json()
     }
 
     fn checkout(&self) -> SearchContext {
@@ -635,6 +569,61 @@ impl<'a> QueryEngine<'a> {
     }
 }
 
+impl Expose for QueryEngine<'_> {
+    fn expose(&self, out: &mut Exposition) {
+        let cum = self.cumulative.lock();
+        out.counter(
+            "weavess_queries_total",
+            "Queries served since engine creation.",
+            self.queries_total.get(),
+        );
+        out.counter(
+            "weavess_batches_total",
+            "Batches served since engine creation.",
+            self.batches_total.get(),
+        );
+        out.gauge(
+            "weavess_pooled_contexts",
+            "Idle pooled search contexts.",
+            self.pooled_contexts() as f64,
+        );
+        // Adapted-vs-base signal: 0 means the served index is the base
+        // graph; nonzero means a trace-mined catapult overlay is live.
+        out.gauge(
+            "weavess_overlay_edges",
+            "Catapult shortcut edges in the served index's overlay segment.",
+            self.index.overlay_edges() as f64,
+        );
+        // Info-style series: constant 1, identity in the labels. Lets a
+        // dashboard join latency series against the kernel tier that
+        // produced them.
+        let identity = vec![
+            ("tier", weavess_data::KernelTier::active().to_string()),
+            ("host_features", weavess_data::host_features()),
+        ];
+        out.labeled_gauge(
+            "weavess_kernel_info",
+            "Active distance-kernel tier and detected host SIMD features.",
+            [(identity, 1.0)],
+        );
+        out.histogram(
+            "weavess_query_latency_nanoseconds",
+            "Per-query wall latency in nanoseconds.",
+            &cum.latency,
+        );
+        out.histogram(
+            "weavess_query_ndc",
+            "Distance computations per query.",
+            &cum.ndc,
+        );
+        out.histogram(
+            "weavess_query_hops",
+            "Expanded vertices per query.",
+            &cum.hops,
+        );
+    }
+}
+
 /// Assembles an unsharded flight from one worker part: an optional
 /// queue-wait span (claimed from the recorder's notes) followed by the
 /// single search span.
@@ -774,17 +763,13 @@ mod tests {
         let serial: Vec<Vec<Neighbor>> = (0..qs.len() as u32)
             .map(|qi| idx.search(&ds, qs.point(qi), 10, 40, &mut ctx))
             .collect();
-        let engine = QueryEngine::with_options(
-            &idx,
-            &ds,
-            EngineOptions {
-                workers: 4,
-                seed: 1,
-            },
-        );
-        let report = engine.search_batch(&qs, 10, 40);
-        assert_eq!(report.results, serial);
-        assert_eq!(report.stats, ctx.take_stats());
+        let serial_stats = ctx.take_stats();
+        for workers in [1, 4] {
+            let engine = QueryEngine::with_options(&idx, &ds, EngineOptions { workers, seed: 1 });
+            let report = engine.search_batch(&qs, 10, 40);
+            assert_eq!(report.results, serial, "workers={workers}");
+            assert_eq!(report.stats, serial_stats, "workers={workers}");
+        }
     }
 
     #[test]
@@ -841,7 +826,15 @@ mod tests {
     #[test]
     fn empty_and_single_query_batches() {
         let (ds, qs, idx) = setup(SeedStrategy::Fixed(vec![0]));
-        let engine = QueryEngine::new(&idx, &ds);
+        // More workers than queries in both batches.
+        let engine = QueryEngine::with_options(
+            &idx,
+            &ds,
+            EngineOptions {
+                workers: 16,
+                seed: 0,
+            },
+        );
         let empty = engine.search_batch(&qs.subset(&[]), 10, 40);
         assert!(empty.results.is_empty());
         assert_eq!(empty.stats, SearchStats::default());
@@ -923,17 +916,17 @@ mod tests {
         assert!(prom.contains(&format!("weavess_queries_total {expect}")));
         assert!(prom.contains("weavess_batches_total 2"));
         assert!(prom.contains("weavess_query_ndc_bucket{le=\"+Inf\"}"));
-        assert!(prom.contains("# TYPE weavess_query_latency_nanoseconds histogram"));
+        assert!(prom.contains("weavess_query_latency_nanoseconds_count"));
         let tier_label = format!(
             "weavess_kernel_info{{tier=\"{}\"",
             weavess_data::KernelTier::active()
         );
         assert!(prom.contains(&tier_label));
         let json = engine.metrics_json();
-        assert!(json.contains(&format!("\"queries_total\": {expect}")));
-        assert!(json.contains("\"ndc\": {\"count\":"));
+        assert!(json.contains(&format!("\"weavess_queries_total\": {expect}")));
+        assert!(json.contains("\"weavess_query_ndc\": {\"count\":"));
         assert!(json.contains(&format!(
-            "\"kernel_tier\": \"{}\"",
+            "\"weavess_kernel_info\": [{{\"tier\": \"{}\"",
             weavess_data::KernelTier::active()
         )));
     }

@@ -21,7 +21,7 @@ use crate::locality::{LayoutIndex, NodeLayout};
 use crate::parallel::WorkerPool;
 use crate::search::SearchStats;
 use crate::serve::{BatchReport, EngineOptions, EngineSnapshot, LatencySummary, QueryEngine};
-use crate::telemetry::expose::{json_histogram, prometheus_counter, prometheus_histogram};
+use crate::telemetry::expose::{Expose, Exposition};
 use crate::telemetry::flight::{Flight, FlightRecorder, SpanRec, Stage};
 use crate::telemetry::{Histogram, ShardedCounter};
 use weavess_data::{Dataset, Neighbor};
@@ -296,135 +296,68 @@ impl FleetReport {
     }
 
     /// Fleet metrics in Prometheus text exposition format: logical
-    /// counters, one labeled per-shard series per counter, and the merged
-    /// NDC/hop/latency histograms.
+    /// counters, one labeled per-shard series per counter, the merged
+    /// NDC/hop/latency histograms, then every attached block.
     pub fn to_prometheus(&self) -> String {
-        use crate::telemetry::expose::prometheus_labeled_counter;
-        let mut out = String::new();
-        out.push_str(&prometheus_counter(
-            "weavess_fleet_queries_total",
-            "Queries served by the fleet (scatter counted once).",
-            self.logical_queries,
-        ));
-        out.push_str(&prometheus_counter(
-            "weavess_fleet_batches_total",
-            "Batches served by the fleet.",
-            self.logical_batches,
-        ));
-        let series = |f: fn(&EngineSnapshot) -> u64| -> Vec<(String, u64)> {
-            self.per_shard
-                .iter()
-                .enumerate()
-                .map(|(s, snap)| (s.to_string(), f(snap)))
-                .collect()
-        };
-        out.push_str(&prometheus_labeled_counter(
-            "weavess_shard_queries_total",
-            "Query executions per shard.",
-            "shard",
-            &series(|s| s.queries_total),
-        ));
-        out.push_str(&prometheus_labeled_counter(
-            "weavess_shard_batches_total",
-            "Batch executions per shard.",
-            "shard",
-            &series(|s| s.batches_total),
-        ));
-        out.push_str(&prometheus_histogram(
-            "weavess_fleet_query_latency_nanoseconds",
-            "Per-(query, shard) wall latency in nanoseconds, merged.",
-            &self.merged.latency,
-        ));
-        out.push_str(&prometheus_histogram(
-            "weavess_fleet_query_ndc",
-            "Distance computations per (query, shard), merged.",
-            &self.merged.ndc,
-        ));
-        out.push_str(&prometheus_histogram(
-            "weavess_fleet_query_hops",
-            "Expanded vertices per (query, shard), merged.",
-            &self.merged.hops,
-        ));
-        if let Some(q) = &self.queue {
-            out.push_str(&prometheus_counter(
-                "weavess_queue_batches_total",
-                "Coalesced batches executed by the admission queue.",
-                q.stats.batches_total,
-            ));
-            out.push_str(&prometheus_counter(
-                "weavess_queue_queries_total",
-                "Queries admitted through the queue.",
-                q.stats.queries_total,
-            ));
-            out.push_str(&crate::telemetry::expose::prometheus_gauge(
-                "weavess_queue_depth",
-                "Queries pending admission right now.",
-                q.depth as f64,
-            ));
-            out.push_str(&prometheus_histogram(
-                "weavess_queue_batch_size",
-                "Closed-batch sizes.",
-                &q.stats.batch_size,
-            ));
-            out.push_str(&prometheus_histogram(
-                "weavess_queue_wait_nanoseconds",
-                "Per-query admission delay (enqueue to batch close) in nanoseconds.",
-                &q.stats.queue_delay_ns,
-            ));
-        }
-        if let Some(a) = &self.audit {
-            out.push_str(&a.to_prometheus());
-        }
-        if let Some(s) = &self.slo {
-            out.push_str(&s.to_prometheus());
-        }
-        out
+        Exposition::of(&[self]).to_prometheus()
     }
 
     /// The same fleet metrics as a JSON object.
     pub fn to_json(&self) -> String {
-        let per_shard: Vec<String> = self
-            .per_shard
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"queries_total\": {}, \"batches_total\": {}, \"ndc\": {}}}",
-                    s.queries_total,
-                    s.batches_total,
-                    json_histogram(&s.ndc),
-                )
-            })
-            .collect();
-        let mut extra = String::new();
+        Exposition::of(&[self]).to_json()
+    }
+}
+
+impl Expose for FleetReport {
+    fn expose(&self, out: &mut Exposition) {
+        out.counter(
+            "weavess_fleet_queries_total",
+            "Queries served by the fleet (scatter counted once).",
+            self.logical_queries,
+        );
+        out.counter(
+            "weavess_fleet_batches_total",
+            "Batches served by the fleet.",
+            self.logical_batches,
+        );
+        let per_shard = |f: fn(&EngineSnapshot) -> u64| {
+            let shards = self.per_shard.iter().enumerate();
+            shards.map(move |(s, snap)| (vec![("shard", s.to_string())], f(snap)))
+        };
+        out.labeled_counter(
+            "weavess_shard_queries_total",
+            "Query executions per shard.",
+            per_shard(|s| s.queries_total),
+        );
+        out.labeled_counter(
+            "weavess_shard_batches_total",
+            "Batch executions per shard.",
+            per_shard(|s| s.batches_total),
+        );
+        out.histogram(
+            "weavess_fleet_query_latency_nanoseconds",
+            "Per-(query, shard) wall latency in nanoseconds, merged.",
+            &self.merged.latency,
+        );
+        out.histogram(
+            "weavess_fleet_query_ndc",
+            "Distance computations per (query, shard), merged.",
+            &self.merged.ndc,
+        );
+        out.histogram(
+            "weavess_fleet_query_hops",
+            "Expanded vertices per (query, shard), merged.",
+            &self.merged.hops,
+        );
         if let Some(q) = &self.queue {
-            extra.push_str(&format!(
-                ", \"queue\": {{\"batches_total\": {}, \"queries_total\": {}, \
-                 \"depth\": {}, \"batch_size\": {}, \"wait_ns\": {}}}",
-                q.stats.batches_total,
-                q.stats.queries_total,
-                q.depth,
-                json_histogram(&q.stats.batch_size),
-                json_histogram(&q.stats.queue_delay_ns),
-            ));
+            q.expose(out);
         }
         if let Some(a) = &self.audit {
-            extra.push_str(&format!(", \"audit\": {}", a.to_json()));
+            a.expose(out);
         }
         if let Some(s) = &self.slo {
-            extra.push_str(&format!(", \"slo\": {}", s.to_json()));
+            s.expose(out);
         }
-        format!(
-            "{{\"shards\": {}, \"logical_queries\": {}, \"logical_batches\": {}, \
-             \"latency_ns\": {}, \"ndc\": {}, \"hops\": {}, \"per_shard\": [{}]{}}}",
-            self.per_shard.len(),
-            self.logical_queries,
-            self.logical_batches,
-            json_histogram(&self.merged.latency),
-            json_histogram(&self.merged.ndc),
-            json_histogram(&self.merged.hops),
-            per_shard.join(", "),
-            extra,
-        )
     }
 }
 

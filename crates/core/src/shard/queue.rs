@@ -44,6 +44,7 @@ use std::time::{Duration, Instant};
 
 use super::engine::ShardedEngine;
 use crate::serve::QueryEngine;
+use crate::telemetry::expose::{Expose, Exposition};
 use crate::telemetry::flight::{query_fingerprint, FlightRecorder};
 use crate::telemetry::Histogram;
 use weavess_data::{Dataset, Neighbor};
@@ -151,6 +152,36 @@ pub struct QueueSnapshot {
     pub stats: QueueStats,
     /// Queries pending admission right now.
     pub depth: usize,
+}
+
+impl Expose for QueueSnapshot {
+    fn expose(&self, out: &mut Exposition) {
+        out.counter(
+            "weavess_queue_batches_total",
+            "Coalesced batches executed by the admission queue.",
+            self.stats.batches_total,
+        );
+        out.counter(
+            "weavess_queue_queries_total",
+            "Queries admitted through the queue.",
+            self.stats.queries_total,
+        );
+        out.gauge(
+            "weavess_queue_depth",
+            "Queries pending admission right now.",
+            self.depth as f64,
+        );
+        out.histogram(
+            "weavess_queue_batch_size",
+            "Closed-batch sizes.",
+            &self.stats.batch_size,
+        );
+        out.histogram(
+            "weavess_queue_wait_nanoseconds",
+            "Per-query admission delay (enqueue to batch close) in nanoseconds.",
+            &self.stats.queue_delay_ns,
+        );
+    }
 }
 
 struct PendingQuery {

@@ -1,64 +1,201 @@
-//! Metric exposition: Prometheus text format and a JSON mirror.
+//! Metric exposition: every series declared once, rendered two ways.
 //!
-//! Dependency-free renderers for the serving layer's `/metrics`-style
-//! surface. The Prometheus output follows the text exposition format
+//! A snapshot type implements [`Expose`] by declaring each of its series
+//! (name, HELP text, value) into an [`Exposition`] — an ordered list of
+//! metric families. The list has exactly two renderers:
+//! [`Exposition::to_prometheus`] follows the text exposition format
 //! (`# HELP` / `# TYPE` headers, cumulative `_bucket{le="…"}` series plus
-//! `_sum` and `_count` for histograms); the JSON mirror carries the same
-//! numbers for programmatic consumers.
+//! `_sum` and `_count` for histograms) and [`Exposition::to_json`] is the
+//! same families as one JSON object keyed by series name. Blocks compose
+//! by exposing into the same list ([`Exposition::of`]), never by joining
+//! rendered strings.
+
+use std::fmt::{Display, Write};
 
 use super::histogram::{bucket_upper_bound, Histogram, BUCKETS};
 
-/// Renders one counter in Prometheus text format.
-pub fn prometheus_counter(name: &str, help: &str, value: u64) -> String {
-    format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n")
+/// A type that declares its metric series into an [`Exposition`].
+pub trait Expose {
+    /// Appends this value's families to `out`, each exactly once.
+    fn expose(&self, out: &mut Exposition);
 }
 
-/// Renders one gauge in Prometheus text format.
-pub fn prometheus_gauge(name: &str, help: &str, value: f64) -> String {
-    format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n")
+/// The `(label, value)` pairs of one sample, in render order.
+pub type Labels = Vec<(&'static str, String)>;
+
+enum Value {
+    Counter(u64),
+    Gauge(f64),
+    Histogram(Box<Histogram>),
 }
 
-/// Renders one counter with a label set: `# HELP`/`# TYPE` headers, then
-/// one sample line per `(label-value, value)` pair — the shape the
-/// sharded tier uses for per-shard series under one metric family.
-pub fn prometheus_labeled_counter(
-    name: &str,
-    help: &str,
-    label: &str,
-    series: &[(String, u64)],
-) -> String {
-    let mut out = format!("# HELP {name} {help}\n# TYPE {name} counter\n");
-    for (lv, value) in series {
-        out.push_str(&format!("{name}{{{label}=\"{lv}\"}} {value}\n"));
-    }
-    out
+struct Family {
+    name: &'static str,
+    help: &'static str,
+    kind: &'static str,
+    samples: Vec<(Labels, Value)>,
 }
 
-/// Renders a [`Histogram`] in Prometheus text format: one cumulative
-/// `_bucket` line per non-empty octave (plus the mandatory `+Inf`
-/// bucket), then `_sum` and `_count`.
-pub fn prometheus_histogram(name: &str, help: &str, h: &Histogram) -> String {
-    let mut out = format!("# HELP {name} {help}\n# TYPE {name} histogram\n");
-    let counts = h.bucket_counts();
-    let mut cum = 0u64;
-    for (b, &c) in counts.iter().enumerate().take(BUCKETS - 1) {
-        cum += c;
-        if c > 0 {
-            out.push_str(&format!(
-                "{name}_bucket{{le=\"{}\"}} {cum}\n",
-                bucket_upper_bound(b)
-            ));
+/// An ordered list of metric families (counter / gauge / histogram).
+#[derive(Default)]
+pub struct Exposition {
+    families: Vec<Family>,
+}
+
+impl Exposition {
+    /// The families of `parts`, exposed in order into one list.
+    pub fn of(parts: &[&dyn Expose]) -> Exposition {
+        let mut out = Exposition::default();
+        for part in parts {
+            part.expose(&mut out);
         }
+        out
     }
-    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
-    out.push_str(&format!("{name}_sum {}\n", h.sum()));
-    out.push_str(&format!("{name}_count {}\n", h.count()));
-    out
+
+    /// Declares a counter with one unlabelled sample.
+    pub fn counter(&mut self, name: &'static str, help: &'static str, value: u64) {
+        self.labeled_counter(name, help, [(Labels::new(), value)]);
+    }
+
+    /// Declares a gauge with one unlabelled sample.
+    pub fn gauge(&mut self, name: &'static str, help: &'static str, value: f64) {
+        self.labeled_gauge(name, help, [(Labels::new(), value)]);
+    }
+
+    /// Declares a counter family with one sample per label set — the
+    /// shape the sharded tier uses for per-shard series.
+    pub fn labeled_counter(
+        &mut self,
+        name: &'static str,
+        help: &'static str,
+        samples: impl IntoIterator<Item = (Labels, u64)>,
+    ) {
+        let samples = samples.into_iter().map(|(l, v)| (l, Value::Counter(v)));
+        self.family(name, help, "counter", samples.collect());
+    }
+
+    /// Declares a gauge family with one sample per label set.
+    pub fn labeled_gauge(
+        &mut self,
+        name: &'static str,
+        help: &'static str,
+        samples: impl IntoIterator<Item = (Labels, f64)>,
+    ) {
+        let samples = samples.into_iter().map(|(l, v)| (l, Value::Gauge(v)));
+        self.family(name, help, "gauge", samples.collect());
+    }
+
+    /// Declares a histogram family with one unlabelled sample.
+    pub fn histogram(&mut self, name: &'static str, help: &'static str, h: &Histogram) {
+        let samples = vec![(Labels::new(), Value::Histogram(Box::new(h.clone())))];
+        self.family(name, help, "histogram", samples);
+    }
+
+    fn family(
+        &mut self,
+        name: &'static str,
+        help: &'static str,
+        kind: &'static str,
+        samples: Vec<(Labels, Value)>,
+    ) {
+        self.families.push(Family {
+            name,
+            help,
+            kind,
+            samples,
+        });
+    }
+
+    /// Prometheus text exposition format. A histogram renders one
+    /// cumulative `_bucket` line per non-empty octave (plus the mandatory
+    /// `+Inf` bucket), then `_sum` and `_count`.
+    pub fn to_prometheus(&self) -> String {
+        let mut out = String::new();
+        for f in &self.families {
+            let name = f.name;
+            out.push_str(&format!(
+                "# HELP {name} {}\n# TYPE {name} {}\n",
+                f.help, f.kind
+            ));
+            for (labels, value) in &f.samples {
+                let labels: Vec<String> =
+                    labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+                match value {
+                    Value::Counter(v) => push_sample(&mut out, name, "", &labels, v),
+                    Value::Gauge(v) => push_sample(&mut out, name, "", &labels, v),
+                    Value::Histogram(h) => {
+                        let bucket = |out: &mut String, le: &dyn Display, cum: u64| {
+                            let mut labels = labels.clone();
+                            labels.push(format!("le=\"{le}\""));
+                            push_sample(out, name, "_bucket", &labels, cum);
+                        };
+                        let mut cum = 0u64;
+                        for (b, &c) in h.bucket_counts().iter().enumerate().take(BUCKETS - 1) {
+                            cum += c;
+                            if c > 0 {
+                                bucket(&mut out, &bucket_upper_bound(b), cum);
+                            }
+                        }
+                        bucket(&mut out, &"+Inf", h.count());
+                        push_sample(&mut out, name, "_sum", &labels, h.sum());
+                        push_sample(&mut out, name, "_count", &labels, h.count());
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The same families as one JSON object keyed by series name: a
+    /// family with a single unlabelled sample is that sample's value (a
+    /// number, or the [`Histogram`] object with count/sum/min/max/mean,
+    /// headline percentiles and the non-empty buckets); a labelled family
+    /// is an array of `{"<label>": "<value>", …, "value": …}` objects.
+    /// Non-finite gauges render as `null`.
+    pub fn to_json(&self) -> String {
+        let mut families = Vec::new();
+        for f in &self.families {
+            let mut samples = Vec::new();
+            for (labels, value) in &f.samples {
+                let value = match value {
+                    Value::Counter(v) => v.to_string(),
+                    Value::Gauge(v) if v.is_finite() => v.to_string(),
+                    Value::Gauge(_) => "null".to_string(),
+                    Value::Histogram(h) => json_histogram(h),
+                };
+                let labels: String = labels
+                    .iter()
+                    .map(|(k, v)| format!("\"{k}\": \"{v}\", "))
+                    .collect();
+                samples.push(if labels.is_empty() {
+                    value
+                } else {
+                    format!("{{{labels}\"value\": {value}}}")
+                });
+            }
+            let unlabelled = matches!(f.samples.as_slice(), [(l, _)] if l.is_empty());
+            families.push(if unlabelled {
+                format!("\"{}\": {}", f.name, samples[0])
+            } else {
+                format!("\"{}\": [{}]", f.name, samples.join(", "))
+            });
+        }
+        format!("{{{}}}", families.join(", "))
+    }
 }
 
-/// Renders a [`Histogram`] as a JSON object with count/sum/min/max/mean,
+/// One sample line: `name{labels} value`, or `name value` without labels.
+fn push_sample(out: &mut String, name: &str, suffix: &str, labels: &[String], value: impl Display) {
+    let labels = match labels {
+        [] => String::new(),
+        _ => format!("{{{}}}", labels.join(",")),
+    };
+    writeln!(out, "{name}{suffix}{labels} {value}").expect("writing to a String cannot fail");
+}
+
+/// A [`Histogram`] as a JSON object with count/sum/min/max/mean,
 /// headline percentiles, and the non-empty buckets.
-pub fn json_histogram(h: &Histogram) -> String {
+fn json_histogram(h: &Histogram) -> String {
     let mut buckets = String::new();
     for (b, &c) in h.bucket_counts().iter().enumerate() {
         if c > 0 {
@@ -121,21 +258,51 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_parse() {
-        assert_prometheus_parses(&prometheus_counter("weavess_queries_total", "Queries.", 42));
-        assert_prometheus_parses(&prometheus_gauge("weavess_up", "Up.", 1.0));
+        let mut e = Exposition::default();
+        e.counter("weavess_queries_total", "Queries.", 42);
+        e.gauge("weavess_up", "Up.", 1.0);
+        let text = e.to_prometheus();
+        assert_prometheus_parses(&text);
+        assert_eq!(
+            text,
+            "# HELP weavess_queries_total Queries.\n# TYPE weavess_queries_total counter\n\
+             weavess_queries_total 42\n\
+             # HELP weavess_up Up.\n# TYPE weavess_up gauge\nweavess_up 1\n"
+        );
+        assert_eq!(
+            e.to_json(),
+            "{\"weavess_queries_total\": 42, \"weavess_up\": 1}"
+        );
     }
 
     #[test]
-    fn labeled_counter_parses_with_one_series_per_label_value() {
-        let text = prometheus_labeled_counter(
+    fn labeled_families_render_one_series_per_label_set() {
+        let mut e = Exposition::default();
+        let shard = |s: u32| vec![("shard", s.to_string())];
+        e.labeled_counter(
             "weavess_shard_queries_total",
             "Queries per shard.",
-            "shard",
-            &[("0".to_string(), 3), ("1".to_string(), 4)],
+            [(shard(0), 3), (shard(1), 4)],
         );
+        e.labeled_gauge(
+            "weavess_info",
+            "Identity.",
+            [(
+                vec![("a", "x".to_string()), ("b", "y".to_string())],
+                f64::INFINITY,
+            )],
+        );
+        let text = e.to_prometheus();
         assert_prometheus_parses(&text);
         assert!(text.contains("weavess_shard_queries_total{shard=\"0\"} 3\n"));
         assert!(text.contains("weavess_shard_queries_total{shard=\"1\"} 4\n"));
+        assert!(text.contains("weavess_info{a=\"x\",b=\"y\"} inf\n"));
+        assert_eq!(
+            e.to_json(),
+            "{\"weavess_shard_queries_total\": [{\"shard\": \"0\", \"value\": 3}, \
+             {\"shard\": \"1\", \"value\": 4}], \
+             \"weavess_info\": [{\"a\": \"x\", \"b\": \"y\", \"value\": null}]}"
+        );
     }
 
     #[test]
@@ -144,7 +311,9 @@ mod tests {
         for v in [1u64, 2, 2, 100, 5000] {
             h.record(v);
         }
-        let text = prometheus_histogram("weavess_ndc", "NDC per query.", &h);
+        let mut e = Exposition::default();
+        e.histogram("weavess_ndc", "NDC per query.", &h);
+        let text = e.to_prometheus();
         assert_prometheus_parses(&text);
         // Cumulative buckets: last finite bucket <= +Inf == count.
         let mut last = 0u64;
@@ -168,8 +337,10 @@ mod tests {
     fn json_histogram_carries_percentiles() {
         let mut h = Histogram::new();
         h.record(10);
-        let j = json_histogram(&h);
-        assert!(j.contains("\"count\": 1"));
+        let mut e = Exposition::default();
+        e.histogram("weavess_ndc", "NDC per query.", &h);
+        let j = e.to_json();
+        assert!(j.starts_with("{\"weavess_ndc\": {\"count\": 1"));
         assert!(j.contains("\"p50\": 10"));
         assert!(j.contains("\"le\": 15"));
     }

@@ -298,8 +298,11 @@ fn batch_stats_and_fleet_report_aggregate_per_shard_work() {
         shards - 1
     )));
     let json = engine.metrics_json();
-    assert!(json.contains(&format!("\"shards\": {shards}")));
-    assert!(json.contains("\"logical_queries\""));
+    assert!(json.contains(&format!(
+        "\"weavess_fleet_queries_total\": {}",
+        queries.len()
+    )));
+    assert!(json.contains(&format!("{{\"shard\": \"{}\", \"value\":", shards - 1)));
 }
 
 /// Every deterministic field of a scattered batch's report.

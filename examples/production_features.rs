@@ -8,10 +8,11 @@
 //! ```
 
 use weavess::core::algorithms::nsg::{self, NsgParams};
-use weavess::core::index::{search_batch, AnnIndex, SearchContext};
+use weavess::core::index::{AnnIndex, SearchContext};
 use weavess::core::persist::{load_index, save_index};
 use weavess::core::quantized::QuantizedIndex;
 use weavess::core::search::{SearchScratch, SearchStats};
+use weavess::core::serve::{EngineOptions, QueryEngine};
 use weavess::data::ground_truth::ground_truth;
 use weavess::data::metrics::mean_recall;
 use weavess::data::synthetic::MixtureSpec;
@@ -44,9 +45,17 @@ fn main() {
     );
 
     // Parallel batch search on the reloaded index.
-    let t0 = std::time::Instant::now();
-    let (results, stats) = search_batch(&loaded, &base, &queries, 10, 60, 4);
-    let ids: Vec<Vec<u32>> = results
+    let engine = QueryEngine::with_options(
+        &loaded,
+        &base,
+        EngineOptions {
+            workers: 4,
+            ..EngineOptions::default()
+        },
+    );
+    let report = engine.search_batch(&queries, 10, 60);
+    let ids: Vec<Vec<u32>> = report
+        .results
         .iter()
         .map(|r| r.iter().map(|n| n.id).collect())
         .collect();
@@ -54,8 +63,8 @@ fn main() {
         "batch of {} queries: Recall@10 {:.3}, {:.0} QPS aggregate, {} NDC total",
         queries.len(),
         mean_recall(&ids, &gt),
-        queries.len() as f64 / t0.elapsed().as_secs_f64(),
-        stats.ndc
+        report.qps(),
+        report.stats.ndc
     );
 
     // Quantized routing: 4x smaller resident vectors, full-precision

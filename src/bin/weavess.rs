@@ -290,6 +290,7 @@ fn cmd_gt(opts: &Opts) -> Result<(), String> {
 fn cmd_serve(opts: &Opts) -> Result<(), String> {
     use weavess::core::audit::{AuditConfig, RecallAuditor, SloEngine, SloPolicy};
     use weavess::core::serve::{EngineOptions, QueryEngine};
+    use weavess::core::telemetry::expose::Exposition;
     use weavess::core::telemetry::{query_fingerprint, FlightOptions, FlightRecorder};
 
     let index = load_index(Path::new(need(opts, "index")?)).map_err(|e| e.to_string())?;
@@ -368,9 +369,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         std::fs::write(path, recorder.chrome_trace_json()).map_err(|e| e.to_string())?;
         eprintln!("wrote Chrome trace to {path}");
     }
-    let mut prom = engine.metrics_prometheus();
-    prom.push_str(&audit.to_prometheus());
-    prom.push_str(&slo_report.to_prometheus());
+    let prom = Exposition::of(&[&engine, &audit, &slo_report]).to_prometheus();
     match opts.get("metrics-out") {
         Some(path) => {
             std::fs::write(path, &prom).map_err(|e| e.to_string())?;
