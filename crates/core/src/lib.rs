@@ -34,7 +34,8 @@
 //!   scheduler; every builder's threading goes through it, so built graphs
 //!   are bit-identical at any thread count. Also home of
 //!   [`parallel::WorkerPool`], the standing fork-join pool both serving
-//!   engines scatter through.
+//!   engines scatter through, which wakes a worker only when its measured
+//!   hand-off latency pays for the task that worker would take.
 //! - [`persist`]: save/load built indexes without rebuilding.
 //! - [`quantized`]: SQ8-routed search with full-precision rerank (the §6
 //!   "data encoding" challenge).

@@ -27,16 +27,19 @@
 //! The serving tier's fork-join is [`WorkerPool`]: builds run for seconds
 //! and can afford a scope's thread creation per phase, a 100 µs query
 //! batch cannot, so the engines keep parked threads and the calling
-//! thread works beside them.
+//! thread works beside them — and wakes one only when the pool's own
+//! measured hand-off latency says that thread would arrive in time to
+//! take a task off the caller.
 
 use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, OnceLock, PoisonError};
 use std::thread::{JoinHandle, Thread};
+use std::time::Instant;
 
 /// Default work-unit size for per-point construction loops. Small enough
 /// to load-balance skewed work (beam searches vary), large enough that the
@@ -135,11 +138,104 @@ where
         .collect()
 }
 
+/// Stands for "not measured" wherever a hand-off latency sits in an
+/// atomic; real samples saturate one below it.
+const HANDOFF_UNKNOWN: u64 = u64::MAX;
+
+/// Samples the hand-off estimate is the median of, and how many must
+/// have been taken before there is one.
+const HANDOFF_WINDOW: usize = 8;
+
+fn known(handoff_ns: u64) -> Option<u64> {
+    (handoff_ns != HANDOFF_UNKNOWN).then_some(handoff_ns)
+}
+
+/// How many parked helpers a job of `n_tasks` wakes: one for every task
+/// the caller, working alone, would not have reached by the time a helper
+/// could — `n_tasks − 1 − ⌊h / c⌋` for a hand-off latency `h` and a
+/// per-task cost `c`, held between 0 and `parked`. With either unknown
+/// the caller is credited no head start, which is the eager
+/// `min(parked, n_tasks − 1)`. A free hand-off (`h = 0`) is eager too,
+/// whatever the tasks cost; free tasks (`c = 0`) behind a hand-off that
+/// costs anything wake nobody.
+fn wake_count(
+    n_tasks: usize,
+    parked: usize,
+    handoff_ns: Option<u64>,
+    task_cost_ns: Option<u64>,
+) -> usize {
+    let head_start = match (handoff_ns, task_cost_ns) {
+        (Some(h), Some(c)) if h > 0 => h.checked_div(c).unwrap_or(u64::MAX),
+        _ => 0,
+    };
+    let head_start = usize::try_from(head_start).unwrap_or(usize::MAX);
+    parked.min(n_tasks.saturating_sub(1).saturating_sub(head_start))
+}
+
+/// The pool's running estimate of its own hand-off latency: wake-up call
+/// sent → a woken helper holds the pool's lock and can claim.
+struct Handoff {
+    /// Median of `window`, nanoseconds, or [`HANDOFF_UNKNOWN`].
+    /// `Relaxed`: a statistic, it publishes nothing else.
+    estimate_ns: AtomicU64,
+    window: Mutex<HandoffWindow>,
+}
+
+#[derive(Default)]
+struct HandoffWindow {
+    recent: [u64; HANDOFF_WINDOW],
+    /// Samples taken so far; the ring holds the last `HANDOFF_WINDOW`.
+    taken: usize,
+    /// Set by [`WorkerPool::pin_handoff_ns`]: samples no longer count.
+    pinned: bool,
+}
+
+impl Default for Handoff {
+    fn default() -> Self {
+        Handoff {
+            estimate_ns: AtomicU64::new(HANDOFF_UNKNOWN),
+            window: Mutex::default(),
+        }
+    }
+}
+
+impl Handoff {
+    fn estimate(&self) -> Option<u64> {
+        known(self.estimate_ns.load(Ordering::Relaxed))
+    }
+
+    fn record(&self, ns: u64) {
+        let mut w = self.window.lock();
+        if w.pinned {
+            return;
+        }
+        let at = w.taken % HANDOFF_WINDOW;
+        w.recent[at] = ns.min(HANDOFF_UNKNOWN - 1);
+        w.taken += 1;
+        // No estimate from a partly filled window: a job the estimate
+        // keeps inline takes no sample, so one stall among the first few
+        // wake-ups would otherwise be believed for good.
+        if w.taken >= HANDOFF_WINDOW {
+            let mut sorted = w.recent;
+            sorted.sort_unstable();
+            self.estimate_ns
+                .store(sorted[HANDOFF_WINDOW / 2], Ordering::Relaxed);
+        }
+    }
+
+    fn pin(&self, ns: u64) {
+        self.window.lock().pinned = true;
+        self.estimate_ns
+            .store(ns.min(HANDOFF_UNKNOWN - 1), Ordering::Relaxed);
+    }
+}
+
 /// One [`WorkerPool::run`] call: the task cursor the caller and the
 /// workers claim from, and what the caller waits on.
 struct Job {
     /// The caller's closure with its lifetime erased; see the `SAFETY`
-    /// contract in [`WorkerPool::run`]. Read only after claiming a task.
+    /// contract in [`WorkerPool::run_with_cost`]. Read only after claiming
+    /// a task.
     task: &'static (dyn Fn(usize) + Sync),
     n_tasks: usize,
     /// Next unclaimed task. `Relaxed`: a claim publishes nothing — the
@@ -155,6 +251,12 @@ struct Job {
     /// The thread blocked in `run`, unparked by whichever worker
     /// finishes the last task.
     caller: Thread,
+    /// Parked helpers this job's publication woke.
+    woken: usize,
+    /// The hand-off a woken helper measured on reaching this job, or
+    /// [`HANDOFF_UNKNOWN`]. `Relaxed`: read by the caller for a flight
+    /// span, after the `Acquire` load of `unfinished`.
+    handoff_ns: AtomicU64,
 }
 
 impl Job {
@@ -183,6 +285,11 @@ struct PoolState {
     /// every worker is busy).
     parked: usize,
     shutdown: bool,
+    /// When the latest wake-up call was decided; taken by the first
+    /// helper it rouses, whose clock reading then is one hand-off sample
+    /// — whether or not the job is still there, so a hand-off longer
+    /// than the job it was paid for is measured like any other.
+    wake_sent: Option<Instant>,
 }
 
 impl PoolState {
@@ -197,14 +304,31 @@ struct PoolShared {
     /// operation, so a guard is valid even after a poisoning panic.
     state: Mutex<PoolState>,
     wake: Condvar,
+    handoff: Handoff,
+    /// Jobs published that woke nobody / somebody. `Relaxed` statistics.
+    jobs_inline: AtomicU64,
+    jobs_fanned_out: AtomicU64,
 }
 
 impl PoolShared {
     fn worker_loop(&self) {
         let mut state = self.state.lock();
+        // A hand-off this worker measured on waking, until it is noted on
+        // the job it was paid for.
+        let mut measured: Option<u64> = None;
         loop {
             if let Some(job) = state.jobs.front().cloned() {
                 drop(state);
+                if let Some(ns) = measured.take().filter(|_| job.woken > 0) {
+                    // Only the first arrival's: the span reads "how long
+                    // until a second thread was working on this batch".
+                    let _ = job.handoff_ns.compare_exchange(
+                        HANDOFF_UNKNOWN,
+                        ns,
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    );
+                }
                 job.work(false);
                 state = self.state.lock();
                 state.retire(&job);
@@ -217,8 +341,41 @@ impl PoolShared {
                     .wait(state)
                     .unwrap_or_else(PoisonError::into_inner);
                 state.parked -= 1;
+                measured = state
+                    .wake_sent
+                    .take()
+                    .map(|sent| u64::try_from(sent.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                if let Some(ns) = measured {
+                    self.handoff.record(ns);
+                }
             }
         }
+    }
+}
+
+/// A point-in-time copy of one pool's hand-off accounting, or of several
+/// pools' folded together (a fleet's: the job counts add, the hand-off is
+/// the largest known).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolSnapshot {
+    /// The current hand-off estimate, nanoseconds: the median of the last
+    /// eight times a wake-up call took to put a helper where it could
+    /// claim a task. `None` until the pool has measured eight.
+    pub handoff_ns: Option<u64>,
+    /// Jobs published that woke no helper: they ran on the thread that
+    /// called, beside whichever helpers happened to be awake.
+    pub jobs_inline: u64,
+    /// Jobs published that woke at least one parked helper.
+    pub jobs_fanned_out: u64,
+}
+
+impl PoolSnapshot {
+    /// Folds another pool's view into this one (pools of one process wake
+    /// threads of one host; the slowest is what a dashboard should see).
+    pub(crate) fn absorb(&mut self, other: PoolSnapshot) {
+        self.handoff_ns = self.handoff_ns.max(other.handoff_ns);
+        self.jobs_inline += other.jobs_inline;
+        self.jobs_fanned_out += other.jobs_fanned_out;
     }
 }
 
@@ -227,11 +384,17 @@ impl PoolShared {
 /// atomic cursor.
 ///
 /// Because the caller participates, [`run`](WorkerPool::run) is at worst
-/// the inline loop: a batch of two 35 µs tasks is over before a sleeping
-/// core has woken, a 2 000-task batch spreads over every worker, and
-/// neither case needs a threshold. Concurrent `run` calls are served
-/// oldest-first. Threads start on the first multi-task run and are
-/// joined on drop.
+/// the inline loop plus the wake-up calls it chose to make, and it makes
+/// one only for a task the caller would not have reached by the time the
+/// woken thread could (`wake_count`): the pool measures what a wake-up
+/// takes on this host (`h`, [`PoolSnapshot::handoff_ns`]) and
+/// [`run_with_cost`](WorkerPool::run_with_cost) callers say what one
+/// task costs (`c`). Where a sleeping core needs 50 µs, a batch of two
+/// 25 µs tasks runs on the thread that brought it and a 2 000-task batch
+/// spreads over every worker; where it needs 5 µs both spread. With
+/// either number unknown every parked worker a task could use is woken.
+/// Concurrent `run` calls are served oldest-first. Threads start on the
+/// first multi-task run and are joined on drop.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     threads: usize,
@@ -251,15 +414,30 @@ impl WorkerPool {
 
     /// Runs `task(0) … task(n_tasks - 1)`, each exactly once, on the
     /// caller and the pool's workers; returns when all have finished.
-    /// With one task or no workers nothing is locked or woken.
+    /// With one task or no workers nothing is locked or woken. This is
+    /// [`run_with_cost`](Self::run_with_cost) for a caller that cannot
+    /// say what a task costs.
     ///
     /// # Panics
     /// Re-raises the first panic of any task, after every task has
     /// finished; the pool stays usable.
     pub fn run<F: Fn(usize) + Sync>(&self, n_tasks: usize, task: F) {
+        self.run_with_cost(n_tasks, None, task);
+    }
+
+    /// [`run`](Self::run) for a caller that expects one task to take
+    /// `task_cost_ns` (`None`: unknown, wake eagerly). Returns the
+    /// hand-off a helper woken for this job measured on reaching it, when
+    /// one was woken and got there before the job was over.
+    pub fn run_with_cost<F: Fn(usize) + Sync>(
+        &self,
+        n_tasks: usize,
+        task_cost_ns: Option<u64>,
+        task: F,
+    ) -> Option<u64> {
         if n_tasks <= 1 || self.threads == 0 {
             (0..n_tasks).for_each(task);
-            return;
+            return None;
         }
         // A worker that cannot be spawned is one the caller stands in for.
         self.handles.get_or_init(|| {
@@ -288,23 +466,35 @@ impl WorkerPool {
         // `mem::forget` cannot skip it. `F: Sync` makes the shared calls
         // sound; `Job` is private to this module.
         let task: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
-        let job = Arc::new(Job {
-            task,
-            n_tasks,
-            next: AtomicUsize::new(0),
-            unfinished: AtomicUsize::new(n_tasks),
-            panics: Mutex::new(Vec::new()),
-            caller: std::thread::current(),
-        });
-        let wake = {
+        let handoff = self.shared.handoff.estimate();
+        let job = {
             let mut state = self.shared.state.lock();
+            let woken = wake_count(n_tasks, state.parked, handoff, task_cost_ns);
+            if woken > 0 {
+                state.wake_sent = Some(Instant::now());
+            }
+            let job = Arc::new(Job {
+                task,
+                n_tasks,
+                next: AtomicUsize::new(0),
+                unfinished: AtomicUsize::new(n_tasks),
+                panics: Mutex::new(Vec::new()),
+                caller: std::thread::current(),
+                woken,
+                handoff_ns: AtomicU64::new(HANDOFF_UNKNOWN),
+            });
             state.jobs.push_back(Arc::clone(&job));
-            state.parked.min(n_tasks - 1)
+            job
         };
         // Outside the lock, so a woken worker does not block on it again.
-        for _ in 0..wake {
+        for _ in 0..job.woken {
             self.shared.wake.notify_one();
         }
+        let mode = match job.woken {
+            0 => &self.shared.jobs_inline,
+            _ => &self.shared.jobs_fanned_out,
+        };
+        mode.fetch_add(1, Ordering::Relaxed);
         job.work(true);
         self.shared.state.lock().retire(&job);
         while job.unfinished.load(Ordering::Acquire) != 0 {
@@ -314,16 +504,59 @@ impl WorkerPool {
         if !panics.is_empty() {
             resume_unwind(panics.swap_remove(0));
         }
+        known(job.handoff_ns.load(Ordering::Relaxed))
     }
 
     /// [`run`](Self::run) collecting each task's value, in task order.
     pub fn map<T: Send, F: Fn(usize) -> T + Sync>(&self, n_tasks: usize, task: F) -> Vec<T> {
+        self.map_with_cost(n_tasks, None, task).0
+    }
+
+    /// [`run_with_cost`](Self::run_with_cost) collecting each task's
+    /// value, in task order.
+    pub fn map_with_cost<T: Send, F: Fn(usize) -> T + Sync>(
+        &self,
+        n_tasks: usize,
+        task_cost_ns: Option<u64>,
+        task: F,
+    ) -> (Vec<T>, Option<u64>) {
         let slots: Vec<Mutex<Option<T>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
-        self.run(n_tasks, |i| *slots[i].lock() = Some(task(i)));
-        slots
+        let handoff = self.run_with_cost(n_tasks, task_cost_ns, |i| {
+            *slots[i].lock() = Some(task(i));
+        });
+        let values = slots
             .into_iter()
             .map(|s| s.into_inner().expect("run finished every task"))
-            .collect()
+            .collect();
+        (values, handoff)
+    }
+
+    /// Whether a job of `n_tasks` costing `task_cost_ns` each would wake
+    /// a helper were every worker parked — the pool's own rule, asked
+    /// ahead of the job by whoever must know if it will spread over other
+    /// cores (the admission queue's lane).
+    pub fn fans_out(&self, n_tasks: usize, task_cost_ns: Option<u64>) -> bool {
+        let handoff = self.shared.handoff.estimate();
+        wake_count(n_tasks, self.threads, handoff, task_cost_ns) > 0
+    }
+
+    /// The pool's hand-off estimate and job counts right now.
+    pub fn snapshot(&self) -> PoolSnapshot {
+        PoolSnapshot {
+            handoff_ns: self.shared.handoff.estimate(),
+            jobs_inline: self.shared.jobs_inline.load(Ordering::Relaxed),
+            jobs_fanned_out: self.shared.jobs_fanned_out.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Test hook: fixes the hand-off estimate at `ns` and stops measuring,
+    /// so a test can hold the wake rule on one side (`0`: every job fans
+    /// out; `u64::MAX`: every job whose cost is known runs inline) while
+    /// it compares answers. Not an option: nothing in the tree calls it
+    /// outside tests.
+    #[doc(hidden)]
+    pub fn pin_handoff_ns(&self, ns: u64) {
+        self.shared.handoff.pin(ns);
     }
 }
 
@@ -573,6 +806,167 @@ mod tests {
         assert_eq!(Arc::strong_count(&shared), 2 + 3);
         drop(pool);
         assert_eq!(Arc::strong_count(&shared), 1, "a worker outlived drop");
+    }
+
+    #[test]
+    fn wake_count_is_the_tasks_the_caller_would_not_reach_in_time() {
+        const US: u64 = 1_000;
+        // (n_tasks, parked, h, c) -> helpers woken
+        let table = [
+            // Either number unknown: min(parked, n_tasks - 1), as before.
+            (2, 1, None, None, 1),
+            (2, 1, Some(50 * US), None, 1),
+            (2, 1, None, Some(25 * US), 1),
+            (8, 3, None, None, 3),
+            (3, 8, None, Some(US), 2),
+            // h < c: the caller finishes nothing first, every spare task
+            // gets a helper.
+            (2, 1, Some(5 * US), Some(25 * US), 1),
+            (4, 8, Some(24 * US), Some(25 * US), 3),
+            // h >= c: one task off per whole c in h.
+            (2, 1, Some(50 * US), Some(25 * US), 0),
+            (2, 1, Some(25 * US), Some(25 * US), 0),
+            (4, 3, Some(50 * US), Some(25 * US), 1),
+            (256, 1, Some(50 * US), Some(25 * US), 1),
+            (2, 1, Some(50 * US), Some(5_000 * US), 1),
+            // h >> c: nobody, however many tasks and workers.
+            (64, 16, Some(u64::MAX - 1), Some(1), 0),
+            (2, 1, Some(60_000 * US), Some(20 * US), 0),
+            // c = 0: free tasks are done before any hand-off that costs
+            // something; a free hand-off is eager whatever tasks cost.
+            (8, 4, Some(US), Some(0), 0),
+            (8, 4, Some(0), Some(0), 4),
+            (8, 4, Some(0), Some(u64::MAX), 4),
+            // One task, no task, no worker parked.
+            (1, 4, None, None, 0),
+            (0, 4, Some(0), Some(US), 0),
+            (9, 0, None, None, 0),
+        ];
+        for (n_tasks, parked, h, c, want) in table {
+            assert_eq!(
+                wake_count(n_tasks, parked, h, c),
+                want,
+                "n_tasks={n_tasks} parked={parked} h={h:?} c={c:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn handoff_estimate_is_the_median_of_the_last_eight_until_pinned() {
+        let h = Handoff::default();
+        // Seven samples are not an estimate yet, whatever they say.
+        for ns in [9_000_000, 40, 50, 45, 41, 52, 48] {
+            h.record(ns);
+            assert_eq!(h.estimate(), None);
+        }
+        // One stall among fast wake-ups does not move the median.
+        h.record(47);
+        assert_eq!(h.estimate(), Some(48), "upper median of 40..52 and 9e6");
+        // Eight newer samples push every older one out.
+        for ns in 100..108 {
+            h.record(ns);
+        }
+        assert_eq!(h.estimate(), Some(104));
+        h.record(u64::MAX);
+        assert_eq!(
+            h.estimate(),
+            Some(105),
+            "a sample saturates, it is not 'unknown'"
+        );
+        h.pin(0);
+        h.record(77);
+        assert_eq!(h.estimate(), Some(0), "a pinned estimate ignores samples");
+        h.pin(u64::MAX);
+        assert_eq!(h.estimate(), Some(u64::MAX - 1));
+    }
+
+    /// Spins until every worker of a started pool is asleep on the
+    /// condvar, so the next job's wake count is the rule's alone.
+    fn wait_all_parked(pool: &WorkerPool) {
+        let spawned = pool.handles.get().expect("the pool has started").len();
+        while pool.shared.state.lock().parked < spawned {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_woken_helper_measures_the_handoff_and_the_job_counts_by_mode() {
+        let pool = WorkerPool::new(1);
+        assert_eq!(pool.snapshot(), PoolSnapshot::default());
+        pool.run(2, |_| {});
+        // Both tasks wait for each other, so the helper must arrive; with
+        // no estimate yet every such job wakes it, and the eighth sample
+        // makes one.
+        let both_inside = std::sync::Barrier::new(2);
+        let before = pool.snapshot();
+        for sample in 1..=HANDOFF_WINDOW {
+            wait_all_parked(&pool);
+            let measured = pool
+                .run_with_cost(2, Some(1), |_| {
+                    both_inside.wait();
+                })
+                .expect("the helper this job woke reached it");
+            assert!(measured < 60_000_000_000, "nanoseconds, not garbage");
+            let known = pool.snapshot().handoff_ns.is_some();
+            assert_eq!(known, sample == HANDOFF_WINDOW, "sample {sample}");
+        }
+        let after = pool.snapshot();
+        assert_eq!(
+            after.jobs_fanned_out,
+            before.jobs_fanned_out + HANDOFF_WINDOW as u64
+        );
+        assert_eq!(after.jobs_inline, before.jobs_inline);
+        // With the estimate far above what the tasks cost, the same job
+        // runs on the caller alone and says so.
+        pool.pin_handoff_ns(u64::MAX);
+        wait_all_parked(&pool);
+        let me = std::thread::current().id();
+        let inline = pool.run_with_cost(2, Some(1_000), |_| {
+            assert_eq!(std::thread::current().id(), me);
+        });
+        assert_eq!(inline, None);
+        assert!(!pool.fans_out(2, Some(1_000)));
+        assert!(pool.fans_out(2, None), "unknown cost stays eager");
+        assert_eq!(pool.snapshot().jobs_inline, after.jobs_inline + 1);
+        assert_eq!(pool.snapshot().jobs_fanned_out, after.jobs_fanned_out);
+    }
+
+    /// A stale or absurd estimate changes who runs a task, never whether:
+    /// every task of every job runs exactly once, from several callers at
+    /// a time, and `map` stays the serial map.
+    #[test]
+    fn absurd_handoff_estimates_never_lose_or_repeat_a_task() {
+        for threads in [0usize, 1, 3] {
+            for pinned in [0u64, 1, u64::MAX] {
+                let pool = WorkerPool::new(threads);
+                pool.pin_handoff_ns(pinned);
+                std::thread::scope(|scope| {
+                    for caller in 0..3usize {
+                        let pool = &pool;
+                        scope.spawn(move || {
+                            for cost in [None, Some(0), Some(1), Some(25_000), Some(u64::MAX)] {
+                                for n in [0usize, 1, 2, 3, 64] {
+                                    let hits: Vec<AtomicUsize> =
+                                        (0..n).map(|_| AtomicUsize::new(0)).collect();
+                                    pool.run_with_cost(n, cost, |i| {
+                                        hits[i].fetch_add(1, Ordering::Relaxed);
+                                    });
+                                    assert!(
+                                        hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                                        "threads={threads} h={pinned} c={cost:?} n={n}"
+                                    );
+                                    let (tagged, _) = pool.map_with_cost(n, cost, |i| (caller, i));
+                                    assert!(tagged
+                                        .iter()
+                                        .enumerate()
+                                        .all(|(i, &t)| t == (caller, i)));
+                                }
+                            }
+                        });
+                    }
+                });
+            }
+        }
     }
 
     proptest! {

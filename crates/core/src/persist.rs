@@ -14,13 +14,16 @@
 //! tree's build recipe alongside the file.
 
 use crate::algorithms::hnsw::HnswIndex;
+use crate::algorithms::Algo;
 use crate::components::seeds::SeedStrategy;
 use crate::index::FlatIndex;
 use crate::locality::{LayoutIndex, NodeLayout};
 use crate::search::Router;
+use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 use weavess_data::Dataset;
 use weavess_graph::reorder::Permutation;
 use weavess_graph::CsrGraph;
@@ -227,9 +230,7 @@ pub fn load_index(path: &Path) -> Result<FlatIndex, PersistError> {
     let lists = read_graph_lists(&mut r)?;
     check_seeds(&seeds, lists.len())?;
     Ok(FlatIndex {
-        // Leak the small name string to fit FlatIndex's &'static str; index
-        // names come from a fixed set in practice.
-        name: Box::leak(name.into_boxed_str()),
+        name: intern_name(name),
         graph: CsrGraph::from_lists(&lists),
         seeds,
         router,
@@ -400,7 +401,7 @@ pub fn load_layout_index(path: &Path, ds: &Dataset) -> Result<LayoutIndex, Persi
         None
     };
     Ok(LayoutIndex::assemble_with_overlay(
-        Box::leak(name.into_boxed_str()),
+        intern_name(name),
         router,
         seeds,
         perm,
@@ -475,9 +476,36 @@ fn write_str(w: &mut impl Write, s: &str) -> io::Result<()> {
     w.write_all(s.as_bytes())
 }
 
+/// Longest index name a file may carry.
+const MAX_NAME_LEN: usize = 1024;
+
+/// Names [`intern_name`] has leaked, one allocation per distinct string
+/// for the life of the process.
+static INTERNED_NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+
+/// The `&'static str` an index carries for a name read from a file: the
+/// registry's own string for a built-in algorithm, otherwise one leaked
+/// copy per distinct name however often it is loaded ([`read_str`] has
+/// bounded its length), so reloading indexes does not grow the process.
+fn intern_name(name: String) -> &'static str {
+    if let Some(builtin) = Algo::all().iter().map(Algo::name).find(|b| *b == name) {
+        return builtin;
+    }
+    // Insert-only set: valid at every step, so a poisoned guard is too.
+    let mut interned = INTERNED_NAMES
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    if let Some(known) = interned.get(name.as_str()) {
+        return known;
+    }
+    let leaked: &'static str = Box::leak(name.into_boxed_str());
+    interned.insert(leaked);
+    leaked
+}
+
 fn read_str(r: &mut impl Read) -> Result<String, PersistError> {
     let len = read_u32(r)? as usize;
-    if len > 1024 {
+    if len > MAX_NAME_LEN {
         return Err(PersistError::BadFormat("name too long".into()));
     }
     let mut buf = vec![0u8; len];
@@ -696,6 +724,66 @@ mod tests {
             load_layout_index(&path, &smaller),
             Err(PersistError::BadFormat(_))
         ));
+    }
+
+    /// Reloading never grows the process: a built-in name comes back as
+    /// the registry's own string, any other is leaked once however often
+    /// it is loaded, and a name past the bound is refused before anything
+    /// is allocated for it.
+    #[test]
+    fn loaded_names_are_interned_not_leaked_per_load() {
+        let (ds, _) = MixtureSpec::table10(4, 40, 1, 5.0, 2).generate();
+        let mut idx = nsg::build(&ds, &NsgParams::tuned(1, 1));
+        let path = tmp("intern_builtin.wvss");
+        save_index(&path, &idx).unwrap();
+        assert_eq!(load_index(&path).unwrap().name, Algo::Nsg.name());
+        let interned = |name: &str| INTERNED_NAMES.lock().unwrap().contains(name);
+        assert!(!interned("NSG"), "a built-in name needs no copy at all");
+
+        idx.name = "a name only this test uses";
+        let path = tmp("intern_custom.wvss");
+        save_index(&path, &idx).unwrap();
+        let layout_path = tmp("intern_custom.wvsl");
+        let layout =
+            LayoutIndex::from_flat(load_index(&path).unwrap(), &ds, NodeLayout::Split, false);
+        save_layout_index(&layout_path, &layout).unwrap();
+        let first = load_index(&path).unwrap().name;
+        assert_eq!(first, idx.name);
+        let copies = |set: &BTreeSet<&'static str>| set.iter().filter(|n| **n == first).count();
+        for _ in 0..1_000 {
+            let again = load_index(&path).unwrap().name;
+            assert!(std::ptr::eq(again, first), "a reload leaked a new copy");
+        }
+        let from_layout = load_layout_index(&layout_path, &ds).unwrap().name;
+        assert!(
+            std::ptr::eq(from_layout, first),
+            "both loaders share the set"
+        );
+        assert_eq!(copies(&INTERNED_NAMES.lock().unwrap()), 1);
+
+        // One byte over the bound: refused by length, before any read of
+        // (or allocation for) the name itself.
+        for magic in [MAGIC, LAYOUT_MAGIC] {
+            let mut bytes = magic.to_vec();
+            bytes.extend(1u32.to_le_bytes());
+            bytes.extend((MAX_NAME_LEN as u32 + 1).to_le_bytes());
+            bytes.extend(vec![b'x'; MAX_NAME_LEN + 1]);
+            let path = tmp("intern_overlong.bin");
+            std::fs::write(&path, &bytes).unwrap();
+            let outcome = match magic {
+                MAGIC => load_index(&path).err(),
+                _ => load_layout_index(&path, &ds).err(),
+            };
+            assert!(
+                matches!(&outcome, Some(PersistError::BadFormat(m)) if m == "name too long"),
+                "{outcome:?}"
+            );
+        }
+        assert!(!INTERNED_NAMES
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|n| n.len() > MAX_NAME_LEN));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! cores. [`QueryEngine`] wraps any built [`AnnIndex`] behind a shared
 //! read-only reference and fans each batch across a standing
 //! [`WorkerPool`] in which the calling thread works beside the parked
-//! workers (no thread is created per batch, no runtime dependency),
+//! workers (no thread is created per batch, no runtime dependency, and
+//! none is woken for a batch the caller finishes sooner alone),
 //! giving every worker a reusable [`SearchContext`] checked out of a
 //! scratch pool so the hot path performs no per-query allocation of
 //! search state.
@@ -42,7 +43,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::index::{AnnIndex, SearchContext};
-use crate::parallel::WorkerPool;
+use crate::parallel::{PoolSnapshot, WorkerPool};
 use crate::search::SearchStats;
 use crate::telemetry::expose::{Expose, Exposition};
 use crate::telemetry::flight::{query_fingerprint, Flight, FlightRecorder, SpanRec, Stage};
@@ -253,7 +254,10 @@ pub struct QueryEngine<'a> {
     index: &'a dyn AnnIndex,
     ds: &'a Dataset,
     opts: EngineOptions,
-    /// The workers beside each `search_batch` caller.
+    /// `opts.workers` resolved once (`0`: one per core at creation), so
+    /// no batch asks the OS again.
+    workers: usize,
+    /// The `workers - 1` threads beside each `search_batch` caller.
     pool: WorkerPool,
     scratch: Mutex<Vec<SearchContext>>,
     queries_total: ShardedCounter,
@@ -269,10 +273,12 @@ impl<'a> QueryEngine<'a> {
 
     /// An engine with explicit options.
     pub fn with_options(index: &'a dyn AnnIndex, ds: &'a Dataset, opts: EngineOptions) -> Self {
+        let workers = opts.effective_workers();
         QueryEngine {
             index,
             ds,
-            pool: WorkerPool::new(opts.effective_workers() - 1),
+            workers,
+            pool: WorkerPool::new(workers - 1),
             opts,
             scratch: Mutex::new(Vec::new()),
             queries_total: ShardedCounter::new(),
@@ -318,6 +324,46 @@ impl<'a> QueryEngine<'a> {
             ndc: cum.ndc.clone(),
             hops: cum.hops.clone(),
         }
+    }
+
+    /// The worker pool's hand-off estimate and job counts.
+    pub(crate) fn pool_snapshot(&self) -> PoolSnapshot {
+        self.pool.snapshot()
+    }
+
+    /// Test hook: see [`WorkerPool::pin_handoff_ns`].
+    #[doc(hidden)]
+    pub fn pin_handoff_ns(&self, ns: u64) {
+        self.pool.pin_handoff_ns(ns);
+    }
+
+    /// Mean wall time of one walk over every batched query so far,
+    /// nanoseconds; `None` until one has been timed. What the engines
+    /// price a pool task with.
+    pub(crate) fn mean_walk_ns(&self) -> Option<u64> {
+        let cum = self.cumulative.lock();
+        let timed = cum.latency.count() as u128;
+        (timed > 0).then(|| (cum.latency.sum() / timed) as u64)
+    }
+
+    /// Worker slots an `nq`-query batch is cut into, and what one slot is
+    /// expected to cost: its even share of the queries at the mean walk.
+    fn batch_job(&self, nq: usize) -> (usize, Option<u64>) {
+        let workers = self.workers.min(nq).max(1);
+        // One slot is the caller's own loop: nothing to price.
+        let cost = (workers > 1)
+            .then(|| self.mean_walk_ns())
+            .flatten()
+            .map(|walk| walk.saturating_mul(nq.div_ceil(workers) as u64));
+        (workers, cost)
+    }
+
+    /// Whether an `nq`-query batch would wake a pool worker (the pool's
+    /// wake rule on the job [`search_batch`](Self::search_batch) would
+    /// publish) rather than run on the calling thread alone.
+    pub(crate) fn fans_out(&self, nq: usize) -> bool {
+        let (workers, cost) = self.batch_job(nq);
+        self.pool.fans_out(workers, cost)
     }
 
     /// Cumulative metrics in Prometheus text exposition format: query and
@@ -453,7 +499,7 @@ impl<'a> QueryEngine<'a> {
         rec: Option<&FlightRecorder>,
     ) -> (BatchReport, BatchFlightParts) {
         let nq = queries.len();
-        let workers = self.opts.effective_workers().min(nq).max(1);
+        let (workers, slot_cost_ns) = self.batch_job(nq);
         let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(nq);
         results.resize_with(nq, Vec::new);
         let mut stats = SearchStats::default();
@@ -471,9 +517,10 @@ impl<'a> QueryEngine<'a> {
             // its flight parts); the parent scatters results back into
             // input order and merges the aggregates (order-independent
             // by construction). The caller takes the first slot, so a
-            // worker that wakes after the cursor ran dry reports zero
-            // claims.
-            let mut parts = self.pool.map(workers, |_| {
+            // worker that wakes after the cursor ran dry — or is never
+            // woken, the batch being too short to pay for it — reports
+            // zero claims.
+            let (mut parts, _) = self.pool.map_with_cost(workers, slot_cost_ns, |_| {
                 let mut ctx = self.checkout();
                 let mut got: Vec<(usize, Vec<Neighbor>, u64)> =
                     Vec::with_capacity(nq / workers + 1);
@@ -621,7 +668,38 @@ impl Expose for QueryEngine<'_> {
             "Expanded vertices per query.",
             &cum.hops,
         );
+        expose_pool(
+            out,
+            "weavess_pool_handoff_seconds",
+            "weavess_pool_jobs_total",
+            &self.pool.snapshot(),
+        );
     }
+}
+
+/// Declares one [`PoolSnapshot`] under the given family names: the
+/// hand-off gauge (`NaN` until a wake-up has been measured) and the job
+/// counter labelled by how each job ran.
+pub(crate) fn expose_pool(
+    out: &mut Exposition,
+    handoff_gauge: &'static str,
+    jobs_counter: &'static str,
+    pool: &PoolSnapshot,
+) {
+    out.gauge(
+        handoff_gauge,
+        "Median of the last eight measured times from waking a parked pool worker to that worker claiming, in seconds.",
+        pool.handoff_ns.map_or(f64::NAN, |ns| ns as f64 / 1e9),
+    );
+    let mode = |m: &str| vec![("mode", m.to_string())];
+    out.labeled_counter(
+        jobs_counter,
+        "Multi-task pool jobs by how they ran: on the calling thread alone, or waking a parked worker.",
+        [
+            (mode("inline"), pool.jobs_inline),
+            (mode("fanned_out"), pool.jobs_fanned_out),
+        ],
+    );
 }
 
 /// Assembles an unsharded flight from one worker part: an optional

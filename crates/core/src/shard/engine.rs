@@ -18,9 +18,11 @@ use super::partition::partition_ids;
 use super::ShardError;
 use crate::index::{AnnIndex, FlatIndex};
 use crate::locality::{LayoutIndex, NodeLayout};
-use crate::parallel::WorkerPool;
+use crate::parallel::{PoolSnapshot, WorkerPool};
 use crate::search::SearchStats;
-use crate::serve::{BatchReport, EngineOptions, EngineSnapshot, LatencySummary, QueryEngine};
+use crate::serve::{
+    expose_pool, BatchReport, EngineOptions, EngineSnapshot, LatencySummary, QueryEngine,
+};
 use crate::telemetry::expose::{Expose, Exposition};
 use crate::telemetry::flight::{Flight, FlightRecorder, SpanRec, Stage};
 use crate::telemetry::{Histogram, ShardedCounter};
@@ -260,6 +262,9 @@ pub struct FleetReport {
     pub logical_queries: u64,
     /// Batches answered by the fleet.
     pub logical_batches: u64,
+    /// The scatter pool's and every shard pool's hand-off accounting,
+    /// folded into one [`PoolSnapshot`].
+    pub pool: PoolSnapshot,
     /// Admission-queue view, when a [`super::BatchQueue`] fronts the
     /// fleet (attach with [`FleetReport::with_queue`]).
     pub queue: Option<super::QueueSnapshot>,
@@ -349,6 +354,12 @@ impl Expose for FleetReport {
             "Expanded vertices per (query, shard), merged.",
             &self.merged.hops,
         );
+        expose_pool(
+            out,
+            "weavess_fleet_pool_handoff_seconds",
+            "weavess_fleet_pool_jobs_total",
+            &self.pool,
+        );
         if let Some(q) = &self.queue {
             q.expose(out);
         }
@@ -366,11 +377,12 @@ impl Expose for FleetReport {
 /// Every shard gets its own [`QueryEngine`] with the same
 /// [`EngineOptions`]; per-query RNG reseeding (a function of the engine
 /// seed and the query vector only) therefore behaves identically at any
-/// shard count. Batches scatter concurrently — one task per shard on a
-/// standing [`WorkerPool`] the caller works beside, each task running
-/// that shard's own engine — and gather through [`merge_topk`], whose
-/// `(distance-bits, global id)` order makes the merged results
-/// independent of shard response order.
+/// shard count. Batches scatter as one task per shard, each running that
+/// shard's own engine, on a standing [`WorkerPool`] the caller works
+/// beside — concurrently when the batch is long enough to pay for waking
+/// a worker, back to back on the caller when it is not — and gather
+/// through [`merge_topk`], whose `(distance-bits, global id)` order makes
+/// the merged results independent of shard response order.
 pub struct ShardedEngine<'a> {
     set: &'a ShardSet,
     engines: Vec<QueryEngine<'a>>,
@@ -421,6 +433,33 @@ impl<'a> ShardedEngine<'a> {
     /// Queries answered since creation (a scattered query counts once).
     pub fn queries_served(&self) -> u64 {
         self.queries_total.get()
+    }
+
+    /// What one shard's task of an `nq`-query batch is expected to cost:
+    /// `nq` walks at the shards' mean walk time. Unknown until every
+    /// shard has timed a query.
+    fn shard_task_cost_ns(&self, nq: usize) -> Option<u64> {
+        let walks = self.engines.iter().map(|e| e.mean_walk_ns());
+        let total = walks.sum::<Option<u64>>()?;
+        Some((total / self.engines.len() as u64).saturating_mul(nq as u64))
+    }
+
+    /// Whether an `nq`-query batch would wake a worker — of the scatter
+    /// pool or of any shard's own — rather than run on the calling thread
+    /// alone: the pools' wake rule on the jobs
+    /// [`search_batch`](Self::search_batch) would publish.
+    pub(crate) fn fans_out(&self, nq: usize) -> bool {
+        self.pool
+            .fans_out(self.engines.len(), self.shard_task_cost_ns(nq))
+            || self.engines.iter().any(|e| e.fans_out(nq))
+    }
+
+    /// Test hook: [`WorkerPool::pin_handoff_ns`] on the scatter pool and
+    /// every shard's.
+    #[doc(hidden)]
+    pub fn pin_handoff_ns(&self, ns: u64) {
+        self.pool.pin_handoff_ns(ns);
+        self.engines.iter().for_each(|e| e.pin_handoff_ns(ns));
     }
 
     /// Answers one query: scatter to every shard, gather the global
@@ -480,19 +519,23 @@ impl<'a> ShardedEngine<'a> {
         let nq = queries.len();
         let t0 = Instant::now();
         // Scatter: one task per shard; results come back slotted by shard
-        // index, so the gather below is independent of completion order.
-        let mut shard_results: Vec<(Vec<Vec<Neighbor>>, BatchReport, BatchFlightParts)> =
-            self.pool.map(self.engines.len(), |s| {
-                let shard = &self.set.shards[s];
-                let (mut report, parts) = self.engines[s].search_batch_obs(queries, k, beam, rec);
-                let mut globalized = std::mem::take(&mut report.results);
-                for pool in &mut globalized {
-                    for n in pool.iter_mut() {
-                        n.id = shard.to_global(n.id);
+        // index, so the gather below is independent of completion order
+        // and of whether the pool found a second thread worth waking.
+        type ShardResult = (Vec<Vec<Neighbor>>, BatchReport, BatchFlightParts);
+        let (mut shard_results, handoff_ns): (Vec<ShardResult>, _) =
+            self.pool
+                .map_with_cost(self.engines.len(), self.shard_task_cost_ns(nq), |s| {
+                    let shard = &self.set.shards[s];
+                    let (mut report, parts) =
+                        self.engines[s].search_batch_obs(queries, k, beam, rec);
+                    let mut globalized = std::mem::take(&mut report.results);
+                    for pool in &mut globalized {
+                        for n in pool.iter_mut() {
+                            n.id = shard.to_global(n.id);
+                        }
                     }
-                }
-                (globalized, report, parts)
-            });
+                    (globalized, report, parts)
+                });
         let scatter_ns = t0.elapsed().as_nanos() as u64;
 
         // Gather: order-stable per-query merge plus associative aggregate
@@ -523,7 +566,9 @@ impl<'a> ShardedEngine<'a> {
 
         if let Some(rec) = rec {
             let parts: Vec<&BatchFlightParts> = shard_results.iter().map(|(_, _, p)| p).collect();
-            self.assemble_flights(rec, k, beam, scatter_ns, &merge_ns, &parts, &results);
+            self.assemble_flights(
+                rec, k, beam, scatter_ns, handoff_ns, &merge_ns, &parts, &results,
+            );
         }
 
         let mut stats = SearchStats::default();
@@ -565,11 +610,23 @@ impl<'a> ShardedEngine<'a> {
         k: usize,
         beam: usize,
         scatter_ns: u64,
+        handoff_ns: Option<u64>,
         merge_ns: &[u64],
         parts: &[&crate::serve::BatchFlightParts],
         results: &[Vec<Neighbor>],
     ) {
         let batch = rec.next_batch();
+        // A child of the scatter span, on a batch that woke a worker.
+        let handoff_span = |start_ns: u64| {
+            handoff_ns.map(|dur_ns| SpanRec {
+                stage: Stage::Handoff,
+                shard: None,
+                start_ns,
+                dur_ns,
+                ndc: 0,
+                hops: 0,
+            })
+        };
         let n_sampled = parts.first().map_or(0, |p| p.sampled.len());
         debug_assert!(
             parts.iter().all(|p| p.sampled.len() == n_sampled),
@@ -578,7 +635,7 @@ impl<'a> ShardedEngine<'a> {
         for j in 0..n_sampled {
             let lead = parts[0].sampled[j];
             let qi = lead.qi;
-            let mut spans = Vec::with_capacity(parts.len() + 3);
+            let mut spans = Vec::with_capacity(parts.len() + 4);
             let mut t = 0u64;
             if let Some(waited) = rec.take_queue_wait(lead.fingerprint) {
                 spans.push(SpanRec {
@@ -599,6 +656,7 @@ impl<'a> ShardedEngine<'a> {
                 ndc: 0,
                 hops: 0,
             });
+            spans.extend(handoff_span(t));
             for (s, shard_parts) in parts.iter().enumerate() {
                 let p = shard_parts.sampled[j];
                 debug_assert_eq!(p.qi, qi, "per-shard sampled sets must align");
@@ -643,7 +701,7 @@ impl<'a> ShardedEngine<'a> {
         if let Some((s, p)) = slowest {
             if !rec.is_sampled(p.fingerprint) && rec.keep_slowest(p.lat_ns) {
                 let m = merge_ns.get(p.qi as usize).copied().unwrap_or(0);
-                rec.push(Flight {
+                let mut slowest = Flight {
                     batch,
                     qi: p.qi,
                     fingerprint: p.fingerprint,
@@ -678,7 +736,9 @@ impl<'a> ShardedEngine<'a> {
                             hops: 0,
                         },
                     ],
-                });
+                };
+                slowest.spans.splice(1..1, handoff_span(0));
+                rec.push(slowest);
             }
         }
     }
@@ -687,6 +747,10 @@ impl<'a> ShardedEngine<'a> {
     /// merge.
     pub fn fleet_report(&self) -> FleetReport {
         let per_shard: Vec<EngineSnapshot> = self.engines.iter().map(|e| e.snapshot()).collect();
+        let mut pool = self.pool.snapshot();
+        for e in &self.engines {
+            pool.absorb(e.pool_snapshot());
+        }
         let mut merged = EngineSnapshot::default();
         for s in &per_shard {
             merged.queries_total += s.queries_total;
@@ -700,6 +764,7 @@ impl<'a> ShardedEngine<'a> {
             merged,
             logical_queries: self.queries_total.get(),
             logical_batches: self.batches_total.get(),
+            pool,
             queue: None,
             audit: None,
             slo: None,

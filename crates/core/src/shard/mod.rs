@@ -15,8 +15,10 @@
 //!   [`crate::serve::QueryEngine`], gather through the order-stable
 //!   [`merge_topk`];
 //! - [`BatchQueue`]: the admission queue — a query is dispatched at once
-//!   when the executor is free, and streaming arrivals coalesce into one
-//!   engine batch only while the batch ahead of them executes;
+//!   when the lane is free, and streaming arrivals coalesce into one
+//!   engine batch only while a batch that fanned out over other cores
+//!   executes ahead of them (one the engine runs on its leader's thread
+//!   alone holds nobody back);
 //! - [`FleetReport`]: per-shard + merged observability on the existing
 //!   Prometheus/JSON exposition.
 //!

@@ -9,19 +9,23 @@
 //! leader–follower protocol:
 //!
 //! - the first submitter into an empty queue becomes the **leader** and
-//!   closes the batch the moment the executor is free. Only while a batch
-//!   closed by this queue is still executing does it wait — for that
-//!   batch to return, for the forming batch to reach
+//!   closes the batch the moment the lane is free. The lane is held by a
+//!   batch closed by this queue that spread over other cores — one for
+//!   which [`BatchExecutor::occupies_lane`] said so — until its executor
+//!   call returns. Only while one does, the leader waits: for that batch
+//!   to return, for the forming batch to reach
 //!   [`QueueOptions::max_batch`] queries, or for the
-//!   [`QueueOptions::max_delay`] budget (the upper bound on the wait
-//!   while a batch is executing, measured from the forming batch's oldest
-//!   enqueue) to lapse, whichever comes first. Idle traffic is dispatched
-//!   on arrival; under load, arrivals coalesce for exactly as long as the
-//!   batch ahead of them runs;
+//!   [`QueueOptions::max_delay`] budget (the upper bound on the wait,
+//!   measured from the forming batch's oldest enqueue) to lapse,
+//!   whichever comes first. Idle traffic is dispatched on arrival; a
+//!   batch the executor runs on its leader's thread alone leaves the
+//!   other cores free and takes no lane, so the next arrival closes and
+//!   runs at once on *its* thread; behind a batch that fanned out,
+//!   arrivals coalesce for exactly as long as it runs;
 //! - the leader then closes the batch, releases leadership (so a next
-//!   batch can form, and a full or overdue one even execute concurrently,
-//!   while this one runs), executes the batch through the engine, and
-//!   publishes per-ticket results;
+//!   batch can form, and a full, overdue or lane-free one even execute
+//!   concurrently, while this one runs), executes the batch through the
+//!   engine, and publishes per-ticket results;
 //! - followers wake on publication and collect their own ticket. If the
 //!   executor panicked, the leader publishes the batch's tickets as
 //!   failed before unwinding, so each follower unwinds too instead of
@@ -64,6 +68,16 @@ pub trait BatchExecutor: Sync {
         beam: usize,
         rec: Option<&FlightRecorder>,
     ) -> Vec<Vec<Neighbor>>;
+    /// Whether executing an `nq`-query batch spreads over other cores, so
+    /// that the queue should hold arrivals back (to coalesce) while it
+    /// runs. An executor that answers `false` runs the batch on the
+    /// calling thread alone; a next batch may then execute concurrently,
+    /// on its own leader's thread. A prediction, asked at close under the
+    /// queue's lock (so it must neither block nor panic): results never
+    /// depend on it.
+    fn occupies_lane(&self, _nq: usize) -> bool {
+        true
+    }
 }
 
 impl BatchExecutor for QueryEngine<'_> {
@@ -84,6 +98,10 @@ impl BatchExecutor for QueryEngine<'_> {
         }
         .results
     }
+
+    fn occupies_lane(&self, nq: usize) -> bool {
+        self.fans_out(nq)
+    }
 }
 
 impl BatchExecutor for ShardedEngine<'_> {
@@ -100,6 +118,10 @@ impl BatchExecutor for ShardedEngine<'_> {
     ) -> Vec<Vec<Neighbor>> {
         self.search_batch_obs(queries, k, beam, rec).results
     }
+
+    fn occupies_lane(&self, nq: usize) -> bool {
+        self.fans_out(nq)
+    }
 }
 
 /// Tuning knobs for a [`BatchQueue`].
@@ -107,10 +129,10 @@ impl BatchExecutor for ShardedEngine<'_> {
 pub struct QueueOptions {
     /// Close a batch as soon as it holds this many queries.
     pub max_batch: usize,
-    /// Upper bound on the wait while a batch is executing: a forming
+    /// Upper bound on the wait while a batch holds the lane: a forming
     /// batch closes this long after its oldest query arrived even if the
     /// batch ahead of it has not returned. An idle queue never waits it
-    /// out — with the executor free a batch closes at once.
+    /// out — with the lane free a batch closes at once.
     pub max_delay: Duration,
     /// Neighbors per query.
     pub k: usize,
@@ -198,8 +220,9 @@ struct QueueInner {
     done: HashMap<u64, Option<Vec<Neighbor>>>,
     next_ticket: u64,
     has_leader: bool,
-    /// Batches closed by this queue whose executor call has neither
-    /// returned nor unwound yet.
+    /// Batches closed by this queue that occupy the lane (see
+    /// [`BatchExecutor::occupies_lane`]) and whose executor call has
+    /// neither returned nor unwound yet.
     in_flight: usize,
     stats: QueueStats,
 }
@@ -296,8 +319,8 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
             // `pending`, so ours is still there iff the oldest is no newer.
             let still_pending = g.pending.first().is_some_and(|p| p.ticket <= ticket);
             if still_pending && !g.has_leader {
-                // Lead the batch currently forming: wait only while the
-                // executor is busy (its return is published by the
+                // Lead the batch currently forming: wait only while a
+                // batch holds the lane (its return is published by the
                 // `notify_all` below), and then no longer than the budget.
                 g.has_leader = true;
                 let deadline = g.pending[0].enqueued + self.opts.max_delay;
@@ -311,16 +334,21 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
                 // Close the batch in submission order and hand leadership
                 // back before executing, so the next batch forms (and may
                 // run) while this one is in flight.
-                let batch = std::mem::take(&mut g.pending);
+                let mut batch = std::mem::take(&mut g.pending);
                 g.has_leader = false;
-                g.in_flight += 1;
+                let holds_lane = self.exec.occupies_lane(batch.len());
+                g.in_flight += usize::from(holds_lane);
                 self.cv.notify_all();
                 drop(g);
 
                 let closed_at = Instant::now();
-                let mut flat = Vec::with_capacity(batch.len() * dim);
-                for p in &batch {
-                    flat.extend_from_slice(&p.query);
+                // The vectors move out of the tickets: the oldest query's
+                // buffer (the leader's own is pending, so there is one)
+                // becomes the batch and the riders are appended to it.
+                let mut flat = std::mem::take(&mut batch[0].query);
+                flat.reserve_exact((batch.len() - 1) * dim);
+                for p in &mut batch[1..] {
+                    flat.append(&mut p.query);
                 }
                 let queries = Dataset::from_flat(flat, batch.len(), dim);
                 let results = catch_unwind(AssertUnwindSafe(|| {
@@ -328,8 +356,8 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
                         // Note admission waits for the queries whose
                         // flights the engine will assemble, *before*
                         // executing so the spans are claimable there.
-                        for p in &batch {
-                            let fp = query_fingerprint(&p.query);
+                        for (qi, p) in batch.iter().enumerate() {
+                            let fp = query_fingerprint(queries.point(qi as u32));
                             if rec.is_sampled(fp) {
                                 let waited = closed_at.saturating_duration_since(p.enqueued);
                                 rec.note_queue_wait(fp, waited.as_nanos() as u64);
@@ -345,10 +373,10 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
                     rec.discard_queue_waits();
                 }
 
-                // Returned or unwound, the lane is free again; whichever
-                // `notify_all` follows tells a waiting leader.
+                // Returned or unwound, the lane (if held) is free again;
+                // whichever `notify_all` follows tells a waiting leader.
                 g = self.inner.lock().unwrap();
-                g.in_flight -= 1;
+                g.in_flight -= usize::from(holds_lane);
                 let results = match results {
                     Ok(results) => results,
                     Err(payload) => {

@@ -77,6 +77,11 @@ pub enum Stage {
     /// Whole-batch scatter across shards (batch-scoped: every flight in
     /// the batch carries the same scatter duration).
     Scatter,
+    /// Inside [`Stage::Scatter`], on a batch that woke a scatter worker:
+    /// wake-up call sent → that worker could claim a shard's task
+    /// (batch-scoped). Whether a batch wakes one depends on measured
+    /// timings, so the span is left out of the stable dump.
+    Handoff,
     /// One shard's search of this query (per-query, per-shard).
     ShardSearch,
     /// Global top-k merge of the per-shard pools (per-query).
@@ -91,6 +96,7 @@ impl Stage {
         match self {
             Stage::QueueWait => "queue_wait",
             Stage::Scatter => "scatter",
+            Stage::Handoff => "handoff",
             Stage::ShardSearch => "shard_search",
             Stage::Merge => "merge",
             Stage::Search => "search",
@@ -301,9 +307,9 @@ impl FlightRecorder {
     /// Byte-stable text dump of the *seed-sampled* flights: one line per
     /// flight (deterministic fields only — fingerprint, k/beam, span
     /// stages with shard/NDC/hop attribution, result ids), ordered by
-    /// `(batch, qi)`. Slowest-kept flights and all wall-clock fields are
-    /// excluded, so for a fixed workload + seed the dump is identical at
-    /// any worker count and across repeated runs.
+    /// `(batch, qi)`. Slowest-kept flights, [`Stage::Handoff`] spans and
+    /// all wall-clock fields are excluded, so for a fixed workload + seed
+    /// the dump is identical at any worker count and across repeated runs.
     pub fn dump_stable(&self) -> String {
         let mut out = String::new();
         for f in self.flights().iter().filter(|f| f.sampled) {
@@ -311,7 +317,7 @@ impl FlightRecorder {
                 "flight batch={} qi={} fp={:016x} k={} beam={}\n",
                 f.batch, f.qi, f.fingerprint, f.k, f.beam
             ));
-            for s in &f.spans {
+            for s in f.spans.iter().filter(|s| s.stage != Stage::Handoff) {
                 out.push_str(&format!("  span stage={}", s.stage.name()));
                 if let Some(shard) = s.shard {
                     out.push_str(&format!(" shard={shard}"));

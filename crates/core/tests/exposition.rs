@@ -23,6 +23,7 @@ use weavess_core::audit::{
 };
 use weavess_core::components::SeedStrategy;
 use weavess_core::index::FlatIndex;
+use weavess_core::parallel::PoolSnapshot;
 use weavess_core::search::Router;
 use weavess_core::serve::{EngineSnapshot, QueryEngine};
 use weavess_core::shard::{
@@ -376,6 +377,11 @@ fn fixed_fleet_report() -> FleetReport {
         merged,
         logical_queries: 7,
         logical_batches: 2,
+        pool: PoolSnapshot {
+            handoff_ns: Some(48_500),
+            jobs_inline: 5,
+            jobs_fanned_out: 2,
+        },
         queue: None,
         audit: None,
         slo: None,
@@ -461,6 +467,14 @@ const PROMOTED: [&str; 5] = [
     "weavess_slo_window_queries",
 ];
 
+/// The pool families (hand-off gauge, jobs by mode) of the engine and of
+/// the fleet, declared after the goldens were recorded.
+const ENGINE_POOL: [&str; 2] = ["weavess_pool_handoff_seconds", "weavess_pool_jobs_total"];
+const FLEET_POOL: [&str; 2] = [
+    "weavess_fleet_pool_handoff_seconds",
+    "weavess_fleet_pool_jobs_total",
+];
+
 /// Dataset, queries and index behind [`golden_engine`].
 fn golden_index() -> (Dataset, Dataset, FlatIndex) {
     let (ds, qs) = dataset(120, 3);
@@ -487,7 +501,14 @@ fn prometheus_text_matches_the_recorded_golden() {
     let fleet = fixed_fleet_report();
     let text = fleet.to_prometheus();
     check_exposition(&text);
-    assert_golden_holds(&text, FLEET_GOLDEN, &PROMOTED);
+    assert_golden_holds(
+        &text,
+        FLEET_GOLDEN,
+        &[&PROMOTED[..], &FLEET_POOL[..]].concat(),
+    );
+    assert!(text.contains("weavess_fleet_pool_handoff_seconds 0.0000485\n"));
+    assert!(text.contains("weavess_fleet_pool_jobs_total{mode=\"inline\"} 5\n"));
+    assert!(text.contains("weavess_fleet_pool_jobs_total{mode=\"fanned_out\"} 2\n"));
     let json = parse_json(&fleet.to_json()).expect("fleet JSON is valid");
     let num = |key: &str| json.get(key).and_then(JsonValue::as_num);
     assert_eq!(num("weavess_fleet_queries_total"), Some(7.0));
@@ -511,7 +532,16 @@ fn prometheus_text_matches_the_recorded_golden() {
     let golden = ENGINE_GOLDEN
         .replace("{tier}", &weavess_data::KernelTier::active().to_string())
         .replace("{host_features}", &weavess_data::host_features());
-    assert_golden_holds(&engine.metrics_prometheus(), &golden, &[]);
+    let text = engine.metrics_prometheus();
+    assert_golden_holds(&text, &golden, &ENGINE_POOL);
+    // Three `search_one` calls publish no pool job and wake nobody.
+    assert!(text.contains("weavess_pool_handoff_seconds NaN\n"));
+    assert!(text.contains("weavess_pool_jobs_total{mode=\"inline\"} 0\n"));
+    let json = parse_json(&engine.metrics_json()).expect("engine JSON is valid");
+    assert_eq!(
+        json.get("weavess_pool_handoff_seconds"),
+        Some(&JsonValue::Null)
+    );
 }
 
 /// The README's "Metrics reference" table is checked, not hand-copied:

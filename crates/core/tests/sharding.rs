@@ -14,16 +14,22 @@
 //!   of the per-shard reports;
 //! - concurrent callers on one shared engine: every report field equals
 //!   the single-caller reference at 1/2/4/8 shards;
+//! - the pool's wake rule held on either side (hand-off estimate pinned
+//!   at "free" and at "never pays"): the same batches answered on the
+//!   calling thread alone and fanned out give equal reports and flights;
 //! - the admission queue's close rule, driven through a gated executor
 //!   rather than by timing: an idle queue dispatches on arrival, arrivals
 //!   behind a busy executor coalesce (per-ticket results, submission
 //!   order), the budget bounds that wait, a full batch never waits; a
 //!   concurrent stress run — all answers equal to the unbatched
 //!   reference — and an executor panic that must unwind every rider of
-//!   the batch, free the lane and leave the queue serving;
+//!   the batch, free the lane and leave the queue serving; and the lane
+//!   itself: batches an executor runs on their leader's thread alone
+//!   overlap, one that fans out still holds arrivals back;
 //! - typed build errors ([`ShardError`], [`IndexError`]) where the seed
 //!   code panicked.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
@@ -39,7 +45,7 @@ use weavess_core::shard::{
     merge_topk, merge_two, BatchExecutor, BatchQueue, QueueOptions, ShardError, ShardSet,
     ShardedBatchReport, ShardedEngine,
 };
-use weavess_core::telemetry::FlightRecorder;
+use weavess_core::telemetry::{FlightOptions, FlightRecorder};
 use weavess_data::synthetic::MixtureSpec;
 use weavess_data::{Dataset, Neighbor};
 use weavess_graph::base::exact_knng;
@@ -387,6 +393,121 @@ fn concurrent_callers_get_the_single_caller_reports_at_1_2_4_8_shards() {
     }
 }
 
+/// What the wake rule must not change: the same batches through an
+/// engine whose pools are held inline (hand-off pinned at "never pays")
+/// and one held fanned out (pinned at "free") give equal results, merged
+/// counters and histograms, per-shard reports and sampled flights, from
+/// four concurrent callers at 1/2/4/8 shards. Latencies are timing and
+/// are not compared.
+#[test]
+fn forced_inline_and_forced_fan_out_answer_identically_at_1_2_4_8_shards() {
+    let (base, queries) = dataset(400, 16);
+    let (k, beam, workers) = (10, 48, 2usize);
+    let all: Vec<u32> = (0..queries.len() as u32).collect();
+    let batches = [
+        queries.subset(&[]),
+        queries.subset(&[5]),
+        queries.subset(&[9, 2]),
+        queries.subset(&all),
+    ];
+    let build = |ds: &Dataset, _: usize| FlatIndex {
+        name: "walk",
+        graph: exact_knng(ds, 8, 1),
+        seeds: SeedStrategy::Random { count: 4 },
+        router: Router::BestFirst,
+    };
+    let sampled = |rec: &FlightRecorder| -> BTreeSet<(u64, Vec<u32>)> {
+        let kept = rec.flights().into_iter().filter(|f| f.sampled);
+        kept.map(|f| (f.fingerprint, f.results)).collect()
+    };
+    for shards in [1usize, 2, 4, 8] {
+        let set = ShardSet::build(
+            &base,
+            shards,
+            PARTITION_SEED,
+            NodeLayout::Split,
+            false,
+            2,
+            build,
+        )
+        .unwrap();
+        let opts = EngineOptions { workers, seed: 42 };
+        // One full batch first: it starts every pool's threads and times
+        // the walks, so a task's cost is known and the pin decides alone.
+        let pinned = |handoff_ns: u64| {
+            let engine = ShardedEngine::with_options(&set, opts.clone());
+            engine.search_batch(&batches[3], k, beam);
+            engine.pin_handoff_ns(handoff_ns);
+            engine
+        };
+        let (inline, fanned) = (pinned(u64::MAX), pinned(0));
+        for nq in [1usize, 2, 16] {
+            assert!(!inline.occupies_lane(nq), "{shards} shards, {nq} queries");
+            // One query on one shard is a single task wherever it runs.
+            assert_eq!(fanned.occupies_lane(nq), shards > 1 || nq > 1);
+        }
+        let woken_before = inline.fleet_report().pool.jobs_fanned_out;
+
+        let reference: Vec<ShardedBatchReport> = batches
+            .iter()
+            .map(|b| inline.search_batch(b, k, beam))
+            .collect();
+        for (b, want) in reference.iter().enumerate() {
+            let nq = batches[b].len();
+            for (s, shard) in want.per_shard.iter().enumerate() {
+                // Nobody was woken, and the report reads as it always has.
+                assert_eq!(shard.workers, workers.min(nq).max(1), "shard {s}");
+                let claimed: u64 = shard.per_worker.iter().map(|w| w.queries_claimed).sum();
+                assert_eq!(claimed, nq as u64, "shard {s}");
+            }
+            assert_reports_identical(
+                &fanned.search_batch(&batches[b], k, beam),
+                want,
+                &format!("{shards} shards, batch {b}, fanned out"),
+            );
+        }
+        let recorder = || {
+            FlightRecorder::new(FlightOptions {
+                sample_every: 2,
+                capacity: 4096,
+                seed: 3,
+            })
+        };
+        let (inline_rec, fanned_rec) = (recorder(), recorder());
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4usize {
+                let (batches, reference, start) = (&batches, &reference, &start);
+                let sides = [(&inline, &inline_rec), (&fanned, &fanned_rec)];
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..6 {
+                        let b = (t + round) % batches.len();
+                        for (side, (engine, rec)) in sides.iter().enumerate() {
+                            assert_reports_identical(
+                                &engine.search_batch_flights(&batches[b], k, beam, rec),
+                                &reference[b],
+                                &format!("{shards} shards, caller {t}, batch {b}, side {side}"),
+                            );
+                        }
+                    }
+                });
+            }
+        });
+        assert!(!sampled(&inline_rec).is_empty(), "vacuous: nothing sampled");
+        assert_eq!(
+            sampled(&inline_rec),
+            sampled(&fanned_rec),
+            "{shards} shards"
+        );
+        assert_eq!(
+            inline.fleet_report().pool.jobs_fanned_out,
+            woken_before,
+            "{shards} shards: a pool held inline woke a worker"
+        );
+    }
+}
+
 /// Typed errors where the seed code panicked: empty datasets, impossible
 /// shard counts, and graph/dataset size mismatches all come back as
 /// matchable values with intact context.
@@ -523,6 +644,11 @@ impl<'a, E: BatchExecutor> Gated<'a, E> {
             release: release_tx,
         };
         (gated, gate)
+    }
+
+    /// Holds the next batch to reach the executor, like the first.
+    fn hold_next(&self) {
+        self.hold_next.store(true, Ordering::SeqCst);
     }
 
     /// The batches executed so far, each as its queries in batch order.
@@ -968,6 +1094,175 @@ fn queue_executor_panic_unwinds_every_rider_and_the_queue_keeps_serving() {
     let stats = queue.stats();
     assert_eq!(stats.queries_total, 6, "the failed batch counts nowhere");
     assert_eq!(stats.batch_size.count(), stats.batches_total);
+}
+
+/// A [`Gated`] executor that also answers [`BatchExecutor::occupies_lane`]
+/// — which `Gated` leaves at the trait's default, so every close-rule
+/// test above runs the rule an executor that never heard of lanes gets.
+struct Laned<'a, E: BatchExecutor> {
+    gated: Gated<'a, E>,
+    /// What the executor says of every batch, switched by the test.
+    fans_out: AtomicBool,
+}
+
+impl<E: BatchExecutor> BatchExecutor for Laned<'_, E> {
+    fn dim(&self) -> usize {
+        self.gated.dim()
+    }
+
+    fn execute(
+        &self,
+        queries: &Dataset,
+        k: usize,
+        beam: usize,
+        rec: Option<&FlightRecorder>,
+    ) -> Vec<Vec<Neighbor>> {
+        self.gated.execute(queries, k, beam, rec)
+    }
+
+    fn occupies_lane(&self, _nq: usize) -> bool {
+        self.fans_out.load(Ordering::SeqCst)
+    }
+}
+
+/// The lane: while a batch the executor runs on its leader's thread alone
+/// is held inside it, a second submitter closes, executes and returns —
+/// the two overlap. Once the executor says its batches fan out, arrivals
+/// behind a held one coalesce into one batch again, exactly as under the
+/// default.
+#[test]
+fn queue_overlaps_lane_free_batches_and_coalesces_behind_one_that_fans_out() {
+    let (base, queries) = dataset(300, 5);
+    let set = two_exact_shards(&base);
+    let engine = ShardedEngine::new(&set);
+    let (gated, gate) = Gated::new(&engine);
+    let exec = Laned {
+        gated,
+        fans_out: AtomicBool::new(false),
+    };
+    let beam = base.len();
+    let queue = BatchQueue::new(
+        &exec,
+        QueueOptions {
+            max_batch: 64,
+            max_delay: LONG,
+            k: 10,
+            beam,
+        },
+    );
+    let submit_checked = |qi: u32| {
+        let got = queue.submit(queries.point(qi));
+        let want = engine.search_one(queries.point(qi), 10, beam);
+        assert_pools_identical(&got, &want, &format!("query {qi}"));
+    };
+    std::thread::scope(|scope| {
+        let gate = gate;
+        let submit_checked = &submit_checked;
+        // Lane-free: query 0 is held inside the executor, query 1 runs
+        // beside it and is back first.
+        scope.spawn(move || submit_checked(0));
+        gate.wait_entered();
+        let (tx, rx) = mpsc::channel();
+        scope.spawn(move || {
+            submit_checked(1);
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(PROMPT)
+            .expect("a batch that holds no lane must not hold back the next");
+        let stats = queue.stats();
+        assert_eq!(stats.batches_total, 1, "query 0 is still executing");
+        assert!(stats.queue_delay_ns.max().unwrap() < PROMPT.as_nanos() as u64);
+        gate.release();
+        wait_until("query 0 to return", || queue.stats().batches_total == 2);
+
+        // Fanned out: query 2 is held and holds the lane; 3 and 4 wait
+        // for it and ride one batch.
+        exec.fans_out.store(true, Ordering::SeqCst);
+        exec.gated.hold_next();
+        scope.spawn(move || submit_checked(2));
+        gate.wait_entered();
+        for qi in 3..5u32 {
+            scope.spawn(move || submit_checked(qi));
+            wait_until("the rider to enqueue", || queue.depth() == qi as usize - 2);
+        }
+        assert_eq!(queue.stats().batches_total, 2, "nothing closed behind it");
+        gate.release();
+    });
+    let stats = queue.stats();
+    assert_eq!(stats.queries_total, 5);
+    assert_eq!(stats.batches_total, 4);
+    assert_eq!(
+        exec.gated.seen(),
+        [
+            queries_as_rows(&queries, 0..1),
+            queries_as_rows(&queries, 1..2),
+            queries_as_rows(&queries, 2..3),
+            queries_as_rows(&queries, 3..5),
+        ]
+    );
+}
+
+/// A lane-free batch that panics had no lane to give back: the count of
+/// batches holding it must not move (an underflow would read as "busy"
+/// for ever). Afterwards a batch that does fan out still takes the lane
+/// and still frees it — the lone query behind it is dispatched on its
+/// return, not after the 30 s budget.
+#[test]
+fn queue_lane_free_panic_leaves_the_lane_count_alone() {
+    let (base, queries) = dataset(300, 3);
+    let beam = base.len();
+    let set = two_exact_shards(&base);
+    let engine = ShardedEngine::new(&set);
+    let panicky = PanicsOnMarker { inner: &engine };
+    let (gated, gate) = Gated::new(&panicky);
+    gated.hold_next.store(false, Ordering::SeqCst);
+    let exec = Laned {
+        gated,
+        fans_out: AtomicBool::new(false),
+    };
+    let queue = BatchQueue::new(
+        &exec,
+        QueueOptions {
+            max_batch: 64,
+            max_delay: LONG,
+            k: 10,
+            beam,
+        },
+    );
+    let marker = vec![MARKER; base.dim()];
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| queue.submit(&marker)));
+    assert!(
+        unwound.is_err(),
+        "the marker batch must unwind its submitter"
+    );
+
+    exec.fans_out.store(true, Ordering::SeqCst);
+    exec.gated.hold_next();
+    std::thread::scope(|scope| {
+        let gate = gate;
+        let (queue, queries) = (&queue, &queries);
+        scope.spawn(move || queue.submit(queries.point(0)));
+        gate.wait_entered();
+        let (tx, rx) = mpsc::channel();
+        scope.spawn(move || {
+            queue.submit(queries.point(1));
+            tx.send(()).unwrap();
+        });
+        wait_until("the rider to enqueue", || queue.depth() == 1);
+        assert_eq!(
+            queue.stats().batches_total,
+            0,
+            "the rider waits for the lane"
+        );
+        gate.release();
+        rx.recv_timeout(PROMPT)
+            .expect("the returning batch must free the lane it took");
+    });
+    assert_eq!(
+        queue.stats().batches_total,
+        2,
+        "the failed batch counts nowhere"
+    );
 }
 
 fn neighbors_from(raw: &[(u32, f32)]) -> Vec<Neighbor> {
