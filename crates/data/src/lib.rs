@@ -30,6 +30,8 @@ pub mod pq;
 pub mod prefetch;
 pub mod quant;
 pub mod synthetic;
+#[cfg(test)]
+mod synthetic_goldens;
 pub mod vectors;
 
 pub use dataset::Dataset;
