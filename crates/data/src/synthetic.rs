@@ -17,7 +17,8 @@
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+use std::sync::Mutex;
 
 /// Specification of a Gaussian-mixture dataset.
 ///
@@ -85,8 +86,19 @@ impl MixtureSpec {
         self
     }
 
-    /// Generates `(base, queries)` datasets.
+    /// Generates `(base, queries)` datasets, on every available core.
+    ///
+    /// The bytes are a pure function of the spec: equal to what one
+    /// thread drawing every point from one seeded stream produces, on
+    /// any number of cores.
     pub fn generate(&self) -> (Dataset, Dataset) {
+        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+        self.generate_on(workers)
+    }
+
+    /// [`Self::generate`] on at most `workers` threads, the caller's
+    /// included.
+    pub(crate) fn generate_on(&self, workers: usize) -> (Dataset, Dataset) {
         assert!(self.clusters >= 1, "need at least one cluster");
         assert!(self.n > 0 && self.dim > 0);
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -123,36 +135,39 @@ impl MixtureSpec {
             None
         };
 
-        let gen_points = |count: usize, rng: &mut StdRng| -> Vec<f32> {
-            let mut data = Vec::with_capacity(count * self.dim);
-            for i in 0..count {
+        // Fills `out` with consecutive points of one set, the first being
+        // that set's point `first`, drawing from `rng` positioned at it.
+        let m = self.intrinsic_dim.unwrap_or(0);
+        let fill = |first: usize, out: &mut [f32], rng: &mut StdRng, z: &mut Vec<f32>| {
+            for (r, row) in out.chunks_exact_mut(self.dim).enumerate() {
                 // Deterministic round-robin cluster assignment keeps cluster
                 // sizes balanced, as in the paper's balanced mixtures.
-                let c = i % self.clusters;
+                let c = (first + r) % self.clusters;
                 let center = &centers[c];
                 match &bases {
                     None => {
-                        for &cd in center {
-                            data.push(cd + gaussian(rng) * self.std);
+                        for (x, &cd) in row.iter_mut().zip(center) {
+                            *x = cd + gaussian(rng) * self.std;
                         }
                     }
                     Some(bs) => {
-                        let m = self.intrinsic_dim.unwrap();
-                        let (basis, z): (&Vec<f32>, Vec<f32>) = match &latent_centers {
+                        z.clear();
+                        let basis = match &latent_centers {
                             // Shared subspace: latent = cluster center + noise.
-                            Some(lc) => (
-                                &bs[0],
-                                (0..m)
-                                    .map(|j| lc[c][j] + gaussian(rng) * self.std)
-                                    .collect(),
-                            ),
+                            Some(lc) => {
+                                z.extend(lc[c].iter().map(|&l| l + gaussian(rng) * self.std));
+                                &bs[0]
+                            }
                             // Per-cluster subspace around the ambient center.
-                            None => (&bs[c], (0..m).map(|_| gaussian(rng) * self.std).collect()),
+                            None => {
+                                z.extend((0..m).map(|_| gaussian(rng) * self.std));
+                                &bs[c]
+                            }
                         };
                         // Shared subspace ignores the ambient centers: the
                         // whole manifold hangs off one global offset.
                         let global = 50.0f32;
-                        for d in 0..self.dim {
+                        for (d, dst) in row.iter_mut().enumerate() {
                             let mut x = if latent_centers.is_some() {
                                 global
                             } else {
@@ -164,22 +179,70 @@ impl MixtureSpec {
                             if self.noise > 0.0 {
                                 x += gaussian(rng) * self.noise;
                             }
-                            data.push(x);
+                            *dst = x;
                         }
                     }
                 }
             }
-            data
         };
 
-        let base = gen_points(self.n, &mut rng);
-        let queries = gen_points(self.n_queries, &mut rng);
-        (
-            Dataset::from_flat(base, self.n, self.dim),
-            Dataset::from_flat(queries, self.n_queries, self.dim),
-        )
+        // Every point consumes the same number of raw draws, two per
+        // normal, so where the stream stands at any point is known without
+        // generating the points before it.
+        let normals = match self.intrinsic_dim {
+            None => self.dim,
+            Some(m) => m + if self.noise > 0.0 { self.dim } else { 0 },
+        };
+        let draws_per_point = 2 * normals;
+
+        // The stream is handed out one chunk at a time, base chunks then
+        // query chunks, in order: whoever takes a chunk gets the stream's
+        // state at its first point (a checkpoint) and advances the shared
+        // state past the chunk (~1 ns a draw, against ~20 ns a draw to
+        // fill it) while the other workers fill theirs. Who fills a chunk
+        // never changes what it holds.
+        let mut base = Dataset::zeroed(self.n, self.dim);
+        let mut queries = Dataset::zeroed(self.n_queries, self.dim);
+        let rows = CHUNK * self.dim;
+        let n_chunks = self.n.div_ceil(CHUNK) + self.n_queries.div_ceil(CHUNK);
+        let chunks = base
+            .flat_mut()
+            .chunks_mut(rows)
+            .enumerate()
+            .chain(queries.flat_mut().chunks_mut(rows).enumerate());
+        let stream = Mutex::new((rng, chunks));
+        let work = || {
+            let mut z = Vec::with_capacity(m);
+            loop {
+                let (mut checkpoint, c, out) = {
+                    let mut guard = stream.lock().expect("a generator worker panicked");
+                    let (rng, chunks) = &mut *guard;
+                    let Some((c, out)) = chunks.next() else {
+                        return;
+                    };
+                    let checkpoint = rng.clone();
+                    for _ in 0..out.len() / self.dim * draws_per_point {
+                        rng.next_u64();
+                    }
+                    (checkpoint, c, out)
+                };
+                fill(c * CHUNK, out, &mut checkpoint, &mut z);
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers.min(n_chunks) {
+                scope.spawn(work);
+            }
+            work();
+        });
+        (base, queries)
     }
 }
+
+/// Points per generation chunk, the unit one worker fills: a 2 000-point
+/// stand-in still splits across cores, and the serial skip over a chunk's
+/// draws stays a few percent of filling it.
+pub(crate) const CHUNK: usize = 512;
 
 /// Standard-normal sample via Box-Muller (avoids a rand_distr dependency).
 fn gaussian(rng: &mut StdRng) -> f32 {

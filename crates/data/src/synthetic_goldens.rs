@@ -128,3 +128,13 @@ fn check(generate: impl Fn(&MixtureSpec) -> (Dataset, Dataset)) {
 fn generate_matches_golden_digests() {
     check(MixtureSpec::generate);
 }
+
+/// One worker fills every chunk inline; two, three and eight (more
+/// workers than chunks for most cases) split them differently.
+#[test]
+fn every_worker_count_reproduces_the_goldens() {
+    assert_eq!(CHUNK, crate::synthetic::CHUNK, "sizes straddle the chunk");
+    for workers in [1, 2, 3, 8] {
+        check(|spec| spec.generate_on(workers));
+    }
+}
