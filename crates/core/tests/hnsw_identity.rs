@@ -14,7 +14,6 @@ use rand::{Rng, SeedableRng};
 use weavess_core::algorithms::hnsw::{self, HnswParams};
 use weavess_core::algorithms::hnsw_dynamic::DynamicHnsw;
 use weavess_core::index::AnnIndex;
-use weavess_core::persist::write_hnsw;
 use weavess_data::Dataset;
 use weavess_graph::CsrGraph;
 
@@ -36,19 +35,26 @@ fn fnv1a(digest: &mut u64, bytes: &[u8]) {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// The static index freezes its block layers into the same CSR bytes the
-/// nested lists froze into: the persisted file, `graph()` and every layer
-/// are unchanged, so the frozen search path cannot have moved.
+/// The static index freezes its block layers into the same CSR lists the
+/// nested lists froze into: the enter point, `graph()` and every layer are
+/// unchanged, so the frozen search path cannot have moved. The digest is
+/// over a test-local encoding (enter point, then every layer's lists, each
+/// as its length and ids), so it pins the index, not a file format.
 #[test]
 fn static_hnsw_freezes_to_the_recorded_bytes() {
     let ds = integer_dataset(3_000, 16, 1);
     let idx = hnsw::build(&ds, &HnswParams::tuned(2, 3));
     assert!(idx.num_layers() >= 3, "the pin must cover upper layers");
-    let mut bytes = Vec::new();
-    write_hnsw(&mut bytes, &idx).unwrap();
     let mut digest = FNV_OFFSET;
-    fnv1a(&mut digest, &bytes);
-    assert_eq!(digest, 0xb4850b278abc1250, "persisted HNSW bytes moved");
+    fnv1a(&mut digest, &idx.enter_point().to_le_bytes());
+    for l in 0..idx.num_layers() {
+        for list in idx.layer(l).to_lists() {
+            fnv1a(&mut digest, &(list.len() as u32).to_le_bytes());
+            list.iter()
+                .for_each(|u| fnv1a(&mut digest, &u.to_le_bytes()));
+        }
+    }
+    assert_eq!(digest, 0x9c514b3d1c1a8865, "frozen HNSW layers moved");
     // Layers are exactly their lists: nothing of the block layout (spare
     // slots, stride) leaks into the frozen graph.
     for l in 0..idx.num_layers() {
