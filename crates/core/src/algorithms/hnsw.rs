@@ -283,18 +283,19 @@ impl GraphView for Layer<'_> {
     }
 }
 
-/// Draws `n` geometric levels from `rng` — one `gen_range` per point, so
+/// Draws `n` geometric levels from `rng`, one [`draw_level`] per point, so
 /// the stream position after the draw equals `n` single inserts' worth
 /// (what lets [`super::hnsw_dynamic::DynamicHnsw::bulk_load`] continue the
 /// same stream for later incremental inserts).
 pub(crate) fn draw_levels(n: usize, params: &HnswParams, rng: &mut StdRng) -> Vec<usize> {
+    (0..n).map(|_| draw_level(params, rng)).collect()
+}
+
+/// One point's geometric level, `⌊−ln(u) / ln M⌋`, from one `gen_range`.
+pub(crate) fn draw_level(params: &HnswParams, rng: &mut StdRng) -> usize {
     let ml = 1.0 / (params.m.max(2) as f64).ln();
-    (0..n)
-        .map(|_| {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            (-u.ln() * ml).floor() as usize
-        })
-        .collect()
+    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+    (-u.ln() * ml).floor() as usize
 }
 
 /// Work-unit size for the parallel search phase: small, because one unit
@@ -372,9 +373,10 @@ pub(crate) fn build_layers(
 /// The pure (read-only) half of one insertion: greedy descent above the
 /// point's level, then per-layer beam search + RNG selection against the
 /// frozen graph. Returns `(layer, selected)` pairs, top layer first; the
-/// caller commits them with [`LayeredGraph::link`].
+/// caller commits them with [`LayeredGraph::link`] (the dynamic index
+/// too: a link on layer `l` changes nothing a lower layer's search reads).
 #[allow(clippy::too_many_arguments)]
-fn search_one(
+pub(crate) fn search_one(
     ds: &Dataset,
     graph: &LayeredGraph,
     enter: u32,

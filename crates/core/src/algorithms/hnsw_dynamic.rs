@@ -18,7 +18,7 @@ use crate::algorithms::hnsw::{self, HnswParams, LayeredGraph};
 use crate::components::selection::select_rng_alpha;
 use crate::search::{filtered_beam_search, SearchScratch, SearchStats};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use weavess_data::{Dataset, Neighbor};
 
 /// An HNSW index supporting online insert, delete, and search.
@@ -143,36 +143,25 @@ impl DynamicHnsw {
         self.live += 1;
         self.deleted.push(false);
         self.scratch.ensure_len(self.data.len());
-        // Geometric level.
-        let ml = 1.0 / (self.params.m.max(2) as f64).ln();
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let lp = (-u.ln() * ml).floor() as usize;
+        let lp = hnsw::draw_level(&self.params, &mut self.rng);
         self.graph.push_vertex(lp);
         if p == 0 {
             self.enter = 0;
             self.enter_level = lp;
             return p;
         }
-
-        let mut ep = self.enter;
-        // Greedy descent above lp.
-        for l in ((lp + 1)..=self.enter_level).rev() {
-            ep = self.greedy_closest(l, vector, ep);
-        }
-        // Beam insert on lp..=0.
-        for l in (0..=lp.min(self.enter_level)).rev() {
-            let pool = self.graph.beam(
-                &self.data,
-                l,
-                vector,
-                ep,
-                self.params.ef_construction,
-                &mut self.scratch,
-                &mut self.stats,
-            );
-            let selected = select_rng_alpha(&self.data, p, &pool, self.params.m, 1.0);
-            self.graph.link(&self.data, l, p, &selected);
-            ep = selected.first().map(|s| s.id).unwrap_or(ep);
+        let per_layer = hnsw::search_one(
+            &self.data,
+            &self.graph,
+            self.enter,
+            self.enter_level,
+            &self.params,
+            p,
+            &mut self.scratch,
+            &mut self.stats,
+        );
+        for (l, selected) in &per_layer {
+            self.graph.link(&self.data, *l, p, selected);
         }
         if lp > self.enter_level {
             self.enter = p;
@@ -316,6 +305,7 @@ impl DynamicHnsw {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
     use weavess_data::ground_truth::knn_scan;
     use weavess_data::synthetic::MixtureSpec;
 

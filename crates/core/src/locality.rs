@@ -124,66 +124,37 @@ impl LayoutIndex {
             });
         }
         let perm = reorder.then(|| bfs_order(&flat.graph, ds.medoid()));
-        Ok(Self::assemble(
-            flat.name,
-            flat.router,
-            flat.seeds,
-            perm,
-            &flat.graph,
-            ds,
-            layout,
-        ))
+        Ok(Self::assemble(flat, perm, None, ds, layout))
     }
 
-    /// Assembles the store from a graph in *original* id space plus the
-    /// caller's dataset (also used by the persist loader, which is why the
-    /// permutation is applied here rather than in `from_flat`).
+    /// Hosts `flat`, whose graph is in *original* id space, on `layout`
+    /// over the caller's dataset, renumbered by `perm` when given, with an
+    /// optional catapult overlay segment (also in original id space; the
+    /// routing graph becomes the base+overlay merge). The persist loader
+    /// calls this with what a file stores, which is why the permutation is
+    /// applied here rather than in `from_flat`.
     pub(crate) fn assemble(
-        name: &'static str,
-        router: Router,
-        seeds: SeedStrategy,
+        flat: FlatIndex,
         perm: Option<Permutation>,
-        graph: &CsrGraph,
+        overlay: Option<CsrGraph>,
         ds: &Dataset,
         layout: NodeLayout,
     ) -> Self {
-        Self::assemble_with_overlay(name, router, seeds, perm, graph, None, ds, layout)
-    }
-
-    /// [`LayoutIndex::assemble`] plus an optional catapult overlay segment
-    /// (also in *original* id space — the persist format stores both
-    /// segments un-permuted). The stored routing graph becomes the
-    /// base+overlay merge.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble_with_overlay(
-        name: &'static str,
-        router: Router,
-        seeds: SeedStrategy,
-        perm: Option<Permutation>,
-        base: &CsrGraph,
-        overlay: Option<&CsrGraph>,
-        ds: &Dataset,
-        layout: NodeLayout,
-    ) -> Self {
-        let base = match &perm {
-            Some(p) => p.apply_to_graph(base),
-            None => base.clone(),
+        let renumber = |g: CsrGraph| match &perm {
+            Some(p) => p.apply_to_graph(&g),
+            None => g,
         };
-        let (graph, overlay) = match overlay {
-            Some(o) => {
-                let o = match &perm {
-                    Some(p) => p.apply_to_graph(o),
-                    None => o.clone(),
-                };
-                (merge_overlay(&base, &o), Some(o))
-            }
-            None => (base, None),
+        let base = renumber(flat.graph);
+        let overlay = overlay.map(renumber);
+        let graph = match &overlay {
+            Some(o) => merge_overlay(&base, o),
+            None => base,
         };
         let store = Self::store_from(graph, perm.as_ref(), ds, layout);
         LayoutIndex {
-            name,
-            router,
-            seeds,
+            name: flat.name,
+            router: flat.router,
+            seeds: flat.seeds,
             perm,
             overlay,
             store,

@@ -2,11 +2,31 @@
 //! without rebuilding — what makes the survey's expensive constructions
 //! (Figure 5) a one-time cost in practice.
 //!
-//! Format (little-endian, versioned):
+//! Every index type writes one format (little-endian, versioned): a flat
+//! record, then zero or more optional sections, each one byte of tag
+//! followed by its payload.
 //!
 //! ```text
 //! magic "WVSS" | u32 version | name | router | seeds | graph
+//! 1 fused layout   (no payload)
+//! 2 permutation    u64 n | n × u32 inverse
+//! 3 overlay        graph lists, original id space
+//! 4 upper layers   u32 count | count × graph lists      (HNSW layers 1..)
 //! ```
+//!
+//! Graphs are in original id space, the record's with any catapult overlay
+//! stripped out. Sections are written only where they differ from the
+//! default (split, unreordered, unadapted, flat), in ascending tag order;
+//! a file ends at a section boundary, and an unknown, repeated or
+//! out-of-order tag is [`PersistError::BadFormat`]. A split, unreordered,
+//! unadapted [`LayoutIndex`] thus writes exactly its [`FlatIndex`]'s bytes.
+//! An [`HnswIndex`] is the record named `"HNSW"` (`BestFirst`, seeds
+//! `Fixed([enter point])`, layer 0) plus section 4, always present.
+//!
+//! One reader validates every file. Each loader projects its result and
+//! refuses (`BadFormat`) a section its index type cannot store, so none
+//! silently drops data: [`load_index`] takes no section,
+//! [`load_layout_index`] sections 1–3, [`load_hnsw`] exactly section 4.
 //!
 //! Only self-contained seed strategies (`Random`, `Fixed`) serialize;
 //! tree-backed strategies are cheap to rebuild relative to the graph and
@@ -30,12 +50,12 @@ use weavess_graph::CsrGraph;
 
 const MAGIC: &[u8; 4] = b"WVSS";
 const VERSION: u32 = 1;
-const HNSW_MAGIC: &[u8; 4] = b"WVSH";
-const HNSW_VERSION: u32 = 1;
-const LAYOUT_MAGIC: &[u8; 4] = b"WVSL";
-/// v2 appended the optional catapult overlay segment; v1 files (no
-/// overlay section) still load.
-const LAYOUT_VERSION: u32 = 2;
+
+/// Section tags, in the order a file carries them.
+const FUSED: u8 = 1;
+const PERMUTATION: u8 = 2;
+const OVERLAY: u8 = 3;
+const UPPER_LAYERS: u8 = 4;
 
 /// Errors from saving or loading an index.
 #[derive(Debug)]
@@ -71,49 +91,283 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
+fn bad(message: impl Into<String>) -> PersistError {
+    PersistError::BadFormat(message.into())
+}
+
 /// Saves a [`FlatIndex`] (graph + router + self-contained seeds).
 pub fn save_index(path: &Path, index: &FlatIndex) -> Result<(), PersistError> {
-    let mut w = BufWriter::new(File::create(path)?);
-    write_index(&mut w, index)?;
-    w.flush()?;
-    Ok(())
+    save_with(path, |w| write_index(w, index))
 }
 
 /// Serializes a [`FlatIndex`] to any writer — the exact bytes
 /// [`save_index`] puts on disk, also usable for in-memory digesting (the
 /// build-determinism tests hash this stream).
 pub fn write_index(w: &mut impl Write, index: &FlatIndex) -> Result<(), PersistError> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    write_str(w, index.name)?;
-    write_router(w, &index.router)?;
-    write_seeds(w, &index.seeds)?;
-    write_graph_lists(w, &index.graph.to_lists())?;
+    let lists = index.graph.to_lists();
+    write_record(w, index.name, &index.router, &index.seeds, &lists)
+}
+
+/// Saves a [`LayoutIndex`]: the record of the [`FlatIndex`] it wraps,
+/// then its layout, permutation and catapult overlay sections. The loader
+/// re-applies the permutation and re-merges the overlay, so an adapted
+/// index round-trips without storing its adjacency twice.
+pub fn save_layout_index(path: &Path, index: &LayoutIndex) -> Result<(), PersistError> {
+    save_with(path, |w| write_layout_index(w, index))
+}
+
+/// Serializes a [`LayoutIndex`] to any writer — the exact bytes
+/// [`save_layout_index`] puts on disk.
+pub fn write_layout_index(w: &mut impl Write, index: &LayoutIndex) -> Result<(), PersistError> {
+    let perm = index.permutation();
+    let base = original_lists(&index.base_graph(), perm);
+    write_record(w, index.name, &index.router, &index.seeds, &base)?;
+    if index.layout() == NodeLayout::Fused {
+        w.write_all(&[FUSED])?;
+    }
+    if let Some(p) = perm {
+        w.write_all(&[PERMUTATION])?;
+        w.write_all(&(p.len() as u64).to_le_bytes())?;
+        write_u32s(w, p.inverse())?;
+    }
+    if let Some(o) = index.overlay() {
+        w.write_all(&[OVERLAY])?;
+        write_graph_lists(w, &original_lists(o, perm))?;
+    }
     Ok(())
 }
 
-fn write_router(w: &mut impl Write, router: &Router) -> Result<(), PersistError> {
-    match router {
-        Router::BestFirst => {
-            w.write_all(&[0u8])?;
-        }
-        Router::Range { epsilon } => {
-            w.write_all(&[1u8])?;
-            w.write_all(&epsilon.to_le_bytes())?;
-        }
-        Router::Backtrack { extra } => {
-            w.write_all(&[2u8])?;
-            w.write_all(&(*extra as u64).to_le_bytes())?;
-        }
-        Router::Guided => {
-            w.write_all(&[3u8])?;
-        }
-        Router::TwoStage { stage1_beam_frac } => {
-            w.write_all(&[4u8])?;
-            w.write_all(&stage1_beam_frac.to_le_bytes())?;
-        }
+/// Saves an [`HnswIndex`] (all layers + enter point).
+pub fn save_hnsw(path: &Path, index: &HnswIndex) -> Result<(), PersistError> {
+    save_with(path, |w| write_hnsw(w, index))
+}
+
+/// Serializes an [`HnswIndex`] to any writer — the exact bytes
+/// [`save_hnsw`] puts on disk, also usable for in-memory digesting.
+pub fn write_hnsw(w: &mut impl Write, index: &HnswIndex) -> Result<(), PersistError> {
+    let enter = SeedStrategy::Fixed(vec![index.enter_point()]);
+    let layer0 = index.layer(0).to_lists();
+    write_record(w, Algo::Hnsw.name(), &Router::BestFirst, &enter, &layer0)?;
+    w.write_all(&[UPPER_LAYERS])?;
+    w.write_all(&(index.num_layers() as u32 - 1).to_le_bytes())?;
+    for l in 1..index.num_layers() {
+        write_graph_lists(w, &index.layer(l).to_lists())?;
     }
     Ok(())
+}
+
+/// Loads a [`FlatIndex`] saved by [`save_index`], or by
+/// [`save_layout_index`] from a split, unreordered, unadapted index.
+pub fn load_index(path: &Path) -> Result<FlatIndex, PersistError> {
+    read_file(path)?.into_flat()
+}
+
+/// Loads a [`LayoutIndex`] saved by [`save_layout_index`] or
+/// [`save_index`] (split and unreordered), rebuilding the vector copy /
+/// fused arena from `ds` (the same dataset the index was built over —
+/// vectors are not stored in the file). The layout is the file's.
+pub fn load_layout_index(path: &Path, ds: &Dataset) -> Result<LayoutIndex, PersistError> {
+    read_file(path)?.into_layout(ds)
+}
+
+/// Loads an [`HnswIndex`] saved by [`save_hnsw`].
+pub fn load_hnsw(path: &Path) -> Result<HnswIndex, PersistError> {
+    read_file(path)?.into_hnsw()
+}
+
+fn save_with(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), PersistError>,
+) -> Result<(), PersistError> {
+    let mut w = BufWriter::new(File::create(path)?);
+    write(&mut w)?;
+    w.flush()?;
+    Ok(())
+}
+
+/// The record every file starts with.
+fn write_record(
+    w: &mut impl Write,
+    name: &str,
+    router: &Router,
+    seeds: &SeedStrategy,
+    graph: &[Vec<u32>],
+) -> Result<(), PersistError> {
+    w.write_all(MAGIC)?;
+    w.write_all(&VERSION.to_le_bytes())?;
+    write_str(w, name)?;
+    write_router(w, router)?;
+    write_seeds(w, seeds)?;
+    write_graph_lists(w, graph)
+}
+
+/// `graph`'s adjacency in original id space, un-applying `perm`.
+fn original_lists(graph: &CsrGraph, perm: Option<&Permutation>) -> Vec<Vec<u32>> {
+    let Some(p) = perm else {
+        return graph.to_lists();
+    };
+    (0..graph.len() as u32)
+        .map(|v| {
+            let list = graph.neighbors(p.to_new(v));
+            list.iter().map(|&u| p.to_old(u)).collect()
+        })
+        .collect()
+}
+
+/// A parsed, validated index file: its record as a [`FlatIndex`] (graph
+/// in original id space) and what its sections add.
+struct IndexFile {
+    flat: FlatIndex,
+    /// Tags of the sections present, ascending.
+    sections: Vec<u8>,
+    layout: NodeLayout,
+    perm: Option<Permutation>,
+    overlay: Option<CsrGraph>,
+    /// HNSW layers 1.. (empty without section 4).
+    upper: Vec<CsrGraph>,
+}
+
+/// Opens and parses any index file.
+fn read_file(path: &Path) -> Result<IndexFile, PersistError> {
+    IndexFile::parse(&mut BufReader::new(File::open(path)?))
+}
+
+impl IndexFile {
+    /// Parses and validates a whole file: every id in range of the
+    /// record's graph, every section over its vertices, nothing after the
+    /// last section.
+    fn parse(r: &mut impl Read) -> Result<Self, PersistError> {
+        if &read_bytes::<4>(r)? != MAGIC {
+            return Err(bad("wrong magic"));
+        }
+        let version = read_u32(r)?;
+        if version != VERSION {
+            return Err(bad(format!("version {version}, expected {VERSION}")));
+        }
+        let name = read_str(r)?;
+        let router = read_router(r)?;
+        let seeds = read_seeds(r)?;
+        let graph = CsrGraph::from_lists(&read_graph_lists(r)?);
+        let n = graph.len();
+        if n == 0 {
+            return Err(bad("graph has no vertices"));
+        }
+        check_seeds(&seeds, n)?;
+        let mut sections = Vec::new();
+        let (mut layout, mut perm, mut overlay, mut upper) =
+            (NodeLayout::Split, None, None, Vec::new());
+        while let Some(tag) = read_tag(r)? {
+            if !(FUSED..=UPPER_LAYERS).contains(&tag) || sections.last() >= Some(&tag) {
+                return Err(bad(format!("unexpected section {tag}")));
+            }
+            sections.push(tag);
+            match tag {
+                FUSED => layout = NodeLayout::Fused,
+                PERMUTATION => {
+                    let len = read_u64(r)? as usize;
+                    let p = Permutation::from_inverse(read_u32s(r, len)?).map_err(bad)?;
+                    if len != n {
+                        return Err(bad(format!("permutation over {len} of {n} vertices")));
+                    }
+                    perm = Some(p);
+                }
+                OVERLAY => overlay = Some(read_overlay(r, n)?),
+                _ => {
+                    let count = read_u32(r)?;
+                    upper = (0..count)
+                        .map(|_| read_section_graph(r, n, "upper layer"))
+                        .collect::<Result<_, _>>()?;
+                }
+            }
+        }
+        Ok(IndexFile {
+            flat: FlatIndex {
+                name: intern_name(name),
+                graph,
+                seeds,
+                router,
+            },
+            sections,
+            layout,
+            perm,
+            overlay,
+            upper,
+        })
+    }
+
+    /// Refuses any section but `allowed`: `into` cannot store it.
+    fn only(&self, allowed: &[u8], into: &str) -> Result<(), PersistError> {
+        match self.sections.iter().find(|t| !allowed.contains(t)) {
+            Some(t) => Err(bad(format!("{into} cannot store section {t}"))),
+            None => Ok(()),
+        }
+    }
+
+    fn into_flat(self) -> Result<FlatIndex, PersistError> {
+        self.only(&[], "a flat index")?;
+        Ok(self.flat)
+    }
+
+    fn into_layout(self, ds: &Dataset) -> Result<LayoutIndex, PersistError> {
+        self.only(&[FUSED, PERMUTATION, OVERLAY], "a layout index")?;
+        let (n, len) = (self.flat.graph.len(), ds.len());
+        if n != len {
+            return Err(bad(format!("graph has {n} vertices, dataset {len}")));
+        }
+        let index = LayoutIndex::assemble(self.flat, self.perm, self.overlay, ds, self.layout);
+        Ok(index)
+    }
+
+    /// An HNSW record (module docs); its enter point is the one fixed
+    /// seed, which the reader has already held to the graph like any seed.
+    fn into_hnsw(self) -> Result<HnswIndex, PersistError> {
+        self.only(&[UPPER_LAYERS], "an HNSW index")?;
+        let flat = self.flat;
+        let hnsw = flat.name == Algo::Hnsw.name() && flat.router == Router::BestFirst;
+        match flat.seeds {
+            SeedStrategy::Fixed(enter) if enter.len() == 1 && hnsw && !self.sections.is_empty() => {
+                let layers = std::iter::once(flat.graph).chain(self.upper).collect();
+                Ok(HnswIndex::from_parts(layers, enter[0]))
+            }
+            _ => Err(bad("not an HNSW record")),
+        }
+    }
+}
+
+/// A graph section over the record's `n` vertices.
+fn read_section_graph(r: &mut impl Read, n: usize, what: &str) -> Result<CsrGraph, PersistError> {
+    let lists = read_graph_lists(r)?;
+    if lists.len() != n {
+        return Err(bad(format!("{what} over {} of {n} vertices", lists.len())));
+    }
+    Ok(CsrGraph::from_lists(&lists))
+}
+
+/// The catapult overlay section. Self-loops and duplicate shortcuts can
+/// never come out of the miner, so their presence means corruption (edge
+/// ranges are checked by [`read_graph_lists`]).
+fn read_overlay(r: &mut impl Read, n: usize) -> Result<CsrGraph, PersistError> {
+    let overlay = read_section_graph(r, n, "overlay")?;
+    for v in 0..n as u32 {
+        let mut list = overlay.neighbors(v).to_vec();
+        list.sort_unstable();
+        if list.binary_search(&v).is_ok() || list.windows(2).any(|w| w[0] == w[1]) {
+            return Err(bad(format!("overlay self-loop or duplicate at vertex {v}")));
+        }
+    }
+    Ok(overlay)
+}
+
+fn write_router(w: &mut impl Write, router: &Router) -> io::Result<()> {
+    let (tag, payload) = match router {
+        Router::BestFirst => (0u8, Vec::new()),
+        Router::Range { epsilon } => (1, epsilon.to_le_bytes().to_vec()),
+        Router::Backtrack { extra } => (2, (*extra as u64).to_le_bytes().to_vec()),
+        Router::Guided => (3, Vec::new()),
+        Router::TwoStage { stage1_beam_frac } => (4, stage1_beam_frac.to_le_bytes().to_vec()),
+    };
+    w.write_all(&[tag])?;
+    w.write_all(&payload)
 }
 
 fn read_router(r: &mut impl Read) -> Result<Router, PersistError> {
@@ -129,26 +383,19 @@ fn read_router(r: &mut impl Read) -> Result<Router, PersistError> {
         4 => Router::TwoStage {
             stage1_beam_frac: read_f32(r)?,
         },
-        t => return Err(PersistError::BadFormat(format!("unknown router tag {t}"))),
+        t => return Err(bad(format!("unknown router tag {t}"))),
     })
 }
 
 fn write_seeds(w: &mut impl Write, seeds: &SeedStrategy) -> Result<(), PersistError> {
-    match seeds {
-        SeedStrategy::Random { count } => {
-            w.write_all(&[0u8])?;
-            w.write_all(&(*count as u64).to_le_bytes())?;
-        }
-        SeedStrategy::Fixed(v) => {
-            w.write_all(&[1u8])?;
-            w.write_all(&(v.len() as u64).to_le_bytes())?;
-            for &x in v {
-                w.write_all(&x.to_le_bytes())?;
-            }
-        }
+    let (tag, count, ids): (u8, usize, &[u32]) = match seeds {
+        SeedStrategy::Random { count } => (0, *count, &[]),
+        SeedStrategy::Fixed(ids) => (1, ids.len(), ids),
         other => return Err(PersistError::UnsupportedSeeds(other.label())),
-    }
-    Ok(())
+    };
+    w.write_all(&[tag])?;
+    w.write_all(&(count as u64).to_le_bytes())?;
+    Ok(write_u32s(w, ids)?)
 }
 
 fn read_seeds(r: &mut impl Read) -> Result<SeedStrategy, PersistError> {
@@ -160,15 +407,16 @@ fn read_seeds(r: &mut impl Read) -> Result<SeedStrategy, PersistError> {
             let len = read_u64(r)? as usize;
             SeedStrategy::Fixed(read_u32s(r, len)?)
         }
-        t => return Err(PersistError::BadFormat(format!("unknown seed tag {t}"))),
+        t => return Err(bad(format!("unknown seed tag {t}"))),
     })
 }
 
 /// Rejects seeds no saved index carries and no query could use: a fixed
 /// id outside the graph (an out-of-bounds read at the first query, or in
-/// the permutation remap at load), or a per-query random draw above
-/// [`MAX_PREALLOC`]. The count is not held to `n`: a tiny index may carry
-/// the default ten draws over fewer points, and seeding clamps it.
+/// the permutation remap at load; for HNSW this is the enter point), or a
+/// per-query random draw above [`MAX_PREALLOC`]. The count is not held to
+/// `n`: a tiny index may carry the default ten draws over fewer points,
+/// and seeding clamps it.
 fn check_seeds(seeds: &SeedStrategy, n: usize) -> Result<(), PersistError> {
     let problem = match seeds {
         SeedStrategy::Fixed(ids) => ids
@@ -180,16 +428,14 @@ fn check_seeds(seeds: &SeedStrategy, n: usize) -> Result<(), PersistError> {
         }
         _ => None,
     };
-    problem.map_or(Ok(()), |m| Err(PersistError::BadFormat(m)))
+    problem.map_or(Ok(()), |m| Err(bad(m)))
 }
 
 fn write_graph_lists(w: &mut impl Write, lists: &[Vec<u32>]) -> Result<(), PersistError> {
     w.write_all(&(lists.len() as u64).to_le_bytes())?;
     for l in lists {
         w.write_all(&(l.len() as u32).to_le_bytes())?;
-        for &x in l {
-            w.write_all(&x.to_le_bytes())?;
-        }
+        write_u32s(w, l)?;
     }
     Ok(())
 }
@@ -201,279 +447,22 @@ fn read_graph_lists(r: &mut impl Read) -> Result<Vec<Vec<u32>>, PersistError> {
         let deg = read_u32(r)? as usize;
         let l = read_u32s(r, deg)?;
         if let Some(id) = l.iter().find(|&&id| id as usize >= n) {
-            return Err(PersistError::BadFormat(format!(
-                "edge target {id} out of range (n={n})"
-            )));
+            return Err(bad(format!("edge target {id} out of range (n={n})")));
         }
         lists.push(l);
     }
     Ok(lists)
 }
 
-/// Loads a [`FlatIndex`] saved by [`save_index`].
-pub fn load_index(path: &Path) -> Result<FlatIndex, PersistError> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(PersistError::BadFormat("wrong magic".into()));
-    }
-    let version = read_u32(&mut r)?;
-    if version != VERSION {
-        return Err(PersistError::BadFormat(format!(
-            "version {version}, expected {VERSION}"
-        )));
-    }
-    let name = read_str(&mut r)?;
-    let router = read_router(&mut r)?;
-    let seeds = read_seeds(&mut r)?;
-    let lists = read_graph_lists(&mut r)?;
-    check_seeds(&seeds, lists.len())?;
-    Ok(FlatIndex {
-        name: intern_name(name),
-        graph: CsrGraph::from_lists(&lists),
-        seeds,
-        router,
-    })
-}
-
-/// Saves a [`LayoutIndex`] (graph + router + seeds + permutation +
-/// layout tag + optional catapult overlay segment). Both graph segments
-/// are written in *original* id space — the permutation is stored
-/// separately and re-applied at load — so files saved from a reordered
-/// and an unreordered index differ only in the permutation block. The
-/// *base* segment is stored (overlay stripped back out), then the
-/// overlay segment; the load path re-merges them, so an adapted index
-/// round-trips without storing its adjacency twice.
-pub fn save_layout_index(path: &Path, index: &LayoutIndex) -> Result<(), PersistError> {
-    let mut w = BufWriter::new(File::create(path)?);
-    write_layout_index(&mut w, index)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Serializes a [`LayoutIndex`] to any writer — the exact bytes
-/// [`save_layout_index`] puts on disk.
-pub fn write_layout_index(w: &mut impl Write, index: &LayoutIndex) -> Result<(), PersistError> {
-    w.write_all(LAYOUT_MAGIC)?;
-    w.write_all(&LAYOUT_VERSION.to_le_bytes())?;
-    write_str(w, index.name)?;
-    write_router(w, &index.router)?;
-    write_seeds(w, &index.seeds)?;
-    match index.layout() {
-        crate::locality::NodeLayout::Split => w.write_all(&[0u8])?,
-        crate::locality::NodeLayout::Fused => w.write_all(&[1u8])?,
-    }
-    let base = index.base_graph();
-    match index.permutation() {
-        Some(p) => {
-            w.write_all(&[1u8])?;
-            w.write_all(&(p.len() as u64).to_le_bytes())?;
-            for &old in p.inverse() {
-                w.write_all(&old.to_le_bytes())?;
-            }
-            write_graph_lists(w, &unpermute_lists(&base, p))?;
-        }
-        None => {
-            w.write_all(&[0u8])?;
-            write_graph_lists(w, &base.to_lists())?;
-        }
-    }
-    // v2: the catapult overlay segment, also in original id space.
-    match index.overlay() {
-        Some(o) => {
-            w.write_all(&[1u8])?;
-            let lists = match index.permutation() {
-                Some(p) => unpermute_lists(o, p),
-                None => o.to_lists(),
-            };
-            write_graph_lists(w, &lists)?;
-        }
-        None => w.write_all(&[0u8])?,
-    }
-    Ok(())
-}
-
-/// Un-applies a permutation: adjacency of `graph` rewritten in original
-/// id space.
-fn unpermute_lists(graph: &CsrGraph, p: &Permutation) -> Vec<Vec<u32>> {
-    (0..graph.len() as u32)
-        .map(|v| {
-            graph
-                .neighbors(p.to_new(v))
-                .iter()
-                .map(|&u| p.to_old(u))
-                .collect()
-        })
-        .collect()
-}
-
-/// Loads a [`LayoutIndex`] saved by [`save_layout_index`], rebuilding the
-/// vector copy / fused arena from `ds` (the same dataset the index was
-/// built over — vectors are not stored in the file).
-pub fn load_layout_index(path: &Path, ds: &Dataset) -> Result<LayoutIndex, PersistError> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != LAYOUT_MAGIC {
-        return Err(PersistError::BadFormat("wrong layout magic".into()));
-    }
-    let version = read_u32(&mut r)?;
-    if version == 0 || version > LAYOUT_VERSION {
-        return Err(PersistError::BadFormat(format!(
-            "layout version {version}, expected 1..={LAYOUT_VERSION}"
-        )));
-    }
-    let name = read_str(&mut r)?;
-    let router = read_router(&mut r)?;
-    let seeds = read_seeds(&mut r)?;
-    let layout = match read_u8(&mut r)? {
-        0 => NodeLayout::Split,
-        1 => NodeLayout::Fused,
-        t => return Err(PersistError::BadFormat(format!("unknown layout tag {t}"))),
-    };
-    let perm = match read_u8(&mut r)? {
-        0 => None,
-        1 => {
-            let n = read_u64(&mut r)? as usize;
-            let inverse = read_u32s(&mut r, n)?;
-            Some(Permutation::from_inverse(inverse).map_err(PersistError::BadFormat)?)
-        }
-        t => {
-            return Err(PersistError::BadFormat(format!(
-                "unknown permutation flag {t}"
-            )))
-        }
-    };
-    let lists = read_graph_lists(&mut r)?;
-    check_seeds(&seeds, lists.len())?;
-    if lists.len() != ds.len() {
-        return Err(PersistError::BadFormat(format!(
-            "graph has {} vertices but dataset has {}",
-            lists.len(),
-            ds.len()
-        )));
-    }
-    if let Some(p) = &perm {
-        if p.len() != lists.len() {
-            return Err(PersistError::BadFormat(format!(
-                "permutation over {} vertices but graph has {}",
-                p.len(),
-                lists.len()
-            )));
-        }
-    }
-    // v2: the optional catapult overlay segment, validated before the
-    // merge (edge ranges are checked by `read_graph_lists`; self-loops
-    // and duplicate shortcuts can never come out of the miner, so their
-    // presence means corruption).
-    let overlay = if version >= 2 {
-        match read_u8(&mut r)? {
-            0 => None,
-            1 => {
-                let olists = read_graph_lists(&mut r)?;
-                if olists.len() != lists.len() {
-                    return Err(PersistError::BadFormat(format!(
-                        "overlay covers {} vertices but graph has {}",
-                        olists.len(),
-                        lists.len()
-                    )));
-                }
-                for (v, l) in olists.iter().enumerate() {
-                    for (i, &t) in l.iter().enumerate() {
-                        if t as usize == v {
-                            return Err(PersistError::BadFormat(format!(
-                                "overlay self-loop at vertex {v}"
-                            )));
-                        }
-                        if l[..i].contains(&t) {
-                            return Err(PersistError::BadFormat(format!(
-                                "duplicate overlay edge {v} -> {t}"
-                            )));
-                        }
-                    }
-                }
-                Some(CsrGraph::from_lists(&olists))
-            }
-            t => return Err(PersistError::BadFormat(format!("unknown overlay flag {t}"))),
-        }
-    } else {
-        None
-    };
-    Ok(LayoutIndex::assemble_with_overlay(
-        intern_name(name),
-        router,
-        seeds,
-        perm,
-        &CsrGraph::from_lists(&lists),
-        overlay.as_ref(),
-        ds,
-        layout,
-    ))
-}
-
-/// Saves an [`HnswIndex`] (all layers + enter point).
-pub fn save_hnsw(path: &Path, index: &HnswIndex) -> Result<(), PersistError> {
-    let mut w = BufWriter::new(File::create(path)?);
-    write_hnsw(&mut w, index)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Serializes an [`HnswIndex`] to any writer — the exact bytes
-/// [`save_hnsw`] puts on disk, also usable for in-memory digesting.
-pub fn write_hnsw(w: &mut impl Write, index: &HnswIndex) -> Result<(), PersistError> {
-    w.write_all(HNSW_MAGIC)?;
-    w.write_all(&HNSW_VERSION.to_le_bytes())?;
-    w.write_all(&index.enter_point().to_le_bytes())?;
-    w.write_all(&(index.num_layers() as u32).to_le_bytes())?;
-    for l in 0..index.num_layers() {
-        write_graph_lists(w, &index.layer(l).to_lists())?;
-    }
-    Ok(())
-}
-
-/// Loads an [`HnswIndex`] saved by [`save_hnsw`].
-pub fn load_hnsw(path: &Path) -> Result<HnswIndex, PersistError> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != HNSW_MAGIC {
-        return Err(PersistError::BadFormat("wrong HNSW magic".into()));
-    }
-    let version = read_u32(&mut r)?;
-    if version != HNSW_VERSION {
-        return Err(PersistError::BadFormat(format!(
-            "HNSW version {version}, expected {HNSW_VERSION}"
-        )));
-    }
-    let enter = read_u32(&mut r)?;
-    let n_layers = read_u32(&mut r)? as usize;
-    if n_layers == 0 || n_layers > 64 {
-        return Err(PersistError::BadFormat(format!(
-            "implausible layer count {n_layers}"
-        )));
-    }
-    let mut layers = Vec::with_capacity(n_layers);
-    let mut n0 = 0usize;
-    for li in 0..n_layers {
-        let lists = read_graph_lists(&mut r)?;
-        if li == 0 {
-            n0 = lists.len();
-        } else if lists.len() != n0 {
-            return Err(PersistError::BadFormat("layer size mismatch".into()));
-        }
-        layers.push(CsrGraph::from_lists(&lists));
-    }
-    if enter as usize >= n0 {
-        return Err(PersistError::BadFormat("enter point out of range".into()));
-    }
-    Ok(HnswIndex::from_parts(layers, enter))
-}
-
 fn write_str(w: &mut impl Write, s: &str) -> io::Result<()> {
     w.write_all(&(s.len() as u32).to_le_bytes())?;
     w.write_all(s.as_bytes())
+}
+
+fn write_u32s(w: &mut impl Write, values: &[u32]) -> io::Result<()> {
+    values
+        .iter()
+        .try_for_each(|x| w.write_all(&x.to_le_bytes()))
 }
 
 /// Longest index name a file may carry.
@@ -506,35 +495,41 @@ fn intern_name(name: String) -> &'static str {
 fn read_str(r: &mut impl Read) -> Result<String, PersistError> {
     let len = read_u32(r)? as usize;
     if len > MAX_NAME_LEN {
-        return Err(PersistError::BadFormat("name too long".into()));
+        return Err(bad("name too long"));
     }
     let mut buf = vec![0u8; len];
     r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| PersistError::BadFormat("name not utf-8".into()))
+    String::from_utf8(buf).map_err(|_| bad("name not utf-8"))
+}
+
+/// The next section tag, or `None` where the file ends.
+fn read_tag(r: &mut impl Read) -> io::Result<Option<u8>> {
+    match read_u8(r) {
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
+        tag => tag.map(Some),
+    }
+}
+
+fn read_bytes<const N: usize>(r: &mut impl Read) -> io::Result<[u8; N]> {
+    let mut b = [0u8; N];
+    r.read_exact(&mut b)?;
+    Ok(b)
 }
 
 fn read_u8(r: &mut impl Read) -> io::Result<u8> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
+    read_bytes(r).map(u8::from_le_bytes)
 }
 
 fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
+    read_bytes(r).map(u32::from_le_bytes)
 }
 
 fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
+    read_bytes(r).map(u64::from_le_bytes)
 }
 
 fn read_f32(r: &mut impl Read) -> io::Result<f32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(f32::from_le_bytes(b))
+    read_bytes(r).map(f32::from_le_bytes)
 }
 
 /// Most elements reserved ahead of reading them. A count in the file is
@@ -543,10 +538,19 @@ fn read_f32(r: &mut impl Read) -> io::Result<f32> {
 /// runs into `UnexpectedEof`.
 const MAX_PREALLOC: usize = 1 << 16;
 
+/// Reads `count` ids 64 at a time: one copy out of the reader per chunk,
+/// not one per id, and never more reserved than [`MAX_PREALLOC`].
 fn read_u32s(r: &mut impl Read, count: usize) -> io::Result<Vec<u32>> {
     let mut v = Vec::with_capacity(count.min(MAX_PREALLOC));
-    for _ in 0..count {
-        v.push(read_u32(r)?);
+    let mut chunk = [0u8; 256];
+    while v.len() < count {
+        let bytes = &mut chunk[..4 * (count - v.len()).min(64)];
+        r.read_exact(bytes)?;
+        v.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+        );
     }
     Ok(v)
 }
@@ -554,9 +558,16 @@ fn read_u32s(r: &mut impl Read, count: usize) -> io::Result<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adapt::AdaptParams;
+    use crate::algorithms::hnsw::{self, HnswParams};
     use crate::algorithms::nsg::{self, NsgParams};
     use crate::index::{AnnIndex, SearchContext};
+    use crate::telemetry::{RecordingTracer, TraceAggregate};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use weavess_data::synthetic::MixtureSpec;
+    use weavess_graph::base::exact_knng;
     use weavess_trees::VpTree;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -588,14 +599,16 @@ mod tests {
 
     #[test]
     fn hnsw_roundtrips_and_searches_identically() {
-        use crate::algorithms::hnsw::{self, HnswParams};
         let (ds, qs) = MixtureSpec::table10(8, 800, 2, 5.0, 15).generate();
         let idx = hnsw::build(&ds, &HnswParams::tuned(1, 1));
-        let path = tmp("hnsw.wvsh");
+        let path = tmp("hnsw.wvss");
         save_hnsw(&path, &idx).unwrap();
         let loaded = load_hnsw(&path).unwrap();
         assert_eq!(loaded.num_layers(), idx.num_layers());
         assert_eq!(loaded.enter_point(), idx.enter_point());
+        for l in 0..idx.num_layers() {
+            assert_eq!(loaded.layer(l), idx.layer(l), "layer {l}");
+        }
         let mut c1 = SearchContext::new(ds.len());
         let mut c2 = SearchContext::new(ds.len());
         for qi in 0..qs.len() as u32 {
@@ -629,7 +642,7 @@ mod tests {
         ] {
             let idx = FlatIndex {
                 name: "test",
-                graph: weavess_graph::base::exact_knng(&ds, 3, 1),
+                graph: exact_knng(&ds, 3, 1),
                 seeds: SeedStrategy::Fixed(vec![0, 7]),
                 router: router.clone(),
             };
@@ -645,7 +658,7 @@ mod tests {
         let (ds, _) = MixtureSpec::table10(4, 50, 1, 5.0, 5).generate();
         let idx = FlatIndex {
             name: "test",
-            graph: weavess_graph::base::exact_knng(&ds, 3, 1),
+            graph: exact_knng(&ds, 3, 1),
             seeds: SeedStrategy::Vp {
                 tree: VpTree::build(&ds, 8),
                 count: 4,
@@ -659,13 +672,12 @@ mod tests {
 
     #[test]
     fn layout_index_roundtrips_for_every_layout_combination() {
-        use crate::locality::{LayoutIndex, NodeLayout};
         let (ds, qs) = MixtureSpec::table10(8, 600, 2, 5.0, 10).generate();
         for layout in [NodeLayout::Split, NodeLayout::Fused] {
             for reorder in [false, true] {
                 let flat = nsg::build(&ds, &NsgParams::tuned(2, 1));
                 let idx = LayoutIndex::from_flat(flat, &ds, layout, reorder);
-                let path = tmp("layout.wvsl");
+                let path = tmp("layout.wvss");
                 save_layout_index(&path, &idx).unwrap();
                 let loaded = load_layout_index(&path, &ds).unwrap();
                 assert_eq!(loaded.layout(), layout);
@@ -684,24 +696,187 @@ mod tests {
         }
     }
 
+    /// A split, unreordered, unadapted layout index is the flat index it
+    /// wraps on disk: the same bytes, and either loader reads either file.
+    #[test]
+    fn a_plain_file_loads_as_flat_or_split_layout() {
+        let (ds, qs) = MixtureSpec::table10(8, 300, 2, 5.0, 10).generate();
+        let build = || nsg::build(&ds, &NsgParams::tuned(1, 1));
+        let flat = build();
+        let flat_path = tmp("plain_flat.wvss");
+        save_index(&flat_path, &flat).unwrap();
+        let layout_path = tmp("plain_layout.wvss");
+        let split = LayoutIndex::from_flat(build(), &ds, NodeLayout::Split, false);
+        save_layout_index(&layout_path, &split).unwrap();
+        let bytes = std::fs::read(&flat_path).unwrap();
+        assert_eq!(bytes, std::fs::read(&layout_path).unwrap());
+
+        let as_layout = load_layout_index(&flat_path, &ds).unwrap();
+        assert_eq!(as_layout.layout(), NodeLayout::Split);
+        assert!(!as_layout.is_reordered() && as_layout.overlay().is_none());
+        assert_eq!(as_layout.graph(), &flat.graph);
+        let as_flat = load_index(&layout_path).unwrap();
+        assert_eq!((as_flat.name, &as_flat.graph), (flat.name, &flat.graph));
+        assert_eq!(as_flat.router, flat.router);
+        let mut ctx = SearchContext::new(ds.len());
+        for qi in 0..qs.len() as u32 {
+            let q = qs.point(qi);
+            let want = flat.search(&ds, q, 10, 40, &mut ctx);
+            assert_eq!(as_layout.search(&ds, q, 10, 40, &mut ctx), want);
+            assert_eq!(as_flat.search(&ds, q, 10, 40, &mut ctx), want);
+        }
+    }
+
+    /// `lists`' record, named `name`, then the sections `tags` with small
+    /// valid payloads (a reversing permutation, an empty overlay, no
+    /// upper layer).
+    fn file_with_sections(name: &str, lists: &[Vec<u32>], tags: &[u8]) -> Vec<u8> {
+        let n = lists.len();
+        let mut b = Vec::new();
+        let seeds = SeedStrategy::Fixed(vec![0]);
+        write_record(&mut b, name, &Router::BestFirst, &seeds, lists).unwrap();
+        for &tag in tags {
+            b.push(tag);
+            match tag {
+                PERMUTATION => {
+                    b.extend((n as u64).to_le_bytes());
+                    write_u32s(&mut b, &(0..n as u32).rev().collect::<Vec<_>>()).unwrap();
+                }
+                OVERLAY => write_graph_lists(&mut b, &vec![Vec::new(); n]).unwrap(),
+                UPPER_LAYERS => b.extend(0u32.to_le_bytes()),
+                _ => {}
+            }
+        }
+        b
+    }
+
+    /// Each loader takes exactly the sections its index type stores and
+    /// refuses every other, so none drops data; each shape loads with the
+    /// loader that stores it.
+    #[test]
+    fn loaders_refuse_sections_their_type_cannot_store() {
+        let (ds, _) = MixtureSpec::table10(4, 40, 1, 5.0, 2).generate();
+        let lists = exact_knng(&ds, 3, 1).to_lists();
+        let file = |name: &str, tags: &[u8]| file_with_sections(name, &lists, tags);
+        type Load<'a> = &'a dyn Fn(&Path) -> Result<(), PersistError>;
+        let flat: Load = &|p| load_index(p).map(drop);
+        let layout: Load = &|p| load_layout_index(p, &ds).map(drop);
+        let hnsw: Load = &|p| load_hnsw(p).map(drop);
+        let path = tmp("refusals.wvss");
+        for (what, bytes, load, ok) in [
+            ("flat", file("NSG", &[]), flat, true),
+            ("flat as layout", file("NSG", &[]), layout, true),
+            (
+                "fused reordered adapted",
+                file("NSG", &[1, 2, 3]),
+                layout,
+                true,
+            ),
+            ("HNSW", file("HNSW", &[4]), hnsw, true),
+            ("flat <- HNSW", file("HNSW", &[4]), flat, false),
+            ("flat <- fused", file("NSG", &[1]), flat, false),
+            ("flat <- reordered", file("NSG", &[2]), flat, false),
+            ("flat <- adapted", file("NSG", &[3]), flat, false),
+            ("HNSW <- flat", file("HNSW", &[]), hnsw, false),
+            ("HNSW <- fused", file("HNSW", &[1, 4]), hnsw, false),
+            ("HNSW <- reordered", file("HNSW", &[2, 4]), hnsw, false),
+            ("HNSW <- adapted", file("HNSW", &[3, 4]), hnsw, false),
+            ("HNSW <- another name", file("NSG", &[4]), hnsw, false),
+            ("layout <- HNSW", file("HNSW", &[4]), layout, false),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            match (ok, load(&path)) {
+                (true, Ok(())) | (false, Err(PersistError::BadFormat(_))) => {}
+                (_, outcome) => panic!("{what}: {outcome:?}"),
+            }
+        }
+    }
+
+    /// A file ends at a section boundary: an unknown, repeated or
+    /// out-of-order tag, and so any stray byte after section 4, is
+    /// `BadFormat` from the one reader every loader projects.
+    #[test]
+    fn section_tags_must_be_known_unique_and_ascending() {
+        let (ds, _) = MixtureSpec::table10(4, 40, 1, 5.0, 2).generate();
+        let lists = exact_knng(&ds, 3, 1).to_lists();
+        let parse = |bytes: &[u8]| IndexFile::parse(&mut &bytes[..]).map(|f| f.sections);
+        let flat = file_with_sections("t", &lists, &[]);
+        let hnsw = file_with_sections("HNSW", &lists, &[UPPER_LAYERS]);
+        assert_eq!(parse(&flat).unwrap(), []);
+        assert_eq!(parse(&hnsw).unwrap(), [UPPER_LAYERS]);
+        let with = |file: &[u8], tail: &[u8]| [file, tail].concat();
+        let mut cases = vec![
+            ("repeated", with(&flat, &[FUSED, FUSED])),
+            (
+                "repeated with payload",
+                with(&hnsw, &[UPPER_LAYERS, 0, 0, 0, 0]),
+            ),
+            ("out of order", with(&hnsw, &[FUSED])),
+            ("unknown 0", with(&flat, &[0])),
+            ("unknown 5", with(&flat, &[5])),
+        ];
+        cases.extend((0..=u8::MAX).map(|b| ("stray byte", with(&hnsw, &[b]))));
+        for (what, bytes) in &cases {
+            let outcome = parse(bytes);
+            assert!(
+                matches!(outcome, Err(PersistError::BadFormat(_))),
+                "{what} {:?}: {outcome:?}",
+                bytes.last()
+            );
+        }
+    }
+
+    /// Every section is over the record's vertices, and there is at least
+    /// one: otherwise assembling the index (or its first random seed
+    /// draw) would panic instead of the reader refusing the file.
+    #[test]
+    fn sections_must_cover_the_records_vertices() {
+        let (ds, _) = MixtureSpec::table10(4, 40, 1, 5.0, 2).generate();
+        let lists = exact_knng(&ds, 3, 1).to_lists();
+        let n = lists.len();
+        let record = file_with_sections("t", &lists, &[]);
+        let graph = |n: usize| {
+            let mut b = Vec::new();
+            write_graph_lists(&mut b, &vec![Vec::new(); n]).unwrap();
+            b
+        };
+        let mut short_perm = vec![PERMUTATION];
+        short_perm.extend((n as u64 - 1).to_le_bytes());
+        write_u32s(&mut short_perm, &(0..n as u32 - 1).collect::<Vec<_>>()).unwrap();
+        let mut empty = Vec::new();
+        let seeds = SeedStrategy::Random { count: 1 };
+        write_record(&mut empty, "t", &Router::BestFirst, &seeds, &[]).unwrap();
+        for (what, bytes) in [
+            ("short permutation", [record.clone(), short_perm].concat()),
+            (
+                "long overlay",
+                [record.clone(), vec![OVERLAY], graph(n + 1)].concat(),
+            ),
+            (
+                "short upper layer",
+                [record, vec![UPPER_LAYERS, 1, 0, 0, 0], graph(n - 1)].concat(),
+            ),
+            ("no vertices", empty),
+        ] {
+            let outcome = IndexFile::parse(&mut &bytes[..]).map(drop);
+            assert!(
+                matches!(outcome, Err(PersistError::BadFormat(_))),
+                "{what}: {outcome:?}"
+            );
+        }
+    }
+
     #[test]
     fn layout_loader_rejects_corrupt_permutations() {
-        use crate::locality::{LayoutIndex, NodeLayout};
         let (ds, _) = MixtureSpec::table10(4, 60, 1, 5.0, 2).generate();
         let flat = nsg::build(&ds, &NsgParams::tuned(1, 1));
         let idx = LayoutIndex::from_flat(flat, &ds, NodeLayout::Split, true);
-        let path = tmp("perm_corrupt.wvsl");
+        let path = tmp("perm_corrupt.wvss");
         save_layout_index(&path, &idx).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        // The permutation block starts right after name/router/seeds/
-        // layout/flag; duplicate one entry to break the bijection. The
-        // inverse array begins after the u64 length; stomp entry 1 with
-        // entry 0's value.
-        let flag_pos = bytes
-            .windows(2)
-            .position(|w| w == [1u8, 60])
-            .expect("perm flag + n");
-        let arr = flag_pos + 1 + 8;
+        // A split, reordered, unadapted file ends with the permutation's
+        // inverse array; stomp entry 1 with entry 0 to break the bijection.
+        let arr = bytes.len() - 4 * ds.len();
         let first: [u8; 4] = bytes[arr..arr + 4].try_into().unwrap();
         bytes[arr + 4..arr + 8].copy_from_slice(&first);
         std::fs::write(&path, bytes).unwrap();
@@ -713,11 +888,10 @@ mod tests {
 
     #[test]
     fn layout_loader_rejects_wrong_dataset_size() {
-        use crate::locality::{LayoutIndex, NodeLayout};
         let (ds, _) = MixtureSpec::table10(4, 60, 1, 5.0, 2).generate();
         let flat = nsg::build(&ds, &NsgParams::tuned(1, 1));
         let idx = LayoutIndex::from_flat(flat, &ds, NodeLayout::Fused, false);
-        let path = tmp("size_mismatch.wvsl");
+        let path = tmp("size_mismatch.wvss");
         save_layout_index(&path, &idx).unwrap();
         let smaller = ds.subset(&(0..30u32).collect::<Vec<_>>());
         assert!(matches!(
@@ -743,9 +917,9 @@ mod tests {
         idx.name = "a name only this test uses";
         let path = tmp("intern_custom.wvss");
         save_index(&path, &idx).unwrap();
-        let layout_path = tmp("intern_custom.wvsl");
+        let layout_path = tmp("intern_custom_fused.wvss");
         let layout =
-            LayoutIndex::from_flat(load_index(&path).unwrap(), &ds, NodeLayout::Split, false);
+            LayoutIndex::from_flat(load_index(&path).unwrap(), &ds, NodeLayout::Fused, false);
         save_layout_index(&layout_path, &layout).unwrap();
         let first = load_index(&path).unwrap().name;
         assert_eq!(first, idx.name);
@@ -762,18 +936,18 @@ mod tests {
         assert_eq!(copies(&INTERNED_NAMES.lock().unwrap()), 1);
 
         // One byte over the bound: refused by length, before any read of
-        // (or allocation for) the name itself.
-        for magic in [MAGIC, LAYOUT_MAGIC] {
-            let mut bytes = magic.to_vec();
-            bytes.extend(1u32.to_le_bytes());
-            bytes.extend((MAX_NAME_LEN as u32 + 1).to_le_bytes());
-            bytes.extend(vec![b'x'; MAX_NAME_LEN + 1]);
-            let path = tmp("intern_overlong.bin");
-            std::fs::write(&path, &bytes).unwrap();
-            let outcome = match magic {
-                MAGIC => load_index(&path).err(),
-                _ => load_layout_index(&path, &ds).err(),
-            };
+        // (or allocation for) the name itself, by every loader.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend(VERSION.to_le_bytes());
+        bytes.extend((MAX_NAME_LEN as u32 + 1).to_le_bytes());
+        bytes.extend(vec![b'x'; MAX_NAME_LEN + 1]);
+        let path = tmp("intern_overlong.bin");
+        std::fs::write(&path, &bytes).unwrap();
+        for outcome in [
+            load_index(&path).err(),
+            load_layout_index(&path, &ds).err(),
+            load_hnsw(&path).err(),
+        ] {
             assert!(
                 matches!(&outcome, Some(PersistError::BadFormat(m)) if m == "name too long"),
                 "{outcome:?}"
@@ -795,61 +969,60 @@ mod tests {
         assert!(matches!(load_index(&path), Err(PersistError::Io(_))));
 
         // Short files that stop right after an element count far past their
-        // own length (the first is the 25-byte `WVSS` whose seed count is
+        // own length (the first is the 25-byte file whose seed count is
         // `u64::MAX`): every loader must run into EOF, not reserve the count.
         let (ds, _) = MixtureSpec::table10(4, 10, 1, 5.0, 2).generate();
-        let header = |magic: &[u8; 4], version: u32| {
-            let mut b = magic.to_vec();
-            b.extend(version.to_le_bytes());
+        let header = |seeds: Option<SeedStrategy>| {
+            let mut b = MAGIC.to_vec();
+            b.extend(VERSION.to_le_bytes());
             write_str(&mut b, "NSG").unwrap();
             write_router(&mut b, &Router::BestFirst).unwrap();
+            match seeds {
+                Some(s) => write_seeds(&mut b, &s).unwrap(),
+                // The `SeedStrategy::Fixed` tag: its length is the count.
+                None => b.push(1),
+            }
             b
         };
-        // The `SeedStrategy::Fixed` tag: its length is the hostile count.
-        let fixed_seeds = |mut b: Vec<u8>| {
-            b.push(1);
+        let random = || Some(SeedStrategy::Random { count: 1 });
+        // A complete one-vertex record, then the bytes up to a count.
+        let record = |tail: &[u8]| {
+            let mut b = header(random());
+            write_graph_lists(&mut b, &[vec![]]).unwrap();
+            b.extend(tail);
             b
         };
-        // A complete seed block, then the tag bytes up to the next count.
-        let random_seeds = |mut b: Vec<u8>, tags: &[u8]| {
-            write_seeds(&mut b, &SeedStrategy::Random { count: 1 }).unwrap();
-            b.extend(tags);
-            b
-        };
-        let flat_header = || header(MAGIC, VERSION);
-        let layout_header = || header(LAYOUT_MAGIC, LAYOUT_VERSION);
-        let mut hnsw = HNSW_MAGIC.to_vec();
-        hnsw.extend(HNSW_VERSION.to_le_bytes());
-        hnsw.extend(0u32.to_le_bytes()); // enter point
-        hnsw.extend(1u32.to_le_bytes()); // layer count
-        type Loader<'a> = &'a dyn Fn(&Path) -> Option<PersistError>;
-        let flat: Loader = &|p| load_index(p).err();
-        let layout: Loader = &|p| load_layout_index(p, &ds).err();
-        let cases: [(&str, Vec<u8>, Loader); 6] = [
-            ("flat seeds", fixed_seeds(flat_header()), flat),
-            ("flat graph", random_seeds(flat_header(), &[]), flat),
-            ("layout seeds", fixed_seeds(layout_header()), layout),
-            // Split layout, permutation flag set / clear.
-            (
-                "layout permutation",
-                random_seeds(layout_header(), &[0, 1]),
-                layout,
-            ),
-            (
-                "layout graph",
-                random_seeds(layout_header(), &[0, 0]),
-                layout,
-            ),
-            ("hnsw layer", hnsw, &|p| load_hnsw(p).err()),
-        ];
-        for (what, prefix, load) in &cases {
+        let one_layer = [&[UPPER_LAYERS][..], &1u32.to_le_bytes()].concat();
+        let mut cases = Vec::new();
+        for (what, prefix) in [
+            ("seeds", header(None)),
+            ("graph", header(random())),
+            ("permutation", record(&[PERMUTATION])),
+            ("overlay", record(&[OVERLAY])),
+            ("upper layer", record(&one_layer)),
+        ] {
             for count in [u64::MAX, 1u64 << 42] {
-                let mut bytes = prefix.clone();
-                bytes.extend(count.to_le_bytes());
-                std::fs::write(&path, &bytes).unwrap();
-                match load(&path) {
+                cases.push((
+                    what,
+                    [prefix.clone(), count.to_le_bytes().to_vec()].concat(),
+                ));
+            }
+        }
+        // The two `u32` counts: a list's degree and the upper-layer count.
+        let one_list = [header(random()), 1u64.to_le_bytes().to_vec()].concat();
+        for (what, prefix) in [("degree", one_list), ("layers", record(&[UPPER_LAYERS]))] {
+            cases.push((what, [prefix, u32::MAX.to_le_bytes().to_vec()].concat()));
+        }
+        for (what, bytes) in &cases {
+            std::fs::write(&path, bytes).unwrap();
+            for outcome in [
+                load_index(&path).err(),
+                load_layout_index(&path, &ds).err(),
+                load_hnsw(&path).err(),
+            ] {
+                match outcome {
                     Some(PersistError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {}
-                    other => panic!("{what}, count {count}: {other:?}"),
+                    other => panic!("{what}, {} bytes: {other:?}", bytes.len()),
                 }
             }
         }
@@ -860,12 +1033,11 @@ mod tests {
     /// out-of-bounds panic or an O(n²) draw at the first query.
     #[test]
     fn hostile_seeds_are_rejected() {
-        use crate::locality::{LayoutIndex, NodeLayout};
         let n = 10u64;
         let (ds, _) = MixtureSpec::table10(4, n as usize, 1, 5.0, 2).generate();
         let index = |seeds: SeedStrategy| FlatIndex {
             name: "t",
-            graph: weavess_graph::base::exact_knng(&ds, 2, 1),
+            graph: exact_knng(&ds, 2, 1),
             seeds,
             router: Router::BestFirst,
         };
@@ -915,7 +1087,7 @@ mod tests {
         let (ds, _) = MixtureSpec::table10(4, 10, 1, 5.0, 2).generate();
         let idx = FlatIndex {
             name: "t",
-            graph: weavess_graph::base::exact_knng(&ds, 2, 1),
+            graph: exact_knng(&ds, 2, 1),
             seeds: SeedStrategy::Fixed(vec![0]),
             router: Router::BestFirst,
         };
@@ -927,5 +1099,155 @@ mod tests {
         bytes[len - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, bytes).unwrap();
         assert!(matches!(load_index(&path), Err(PersistError::BadFormat(_))));
+    }
+
+    /// The four files the mutation fuzz starts from: a flat NSG index, a
+    /// reordered fused layout, the same layout carrying a catapult overlay
+    /// mined from its own routes, and an HNSW index.
+    fn fuzz_files(ds: &Dataset, qs: &Dataset) -> [(&'static str, Vec<u8>); 4] {
+        let nsg = || nsg::build(ds, &NsgParams::tuned(1, 1));
+        let reordered = LayoutIndex::from_flat(nsg(), ds, NodeLayout::Fused, true);
+        let mut adapted = LayoutIndex::from_flat(nsg(), ds, NodeLayout::Fused, true);
+        let mut agg = TraceAggregate::new(ds.len());
+        let mut ctx = SearchContext::new(ds.len());
+        for qi in 0..qs.len() as u32 {
+            let mut tracer = RecordingTracer::new();
+            adapted.search_traced(ds, qs.point(qi), 10, 24, &mut ctx, &mut tracer);
+            agg.absorb(&tracer);
+        }
+        let params = AdaptParams {
+            min_gap: 2.0,
+            min_traffic: 1,
+            max_reach: 2.0,
+            ..AdaptParams::default()
+        };
+        adapted.adapt(ds, &agg, &params).unwrap();
+        assert!(adapted.overlay_edges() > 0, "no overlay to fuzz");
+        let mut files = [
+            ("NSG", Vec::new()),
+            ("reordered fused layout", Vec::new()),
+            ("adapted layout", Vec::new()),
+            ("HNSW", Vec::new()),
+        ];
+        write_index(&mut files[0].1, &nsg()).unwrap();
+        write_layout_index(&mut files[1].1, &reordered).unwrap();
+        write_layout_index(&mut files[2].1, &adapted).unwrap();
+        let hnsw = hnsw::build(ds, &HnswParams::tuned(1, 1));
+        assert!(hnsw.num_layers() >= 2, "no upper layer to fuzz");
+        write_hnsw(&mut files[3].1, &hnsw).unwrap();
+        files
+    }
+
+    /// Offset and width of every count field in a well-formed file: the
+    /// name length, the seed count, each graph's list count and degrees,
+    /// the permutation length and the upper-layer count.
+    fn count_fields(b: &[u8]) -> Vec<(usize, usize)> {
+        let word = |at: usize, width: usize| {
+            let mut w = [0u8; 8];
+            w[..width].copy_from_slice(&b[at..at + width]);
+            u64::from_le_bytes(w) as usize
+        };
+        let graph = |at: &mut usize, fields: &mut Vec<(usize, usize)>| {
+            fields.push((*at, 8));
+            let n = word(*at, 8);
+            *at += 8;
+            for _ in 0..n {
+                fields.push((*at, 4));
+                *at += 4 + 4 * word(*at, 4);
+            }
+        };
+        let mut fields = vec![(8, 4)];
+        let mut at = 12 + word(8, 4);
+        at += match b[at] {
+            0 | 3 => 1,
+            1 | 4 => 5,
+            _ => 9,
+        };
+        fields.push((at + 1, 8));
+        at += 9 + if b[at] == 1 { 4 * word(at + 1, 8) } else { 0 };
+        graph(&mut at, &mut fields);
+        while at < b.len() {
+            at += 1;
+            match b[at - 1] {
+                PERMUTATION => {
+                    fields.push((at, 8));
+                    at += 8 + 4 * word(at, 8);
+                }
+                OVERLAY => graph(&mut at, &mut fields),
+                UPPER_LAYERS => {
+                    fields.push((at, 4));
+                    let count = word(at, 4);
+                    at += 4;
+                    for _ in 0..count {
+                        graph(&mut at, &mut fields);
+                    }
+                }
+                _ => {}
+            }
+        }
+        fields
+    }
+
+    /// Every loader refuses `bytes` or returns an index that answers one
+    /// query over a dataset of its size.
+    fn load_and_answer(bytes: &[u8], ds: &Dataset, query: &[f32]) {
+        fn answer(index: &impl AnnIndex, ds: &Dataset, query: &[f32]) {
+            let n = index.graph().len() as u32;
+            let rows: Vec<u32> = (0..n).map(|v| v % ds.len() as u32).collect();
+            let mut ctx = SearchContext::new(n as usize);
+            let res = index.search(&ds.subset(&rows), query, 10, 40, &mut ctx);
+            assert!(res.len() <= 10 && res.iter().all(|r| r.id < n));
+        }
+        let parse = || IndexFile::parse(&mut &bytes[..]);
+        let Ok(file) = parse() else { return };
+        if let Ok(index) = file.into_flat() {
+            answer(&index, ds, query);
+        }
+        if let Ok(index) = parse().and_then(|f| f.into_layout(ds)) {
+            answer(&index, ds, query);
+        }
+        if let Ok(index) = parse().and_then(IndexFile::into_hnsw) {
+            answer(&index, ds, query);
+        }
+    }
+
+    /// Seeded mutation fuzz over the one format: every truncation, a fixed
+    /// set of single-bit flips and each count field inflated, of each of
+    /// four saved files. Every mutant must be refused by every loader or
+    /// load an index that answers a query (k 10, beam 40) without panicking.
+    #[test]
+    fn mutated_files_fail_cleanly_or_load_and_answer() {
+        const FLIPS: usize = 1_500;
+        let (ds, qs) = MixtureSpec::table10(8, 150, 2, 5.0, 30).generate();
+        let mut rng = StdRng::seed_from_u64(0xF0_22ED);
+        for (file, bytes) in fuzz_files(&ds, &qs) {
+            let check = |what: String, mutant: &[u8]| {
+                let run = || load_and_answer(mutant, &ds, qs.point(0));
+                if catch_unwind(AssertUnwindSafe(run)).is_err() {
+                    panic!("{file}, {what}: a loader or the query panicked");
+                }
+            };
+            for len in 0..bytes.len() {
+                check(format!("truncated to {len} bytes"), &bytes[..len]);
+            }
+            for _ in 0..FLIPS {
+                let bit = rng.gen_range(0..8 * bytes.len());
+                let mut mutant = bytes.clone();
+                mutant[bit / 8] ^= 1 << (bit % 8);
+                check(format!("bit {bit} flipped"), &mutant);
+            }
+            for (at, width) in count_fields(&bytes) {
+                let max = u64::MAX >> (64 - 8 * width);
+                let mut field = [0u8; 8];
+                field[..width].copy_from_slice(&bytes[at..at + width]);
+                let count = u64::from_le_bytes(field);
+                for inflated in [count + 1, count + (1 << 20), max] {
+                    let mut mutant = bytes.clone();
+                    mutant[at..at + width]
+                        .copy_from_slice(&inflated.min(max).to_le_bytes()[..width]);
+                    check(format!("count at byte {at} set to {inflated}"), &mutant);
+                }
+            }
+        }
     }
 }
