@@ -19,6 +19,7 @@ use weavess_core::algorithms::hnsw_dynamic::DynamicHnsw;
 use weavess_core::algorithms::{
     dpg, efanna, fanng, hcnng, ieh, kdr, kgraph, nsg, nssg, nsw, oa, sptag, vamana, Algo,
 };
+use weavess_core::components::init::init_random;
 use weavess_core::index::{AnnIndex, FlatIndex, SearchContext};
 use weavess_core::nndescent::{nn_descent, NnDescentParams};
 use weavess_core::persist::{write_hnsw, write_index, PersistError};
@@ -288,6 +289,121 @@ fn rnn_descent_matches_golden_digests() {
             );
         }
     }
+}
+
+/// Absolute pins for `nn_descent` on the shapes of
+/// `rnn_descent_matches_golden_digests`, from random initialization and
+/// with the first output fed back as `initial` (the EFANNA path). Two
+/// iterations stop short of convergence, so the pins see the sampling and
+/// reverse-sampling streams, not just the exact KNN graph; the 5000-point
+/// shape spans many join chunks, so one row's offers come from several.
+#[test]
+fn nn_descent_matches_golden_digests() {
+    // (dim, n, [scalar, unrolled, simd] random-init, same for seeded).
+    type Golden = [u64; 3];
+    let cases: [(usize, usize, Golden, Golden); 4] = [
+        (
+            16,
+            400,
+            [
+                0x19b2_f146_6d87_cd42,
+                0x45e5_b4f7_b830_edf3,
+                0x29fa_2228_44ff_5f9a,
+            ],
+            [
+                0x4d53_808f_be9b_3bb7,
+                0x0599_df44_e9c5_155c,
+                0x9a75_1dba_b08e_3035,
+            ],
+        ),
+        (
+            8,
+            777,
+            [
+                0x60f7_a542_f812_77a5,
+                0x60f7_a542_f812_77a5,
+                0x59e0_26ec_d0b4_70af,
+            ],
+            [
+                0xb3f3_3c80_8c19_d0d9,
+                0xb3f3_3c80_8c19_d0d9,
+                0x3766_fb46_e7c3_88b2,
+            ],
+        ),
+        (
+            24,
+            1000,
+            [
+                0xe044_f1b5_90f3_d1b8,
+                0x25ef_9602_120c_745a,
+                0xe075_ba87_5505_cd54,
+            ],
+            [
+                0xe578_1fd4_86e0_4239,
+                0xd60c_162b_1f6a_a5c5,
+                0x02d9_6bd7_961f_f713,
+            ],
+        ),
+        (
+            32,
+            5000,
+            [
+                0x8382_2411_84f0_2489,
+                0xa356_ea8f_009a_a81b,
+                0xce75_8718_7b6f_d28e,
+            ],
+            [
+                0xb105_0a6b_d452_f0d1,
+                0xaa72_1125_41b7_2a77,
+                0xbd0f_9388_4ea5_ffbd,
+            ],
+        ),
+    ];
+    for (dim, n, random, seeded) in cases {
+        let ds = MixtureSpec::table10(dim, n, 5, 1.0, 1)
+            .with_seed(5)
+            .generate()
+            .0;
+        let (want_random, want_seeded) = (golden_for_tier(random), golden_for_tier(seeded));
+        for threads in RNN_THREADS {
+            let params = NnDescentParams {
+                k: 20,
+                l: 30,
+                iters: 2,
+                sample: 10,
+                reverse: 15,
+                seed: 9,
+                threads,
+            };
+            let first = nn_descent(&ds, &params, None);
+            let got = knn_digest(&first);
+            assert_eq!(
+                got, want_random,
+                "{n}x{dim} random init, {threads} threads: {got:016x} != {want_random:016x}"
+            );
+            let got = knn_digest(&nn_descent(&ds, &params, Some(&first)));
+            assert_eq!(
+                got, want_seeded,
+                "{n}x{dim} seeded, {threads} threads: {got:016x} != {want_seeded:016x}"
+            );
+        }
+    }
+}
+
+/// Absolute pin for `init_random` (Vamana's C1, `InitChoice::Random`).
+#[test]
+fn init_random_matches_golden_digest() {
+    let ds = MixtureSpec::table10(24, 1000, 5, 1.0, 1)
+        .with_seed(5)
+        .generate()
+        .0;
+    let want = golden_for_tier([
+        0x512d_2136_29c2_2292,
+        0x993f_4a48_9030_6652,
+        0xa82e_8349_210d_9818,
+    ]);
+    let got = knn_digest(&init_random(&ds, 20, 9));
+    assert_eq!(got, want, "init_random: {got:016x} != {want:016x}");
 }
 
 /// Digest of everything a [`FlatIndex`] persists (name, router, seeds,
