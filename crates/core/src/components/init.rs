@@ -1,11 +1,11 @@
 //! C1 — initialization of the *Refinement* construction strategy
 //! (Definition 4.2): produce each point's starting neighbor pool.
 
-use crate::nndescent::{nn_descent, NnDescentParams};
+use crate::nndescent::{nn_descent, seed_table, NnDescentParams};
 use crate::parallel;
 use crate::rnndescent::{rnn_descent, RnnDescentParams};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use weavess_data::{Dataset, Neighbor};
 use weavess_trees::KdForest;
 
@@ -48,28 +48,12 @@ impl C1Choice {
 }
 
 /// Random neighbor initialization (KGraph, Vamana): `k` distinct random
-/// neighbors per point, distances computed.
+/// neighbors per point, distances computed — the descent engines' seeding
+/// without given neighbors, scored on one worker.
 pub fn init_random(ds: &Dataset, k: usize, seed: u64) -> Vec<Vec<Neighbor>> {
-    let n = ds.len();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let k = k.min(n.saturating_sub(1));
-    (0..n as u32)
-        .map(|v| {
-            let mut picked: Vec<u32> = Vec::with_capacity(k);
-            while picked.len() < k {
-                let c = rng.gen_range(0..n as u32);
-                if c != v && !picked.contains(&c) {
-                    picked.push(c);
-                }
-            }
-            let mut pool: Vec<Neighbor> = picked
-                .iter()
-                .map(|&c| Neighbor::new(c, ds.dist(v, c)))
-                .collect();
-            pool.sort_unstable();
-            pool
-        })
-        .collect()
+    let k = k.min(ds.len().saturating_sub(1));
+    let (table, _) = seed_table(ds, None, k, k.max(1), &mut StdRng::seed_from_u64(seed), 1);
+    table.lists(k)
 }
 
 /// Budgeted KD-forest search pools — the seed material for EFANNA-style

@@ -43,68 +43,47 @@
 //! PR-2 kernel tier carries construction exactly the way it carries
 //! search.
 //!
-//! # State
+//! # State and determinism
 //!
-//! Both sides are flat fixed-stride tables — one `Vec<u64>` of `n × l`
-//! pruned slots and one of `n × k` harvest slots, no per-vertex
-//! allocation and no lock. A slot is the packed key of
-//! [`crate::search`]'s candidate pool, `rank(dist) << 32 | id << 1 | new`,
-//! so a row's order is one integer comparison per step and unused slots
-//! (an all-ones key) sort last. A vertex's row is only ever written by
-//! one worker at a time: either the worker whose phase-A chunk contains
-//! it, or the worker that owns its *bucket* of `BUCKET` (256) consecutive
-//! rows while staged offers are applied.
-//!
-//! # Determinism
-//!
-//! Same contract as every builder in this workspace: the output is a pure
-//! function of `(dataset, params)` — never of the thread count. An
-//! update pass has two phases, and nothing in it is written concurrently.
+//! Both sides are descent tables, the crate's one bounded-row structure
+//! (see *Descent tables* in [`crate::nndescent`]): one of `n × l` pruned
+//! slots, seeded by the shared routine, and one of `n × k` harvest slots
+//! with bounds. The output is a pure function of `(dataset, params)` —
+//! never of the thread count. An update pass has two phases, and nothing
+//! in it is written concurrently.
 //!
 //! *Frozen while workers score:* every pruned row a worker does not own,
-//! every harvest row, and the compact array of harvest *bounds* (the
-//! distance rank of each full harvest row's worst entry, `u32::MAX`
-//! while the row is short).
+//! every harvest row, and the harvest bounds.
 //!
 //! *Phase A* walks vertices in the fixed chunks of [`crate::parallel`].
 //! A worker receives its chunk's pruned rows as `&mut`, prunes each
 //! against itself, and rewrites it in place; everything addressed to
 //! another vertex is **staged** as an `(owner, key)` pair — the descent
 //! offer of a pruned edge, and both directions of the harvest mirror of
-//! every scored pair. A mirror offer strictly worse than its owner's
-//! frozen bound is dropped on the spot. That is safe with a bound of any
-//! age: a harvest row's worst entry only ever improves, so an offer worse
-//! than *some earlier* worst can never be in the final top-`k` — the
-//! filter drops certain rejections only, and how stale the bound was
-//! changes how much is staged, never what a row ends up holding.
+//! every scored pair, less those worse than their owner's frozen bound.
 //!
-//! *Apply* counting-sorts staged pairs by owner bucket and hands each
-//! bucket's rows (and bounds) to exactly one worker, which performs
-//! bounded sorted insertion keyed by the total `(distance, id)` order
-//! with exact-duplicate rejection. A row's content — flags included: an
-//! inserted entry is new, a duplicate offer never touches the entry
-//! already there — is the top-`cap` of its previous content and all
-//! distinct offers, independent of arrival order (the
-//! [`crate::nndescent`] argument). Harvest offers are applied, and the
-//! bounds refreshed, after every `WAVE` (4 096) phase-A vertices, which bounds
-//! staging memory independently of `n`; pruned-pool offers are applied
-//! once per pass, after phase A, so every pruning decision sees the
-//! pruned rows as they stood at the start of the pass, regardless of
-//! worker interleaving. Reverse-edge augmentation and the initial mirror
-//! go through the same apply.
+//! *Apply* is the table's staged apply. Harvest offers are applied, and
+//! the bounds refreshed, after every `WAVE` (4 096) phase-A vertices,
+//! which bounds staging memory independently of `n`; pruned-pool offers
+//! are applied once per pass, after phase A, so every pruning decision
+//! sees the pruned rows as they stood at the start of the pass,
+//! regardless of worker interleaving. Reverse-edge augmentation and the
+//! initial mirror go through the same apply.
 //!
-//! Bucket and wave sizes are constants, convergence is decided on pool
-//! content (items still flagged new, the shared
+//! Wave size is a constant, convergence is decided on pool content (items
+//! still flagged new, the shared
 //! [`crate::nndescent::descent_converged`] contract), and the RNG only
 //! runs in the sequential initialization — so who computes never changes
 //! what is computed.
 
-use crate::nndescent::{descent_converged, NnDescentParams};
+use crate::nndescent::{
+    descent_converged, live, seed_table, stage_pair, NnDescentParams, Offer, Table, EMPTY,
+};
 use crate::parallel;
-use crate::search::pool::{dist_rank, neighbor, slot, FLAG as NEW, MAX_VERTICES};
+use crate::search::pool::{neighbor, slot, FLAG as NEW};
 use crate::telemetry;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use weavess_data::prefetch::{prefetch_enabled, prefetch_read};
 use weavess_data::{Dataset, Neighbor};
 
@@ -178,129 +157,11 @@ impl RnnDescentParams {
     }
 }
 
-/// Owner rows per apply bucket: what one worker writes while it applies
-/// staged offers. 256 rows of 20–30 slots are 40–60 KiB — a bucket's
-/// rows stay cache-resident while its offers stream through — and a
-/// 20k-point table still splits into ~80 buckets to balance.
-const BUCKET: usize = 256;
-// `Table::apply` keeps an owner's index within its bucket in a byte.
-const _: () = assert!(BUCKET - 1 == u8::MAX as usize);
-
 /// Phase-A vertices between two harvest applies. Staging memory is
 /// proportional to this, not to `n`; the bounds are refreshed this
 /// often. A multiple of [`parallel::CHUNK`], so waves never split a
 /// chunk.
 const WAVE: usize = 16 * parallel::CHUNK;
-
-/// An unused slot. It sorts after every key that occurs: it is the key
-/// of id `2^31 - 1` at the NaN with an all-ones payload, which no
-/// arithmetic produces. Its flag bit is clear and its distance rank is
-/// `u32::MAX`.
-const EMPTY: u64 = u64::MAX << 1;
-
-/// A staged insertion: the vertex whose row it is for, and the unflagged
-/// key to insert there.
-type Offer = (u32, u64);
-
-/// `n` rows of `cap` slots, each sorted nearest-first with [`EMPTY`]
-/// padding.
-struct Table {
-    slots: Vec<u64>,
-    cap: usize,
-    /// Per row, the distance rank of its last slot — `u32::MAX` while
-    /// the row is short, its worst entry's once full. A compact copy for
-    /// phase A's admission filter; empty for a table nobody filters
-    /// against (the pruned side, whose rows also shrink).
-    bounds: Vec<u32>,
-}
-
-impl Table {
-    fn empty(n: usize, cap: usize) -> Self {
-        Table {
-            slots: vec![EMPTY; n * cap],
-            cap,
-            bounds: Vec::new(),
-        }
-    }
-
-    /// A bounded table holding the first `cap` slots of each of `self`'s
-    /// rows.
-    fn top(&self, cap: usize) -> Table {
-        let rows = self.slots.chunks_exact(self.cap);
-        Table {
-            slots: rows.clone().flat_map(|r| &r[..cap]).copied().collect(),
-            cap,
-            bounds: rows.map(|r| dist_rank(r[cap - 1])).collect(),
-        }
-    }
-
-    fn rows(&self) -> impl Iterator<Item = &[u64]> {
-        self.slots.chunks_exact(self.cap).map(live)
-    }
-
-    /// Inserts every staged offer into its owner's row, flagged new, and
-    /// refreshes the bounds of the rows that changed. Offers are
-    /// counting-sorted by owner bucket so that each bucket of rows is
-    /// written by one worker; the outcome does not depend on the order
-    /// of `staged`, of the offers within it, or on `threads`.
-    fn apply(&mut self, staged: &[Vec<Offer>], threads: usize) {
-        let cap = self.cap;
-        let n_buckets = self.slots.len().div_ceil(BUCKET * cap);
-        // ends[b]: one past bucket b's last offer in the sorted arrays.
-        let mut ends = vec![0usize; n_buckets];
-        for &(owner, _) in staged.iter().flatten() {
-            ends[owner as usize / BUCKET] += 1;
-        }
-        let mut total = 0;
-        for e in &mut ends {
-            (*e, total) = (total, total + *e);
-        }
-        if total == 0 {
-            return;
-        }
-        // Within its bucket an owner is one byte, so a sorted pair is nine
-        // bytes, not sixteen: these are the largest transient blocks.
-        let mut sorted_rows = vec![0u8; total];
-        let mut sorted_keys = vec![0u64; total];
-        for &(owner, key) in staged.iter().flatten() {
-            let e = &mut ends[owner as usize / BUCKET];
-            sorted_rows[*e] = (owner as usize % BUCKET) as u8;
-            sorted_keys[*e] = key;
-            *e += 1;
-        }
-        let mut bounds = self.bounds.chunks_mut(BUCKET);
-        let mut buckets: Vec<(&mut [u64], &mut [u32])> = self
-            .slots
-            .chunks_mut(BUCKET * cap)
-            .map(|rows| (rows, bounds.next().unwrap_or_default()))
-            .collect();
-        parallel::par_fill(
-            &mut buckets,
-            1,
-            threads,
-            || (),
-            |_, b, bucket| {
-                let (rows, bounds) = &mut bucket[0];
-                let begin = b.checked_sub(1).map_or(0, |prev| ends[prev]);
-                let offers = begin..ends[b];
-                for (&r, &key) in sorted_rows[offers.clone()].iter().zip(&sorted_keys[offers]) {
-                    let r = r as usize;
-                    let row = &mut rows[r * cap..(r + 1) * cap];
-                    if insert(row, key) {
-                        if let Some(bound) = bounds.get_mut(r) {
-                            *bound = dist_rank(row[cap - 1]);
-                        }
-                    }
-                }
-            },
-        );
-    }
-}
-
-/// The occupied prefix of a row.
-fn live(row: &[u64]) -> &[u64] {
-    &row[..row.partition_point(|&s| s < EMPTY)]
-}
 
 /// Whether a row holds an entry flagged new (phase A scores only those).
 fn has_new(row: &[u64]) -> bool {
@@ -325,30 +186,6 @@ fn prefetch_lines(v: &[f32]) {
     }
 }
 
-/// Bounded sorted insertion of an unflagged `key` into a full-width row;
-/// the inserted entry is flagged new. Exact duplicates (same id, same
-/// distance — distances are a pure function of the pair) are rejected
-/// whatever their flag, so row content is independent of insertion
-/// order.
-fn insert(row: &mut [u64], key: u64) -> bool {
-    let last = row.len() - 1;
-    // Strictly worse than a full row's worst entry (an `EMPTY` last slot
-    // is worse than anything). `key`'s flag is clear, so `s < key`
-    // compares `(dist, id)` alone whatever `s`'s flag is.
-    if row[last] < key {
-        return false;
-    }
-    let pos = row.partition_point(|&s| s < key);
-    // `Neighbor`'s `==`, as the candidate pool spells it; an `EMPTY`
-    // slot decodes to a NaN distance and equals nothing.
-    if neighbor(row[pos]) == neighbor(key) {
-        return false;
-    }
-    row.copy_within(pos..last, pos + 1);
-    row[pos] = key | NEW;
-    true
-}
-
 /// Runs RNN-Descent and returns each vertex's `k` nearest discovered
 /// neighbors (sorted nearest-first) — a drop-in replacement for
 /// [`crate::nndescent::nn_descent`] as the C1 component. When `initial`
@@ -366,82 +203,18 @@ pub fn rnn_descent(
 ) -> Vec<Vec<Neighbor>> {
     let n = ds.len();
     assert!(n >= 2, "need at least two points");
-    // Slots keep the new flag in a spare id bit.
-    assert!(
-        n <= MAX_VERTICES,
-        "rnn_descent covers at most 2^31 points, got {n}"
-    );
-    if let Some(init) = initial {
-        assert!(
-            init.len() == n,
-            "rnn_descent: `initial` has {} rows for {n} points",
-            init.len()
-        );
-        for (v, row) in init.iter().enumerate() {
-            if let Some(nb) = row.iter().find(|nb| nb.id as usize >= n) {
-                panic!(
-                    "rnn_descent: `initial` row {v} names id {}, the dataset has {n} points",
-                    nb.id
-                );
-            }
-        }
-    }
     let k = params.k.max(1);
     let r = params.r.max(2).min(n - 1);
     let l = params.l.max(r).max(k);
     let threads = parallel::resolve_threads(params.threads);
 
-    // --- Initialization: sequential id draws (one RNG stream, thread
-    // count irrelevant), distances batch-scored in parallel. ---
-    let mut pruned = Table::empty(n, l);
-    telemetry::span("C1 rnn init", || {
+    // --- Initialization: the shared seeding (one sequential RNG stream,
+    // distances scored in parallel). ---
+    let mut pruned = telemetry::span("C1 rnn init", || {
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut seeds: Vec<Vec<Neighbor>> = Vec::with_capacity(n);
-        let mut pad: Vec<Vec<u32>> = Vec::with_capacity(n);
-        for v in 0..n as u32 {
-            let mut given: Vec<Neighbor> = Vec::new();
-            if let Some(init) = initial {
-                for nb in &init[v as usize] {
-                    if nb.id != v && !given.iter().any(|x| x.id == nb.id) {
-                        given.push(*nb);
-                    }
-                }
-            }
-            let target = r.min(n - 1);
-            let mut ids: Vec<u32> = Vec::new();
-            while given.len() + ids.len() < target {
-                let c = rng.gen_range(0..n as u32);
-                if c != v && !ids.contains(&c) && !given.iter().any(|x| x.id == c) {
-                    ids.push(c);
-                }
-            }
-            seeds.push(given);
-            pad.push(ids);
-        }
-        let scored = parallel::par_fill(
-            &mut pruned.slots,
-            parallel::CHUNK * l,
-            threads,
-            Vec::<f32>::new,
-            |dists, start, rows| {
-                let mut scored = 0u64;
-                for (i, row) in rows.chunks_exact_mut(l).enumerate() {
-                    let v = start / l + i;
-                    for nb in &seeds[v] {
-                        insert(row, slot(*nb));
-                    }
-                    if !pad[v].is_empty() {
-                        ds.dist_to_many(ds.point(v as u32), &pad[v], dists);
-                        scored += pad[v].len() as u64;
-                        for (&c, &d) in pad[v].iter().zip(dists.iter()) {
-                            insert(row, slot(Neighbor::new(c, d)));
-                        }
-                    }
-                }
-                scored
-            },
-        );
-        telemetry::add_span_ndc(scored.iter().sum());
+        let (pruned, scored) = seed_table(ds, initial, r, l, &mut rng, threads);
+        telemetry::add_span_ndc(scored);
+        pruned
     });
 
     // Harvest rows start as the top-k of the initial material; every
@@ -475,9 +248,7 @@ pub fn rnn_descent(
         });
     }
 
-    knn.rows()
-        .map(|row| row.iter().map(|&s| neighbor(s)).collect())
-        .collect()
+    knn.lists(k)
 }
 
 /// What one phase-A chunk hands back besides its rewritten rows.
@@ -561,12 +332,7 @@ fn update_pass(ds: &Dataset, pruned: &mut Table, knn: &mut Table, threads: usize
                             for (&wid, &d) in ids.iter().zip(dists.iter()) {
                                 // Every scored pair is harvested by both
                                 // endpoints — paid for once, used twice.
-                                for (owner, other) in [(it.id, wid), (wid, it.id)] {
-                                    let key = slot(Neighbor::new(other, d));
-                                    if dist_rank(key) <= bounds[owner as usize] {
-                                        out.harvest.push((owner, key));
-                                    }
-                                }
+                                stage_pair(&mut out.harvest, bounds, it.id, wid, d);
                                 if occluder.is_none() && d < it.dist {
                                     occluder = Some((wid, d));
                                 }
@@ -605,22 +371,8 @@ fn update_pass(ds: &Dataset, pruned: &mut Table, knn: &mut Table, threads: usize
     // Phase B: apply the descent offers to the pruned rows.
     pruned.apply(&offers, threads);
 
-    // Convergence metric: surviving new-flagged items (row content — a
-    // pure function of the offer *set*, not of insertion order).
-    parallel::par_chunks_map(
-        pruned.slots.len(),
-        parallel::CHUNK * l,
-        threads,
-        || (),
-        |_, range| {
-            pruned.slots[range]
-                .iter()
-                .filter(|&&s| s & NEW != 0)
-                .count()
-        },
-    )
-    .into_iter()
-    .sum()
+    // Convergence metric: surviving new-flagged items.
+    pruned.count_new(threads)
 }
 
 /// Snapshots every pruned-pool edge `u→v` as an offer `(v, v→u)` — the
@@ -650,161 +402,11 @@ fn snapshot_reverse(pruned: &Table, threads: usize) -> Vec<Vec<Offer>> {
 mod tests {
     use super::*;
     use crate::nndescent::{knn_recall, nn_descent};
-    use proptest::prelude::*;
-    use std::collections::BTreeMap;
     use weavess_data::ground_truth::exact_knn_graph;
     use weavess_data::synthetic::MixtureSpec;
 
     fn dataset() -> Dataset {
         MixtureSpec::table10(16, 1_000, 5, 3.0, 10).generate().0
-    }
-
-    /// Rows as `(rank, id, new)` triples.
-    type Rows = Vec<Vec<(u32, u32, bool)>>;
-
-    /// The rows of `t`, and its bounds.
-    fn dump(t: &Table) -> (Rows, &[u32]) {
-        let rows = t
-            .rows()
-            .map(|row| {
-                row.iter()
-                    .map(|&s| (dist_rank(s), neighbor(s).id, s & NEW != 0))
-                    .collect()
-            })
-            .collect();
-        (rows, &t.bounds)
-    }
-
-    /// Owners on both sides of the bucket edge of a 300-row table, whose
-    /// last bucket is partial.
-    const OWNERS: [u32; 7] = [0, 1, 254, 255, 256, 257, 299];
-
-    /// Ties, near-ties, infinities and a negative; the zero's sign is
-    /// the offered id's parity, so ±0.0 both occur but — as for real
-    /// distances, a pure function of the pair — never for one id.
-    fn palette(pick: usize, id: u32) -> f32 {
-        let zero = if id.is_multiple_of(2) { 0.0 } else { -0.0 };
-        [
-            zero,
-            0.5,
-            1.0,
-            1.0000001,
-            2.0,
-            f32::INFINITY,
-            -1.5,
-            f32::NEG_INFINITY,
-        ][pick]
-    }
-
-    type Picks = Vec<(usize, u32, usize)>;
-
-    fn offers(picks: &Picks) -> Vec<Offer> {
-        picks
-            .iter()
-            .map(|&(o, id, d)| (OWNERS[o], slot(Neighbor::new(id, palette(d, id)))))
-            .collect()
-    }
-
-    /// Cuts `offers` into staging chunks at `cuts`, then rotates and
-    /// optionally reverses the chunk order.
-    fn stage(offers: &[Offer], cuts: &[usize], shuffle: usize) -> Vec<Vec<Offer>> {
-        let mut at: Vec<usize> = cuts.iter().map(|&c| c.min(offers.len())).collect();
-        at.extend([0, offers.len()]);
-        at.sort_unstable();
-        let mut chunks: Vec<Vec<Offer>> =
-            at.windows(2).map(|w| offers[w[0]..w[1]].to_vec()).collect();
-        let by = shuffle % chunks.len();
-        chunks.rotate_left(by);
-        if shuffle % 2 == 1 {
-            chunks.reverse();
-        }
-        chunks
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// Staged apply against a sorted-set model: whatever the
-        /// chunking, chunk order and thread count, every row is the
-        /// model's first `cap` entries, bounds mirror the last slot, and
-        /// an entry that was already there keeps its flag.
-        #[test]
-        fn staged_apply_matches_the_sorted_set_model(
-            cap in 1usize..6,
-            first in prop::collection::vec((0usize..7, 0u32..12, 0usize..8), 0..120),
-            second in prop::collection::vec((0usize..7, 0u32..12, 0usize..8), 0..120),
-            cuts in prop::collection::vec(0usize..120, 0..6),
-            shuffle in 0usize..12,
-        ) {
-            let n = 300;
-            // Model: per owner, (rank, id) -> new; truncated to `cap`.
-            let mut model: Vec<BTreeMap<(u32, u32), bool>> = vec![BTreeMap::new(); n];
-            let mut model_apply = |batch: &[Offer], age: bool| {
-                for row in model.iter_mut() {
-                    row.values_mut().for_each(|new| *new &= !age);
-                }
-                for &(owner, key) in batch {
-                    model[owner as usize]
-                        .entry((dist_rank(key), neighbor(key).id))
-                        .or_insert(true);
-                }
-                for row in model.iter_mut() {
-                    while row.len() > cap {
-                        row.pop_last();
-                    }
-                }
-            };
-            let (first, second) = (offers(&first), offers(&second));
-            model_apply(&first, false);
-            model_apply(&second, true);
-            let want: Rows = model
-                .iter()
-                .map(|row| row.iter().map(|(&(rank, id), &new)| (rank, id, new)).collect())
-                .collect();
-
-            for (threads, shuffle) in [(1, 0), (2, shuffle), (8, shuffle + 1)] {
-                let mut t = Table::empty(n, cap).top(cap);
-                t.apply(&stage(&first, &cuts, shuffle), threads);
-                // What phase A does to a row it keeps: every entry old.
-                t.slots.iter_mut().for_each(|s| *s &= !NEW);
-                t.apply(&stage(&second, &cuts, shuffle), threads);
-                let (rows, bounds) = dump(&t);
-                prop_assert_eq!(&rows, &want, "threads={}", threads);
-                for (v, row) in want.iter().enumerate() {
-                    let full = row.get(cap - 1).map_or(u32::MAX, |&(rank, _, _)| rank);
-                    prop_assert_eq!(bounds[v], full, "bound of row {}", v);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn a_duplicate_offer_leaves_the_present_entry_old() {
-        let mut t = Table::empty(2, 3);
-        let key = slot(Neighbor::new(1, 0.25));
-        t.apply(&[vec![(0, key)]], 1);
-        assert_eq!(t.slots[0], key | NEW);
-        t.slots[0] = key;
-        t.apply(&[vec![(0, key)], vec![(0, key)]], 2);
-        assert_eq!(&t.slots[..3], &[key, EMPTY, EMPTY]);
-    }
-
-    #[test]
-    fn apply_skips_buckets_without_offers() {
-        // Two buckets, the second partial: offers for one must leave the
-        // other exactly as it was.
-        let key = slot(Neighbor::new(7, 1.0));
-        for (owner, untouched) in [(3u32, 256..300), (299, 0..256)] {
-            let mut t = Table::empty(300, 2).top(2);
-            t.apply(&[vec![(owner, key)], Vec::new()], 2);
-            let (rows, bounds) = dump(&t);
-            assert_eq!(rows[owner as usize].len(), 1);
-            assert!(untouched.clone().all(|v| rows[v].is_empty()));
-            assert!(bounds.iter().all(|&b| b == u32::MAX));
-        }
-        let mut t = Table::empty(300, 2);
-        t.apply(&[], 2);
-        assert!(t.slots.iter().all(|&s| s == EMPTY));
     }
 
     #[test]

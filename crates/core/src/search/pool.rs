@@ -21,7 +21,8 @@ use weavess_data::Neighbor;
 pub(crate) const MAX_VERTICES: usize = 1 << 31;
 
 /// The spare low bit of a slot, its owner's to define: *expanded* in
-/// [`CandidatePool`], *new* in the [`crate::rnndescent`] tables.
+/// [`CandidatePool`], *new* in the descent tables both NN-Descent and
+/// RNN-Descent keep their pools in (see [`crate::nndescent`]).
 pub(crate) const FLAG: u64 = 1;
 
 /// Slot key of an unflagged entry: `total_cmp` rank of the distance in

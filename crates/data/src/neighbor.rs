@@ -49,10 +49,11 @@ impl Ord for Neighbor {
 ///
 /// Returns the insertion position, or `None` when `n` was rejected (already
 /// present, or farther than the current worst while the pool is full). This
-/// is the primitive behind NN-Descent's neighbor pools, the builders'
-/// candidate gathering and the routers' result pools; the best-first
-/// candidate set of the paper's Algorithm 1 (`weavess_core::search`) keeps
-/// the same order and outcomes on a packed array.
+/// is the primitive behind the builders' candidate gathering and the
+/// routers' result pools. The best-first candidate set of the paper's
+/// Algorithm 1 (`weavess_core::search`) and the descent engines' pools
+/// (`weavess_core::nndescent`) keep the same order and outcomes on packed
+/// arrays.
 #[inline]
 pub fn insert_into_pool(pool: &mut Vec<Neighbor>, capacity: usize, n: Neighbor) -> Option<usize> {
     debug_assert!(capacity > 0);
