@@ -631,6 +631,27 @@ fn refinement_builders_match_golden_digests() {
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
+/// NSW has no refinement pass, so the table above does not cover it:
+/// its parallel insertion seeds every point's search from a per-point
+/// mixed RNG stream, and thread-count equality alone passes a change to
+/// that mixer which moves every graph the same way at every thread count.
+#[test]
+fn nsw_matches_golden_digest() {
+    let ds = dataset(700);
+    let want = golden_for_tier([
+        0xa685_f9fc_b48a_64f2,
+        0xa685_f9fc_b48a_64f2,
+        0xa685_f9fc_b48a_64f2,
+    ]);
+    for threads in [1, 8] {
+        let got = index_digest(&nsw::build(&ds, &nsw::NswParams::tuned(threads, 3)));
+        assert_eq!(
+            got, want,
+            "NSW at {threads} threads: {got:#018x} != golden {want:#018x}"
+        );
+    }
+}
+
 /// Swapping C1 keeps the persisted-bytes guarantee: an NSG built from
 /// RNN-Descent serializes to identical bytes at 1, 2, and 8 threads.
 #[test]
