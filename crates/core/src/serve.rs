@@ -46,7 +46,7 @@ use crate::index::{AnnIndex, SearchContext};
 use crate::parallel::{PoolSnapshot, WorkerPool};
 use crate::search::SearchStats;
 use crate::telemetry::expose::{Expose, Exposition};
-use crate::telemetry::flight::{query_fingerprint, Flight, FlightRecorder, SpanRec, Stage};
+use crate::telemetry::flight::{query_fingerprint, FlightRecorder, QueryFlightPart};
 use crate::telemetry::{Histogram, RouteTracer, ShardedCounter};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -161,35 +161,6 @@ impl BatchReport {
     pub fn qps(&self) -> f64 {
         self.results.len() as f64 / self.wall.as_secs_f64().max(1e-12)
     }
-}
-
-/// One query's deterministic flight fields as collected inside a worker
-/// loop; the parent assembles full [`Flight`]s from these after joining
-/// (single-engine path) or after gathering per-shard parts (sharded
-/// path).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct QueryFlightPart {
-    /// Query index within the batch.
-    pub qi: u32,
-    /// [`query_fingerprint`] of the query vector.
-    pub fingerprint: u64,
-    /// This engine's search latency for the query, nanoseconds.
-    pub lat_ns: u64,
-    /// Distance computations for the query on this engine.
-    pub ndc: u64,
-    /// Expanded vertices for the query on this engine.
-    pub hops: u64,
-}
-
-/// A batch's flight material: the seed-sampled parts (in ascending `qi`
-/// order — a deterministic set) plus the batch's slowest query
-/// (timing-dependent, offered to the recorder's high-water mark).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BatchFlightParts {
-    /// Seed-sampled query parts, ascending `qi`.
-    pub sampled: Vec<QueryFlightPart>,
-    /// The batch's slowest query.
-    pub slowest: Option<QueryFlightPart>,
 }
 
 /// Cumulative (cross-batch) distributions, updated once per batch under
@@ -457,15 +428,14 @@ impl<'a> QueryEngine<'a> {
     /// don't idle the other workers; determinism is unaffected because
     /// per-query state never depends on the claiming worker.
     pub fn search_batch(&self, queries: &Dataset, k: usize, beam: usize) -> BatchReport {
-        self.search_batch_obs(queries, k, beam, None).0
+        self.search_batch_recorded(queries, k, beam, None)
     }
 
     /// [`search_batch`](Self::search_batch) with the per-query flight
     /// recorder enabled: every seed-sampled query (and the batch's
     /// slowest, when it beats the recorder's high-water mark) lands in
-    /// `rec`'s ring as a single-[`Stage::Search`]-span flight, with a
-    /// [`Stage::QueueWait`] span prepended when the admission queue
-    /// noted one. Results are identical to the plain path.
+    /// `rec`'s ring as a single-[`Stage::Search`](crate::telemetry::Stage)
+    /// -span flight. Results are identical to the plain path.
     pub fn search_batch_flights(
         &self,
         queries: &Dataset,
@@ -473,31 +443,39 @@ impl<'a> QueryEngine<'a> {
         beam: usize,
         rec: &FlightRecorder,
     ) -> BatchReport {
-        let (report, parts) = self.search_batch_obs(queries, k, beam, Some(rec));
-        let batch = rec.next_batch();
-        for p in &parts.sampled {
-            rec.push(assemble_unsharded(rec, batch, p, k, beam, &report, true));
-        }
-        if let Some(p) = parts.slowest {
-            if !rec.is_sampled(p.fingerprint) && rec.keep_slowest(p.lat_ns) {
-                rec.push(assemble_unsharded(rec, batch, &p, k, beam, &report, false));
-            }
+        self.search_batch_recorded(queries, k, beam, Some((rec, &[])))
+    }
+
+    /// The batch behind both public entry points and the admission
+    /// queue's executor: with a recorder, the batch's flights are
+    /// recorded, each sampled one led by its admission wait when `waits`
+    /// (enqueue → close, nanoseconds, indexed like `queries`) has one.
+    pub(crate) fn search_batch_recorded(
+        &self,
+        queries: &Dataset,
+        k: usize,
+        beam: usize,
+        flights: Option<(&FlightRecorder, &[u64])>,
+    ) -> BatchReport {
+        let (report, parts) = self.search_batch_obs(queries, k, beam, flights.is_some());
+        if let Some((rec, waits)) = flights {
+            rec.record_batch(&[parts], &report.results, k, beam, waits, None);
         }
         report
     }
 
-    /// The batch loop behind both entry points. With a recorder each query
-    /// pays one sampling hash plus a copy of its deterministic counters —
-    /// a per-query branch beside the walk, not a per-hop one. Flights are
-    /// *collected*, not pushed — the caller owns assembly so the sharded
-    /// tier can gather per-shard parts into one flight per query.
+    /// The batch loop behind every entry point. With `record` set, each
+    /// query's walk time and counters come back as its flight part (in
+    /// `qi` order) — a per-query copy beside the walk, not a per-hop one.
+    /// Parts are *collected*, not pushed: [`FlightRecorder::record_batch`]
+    /// samples and lays them out, gathered per shard on the sharded tier.
     pub(crate) fn search_batch_obs(
         &self,
         queries: &Dataset,
         k: usize,
         beam: usize,
-        rec: Option<&FlightRecorder>,
-    ) -> (BatchReport, BatchFlightParts) {
+        record: bool,
+    ) -> (BatchReport, Vec<QueryFlightPart>) {
         let nq = queries.len();
         let (workers, slot_cost_ns) = self.batch_job(nq);
         let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(nq);
@@ -507,29 +485,27 @@ impl<'a> QueryEngine<'a> {
         let mut latency_hist = Histogram::new();
         let mut ndc_hist = Histogram::new();
         let mut hops_hist = Histogram::new();
-        let mut flights = BatchFlightParts::default();
+        let mut flights = Vec::new();
         let t0 = Instant::now();
 
         if nq > 0 {
             let cursor = AtomicUsize::new(0);
-            // Each worker slot returns (claimed queries with results and
-            // latencies, its per-worker report, its local histograms,
-            // its flight parts); the parent scatters results back into
+            // Each worker slot returns (claimed queries with results, its
+            // per-worker report, its local histograms, its flight parts);
+            // the parent scatters results back into
             // input order and merges the aggregates (order-independent
             // by construction). The caller takes the first slot, so a
             // worker that wakes after the cursor ran dry — or is never
             // woken, the batch being too short to pay for it — reports
             // zero claims.
-            let (mut parts, _) = self.pool.map_with_cost(workers, slot_cost_ns, |_| {
+            let (mut slots, _) = self.pool.map_with_cost(workers, slot_cost_ns, |_| {
                 let mut ctx = self.checkout();
-                let mut got: Vec<(usize, Vec<Neighbor>, u64)> =
-                    Vec::with_capacity(nq / workers + 1);
+                let mut got: Vec<(usize, Vec<Neighbor>)> = Vec::with_capacity(nq / workers + 1);
                 let mut acc = SearchStats::default();
                 let mut lat_h = Histogram::new();
                 let mut ndc_h = Histogram::new();
                 let mut hops_h = Histogram::new();
-                let mut sampled: Vec<QueryFlightPart> = Vec::new();
-                let mut slowest: Option<QueryFlightPart> = None;
+                let mut parts: Vec<QueryFlightPart> = Vec::new();
                 loop {
                     let qi = cursor.fetch_add(1, Ordering::Relaxed);
                     if qi >= nq {
@@ -547,49 +523,37 @@ impl<'a> QueryEngine<'a> {
                     lat_h.record(nanos);
                     ndc_h.record(qstats.ndc);
                     hops_h.record(qstats.hops);
-                    if let Some(rec) = rec {
-                        let part = QueryFlightPart {
+                    if record {
+                        parts.push(QueryFlightPart {
                             qi: qi as u32,
                             fingerprint: fp,
                             lat_ns: nanos,
                             ndc: qstats.ndc,
                             hops: qstats.hops,
-                        };
-                        if rec.is_sampled(fp) {
-                            sampled.push(part);
-                        }
-                        if slowest.is_none_or(|s| nanos > s.lat_ns) {
-                            slowest = Some(part);
-                        }
+                        });
                     }
-                    got.push((qi, res, nanos));
+                    got.push((qi, res));
                 }
                 self.restore(ctx);
                 let report = WorkerReport {
                     queries_claimed: got.len() as u64,
                     stats: acc,
                 };
-                (got, report, lat_h, ndc_h, hops_h, sampled, slowest)
+                (got, report, lat_h, ndc_h, hops_h, parts)
             });
-            for (got, report, lat_h, ndc_h, hops_h, sampled, slowest) in parts.drain(..) {
+            for (got, report, lat_h, ndc_h, hops_h, parts) in slots.drain(..) {
                 stats.merge(report.stats);
                 latency_hist.merge(&lat_h);
                 ndc_hist.merge(&ndc_h);
                 hops_hist.merge(&hops_h);
                 per_worker.push(report);
-                flights.sampled.extend(sampled);
-                if let Some(s) = slowest {
-                    if flights.slowest.is_none_or(|g| s.lat_ns > g.lat_ns) {
-                        flights.slowest = Some(s);
-                    }
-                }
-                for (qi, res, _) in got {
+                flights.extend(parts);
+                for (qi, res) in got {
                     results[qi] = res;
                 }
             }
-            // The sampled *set* is deterministic; sort by batch position
-            // so its order is too (claim order is not).
-            flights.sampled.sort_by_key(|p| p.qi);
+            // Claim order is not deterministic; batch position is.
+            flights.sort_by_key(|p| p.qi);
         }
 
         let wall = t0.elapsed();
@@ -700,52 +664,6 @@ pub(crate) fn expose_pool(
             (mode("fanned_out"), pool.jobs_fanned_out),
         ],
     );
-}
-
-/// Assembles an unsharded flight from one worker part: an optional
-/// queue-wait span (claimed from the recorder's notes) followed by the
-/// single search span.
-fn assemble_unsharded(
-    rec: &FlightRecorder,
-    batch: u64,
-    p: &QueryFlightPart,
-    k: usize,
-    beam: usize,
-    report: &BatchReport,
-    sampled: bool,
-) -> Flight {
-    let mut spans = Vec::with_capacity(2);
-    let mut t = 0u64;
-    if let Some(waited) = rec.take_queue_wait(p.fingerprint) {
-        spans.push(SpanRec {
-            stage: Stage::QueueWait,
-            shard: None,
-            start_ns: 0,
-            dur_ns: waited,
-            ndc: 0,
-            hops: 0,
-        });
-        t = waited;
-    }
-    spans.push(SpanRec {
-        stage: Stage::Search,
-        shard: None,
-        start_ns: t,
-        dur_ns: p.lat_ns,
-        ndc: p.ndc,
-        hops: p.hops,
-    });
-    Flight {
-        batch,
-        qi: p.qi,
-        fingerprint: p.fingerprint,
-        k,
-        beam,
-        results: report.results[p.qi as usize].iter().map(|n| n.id).collect(),
-        sampled,
-        total_ns: t + p.lat_ns,
-        spans,
-    }
 }
 
 #[cfg(test)]

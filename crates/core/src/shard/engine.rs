@@ -24,7 +24,7 @@ use crate::serve::{
     expose_pool, BatchReport, EngineOptions, EngineSnapshot, LatencySummary, QueryEngine,
 };
 use crate::telemetry::expose::{Expose, Exposition};
-use crate::telemetry::flight::{Flight, FlightRecorder, SpanRec, Stage};
+use crate::telemetry::flight::{FlightRecorder, QueryFlightPart, ScatterTimes};
 use crate::telemetry::{Histogram, ShardedCounter};
 use weavess_data::{Dataset, Neighbor};
 
@@ -492,10 +492,9 @@ impl<'a> ShardedEngine<'a> {
     /// [`search_batch`](Self::search_batch) with the per-query flight
     /// recorder enabled: every seed-sampled query lands in `rec`'s ring
     /// as one flight whose spans attribute the batch-scoped scatter, one
-    /// [`Stage::ShardSearch`] per shard (with that shard's latency, NDC,
-    /// and hops for this query), and the per-query top-k merge — plus a
-    /// queue-wait span when the admission queue noted one. Results are
-    /// identical to the plain path.
+    /// [`Stage::ShardSearch`](crate::telemetry::Stage) per shard (with
+    /// that shard's latency, NDC, and hops for this query), and the
+    /// per-query top-k merge. Results are identical to the plain path.
     pub fn search_batch_flights(
         &self,
         queries: &Dataset,
@@ -503,31 +502,33 @@ impl<'a> ShardedEngine<'a> {
         beam: usize,
         rec: &FlightRecorder,
     ) -> ShardedBatchReport {
-        self.search_batch_obs(queries, k, beam, Some(rec))
+        self.search_batch_obs(queries, k, beam, Some((rec, &[])))
     }
 
-    /// The scatter-gather behind both entry points; with a recorder it
-    /// also times each merge and assembles the batch's flights.
+    /// The scatter-gather behind both entry points and the admission
+    /// queue's executor. With a recorder it also times each merge and
+    /// records the batch's flights, each sampled one led by its
+    /// admission wait when `waits` (indexed like `queries`) has one.
     pub(crate) fn search_batch_obs(
         &self,
         queries: &Dataset,
         k: usize,
         beam: usize,
-        rec: Option<&FlightRecorder>,
+        flights: Option<(&FlightRecorder, &[u64])>,
     ) -> ShardedBatchReport {
-        use crate::serve::BatchFlightParts;
+        let record = flights.is_some();
         let nq = queries.len();
         let t0 = Instant::now();
         // Scatter: one task per shard; results come back slotted by shard
         // index, so the gather below is independent of completion order
         // and of whether the pool found a second thread worth waking.
-        type ShardResult = (Vec<Vec<Neighbor>>, BatchReport, BatchFlightParts);
+        type ShardResult = (Vec<Vec<Neighbor>>, BatchReport, Vec<QueryFlightPart>);
         let (mut shard_results, handoff_ns): (Vec<ShardResult>, _) =
             self.pool
                 .map_with_cost(self.engines.len(), self.shard_task_cost_ns(nq), |s| {
                     let shard = &self.set.shards[s];
                     let (mut report, parts) =
-                        self.engines[s].search_batch_obs(queries, k, beam, rec);
+                        self.engines[s].search_batch_obs(queries, k, beam, record);
                     let mut globalized = std::mem::take(&mut report.results);
                     for pool in &mut globalized {
                         for n in pool.iter_mut() {
@@ -548,27 +549,28 @@ impl<'a> ShardedEngine<'a> {
                 per_query[qi].push(pool);
             }
         }
-        let mut merge_ns: Vec<u64> = Vec::new();
-        let results: Vec<Vec<Neighbor>> = if rec.is_some() {
-            merge_ns.reserve(nq);
-            per_query
-                .iter()
-                .map(|p| {
-                    let tm = Instant::now();
-                    let merged = merge_topk(p, k);
-                    merge_ns.push(tm.elapsed().as_nanos() as u64);
-                    merged
-                })
-                .collect()
-        } else {
-            per_query.iter().map(|p| merge_topk(p, k)).collect()
-        };
-
-        if let Some(rec) = rec {
-            let parts: Vec<&BatchFlightParts> = shard_results.iter().map(|(_, _, p)| p).collect();
-            self.assemble_flights(
-                rec, k, beam, scatter_ns, handoff_ns, &merge_ns, &parts, &results,
-            );
+        // Merges are timed only for the flights.
+        let mut merge_ns: Vec<u64> = Vec::with_capacity(if record { nq } else { 0 });
+        let results: Vec<Vec<Neighbor>> = per_query
+            .iter()
+            .map(|p| {
+                let tm = record.then(Instant::now);
+                let merged = merge_topk(p, k);
+                merge_ns.extend(tm.map(|tm| tm.elapsed().as_nanos() as u64));
+                merged
+            })
+            .collect();
+        if let Some((rec, waits)) = flights {
+            let parts: Vec<Vec<QueryFlightPart>> = shard_results
+                .iter_mut()
+                .map(|(_, _, p)| std::mem::take(p))
+                .collect();
+            let times = ScatterTimes {
+                scatter_ns,
+                handoff_ns,
+                merge_ns: &merge_ns,
+            };
+            rec.record_batch(&parts, &results, k, beam, waits, Some(times));
         }
 
         let mut stats = SearchStats::default();
@@ -596,150 +598,6 @@ impl<'a> ShardedEngine<'a> {
             ndc_hist,
             hops_hist,
             per_shard,
-        }
-    }
-
-    /// Builds one flight per seed-sampled query from the per-shard parts
-    /// (every shard samples the same fingerprint set, so part lists
-    /// align), plus the batch's slowest shard-search when it beats the
-    /// recorder's high-water mark.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_flights(
-        &self,
-        rec: &FlightRecorder,
-        k: usize,
-        beam: usize,
-        scatter_ns: u64,
-        handoff_ns: Option<u64>,
-        merge_ns: &[u64],
-        parts: &[&crate::serve::BatchFlightParts],
-        results: &[Vec<Neighbor>],
-    ) {
-        let batch = rec.next_batch();
-        // A child of the scatter span, on a batch that woke a worker.
-        let handoff_span = |start_ns: u64| {
-            handoff_ns.map(|dur_ns| SpanRec {
-                stage: Stage::Handoff,
-                shard: None,
-                start_ns,
-                dur_ns,
-                ndc: 0,
-                hops: 0,
-            })
-        };
-        let n_sampled = parts.first().map_or(0, |p| p.sampled.len());
-        debug_assert!(
-            parts.iter().all(|p| p.sampled.len() == n_sampled),
-            "sampling must be shard-independent"
-        );
-        for j in 0..n_sampled {
-            let lead = parts[0].sampled[j];
-            let qi = lead.qi;
-            let mut spans = Vec::with_capacity(parts.len() + 4);
-            let mut t = 0u64;
-            if let Some(waited) = rec.take_queue_wait(lead.fingerprint) {
-                spans.push(SpanRec {
-                    stage: Stage::QueueWait,
-                    shard: None,
-                    start_ns: 0,
-                    dur_ns: waited,
-                    ndc: 0,
-                    hops: 0,
-                });
-                t = waited;
-            }
-            spans.push(SpanRec {
-                stage: Stage::Scatter,
-                shard: None,
-                start_ns: t,
-                dur_ns: scatter_ns,
-                ndc: 0,
-                hops: 0,
-            });
-            spans.extend(handoff_span(t));
-            for (s, shard_parts) in parts.iter().enumerate() {
-                let p = shard_parts.sampled[j];
-                debug_assert_eq!(p.qi, qi, "per-shard sampled sets must align");
-                spans.push(SpanRec {
-                    stage: Stage::ShardSearch,
-                    shard: Some(s as u32),
-                    start_ns: t,
-                    dur_ns: p.lat_ns,
-                    ndc: p.ndc,
-                    hops: p.hops,
-                });
-            }
-            let m = merge_ns.get(qi as usize).copied().unwrap_or(0);
-            spans.push(SpanRec {
-                stage: Stage::Merge,
-                shard: None,
-                start_ns: t + scatter_ns,
-                dur_ns: m,
-                ndc: 0,
-                hops: 0,
-            });
-            rec.push(Flight {
-                batch,
-                qi,
-                fingerprint: lead.fingerprint,
-                k,
-                beam,
-                results: results[qi as usize].iter().map(|n| n.id).collect(),
-                sampled: true,
-                total_ns: t + scatter_ns + m,
-                spans,
-            });
-        }
-        // The slowest shard-search across the batch: timing-dependent by
-        // nature, kept only above the high-water mark and excluded from
-        // the stable dump.
-        let slowest = parts
-            .iter()
-            .enumerate()
-            .filter_map(|(s, p)| p.slowest.map(|x| (s, x)))
-            .max_by_key(|(_, x)| x.lat_ns);
-        if let Some((s, p)) = slowest {
-            if !rec.is_sampled(p.fingerprint) && rec.keep_slowest(p.lat_ns) {
-                let m = merge_ns.get(p.qi as usize).copied().unwrap_or(0);
-                let mut slowest = Flight {
-                    batch,
-                    qi: p.qi,
-                    fingerprint: p.fingerprint,
-                    k,
-                    beam,
-                    results: results[p.qi as usize].iter().map(|n| n.id).collect(),
-                    sampled: false,
-                    total_ns: scatter_ns + m,
-                    spans: vec![
-                        SpanRec {
-                            stage: Stage::Scatter,
-                            shard: None,
-                            start_ns: 0,
-                            dur_ns: scatter_ns,
-                            ndc: 0,
-                            hops: 0,
-                        },
-                        SpanRec {
-                            stage: Stage::ShardSearch,
-                            shard: Some(s as u32),
-                            start_ns: 0,
-                            dur_ns: p.lat_ns,
-                            ndc: p.ndc,
-                            hops: p.hops,
-                        },
-                        SpanRec {
-                            stage: Stage::Merge,
-                            shard: None,
-                            start_ns: scatter_ns,
-                            dur_ns: m,
-                            ndc: 0,
-                            hops: 0,
-                        },
-                    ],
-                };
-                slowest.spans.splice(1..1, handoff_span(0));
-                rec.push(slowest);
-            }
         }
     }
 

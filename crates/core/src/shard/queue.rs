@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use super::engine::ShardedEngine;
 use crate::serve::QueryEngine;
 use crate::telemetry::expose::{Expose, Exposition};
-use crate::telemetry::flight::{query_fingerprint, FlightRecorder};
+use crate::telemetry::flight::FlightRecorder;
 use crate::telemetry::Histogram;
 use weavess_data::{Dataset, Neighbor};
 
@@ -57,16 +57,18 @@ use weavess_data::{Dataset, Neighbor};
 pub trait BatchExecutor: Sync {
     /// Query dimensionality the executor expects.
     fn dim(&self) -> usize;
-    /// Answers `queries`, one result pool per query, in input order. `rec`
-    /// is the queue's flight recorder, when it has one: an executor that
-    /// records per-query flights pushes them there, any other ignores it.
-    /// Results must not depend on it.
+    /// Answers `queries`, one result pool per query, in input order.
+    /// `flights` is the queue's flight recorder, when it has one, with
+    /// each query's admission wait (enqueue → batch close, nanoseconds)
+    /// index-aligned with `queries`: an executor that records per-query
+    /// flights pushes them there, leading each sampled one with its wait;
+    /// any other ignores both. Results must not depend on them.
     fn execute(
         &self,
         queries: &Dataset,
         k: usize,
         beam: usize,
-        rec: Option<&FlightRecorder>,
+        flights: Option<(&FlightRecorder, &[u64])>,
     ) -> Vec<Vec<Neighbor>>;
     /// Whether executing an `nq`-query batch spreads over other cores, so
     /// that the queue should hold arrivals back (to coalesce) while it
@@ -90,13 +92,10 @@ impl BatchExecutor for QueryEngine<'_> {
         queries: &Dataset,
         k: usize,
         beam: usize,
-        rec: Option<&FlightRecorder>,
+        flights: Option<(&FlightRecorder, &[u64])>,
     ) -> Vec<Vec<Neighbor>> {
-        match rec {
-            Some(rec) => self.search_batch_flights(queries, k, beam, rec),
-            None => self.search_batch(queries, k, beam),
-        }
-        .results
+        self.search_batch_recorded(queries, k, beam, flights)
+            .results
     }
 
     fn occupies_lane(&self, nq: usize) -> bool {
@@ -114,9 +113,9 @@ impl BatchExecutor for ShardedEngine<'_> {
         queries: &Dataset,
         k: usize,
         beam: usize,
-        rec: Option<&FlightRecorder>,
+        flights: Option<(&FlightRecorder, &[u64])>,
     ) -> Vec<Vec<Neighbor>> {
-        self.search_batch_obs(queries, k, beam, rec).results
+        self.search_batch_obs(queries, k, beam, flights).results
     }
 
     fn occupies_lane(&self, nq: usize) -> bool {
@@ -249,10 +248,10 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
         }
     }
 
-    /// A queue that records per-query flights: each seed-sampled query's
-    /// admission wait is noted into `rec` (surfacing as a
-    /// [`Stage::QueueWait`](crate::telemetry::Stage) span on its flight)
-    /// and `rec` is handed to [`BatchExecutor::execute`] with every batch.
+    /// A queue that records per-query flights: `rec` is handed to
+    /// [`BatchExecutor::execute`] with every batch, beside the batch's
+    /// admission waits (each sampled query's surfaces as a
+    /// [`Stage::QueueWait`](crate::telemetry::Stage) span on its flight).
     pub fn with_flights(exec: &'a E, opts: QueueOptions, rec: &'a FlightRecorder) -> Self {
         let mut q = Self::new(exec, opts);
         q.flights = Some(rec);
@@ -341,7 +340,13 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
                 self.cv.notify_all();
                 drop(g);
 
+                // Each query's admission wait, measured once: the queue's
+                // delay histogram and the executor's flights share it.
                 let closed_at = Instant::now();
+                let waits: Vec<u64> = batch
+                    .iter()
+                    .map(|p| closed_at.saturating_duration_since(p.enqueued).as_nanos() as u64)
+                    .collect();
                 // The vectors move out of the tickets: the oldest query's
                 // buffer (the leader's own is pending, so there is one)
                 // becomes the batch and the riders are appended to it.
@@ -351,27 +356,11 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
                     flat.append(&mut p.query);
                 }
                 let queries = Dataset::from_flat(flat, batch.len(), dim);
+                let flights = self.flights.map(|rec| (rec, &waits[..]));
                 let results = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(rec) = self.flights {
-                        // Note admission waits for the queries whose
-                        // flights the engine will assemble, *before*
-                        // executing so the spans are claimable there.
-                        for (qi, p) in batch.iter().enumerate() {
-                            let fp = query_fingerprint(queries.point(qi as u32));
-                            if rec.is_sampled(fp) {
-                                let waited = closed_at.saturating_duration_since(p.enqueued);
-                                rec.note_queue_wait(fp, waited.as_nanos() as u64);
-                            }
-                        }
-                    }
                     self.exec
-                        .execute(&queries, self.opts.k, self.opts.beam, self.flights)
+                        .execute(&queries, self.opts.k, self.opts.beam, flights)
                 }));
-                if let Some(rec) = self.flights {
-                    // Notes the executor left unclaimed (it ignored the
-                    // recorder, or unwound) would otherwise never go away.
-                    rec.discard_queue_waits();
-                }
 
                 // Returned or unwound, the lane (if held) is free again;
                 // whichever `notify_all` follows tells a waiting leader.
@@ -394,9 +383,8 @@ impl<'a, E: BatchExecutor + ?Sized> BatchQueue<'a, E> {
                 g.stats.batches_total += 1;
                 g.stats.queries_total += batch.len() as u64;
                 g.stats.batch_size.record(batch.len() as u64);
-                for (p, res) in batch.into_iter().zip(results) {
-                    let waited = closed_at.saturating_duration_since(p.enqueued);
-                    g.stats.queue_delay_ns.record(waited.as_nanos() as u64);
+                for ((p, res), waited) in batch.into_iter().zip(results).zip(waits) {
+                    g.stats.queue_delay_ns.record(waited);
                     g.done.insert(p.ticket, Some(res));
                 }
                 self.cv.notify_all();
@@ -416,8 +404,8 @@ mod tests {
     use super::*;
     use crate::telemetry::flight::FlightOptions;
 
-    /// A third-party executor: ignores the recorder, so it never claims
-    /// the admission waits the queue notes for it.
+    /// A third-party executor: ignores the recorder and the admission
+    /// waits handed to it.
     struct Echo;
 
     impl BatchExecutor for Echo {
@@ -430,7 +418,7 @@ mod tests {
             queries: &Dataset,
             _k: usize,
             _beam: usize,
-            _rec: Option<&FlightRecorder>,
+            _rec: Option<(&FlightRecorder, &[u64])>,
         ) -> Vec<Vec<Neighbor>> {
             (0..queries.len() as u32)
                 .map(|qi| vec![Neighbor::new(qi, queries.point(qi)[0])])
@@ -439,7 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn notes_an_executor_never_claims_do_not_accumulate() {
+    fn an_executor_that_ignores_the_recorder_still_serves_and_times_every_query() {
         let rec = FlightRecorder::new(FlightOptions {
             sample_every: 1,
             ..FlightOptions::default()
@@ -449,7 +437,9 @@ mod tests {
             let got = queue.submit(&[i as f32, 0.0]);
             assert_eq!(got[0].dist, i as f32);
         }
-        assert_eq!(queue.stats().queries_total, 1000);
-        assert_eq!(rec.pending_queue_waits(), 0);
+        let stats = queue.stats();
+        assert_eq!(stats.queries_total, 1000);
+        assert_eq!(stats.queue_delay_ns.count(), 1000);
+        assert_eq!(rec.recorded_total(), 0, "nothing flies past Echo");
     }
 }

@@ -6,10 +6,12 @@
 //! of [`SpanRec`]s plus the query's deterministic identity (fingerprint,
 //! k/beam, result ids). The serving paths carry the recorder as an
 //! `Option<&FlightRecorder>` — the same one
-//! [`BatchQueue`](crate::shard::BatchQueue) holds — and branch on it once
-//! per query, beside a walk of tens of microseconds; per-hop observation
-//! is [`RouteTracer`](crate::telemetry::RouteTracer)'s job, and that one
-//! compiles away.
+//! [`BatchQueue`](crate::shard::BatchQueue) holds, handed to the engine
+//! with the batch's admission waits — and branch on it once per query,
+//! beside a walk of tens of microseconds; per-hop observation is
+//! [`RouteTracer`](crate::telemetry::RouteTracer)'s job, and that one
+//! compiles away. The engines only collect per-query parts; one
+//! function here lays every flight out from them.
 //!
 //! # Sampling
 //!
@@ -39,9 +41,9 @@
 //! tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread::{self, ThreadId};
 
 use parking_lot::Mutex;
+use weavess_data::Neighbor;
 
 /// FNV-1a over a query's raw f32 bits: the stable, position-independent
 /// per-query identity used for RNG reseeding, flight sampling, and audit
@@ -185,14 +187,32 @@ pub struct FlightRecorder {
     slowest_ns: AtomicU64,
     sampled_total: AtomicU64,
     recorded_total: AtomicU64,
-    queue_waits: Mutex<Vec<QueueWaitNote>>,
 }
 
-/// One admission wait noted by a queue leader, awaiting its flight.
-struct QueueWaitNote {
-    owner: ThreadId,
-    fingerprint: u64,
-    waited_ns: u64,
+/// One query's deterministic counters and walk time on one engine (one
+/// shard), as collected inside that engine's worker loop. An engine
+/// hands the recorder every query's part, in `qi` order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QueryFlightPart {
+    /// Query index within the batch.
+    pub qi: u32,
+    /// [`query_fingerprint`] of the query vector.
+    pub fingerprint: u64,
+    /// This engine's search latency for the query, nanoseconds.
+    pub lat_ns: u64,
+    /// Distance computations for the query on this engine.
+    pub ndc: u64,
+    /// Expanded vertices for the query on this engine.
+    pub hops: u64,
+}
+
+/// A sharded batch's batch-scoped timings, nanoseconds: the whole
+/// scatter, the hand-off inside it when the batch woke a worker, and
+/// each query's merge (indexed by `qi`).
+pub(crate) struct ScatterTimes<'a> {
+    pub scatter_ns: u64,
+    pub handoff_ns: Option<u64>,
+    pub merge_ns: &'a [u64],
 }
 
 impl FlightRecorder {
@@ -209,7 +229,6 @@ impl FlightRecorder {
             slowest_ns: AtomicU64::new(0),
             sampled_total: AtomicU64::new(0),
             recorded_total: AtomicU64::new(0),
-            queue_waits: Mutex::new(Vec::new()),
         }
     }
 
@@ -258,42 +277,93 @@ impl FlightRecorder {
         self.sampled_total.load(Ordering::Relaxed)
     }
 
-    /// The admission queue noting how long a sampled query waited; the
-    /// engine attaches it as a [`Stage::QueueWait`] span when the
-    /// query's flight is assembled. A note belongs to the noting thread:
-    /// the queue leader notes, then runs the executor, and both engines
-    /// assemble flights on the thread that called them — so overlapping
-    /// batches carrying the same query keep their own waits.
-    pub fn note_queue_wait(&self, fingerprint: u64, waited_ns: u64) {
-        self.queue_waits.lock().push(QueueWaitNote {
-            owner: thread::current().id(),
-            fingerprint,
-            waited_ns,
-        });
-    }
-
-    /// Claims (and clears) the calling thread's oldest noted queue wait
-    /// for `fingerprint`.
-    pub fn take_queue_wait(&self, fingerprint: u64) -> Option<u64> {
-        let me = thread::current().id();
-        let mut notes = self.queue_waits.lock();
-        let at = notes
-            .iter()
-            .position(|n| n.owner == me && n.fingerprint == fingerprint)?;
-        Some(notes.remove(at).waited_ns)
-    }
-
-    /// Drops every note the calling thread left unclaimed — the queue
-    /// leader's sweep after its executor returned or unwound.
-    pub(crate) fn discard_queue_waits(&self) {
-        let me = thread::current().id();
-        self.queue_waits.lock().retain(|n| n.owner != me);
-    }
-
-    /// Notes awaiting a claim.
-    #[cfg(test)]
-    pub(crate) fn pending_queue_waits(&self) -> usize {
-        self.queue_waits.lock().len()
+    /// Samples, lays out and pushes one batch's flights — the one place
+    /// a [`Flight`] is built. `parts` holds every query's part per shard
+    /// (one list for an unsharded engine); `scatter` is `Some` exactly on
+    /// the sharded tier. A seed-sampled query flies with every shard's
+    /// search and, when the batch came through the admission queue, its
+    /// wait `waits[qi]` (`waits` is empty otherwise); the batch's slowest
+    /// search, kept only above the high-water mark, flies with that one
+    /// shard's search and no wait. Spans start where the wait ends; the
+    /// merge, where the scatter ends.
+    pub(crate) fn record_batch(
+        &self,
+        parts: &[Vec<QueryFlightPart>],
+        results: &[Vec<Neighbor>],
+        k: usize,
+        beam: usize,
+        waits: &[u64],
+        scatter: Option<ScatterTimes<'_>>,
+    ) {
+        let batch = self.next_batch();
+        let timed = |stage, start_ns, dur_ns| SpanRec {
+            stage,
+            shard: None,
+            start_ns,
+            dur_ns,
+            ndc: 0,
+            hops: 0,
+        };
+        let flight = |searches: &[(u32, QueryFlightPart)], sampled: bool| {
+            let lead = searches[0].1;
+            let wait = waits.get(lead.qi as usize).copied().filter(|_| sampled);
+            let t = wait.unwrap_or(0);
+            let mut spans = Vec::with_capacity(searches.len() + 4);
+            spans.extend(wait.map(|w| timed(Stage::QueueWait, 0, w)));
+            if let Some(sc) = &scatter {
+                spans.push(timed(Stage::Scatter, t, sc.scatter_ns));
+                spans.extend(sc.handoff_ns.map(|h| timed(Stage::Handoff, t, h)));
+            }
+            for &(s, p) in searches {
+                let (stage, shard) = match scatter {
+                    Some(_) => (Stage::ShardSearch, Some(s)),
+                    None => (Stage::Search, None),
+                };
+                spans.push(SpanRec {
+                    stage,
+                    shard,
+                    start_ns: t,
+                    dur_ns: p.lat_ns,
+                    ndc: p.ndc,
+                    hops: p.hops,
+                });
+            }
+            let total_ns = match &scatter {
+                Some(sc) => {
+                    let m = sc.merge_ns.get(lead.qi as usize).copied().unwrap_or(0);
+                    spans.push(timed(Stage::Merge, t + sc.scatter_ns, m));
+                    t + sc.scatter_ns + m
+                }
+                None => t + lead.lat_ns,
+            };
+            Flight {
+                batch,
+                qi: lead.qi,
+                fingerprint: lead.fingerprint,
+                k,
+                beam,
+                results: results[lead.qi as usize].iter().map(|n| n.id).collect(),
+                sampled,
+                total_ns,
+                spans,
+            }
+        };
+        debug_assert!(parts.iter().all(|p| p.len() == results.len()));
+        for (qi, lead) in parts[0].iter().enumerate() {
+            if self.is_sampled(lead.fingerprint) {
+                let searches: Vec<(u32, QueryFlightPart)> =
+                    parts.iter().zip(0..).map(|(p, s)| (s, p[qi])).collect();
+                self.push(flight(&searches, true));
+            }
+        }
+        let slowest = (parts.iter().zip(0..))
+            .flat_map(|(p, s)| p.iter().map(move |&x| (s, x)))
+            .max_by_key(|(_, x)| x.lat_ns);
+        if let Some((s, p)) = slowest {
+            if !self.is_sampled(p.fingerprint) && self.keep_slowest(p.lat_ns) {
+                self.push(flight(&[(s, p)], false));
+            }
+        }
     }
 
     /// A snapshot of the ring's current flights, ordered by
@@ -667,34 +737,6 @@ mod tests {
         assert!(!dump.contains("ns"));
         assert!(dump.contains("ndc=17 hops=4"));
         assert!(dump.contains("results [0,1]"));
-    }
-
-    #[test]
-    fn queue_wait_notes_round_trip() {
-        let rec = FlightRecorder::new(FlightOptions::default());
-        rec.note_queue_wait(7, 1234);
-        assert_eq!(rec.take_queue_wait(7), Some(1234));
-        assert_eq!(rec.take_queue_wait(7), None);
-    }
-
-    #[test]
-    fn queue_wait_notes_belong_to_the_noting_thread() {
-        let rec = FlightRecorder::new(FlightOptions::default());
-        rec.note_queue_wait(7, 100);
-        rec.note_queue_wait(7, 101);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                // An overlapping batch carrying the same query.
-                rec.note_queue_wait(7, 200);
-                rec.note_queue_wait(8, 201);
-                assert_eq!(rec.take_queue_wait(7), Some(200));
-                rec.discard_queue_waits();
-            });
-        });
-        assert_eq!(rec.pending_queue_waits(), 2, "a sweep drops only its own");
-        assert_eq!(rec.take_queue_wait(7), Some(100), "oldest first");
-        assert_eq!(rec.take_queue_wait(7), Some(101));
-        assert_eq!(rec.take_queue_wait(7), None);
     }
 
     #[test]

@@ -667,7 +667,7 @@ impl<E: BatchExecutor> BatchExecutor for Gated<'_, E> {
         queries: &Dataset,
         k: usize,
         beam: usize,
-        rec: Option<&FlightRecorder>,
+        rec: Option<(&FlightRecorder, &[u64])>,
     ) -> Vec<Vec<Neighbor>> {
         let batch = (0..queries.len() as u32)
             .map(|qi| queries.point(qi).to_vec())
@@ -980,7 +980,7 @@ impl BatchExecutor for PanicsOnMarker<'_> {
         queries: &Dataset,
         k: usize,
         beam: usize,
-        rec: Option<&FlightRecorder>,
+        rec: Option<(&FlightRecorder, &[u64])>,
     ) -> Vec<Vec<Neighbor>> {
         if (0..queries.len() as u32).any(|qi| queries.point(qi)[0] == MARKER) {
             panic!("marker query reached the executor");
@@ -1115,7 +1115,7 @@ impl<E: BatchExecutor> BatchExecutor for Laned<'_, E> {
         queries: &Dataset,
         k: usize,
         beam: usize,
-        rec: Option<&FlightRecorder>,
+        rec: Option<(&FlightRecorder, &[u64])>,
     ) -> Vec<Vec<Neighbor>> {
         self.gated.execute(queries, k, beam, rec)
     }
