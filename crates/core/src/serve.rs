@@ -926,4 +926,14 @@ mod tests {
             weavess_data::KernelTier::active()
         )));
     }
+
+    /// A query of the wrong dimensionality panics at the distance kernel
+    /// under every tier, instead of reading past the matrix.
+    #[test]
+    #[should_panic(expected = "query dimensionality mismatch")]
+    fn search_one_rejects_a_wrong_dimension_query() {
+        // Seeded at the last row, where an unchecked read runs furthest.
+        let (ds, _, idx) = setup(SeedStrategy::Fixed(vec![599]));
+        QueryEngine::new(&idx, &ds).search_one(&[0.5; 64], 10, 40);
+    }
 }

@@ -127,8 +127,12 @@ impl Dataset {
     }
 
     /// Squared Euclidean distance between an external query and base point `b`.
+    ///
+    /// # Panics
+    /// Panics if `query` is not [`Self::dim`] long, under every kernel tier.
     #[inline]
     pub fn dist_to(&self, query: &[f32], b: u32) -> f32 {
+        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
         squared_euclidean(query, self.point(b))
     }
 
@@ -140,9 +144,13 @@ impl Dataset {
     /// hot across the whole batch. Each output is computed by the exact
     /// same kernel as `dist_to`, so `out[i]` is bit-equal to
     /// `self.dist_to(query, ids[i])` — batching never perturbs results.
+    ///
+    /// # Panics
+    /// Panics if `query` is not [`Self::dim`] long (checked once per
+    /// call, under every kernel tier) or an id is out of range.
     #[inline]
     pub fn dist_to_many(&self, query: &[f32], ids: &[u32], out: &mut Vec<f32>) {
-        debug_assert_eq!(query.len(), self.dim);
+        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
         crate::distance::squared_euclidean_to_many(query, self.flat(), self.dim, ids, out);
     }
 
@@ -360,5 +368,29 @@ mod tests {
     #[should_panic(expected = "buffer length")]
     fn from_flat_validates_shape() {
         let _ = Dataset::from_flat(vec![0.0; 5], 2, 3);
+    }
+
+    /// Two 8-dim rows: a 64-float query against the last one would read
+    /// 56 floats past the matrix if the length went unchecked.
+    fn two_rows() -> Dataset {
+        Dataset::from_rows(&[vec![0.0; 8], vec![1.0; 8]])
+    }
+
+    #[test]
+    #[should_panic(expected = "query dimensionality mismatch")]
+    fn dist_to_rejects_a_wrong_length_query() {
+        two_rows().dist_to(&[2.0; 64], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "query dimensionality mismatch")]
+    fn dist_to_many_rejects_a_wrong_length_query() {
+        two_rows().dist_to_many(&[2.0; 64], &[1], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "query dimensionality mismatch")]
+    fn dist_to_many_rejects_a_short_query() {
+        two_rows().dist_to_many(&[2.0; 4], &[0, 1], &mut Vec::new());
     }
 }

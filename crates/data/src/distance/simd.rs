@@ -43,9 +43,12 @@ pub fn available() -> bool {
 }
 
 /// Squared Euclidean distance between two equal-length vectors.
+///
+/// # Panics
+/// Panics if the lengths differ, on every host.
 #[inline]
 pub fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len(), "vector lengths differ");
     #[cfg(target_arch = "x86_64")]
     if available() {
         // SAFETY: `available()` verified AVX2+FMA on this host.
@@ -55,9 +58,12 @@ pub fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Inner product of two equal-length vectors.
+///
+/// # Panics
+/// Panics if the lengths differ, on every host.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len(), "vector lengths differ");
     #[cfg(target_arch = "x86_64")]
     if available() {
         // SAFETY: `available()` verified AVX2+FMA on this host.
@@ -67,10 +73,15 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Cosine of the angle at `p` formed by points `a` and `b` (∠ a-p-b).
+///
+/// # Panics
+/// Panics if the three lengths differ, on every host.
 #[inline]
 pub fn cosine_angle_at(p: &[f32], a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(p.len(), a.len());
-    debug_assert_eq!(p.len(), b.len());
+    assert!(
+        p.len() == a.len() && p.len() == b.len(),
+        "vector lengths differ"
+    );
     #[cfg(target_arch = "x86_64")]
     if available() {
         // SAFETY: `available()` verified AVX2+FMA on this host.
@@ -88,7 +99,8 @@ pub fn cosine_angle_at(p: &[f32], a: &[f32], b: &[f32]) -> f32 {
 /// are bit-equal to the one-at-a-time path.
 ///
 /// # Panics
-/// Panics if any id addresses a row outside `flat`.
+/// Panics if `query` is not `dim` long or any id addresses a row outside
+/// `flat`, on every host.
 #[inline]
 pub fn squared_euclidean_to_many(
     query: &[f32],
@@ -97,6 +109,7 @@ pub fn squared_euclidean_to_many(
     ids: &[u32],
     out: &mut Vec<f32>,
 ) {
+    assert_eq!(query.len(), dim, "query length differs from dim");
     out.clear();
     out.reserve(ids.len());
     #[cfg(target_arch = "x86_64")]
@@ -115,10 +128,15 @@ pub fn squared_euclidean_to_many(
 /// residual `r[d] = query[d] - min[d]` and the per-dimension `step`,
 /// computes `Σ (r[d] - codes[d]·step[d])²` with codes widened `u8 → f32`
 /// in-register — the dequantized vector never exists in memory.
+///
+/// # Panics
+/// Panics if the three lengths differ, on every host.
 #[inline]
 pub fn sq8_residual_distance(residual: &[f32], step: &[f32], codes: &[u8]) -> f32 {
-    debug_assert_eq!(residual.len(), step.len());
-    debug_assert_eq!(residual.len(), codes.len());
+    assert!(
+        residual.len() == step.len() && residual.len() == codes.len(),
+        "vector lengths differ"
+    );
     #[cfg(target_arch = "x86_64")]
     if available() {
         // SAFETY: `available()` verified AVX2+FMA on this host.
@@ -134,9 +152,16 @@ pub fn sq8_residual_distance(residual: &[f32], step: &[f32], codes: &[u8]) -> f3
 /// lookups. Summation order (8-lane tree + scalar tail) differs from the
 /// scalar tier's left-to-right reduction — bit-identical within this
 /// tier, tolerance-bounded across tiers, like every other kernel.
+///
+/// # Panics
+/// Panics unless `tables` holds 256 entries per code, on every host.
 #[inline]
 pub fn pq_adc(tables: &[f32], codes: &[u8]) -> f32 {
-    debug_assert_eq!(tables.len(), codes.len() * 256);
+    assert_eq!(
+        tables.len(),
+        codes.len() * 256,
+        "one 256-entry table per code"
+    );
     #[cfg(target_arch = "x86_64")]
     if available() {
         // SAFETY: `available()` verified AVX2+FMA on this host.
@@ -164,7 +189,7 @@ mod imp {
     }
 
     /// # Safety
-    /// Caller must ensure AVX2+FMA are available.
+    /// Caller must ensure AVX2+FMA are available and equal lengths.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len();
@@ -214,7 +239,7 @@ mod imp {
     }
 
     /// # Safety
-    /// Caller must ensure AVX2+FMA are available.
+    /// Caller must ensure AVX2+FMA are available and equal lengths.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len();
@@ -260,7 +285,7 @@ mod imp {
     }
 
     /// # Safety
-    /// Caller must ensure AVX2+FMA are available.
+    /// Caller must ensure AVX2+FMA are available and equal lengths.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn cosine_angle_at(p: &[f32], a: &[f32], b: &[f32]) -> f32 {
         let n = p.len();
@@ -300,7 +325,7 @@ mod imp {
     }
 
     /// # Safety
-    /// Caller must ensure AVX2+FMA are available.
+    /// Caller must ensure AVX2+FMA are available and `query.len() == dim`.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn squared_euclidean_to_many(
         query: &[f32],
@@ -318,7 +343,7 @@ mod imp {
     }
 
     /// # Safety
-    /// Caller must ensure AVX2+FMA are available.
+    /// Caller must ensure AVX2+FMA are available and equal lengths.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn sq8_residual_distance(residual: &[f32], step: &[f32], codes: &[u8]) -> f32 {
         let n = residual.len();
@@ -362,7 +387,8 @@ mod imp {
     }
 
     /// # Safety
-    /// Caller must ensure AVX2+FMA are available.
+    /// Caller must ensure AVX2+FMA are available and 256 table entries
+    /// per code.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn pq_adc(tables: &[f32], codes: &[u8]) -> f32 {
         let m = codes.len();
@@ -483,5 +509,44 @@ mod tests {
             let v = cosine_angle_at(&p, &a, &b);
             assert!((s - v).abs() <= 1e-4, "dim {dim}: {s} vs {v}");
         }
+    }
+
+    // Every safe entry point checks its lengths before choosing a path,
+    // so a short operand panics on every host instead of being read past.
+    #[test]
+    #[should_panic(expected = "vector lengths differ")]
+    fn squared_euclidean_rejects_a_shorter_operand() {
+        squared_euclidean(&[1.0; 16], &[0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "vector lengths differ")]
+    fn dot_rejects_a_shorter_operand() {
+        dot(&[1.0; 16], &[0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "vector lengths differ")]
+    fn cosine_angle_at_rejects_a_shorter_operand() {
+        cosine_angle_at(&[1.0; 16], &[0.0; 16], &[2.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "vector lengths differ")]
+    fn sq8_residual_distance_rejects_short_codes() {
+        sq8_residual_distance(&[1.0; 16], &[0.5; 16], &[3; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one 256-entry table per code")]
+    fn pq_adc_rejects_a_short_table() {
+        pq_adc(&[1.0; 256 * 4], &[255; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "query length differs from dim")]
+    fn batch_variant_rejects_a_long_query() {
+        let flat = [0.5f32; 16];
+        squared_euclidean_to_many(&[1.0; 64], &flat, 8, &[1], &mut Vec::new());
     }
 }
