@@ -1,10 +1,10 @@
-//! Build-time and search-time graph representations.
+//! Search-time graph representations.
 //!
-//! Construction mutates neighbor lists from many threads (NN-Descent,
-//! refinement passes), so [`BuildGraph`] wraps each vertex's list in a
-//! `parking_lot::RwLock`. Search never mutates, so indexes are *frozen*
-//! into a [`CsrGraph`]: one offsets array plus one flat edge array —
-//! contiguous neighbors, one indirection, no per-vertex allocation.
+//! Builders work on their own plain per-vertex lists (the descent
+//! engines on flat packed-key tables) and, since search never mutates,
+//! *freeze* the result into a [`CsrGraph`]: one offsets array plus one
+//! flat edge array — contiguous neighbors, one indirection, no
+//! per-vertex allocation.
 //!
 //! Indexes that keep growing while they are searched (HNSW's insertion,
 //! the dynamic HNSW) sit between the two: single-writer, degree-bounded,
@@ -13,8 +13,6 @@
 //! so a neighbor list is one address computation and one load, and the
 //! block can be prefetched before it is read.
 
-use parking_lot::RwLock;
-use weavess_data::neighbor::insert_into_pool;
 use weavess_data::Neighbor;
 
 /// Read access to a graph's out-neighbors — the only view search needs.
@@ -180,103 +178,6 @@ impl GraphView for SlotGraph {
     }
 }
 
-/// Concurrent adjacency list used during index construction.
-///
-/// Each vertex holds a nearest-first sorted pool of [`Neighbor`]s. Locks are
-/// per-vertex, so refinement passes over disjoint vertices proceed in
-/// parallel without contention.
-pub struct BuildGraph {
-    nodes: Vec<RwLock<Vec<Neighbor>>>,
-}
-
-impl BuildGraph {
-    /// An edgeless graph over `n` vertices.
-    pub fn new(n: usize) -> Self {
-        BuildGraph {
-            nodes: (0..n).map(|_| RwLock::new(Vec::new())).collect(),
-        }
-    }
-
-    /// Builds directly from per-vertex neighbor lists.
-    pub fn from_lists(lists: Vec<Vec<Neighbor>>) -> Self {
-        BuildGraph {
-            nodes: lists.into_iter().map(RwLock::new).collect(),
-        }
-    }
-
-    /// Number of vertices.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the graph has no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Clones vertex `v`'s neighbor pool (read lock held only for the copy).
-    pub fn neighbors(&self, v: u32) -> Vec<Neighbor> {
-        self.nodes[v as usize].read().clone()
-    }
-
-    /// Runs `f` with a read borrow of vertex `v`'s pool, avoiding the clone.
-    pub fn with_neighbors<R>(&self, v: u32, f: impl FnOnce(&[Neighbor]) -> R) -> R {
-        f(&self.nodes[v as usize].read())
-    }
-
-    /// Replaces vertex `v`'s pool (kept sorted by the caller's contract).
-    pub fn set_neighbors(&self, v: u32, mut pool: Vec<Neighbor>) {
-        pool.sort_unstable();
-        *self.nodes[v as usize].write() = pool;
-    }
-
-    /// Inserts `n` into vertex `v`'s bounded pool; returns the insert
-    /// position (see [`insert_into_pool`]).
-    pub fn insert(&self, v: u32, capacity: usize, n: Neighbor) -> Option<usize> {
-        insert_into_pool(&mut self.nodes[v as usize].write(), capacity, n)
-    }
-
-    /// Current out-degree of `v`.
-    pub fn degree(&self, v: u32) -> usize {
-        self.nodes[v as usize].read().len()
-    }
-
-    /// Consumes the graph into plain per-vertex lists.
-    pub fn into_lists(self) -> Vec<Vec<Neighbor>> {
-        self.nodes.into_iter().map(|l| l.into_inner()).collect()
-    }
-
-    /// Copies out plain per-vertex lists without consuming.
-    pub fn to_lists(&self) -> Vec<Vec<Neighbor>> {
-        self.nodes.iter().map(|l| l.read().clone()).collect()
-    }
-
-    /// Freezes into a CSR search graph, keeping at most `max_degree`
-    /// nearest neighbors per vertex (`usize::MAX` keeps all).
-    ///
-    /// Writes the CSR arrays directly — no intermediate `Vec<Vec<u32>>` —
-    /// and sizes the edge array from the *clamped* degrees, so a graph
-    /// whose pools exceed `max_degree` doesn't briefly allocate for the
-    /// untruncated edge count.
-    pub fn freeze(&self, max_degree: usize) -> CsrGraph {
-        let total: usize = self
-            .nodes
-            .iter()
-            .map(|l| l.read().len().min(max_degree))
-            .sum();
-        let mut offsets = Vec::with_capacity(self.nodes.len() + 1);
-        let mut edges = Vec::with_capacity(total);
-        offsets.push(0u64);
-        for l in &self.nodes {
-            let pool = l.read();
-            edges.extend(pool.iter().take(max_degree).map(|n| n.id));
-            offsets.push(edges.len() as u64);
-        }
-        debug_assert_eq!(edges.len(), total);
-        CsrGraph { offsets, edges }
-    }
-}
-
 /// Immutable compressed-sparse-row graph used for search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
@@ -399,35 +300,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn build_graph_insert_respects_capacity_and_order() {
-        let g = BuildGraph::new(3);
-        g.insert(0, 2, Neighbor::new(1, 5.0));
-        g.insert(0, 2, Neighbor::new(2, 1.0));
-        g.insert(0, 2, Neighbor::new(1, 5.0)); // duplicate, rejected
-        let n = g.neighbors(0);
-        assert_eq!(n, vec![Neighbor::new(2, 1.0), Neighbor::new(1, 5.0)]);
-        assert_eq!(g.degree(0), 2);
-    }
-
-    #[test]
-    fn set_neighbors_sorts() {
-        let g = BuildGraph::new(1);
-        g.set_neighbors(0, vec![Neighbor::new(5, 3.0), Neighbor::new(9, 1.0)]);
-        assert_eq!(g.neighbors(0)[0].id, 9);
-    }
-
-    #[test]
-    fn freeze_truncates_to_max_degree() {
-        let g = BuildGraph::new(2);
-        for (id, d) in [(1u32, 1.0f32), (2, 2.0), (3, 3.0)] {
-            g.insert(0, 8, Neighbor::new(id, d));
-        }
-        let csr = g.freeze(2);
-        assert_eq!(csr.neighbors(0), &[1, 2]);
-        assert_eq!(csr.neighbors(1), &[] as &[u32]);
-    }
-
-    #[test]
     fn csr_roundtrip() {
         let lists = vec![vec![1u32, 2], vec![], vec![0]];
         let csr = CsrGraph::from_lists(&lists);
@@ -462,21 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn freeze_allocates_exactly_the_clamped_edge_count() {
-        let g = BuildGraph::new(3);
-        for v in 0..3u32 {
-            for (id, d) in [(10u32, 1.0f32), (11, 2.0), (12, 3.0), (13, 4.0)] {
-                g.insert(v, 8, Neighbor::new(id, d));
-            }
-        }
-        let csr = g.freeze(2);
-        assert_eq!(csr.num_edges(), 6);
-        // Edge storage was sized from the clamped degrees, not the pools.
-        assert_eq!(csr.edges.capacity(), 6);
-        assert_eq!(csr.to_lists(), vec![vec![10, 11]; 3]);
-    }
-
-    #[test]
     fn degree_histogram_counts_every_vertex() {
         let csr = CsrGraph::from_lists(&[vec![1u32, 2, 3], vec![], vec![0u32], vec![0u32]]);
         assert_eq!(csr.degree_histogram(), vec![1, 2, 0, 1]);
@@ -490,24 +347,5 @@ mod tests {
     fn csr_memory_accounts_offsets_and_edges() {
         let csr = CsrGraph::from_lists(&[vec![1u32], vec![0u32]]);
         assert_eq!(csr.memory_bytes(), 3 * 8 + 2 * 4);
-    }
-
-    #[test]
-    fn concurrent_inserts_are_safe() {
-        let g = BuildGraph::new(1);
-        std::thread::scope(|s| {
-            for t in 0..4u32 {
-                let g = &g;
-                s.spawn(move || {
-                    for i in 0..50u32 {
-                        g.insert(0, 16, Neighbor::new(t * 100 + i, (t * 100 + i) as f32));
-                    }
-                });
-            }
-        });
-        let n = g.neighbors(0);
-        assert_eq!(n.len(), 16);
-        // Pool holds the 16 globally smallest distances: ids 0..16 from t=0.
-        assert!(n.iter().all(|x| x.id < 16));
     }
 }

@@ -4,9 +4,9 @@
 //!
 //! Owns everything graph-shaped that the algorithms share:
 //!
-//! - [`adjacency`]: the concurrent build-time graph ([`BuildGraph`]), the
-//!   flat CSR search graph ([`CsrGraph`]) and the mutable fixed-stride
-//!   graph of the incremental indexes ([`SlotGraph`]).
+//! - [`adjacency`]: the flat CSR search graph ([`CsrGraph`]) and the
+//!   mutable fixed-stride graph of the incremental indexes
+//!   ([`SlotGraph`]).
 //! - [`unionfind`]: disjoint sets (connected components, Kruskal).
 //! - [`base`]: exact base graphs from §3.1 — KNNG, RNG, MST — used as
 //!   baselines, inside algorithms (HCNNG's per-cluster MSTs), and as the
@@ -32,7 +32,7 @@ pub mod overlay;
 pub mod reorder;
 pub mod unionfind;
 
-pub use adjacency::{BuildGraph, CsrGraph, SlotGraph};
+pub use adjacency::{CsrGraph, SlotGraph};
 pub use fused::FusedArena;
 pub use overlay::{merge_overlay, strip_overlay, GraphOverlay, OverlayError};
 pub use reorder::{bfs_order, Permutation};

@@ -1,13 +1,13 @@
 #![warn(missing_docs)]
 
 //! Offline stand-in for the subset of `parking_lot` this workspace uses:
-//! [`Mutex`] and [`RwLock`] with panic-free, guard-returning lock methods.
+//! [`Mutex`] with panic-free, guard-returning lock methods.
 //!
 //! Backed by `std::sync` primitives; poisoning is deliberately ignored
 //! (matching parking_lot semantics) by recovering the inner guard when a
 //! previous holder panicked.
 
-use std::sync::{self, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{self, MutexGuard};
 
 /// A mutual-exclusion lock whose `lock` returns the guard directly.
 #[derive(Debug, Default)]
@@ -29,39 +29,6 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// A reader-writer lock whose `read`/`write` return guards directly.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock.
-    pub fn new(value: T) -> Self {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -92,14 +59,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*m.lock(), 800);
-    }
-
-    #[test]
-    fn rwlock_reads_and_writes() {
-        let l = RwLock::new(vec![1, 2, 3]);
-        assert_eq!(l.read().len(), 3);
-        l.write().push(4);
-        assert_eq!(l.read().len(), 4);
-        assert_eq!(l.into_inner(), vec![1, 2, 3, 4]);
     }
 }
