@@ -16,6 +16,7 @@ use crate::components::seeds::SeedStrategy;
 use crate::index::FlatIndex;
 use crate::parallel;
 use crate::search::{beam_search, Router, SearchScratch, SearchStats};
+use crate::shard::partition_key;
 use crate::telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,14 +53,6 @@ impl NswParams {
     }
 }
 
-/// SplitMix64 — decorrelates the per-point seed streams.
-fn mix(seed: u64, p: u32) -> u64 {
-    let mut z = seed ^ (p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Work-unit size for the parallel insertion-search phase.
 const SEARCH_CHUNK: usize = 32;
 
@@ -84,8 +77,10 @@ pub fn build(ds: &Dataset, params: &NswParams) -> FlatIndex {
                         .map(|i| {
                             let p = (frozen + i) as u32;
                             // Random seeds among the frozen prefix [0, frozen),
-                            // drawn from the point's own stream.
-                            let mut rng = StdRng::seed_from_u64(mix(params.seed, p));
+                            // drawn from the point's own stream, decorrelated
+                            // by the same SplitMix64 key the shards deal by.
+                            let key = partition_key(params.seed, p as u64);
+                            let mut rng = StdRng::seed_from_u64(key);
                             let seeds: Vec<u32> = (0..params.search_seeds.min(frozen))
                                 .map(|_| rng.gen_range(0..frozen as u32))
                                 .collect();

@@ -12,7 +12,7 @@ use crate::parallel::{self, CHUNK};
 
 /// SplitMix64 finalizer over `seed ^ id`: the per-point partition key.
 /// Stateless, so any subrange of keys can be computed independently and
-/// in parallel.
+/// in parallel. NSW's builder seeds each point's RNG stream with it too.
 #[inline]
 pub fn partition_key(seed: u64, id: u64) -> u64 {
     let mut z = seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
