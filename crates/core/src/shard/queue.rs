@@ -31,6 +31,13 @@
 //!   failed before unwinding, so each follower unwinds too instead of
 //!   sleeping forever, and the queue keeps serving.
 //!
+//! A queue built [`with_flights`](BatchQueue::with_flights) measures each
+//! query's admission wait (enqueue → close) once, when the batch closes,
+//! and hands the waits to the executor beside the recorder,
+//! index-aligned with the batch; the same values feed
+//! [`QueueStats::queue_delay_ns`]. A wait reaches its flight as data
+//! passed down the call, never as state kept elsewhere.
+//!
 //! Queries enter the closed batch in submission order, and results are
 //! keyed by ticket, so every caller gets exactly its own query's answer.
 //! Coalescing never changes results: both engines answer each query
