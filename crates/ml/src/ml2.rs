@@ -224,6 +224,11 @@ impl Ml2Index {
         (out, rb.ndc, rb.hops)
     }
 
+    /// The trained effort regressor.
+    pub fn model(&self) -> &Gbdt {
+        &self.model
+    }
+
     /// Extra memory the optimization adds (the model).
     pub fn extra_memory_bytes(&self) -> usize {
         self.model.memory_bytes()
