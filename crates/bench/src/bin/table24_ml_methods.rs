@@ -13,7 +13,7 @@ use weavess_bench::report::{banner, f, mb, Table};
 use weavess_bench::{env_scale, env_threads};
 use weavess_core::algorithms::nsg::{self, NsgParams};
 use weavess_core::index::{AnnIndex, SearchContext};
-use weavess_core::search::{SearchScratch, VisitedPool};
+use weavess_core::search::SearchScratch;
 use weavess_data::metrics::recall;
 use weavess_data::synthetic::MixtureSpec;
 use weavess_ml::ml1;
@@ -89,7 +89,6 @@ fn main() {
             mb(base.memory_bytes() + ds.base.memory_bytes() + m1.extra_memory_bytes()),
         ]);
         let mut scratch = SearchScratch::new(ds.base.len());
-        let mut visited = VisitedPool::new(ds.base.len());
         for &beam in &BEAMS {
             let mut r = 0.0;
             let mut eff = 0.0;
@@ -136,7 +135,7 @@ fn main() {
             let mut ndc = 0u64;
             let eval: Vec<u32> = (half as u32..ds.queries.len() as u32).collect();
             for &qi in &eval {
-                let (res, n, _) = m2.search(&ds.base, ds.queries.point(qi), 1, beam, &mut visited);
+                let (res, n, _) = m2.search(&ds.base, ds.queries.point(qi), 1, beam, &mut scratch);
                 let ids: Vec<u32> = res.iter().map(|x| x.id).collect();
                 r += recall(&ids, &ds.gt[qi as usize][..1]);
                 ndc += n;
@@ -158,7 +157,7 @@ fn main() {
             f(m3.preprocessing_secs, 1),
             mb(ds.base.memory_bytes() + m3.extra_memory_bytes()),
         ]);
-        let (mut mctx, _) = m3.context();
+        let mut mctx = m3.context();
         for &beam in &BEAMS {
             let mut r = 0.0;
             let mut eff = 0.0;

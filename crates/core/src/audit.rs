@@ -26,11 +26,12 @@
 //! [`AnnIndex::overlay_edges`]: crate::index::AnnIndex::overlay_edges
 
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
 use weavess_data::ground_truth::knn_scan;
 use weavess_data::{Dataset, Neighbor};
 
+use crate::parallel::lock;
 use crate::telemetry::expose::{Expose, Exposition};
 use crate::telemetry::flight::splitmix64;
 use crate::telemetry::histogram::{bucket_lower_bound, bucket_upper_bound, BUCKETS};
@@ -166,7 +167,7 @@ impl<'a> RecallAuditor<'a> {
         assert_eq!(shard_of.len(), self.base.len(), "map must cover the base");
         self.shard_of = Some(shard_of);
         self.num_shards = num_shards;
-        self.inner.lock().per_shard = vec![(0, 0); num_shards];
+        lock(&self.inner).per_shard = vec![(0, 0); num_shards];
         self
     }
 
@@ -201,7 +202,7 @@ impl<'a> RecallAuditor<'a> {
         if !self.should_audit(fingerprint) {
             return false;
         }
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         g.sampled_total += 1;
         if g.pending.len() >= self.cfg.max_pending {
             g.pending.pop_front();
@@ -222,7 +223,7 @@ impl<'a> RecallAuditor<'a> {
     pub fn run_pending(&self) -> usize {
         let mut ran = 0;
         while ran < self.cfg.budget_per_tick {
-            let Some(job) = self.inner.lock().pending.pop_front() else {
+            let Some(job) = lock(&self.inner).pending.pop_front() else {
                 break;
             };
             let exact = knn_scan(self.base, &job.query, self.cfg.k, None);
@@ -242,7 +243,7 @@ impl<'a> RecallAuditor<'a> {
             .take(exact.len())
             .filter(|id| exact.iter().any(|e| e.id == **id))
             .count() as u64;
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         g.audited_total += 1;
         g.hits_total += hits;
         g.trials_total += trials;
@@ -269,7 +270,7 @@ impl<'a> RecallAuditor<'a> {
 
     /// A point-in-time copy of the audit state.
     pub fn snapshot(&self) -> AuditSnapshot {
-        let g = self.inner.lock();
+        let g = lock(&self.inner);
         let (ci_low, ci_high) = wilson_interval(g.window_hits, g.window_trials, 1.96);
         AuditSnapshot {
             k: self.cfg.k,

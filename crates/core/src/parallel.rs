@@ -31,15 +31,20 @@
 //! measured hand-off latency says that thread would arrive in time to
 //! take a task off the caller.
 
-use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
+
+/// Locks `m`, ignoring poisoning: no task runs under a lock in this crate,
+/// so a panicking task never leaves the guarded state half updated.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Default work-unit size for per-point construction loops. Small enough
 /// to load-balance skewed work (beam searches vary), large enough that the
@@ -127,14 +132,18 @@ where
                     if c >= work.len() {
                         break;
                     }
-                    let slot = work[c].lock().take().expect("chunk taken twice");
-                    *done[c].lock() = Some(f(&mut state, c * chunk, slot));
+                    let slot = lock(&work[c]).take().expect("chunk taken twice");
+                    *lock(&done[c]) = Some(f(&mut state, c * chunk, slot));
                 }
             });
         }
     });
     done.into_iter()
-        .map(|s| s.into_inner().expect("chunk not processed"))
+        .map(|s| {
+            s.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("chunk not processed")
+        })
         .collect()
 }
 
@@ -205,7 +214,7 @@ impl Handoff {
     }
 
     fn record(&self, ns: u64) {
-        let mut w = self.window.lock();
+        let mut w = lock(&self.window);
         if w.pinned {
             return;
         }
@@ -224,7 +233,7 @@ impl Handoff {
     }
 
     fn pin(&self, ns: u64) {
-        self.window.lock().pinned = true;
+        lock(&self.window).pinned = true;
         self.estimate_ns
             .store(ns.min(HANDOFF_UNKNOWN - 1), Ordering::Relaxed);
     }
@@ -268,7 +277,7 @@ impl Job {
                 return;
             }
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.task)(i))) {
-                self.panics.lock().push(payload);
+                lock(&self.panics).push(payload);
             }
             if self.unfinished.fetch_sub(1, Ordering::AcqRel) == 1 && !is_caller {
                 self.caller.unpark();
@@ -312,7 +321,7 @@ struct PoolShared {
 
 impl PoolShared {
     fn worker_loop(&self) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         // A hand-off this worker measured on waking, until it is noted on
         // the job it was paid for.
         let mut measured: Option<u64> = None;
@@ -330,7 +339,7 @@ impl PoolShared {
                     );
                 }
                 job.work(false);
-                state = self.state.lock();
+                state = lock(&self.state);
                 state.retire(&job);
             } else if state.shutdown {
                 return;
@@ -468,7 +477,7 @@ impl WorkerPool {
         let task: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
         let handoff = self.shared.handoff.estimate();
         let job = {
-            let mut state = self.shared.state.lock();
+            let mut state = lock(&self.shared.state);
             let woken = wake_count(n_tasks, state.parked, handoff, task_cost_ns);
             if woken > 0 {
                 state.wake_sent = Some(Instant::now());
@@ -496,11 +505,11 @@ impl WorkerPool {
         };
         mode.fetch_add(1, Ordering::Relaxed);
         job.work(true);
-        self.shared.state.lock().retire(&job);
+        lock(&self.shared.state).retire(&job);
         while job.unfinished.load(Ordering::Acquire) != 0 {
             std::thread::park();
         }
-        let mut panics = std::mem::take(&mut *job.panics.lock());
+        let mut panics = std::mem::take(&mut *lock(&job.panics));
         if !panics.is_empty() {
             resume_unwind(panics.swap_remove(0));
         }
@@ -522,11 +531,15 @@ impl WorkerPool {
     ) -> (Vec<T>, Option<u64>) {
         let slots: Vec<Mutex<Option<T>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
         let handoff = self.run_with_cost(n_tasks, task_cost_ns, |i| {
-            *slots[i].lock() = Some(task(i));
+            *lock(&slots[i]) = Some(task(i));
         });
         let values = slots
             .into_iter()
-            .map(|s| s.into_inner().expect("run finished every task"))
+            .map(|s| {
+                s.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("run finished every task")
+            })
             .collect();
         (values, handoff)
     }
@@ -563,7 +576,7 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         if let Some(handles) = self.handles.take() {
-            self.shared.state.lock().shutdown = true;
+            lock(&self.shared.state).shutdown = true;
             self.shared.wake.notify_all();
             for h in handles {
                 // Workers catch every task panic, so this cannot fail —
@@ -884,7 +897,7 @@ mod tests {
     /// condvar, so the next job's wake count is the rule's alone.
     fn wait_all_parked(pool: &WorkerPool) {
         let spawned = pool.handles.get().expect("the pool has started").len();
-        while pool.shared.state.lock().parked < spawned {
+        while lock(&pool.shared.state).parked < spawned {
             std::thread::yield_now();
         }
     }

@@ -4,8 +4,7 @@
 //! paper's Table 5 "MO" column measures).
 
 use crate::index::IndexError;
-use crate::search::{beam_search, SearchScratch, SearchStats};
-use weavess_data::neighbor::insert_into_pool;
+use crate::search::{beam_search, rerank, SearchScratch, SearchStats};
 use weavess_data::quant::Sq8Dataset;
 use weavess_data::{Dataset, Neighbor};
 use weavess_graph::{CsrGraph, FusedArena};
@@ -109,17 +108,8 @@ impl QuantizedIndex {
         full_evals: &mut u64,
     ) -> Vec<Neighbor> {
         let pool = self.search_quantized(query, beam.max(k), scratch, stats);
-        let mut rer: Vec<Neighbor> = Vec::with_capacity(pool.len());
-        for c in &pool {
-            *full_evals += 1;
-            insert_into_pool(
-                &mut rer,
-                pool.len(),
-                Neighbor::new(c.id, full.dist_to(query, c.id)),
-            );
-        }
-        rer.truncate(k);
-        rer
+        *full_evals += pool.len() as u64;
+        rerank(full, query, &pool, k, scratch)
     }
 
     /// Routing memory: the graph plus codes (raw vectors excluded — that

@@ -1,10 +1,14 @@
 //! Best-first search — the paper's Algorithm 1 (Appendix F), C7's
-//! dominant implementation: the shared loop over the bounded candidate
-//! pool of Definition 4.7.
+//! dominant implementation over the bounded candidate pool of Definition
+//! 4.7 — with an optional caller-decided stop, and the full-vector rerank.
 
+use super::core::{Frontier, Open, Start, Walk};
+use super::pool::PoolView;
+use super::scratch::Stores;
 use super::{Router, SearchScratch, SearchStats};
+use crate::telemetry::NoopTracer;
 use weavess_data::vectors::VectorView;
-use weavess_data::Neighbor;
+use weavess_data::{Dataset, Neighbor};
 use weavess_graph::adjacency::GraphView;
 
 /// Best-first (beam) search from `seeds`, returning up to `beam` nearest
@@ -39,6 +43,74 @@ pub fn beam_search(
     stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
     Router::BestFirst.search(ds, g, query, seeds, beam, scratch, stats)
+}
+
+/// [`beam_search`] that ends early when `stop` says so: before each
+/// expansion, and once more when no unexpanded candidate is left, `stop`
+/// gets the hops this walk has made and a read-only view of its pool.
+/// Learned early termination (ML2) is this loop with a predicted budget.
+#[allow(clippy::too_many_arguments)]
+pub fn beam_search_until(
+    ds: &(impl VectorView + ?Sized),
+    g: &(impl GraphView + ?Sized),
+    query: &[f32],
+    seeds: &[u32],
+    beam: usize,
+    scratch: &mut SearchScratch,
+    stats: &mut SearchStats,
+    stop: impl FnMut(u64, PoolView<'_>) -> bool,
+) -> Vec<Neighbor> {
+    let mut walk = Walk {
+        ds,
+        g,
+        query,
+        scratch,
+        stats,
+        tracer: &mut NoopTracer,
+    };
+    walk.run(Start::Seeds(seeds), beam, Until { hops: 0, stop }, Open)
+}
+
+/// Best-first search that asks a caller closure whether to stop.
+struct Until<F> {
+    hops: u64,
+    stop: F,
+}
+
+impl<F: FnMut(u64, PoolView<'_>) -> bool> Frontier for Until<F> {
+    fn next(&mut self, s: &mut Stores) -> Option<Neighbor> {
+        if (self.stop)(self.hops, PoolView(&s.pool)) {
+            return None;
+        }
+        let c = s.pool.next_unexpanded()?;
+        self.hops += 1;
+        Some(c)
+    }
+}
+
+/// The `k` nearest of a routed `pool` by `ds`'s distances, nearest first:
+/// the full-vector rerank after a route over compressed or quantized
+/// vectors. The pool is scored with one [`Dataset::dist_to_many`] gather
+/// into `scratch`'s staging buffers; its ids must be distinct, as every
+/// router's are.
+pub fn rerank(
+    ds: &Dataset,
+    query: &[f32],
+    pool: &[Neighbor],
+    k: usize,
+    scratch: &mut SearchScratch,
+) -> Vec<Neighbor> {
+    let (ids, dists) = (&mut scratch.batch_ids, &mut scratch.batch_dists);
+    ids.clear();
+    ids.extend(pool.iter().map(|n| n.id));
+    ds.dist_to_many(query, ids, dists);
+    let mut out = pool.to_vec();
+    for (n, &d) in out.iter_mut().zip(dists.iter()) {
+        n.dist = d;
+    }
+    out.sort_unstable();
+    out.truncate(k);
+    out
 }
 
 #[cfg(test)]
@@ -196,5 +268,88 @@ mod tests {
         assert_eq!(plain, traced);
         assert_eq!(u64::from(tracer.hops()), traced.hops);
         assert!(tracer.replay_check(&ds, qs.point(0)));
+    }
+
+    /// A stop rule that never fires is plain best-first search: same
+    /// results, same counters. It is asked once per expansion plus once
+    /// at the end, with the hop count of this walk alone, and sees the
+    /// pool nearest first.
+    #[test]
+    fn until_without_a_stop_is_beam_search() {
+        let (ds, qs, g) = setup();
+        let mut scratch = SearchScratch::new(ds.len());
+        // Counters from an earlier query: the rule still counts from 0.
+        let mut plain = SearchStats::default();
+        scratch.next_epoch();
+        beam_search(&ds, &g, qs.point(1), &[0], 16, &mut scratch, &mut plain);
+        let mut until = plain;
+        for qi in 0..qs.len() as u32 {
+            let q = qs.point(qi);
+            scratch.next_epoch();
+            let a = beam_search(&ds, &g, q, &[0, 5], 16, &mut scratch, &mut plain);
+            let (hops_before, mut asked) = (until.hops, Vec::new());
+            scratch.next_epoch();
+            let b = beam_search_until(&ds, &g, q, &[0, 5], 16, &mut scratch, &mut until, |h, p| {
+                assert!((1..p.len()).all(|i| p.get(i - 1) < p.get(i)));
+                asked.push(h);
+                false
+            });
+            assert_eq!(a, b);
+            assert_eq!(plain, until);
+            let hops = until.hops - hops_before;
+            assert_eq!(asked, (0..=hops).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn until_stops_at_the_hop_the_rule_names() {
+        let (ds, qs, g) = setup();
+        let mut scratch = SearchScratch::new(ds.len());
+        for budget in [0u64, 1, 3, 7] {
+            let mut stats = SearchStats::default();
+            scratch.next_epoch();
+            let res = beam_search_until(
+                &ds,
+                &g,
+                qs.point(0),
+                &[0],
+                32,
+                &mut scratch,
+                &mut stats,
+                |h, p| {
+                    assert!(!p.is_empty());
+                    h >= budget
+                },
+            );
+            assert_eq!(stats.hops, budget);
+            assert!(!res.is_empty() && res.len() <= 32);
+        }
+    }
+
+    /// The rerank returns the pool's `k` nearest by the full distances,
+    /// bit-equal to scoring each id with `dist_to`, and leaves a pool
+    /// shorter than `k` whole.
+    #[test]
+    fn rerank_orders_the_pool_by_full_distance() {
+        let (ds, qs, _) = setup();
+        let q = qs.point(0);
+        // A routed pool whose proxy distances are all wrong.
+        let pool: Vec<Neighbor> = (0..40u32).map(|i| Neighbor::new(i * 7, 0.0)).collect();
+        let mut want: Vec<Neighbor> = pool
+            .iter()
+            .map(|n| Neighbor::new(n.id, ds.dist_to(q, n.id)))
+            .collect();
+        want.sort();
+        let mut scratch = SearchScratch::new(ds.len());
+        for k in [0, 1, 10, 40, 100] {
+            let got = rerank(&ds, q, &pool, k, &mut scratch);
+            let bits = |v: &[Neighbor]| {
+                v.iter()
+                    .map(|n| (n.id, n.dist.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&got), bits(&want[..k.min(40)]));
+        }
+        assert!(rerank(&ds, q, &[], 10, &mut scratch).is_empty());
     }
 }

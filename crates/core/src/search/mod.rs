@@ -8,7 +8,10 @@
 //! path length*, which proxies I/O count on disk-resident indexes, §5.3).
 //!
 //! There is one best-first loop (`search/core.rs`); each [`Router`]
-//! variant, and the attribute-filtered search, is a policy of it.
+//! variant, the attribute-filtered search and the caller-decided stop of
+//! [`beam_search_until`] (ML2's learned early termination) are policies of
+//! it. [`rerank`] rescores a pool routed over compressed or quantized
+//! vectors with the full ones.
 
 mod backtrack;
 mod beam;
@@ -20,8 +23,9 @@ mod range;
 mod scratch;
 mod visited;
 
-pub use beam::beam_search;
+pub use beam::{beam_search, beam_search_until, rerank};
 pub use filtered::{filtered_beam_search, filtered_beam_search_traced};
+pub use pool::PoolView;
 pub use scratch::SearchScratch;
 pub use visited::VisitedPool;
 

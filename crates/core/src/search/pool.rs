@@ -140,6 +140,28 @@ impl CandidatePool {
     }
 }
 
+/// A read-only view of a walk's candidate pool, nearest first — what the
+/// stop rule of [`crate::search::beam_search_until`] sees.
+#[derive(Debug, Clone, Copy)]
+pub struct PoolView<'a>(pub(crate) &'a CandidatePool);
+
+impl PoolView<'_> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.0.slots.len()
+    }
+
+    /// True when the pool holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.0.slots.is_empty()
+    }
+
+    /// The `i`-th nearest entry.
+    pub fn get(&self, i: usize) -> Option<Neighbor> {
+        self.0.slots.get(i).map(|&s| neighbor(s))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

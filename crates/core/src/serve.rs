@@ -40,15 +40,15 @@
 //! [`QueryEngine::metrics_json`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::index::{AnnIndex, SearchContext};
-use crate::parallel::{PoolSnapshot, WorkerPool};
+use crate::parallel::{lock, PoolSnapshot, WorkerPool};
 use crate::search::SearchStats;
 use crate::telemetry::expose::{Expose, Exposition};
 use crate::telemetry::flight::{query_fingerprint, FlightRecorder, QueryFlightPart};
 use crate::telemetry::{Histogram, RouteTracer, ShardedCounter};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use weavess_data::{Dataset, Neighbor};
@@ -266,7 +266,7 @@ impl<'a> QueryEngine<'a> {
     /// Number of pooled scratch contexts currently idle (observability;
     /// bounded by the peak worker concurrency reached so far).
     pub fn pooled_contexts(&self) -> usize {
-        self.scratch.lock().len()
+        lock(&self.scratch).len()
     }
 
     /// Queries served since the engine was created (batched and
@@ -287,7 +287,7 @@ impl<'a> QueryEngine<'a> {
 
     /// A copy of the cumulative metrics, for fleet-level aggregation.
     pub fn snapshot(&self) -> EngineSnapshot {
-        let cum = self.cumulative.lock();
+        let cum = lock(&self.cumulative);
         EngineSnapshot {
             queries_total: self.queries_total.get(),
             batches_total: self.batches_total.get(),
@@ -312,7 +312,7 @@ impl<'a> QueryEngine<'a> {
     /// nanoseconds; `None` until one has been timed. What the engines
     /// price a pool task with.
     pub(crate) fn mean_walk_ns(&self) -> Option<u64> {
-        let cum = self.cumulative.lock();
+        let cum = lock(&self.cumulative);
         let timed = cum.latency.count() as u128;
         (timed > 0).then(|| (cum.latency.sum() / timed) as u64)
     }
@@ -350,7 +350,7 @@ impl<'a> QueryEngine<'a> {
     }
 
     fn checkout(&self) -> SearchContext {
-        match self.scratch.lock().pop() {
+        match lock(&self.scratch).pop() {
             Some(mut ctx) => {
                 ctx.scratch.ensure_len(self.ds.len());
                 ctx
@@ -360,7 +360,7 @@ impl<'a> QueryEngine<'a> {
     }
 
     fn restore(&self, ctx: SearchContext) {
-        self.scratch.lock().push(ctx);
+        lock(&self.scratch).push(ctx);
     }
 
     /// Answers one query with pooled scratch state. Results are identical
@@ -560,7 +560,7 @@ impl<'a> QueryEngine<'a> {
         self.queries_total.add(nq as u64);
         self.batches_total.incr();
         {
-            let mut cum = self.cumulative.lock();
+            let mut cum = lock(&self.cumulative);
             cum.latency.merge(&latency_hist);
             cum.ndc.merge(&ndc_hist);
             cum.hops.merge(&hops_hist);
@@ -582,7 +582,7 @@ impl<'a> QueryEngine<'a> {
 
 impl Expose for QueryEngine<'_> {
     fn expose(&self, out: &mut Exposition) {
-        let cum = self.cumulative.lock();
+        let cum = lock(&self.cumulative);
         out.counter(
             "weavess_queries_total",
             "Queries served since engine creation.",

@@ -44,9 +44,6 @@
 //! independently of its batch (per-query RNG reseeding), so a query
 //! returns bit-identical neighbors whether it rode alone through an idle
 //! queue or inside a full batch — the property the queue tests assert.
-//!
-//! Synchronization uses `std::sync::{Mutex, Condvar}` directly (the
-//! vendored `parking_lot` shim carries no condvar).
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

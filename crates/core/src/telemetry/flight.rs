@@ -41,8 +41,9 @@
 //! tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use crate::parallel::lock;
 use weavess_data::Neighbor;
 
 /// FNV-1a over a query's raw f32 bits: the stable, position-independent
@@ -264,7 +265,7 @@ impl FlightRecorder {
         }
         self.recorded_total.fetch_add(1, Ordering::Relaxed);
         let slot = self.cursor.fetch_add(1, Ordering::Relaxed) as usize % self.slots.len();
-        *self.slots[slot].lock() = Some(flight);
+        *lock(&self.slots[slot]) = Some(flight);
     }
 
     /// Flights recorded since creation (including those since evicted).
@@ -369,7 +370,7 @@ impl FlightRecorder {
     /// A snapshot of the ring's current flights, ordered by
     /// `(batch, qi)` so the view is independent of slot assignment.
     pub fn flights(&self) -> Vec<Flight> {
-        let mut out: Vec<Flight> = self.slots.iter().filter_map(|s| s.lock().clone()).collect();
+        let mut out: Vec<Flight> = self.slots.iter().filter_map(|s| lock(s).clone()).collect();
         out.sort_by_key(|f| (f.batch, f.qi));
         out
     }

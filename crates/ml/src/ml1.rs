@@ -9,8 +9,7 @@
 //! copy of every point plus the projection, charged to the index.
 
 use crate::pca::Pca;
-use weavess_core::search::{SearchScratch, SearchStats};
-use weavess_data::neighbor::insert_into_pool;
+use weavess_core::search::{beam_search, rerank, SearchScratch, SearchStats};
 use weavess_data::{Dataset, Neighbor};
 use weavess_graph::CsrGraph;
 
@@ -64,12 +63,11 @@ impl Ml1Index {
         beam: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, Ml1Stats) {
-        let mut stats = Ml1Stats::default();
         let cq = self.pca.project(query);
         // Best-first over compressed distances.
         scratch.next_epoch();
         let mut cstats = SearchStats::default();
-        let pool = weavess_core::search::beam_search(
+        let pool = beam_search(
             &self.compressed,
             &self.graph,
             &cq,
@@ -78,19 +76,12 @@ impl Ml1Index {
             scratch,
             &mut cstats,
         );
-        stats.compressed_evals = cstats.ndc;
+        let stats = Ml1Stats {
+            compressed_evals: cstats.ndc,
+            full_evals: pool.len() as u64,
+        };
         // Rerank the surviving pool with full distances.
-        let mut rer: Vec<Neighbor> = Vec::with_capacity(pool.len());
-        for c in &pool {
-            stats.full_evals += 1;
-            insert_into_pool(
-                &mut rer,
-                pool.len(),
-                Neighbor::new(c.id, ds.dist_to(query, c.id)),
-            );
-        }
-        rer.truncate(k);
-        (rer, stats)
+        (rerank(ds, query, &pool, k, scratch), stats)
     }
 
     /// Extra memory the optimization adds (compressed copy + projection).

@@ -9,113 +9,19 @@
 //! query time the search runs to `predicted × margin` expansions.
 
 use crate::gbdt::{Gbdt, GbdtParams};
-use weavess_core::search::VisitedPool;
+use weavess_core::search::{beam_search_until, PoolView, SearchScratch, SearchStats};
 use weavess_data::ground_truth::knn_scan;
-use weavess_data::neighbor::insert_into_pool;
 use weavess_data::{Dataset, Neighbor};
 use weavess_graph::CsrGraph;
 
-/// A resumable best-first search: expand up to a hop budget, inspect
-/// state, continue.
-struct ResumableBeam<'a> {
-    ds: &'a Dataset,
-    g: &'a CsrGraph,
-    query: &'a [f32],
-    beam: usize,
-    pool: Vec<Neighbor>,
-    expanded: Vec<bool>,
-    cursor: usize,
-    /// Total expansions so far.
-    pub hops: u64,
-    /// Total distance computations so far.
-    pub ndc: u64,
-}
-
-impl<'a> ResumableBeam<'a> {
-    fn start(
-        ds: &'a Dataset,
-        g: &'a CsrGraph,
-        query: &'a [f32],
-        seeds: &[u32],
-        beam: usize,
-        visited: &mut VisitedPool,
-    ) -> Self {
-        visited.next_epoch();
-        let mut pool = Vec::with_capacity(beam + 1);
-        let mut ndc = 0u64;
-        for &s in seeds {
-            if visited.visit(s) {
-                ndc += 1;
-                insert_into_pool(&mut pool, beam, Neighbor::new(s, ds.dist_to(query, s)));
-            }
-        }
-        let expanded = vec![false; pool.len()];
-        ResumableBeam {
-            ds,
-            g,
-            query,
-            beam,
-            pool,
-            expanded,
-            cursor: 0,
-            hops: 0,
-            ndc,
-        }
-    }
-
-    /// Expands until `max_total_hops` or convergence; returns true when
-    /// converged (no unexpanded candidate remains).
-    fn run_until(&mut self, max_total_hops: u64, visited: &mut VisitedPool) -> bool {
-        while self.hops < max_total_hops {
-            // Find the nearest unexpanded candidate.
-            let Some(k) = (0..self.pool.len()).find(|&i| !self.expanded[i]) else {
-                return true;
-            };
-            let _ = self.cursor;
-            self.cursor = k;
-            self.expanded[k] = true;
-            self.hops += 1;
-            let v = self.pool[k].id;
-            for &u in self.g.neighbors(v) {
-                if !visited.visit(u) {
-                    continue;
-                }
-                self.ndc += 1;
-                let d = self.ds.dist_to(self.query, u);
-                let n = Neighbor::new(u, d);
-                let pos = self.pool.partition_point(|c| *c < n);
-                if pos < self.pool.len() && self.pool[pos] == n {
-                    continue;
-                }
-                if pos < self.beam {
-                    self.pool.insert(pos, n);
-                    self.expanded.insert(pos, false);
-                    self.pool.truncate(self.beam);
-                    self.expanded.truncate(self.beam);
-                }
-            }
-        }
-        (0..self.pool.len()).all(|i| self.expanded[i])
-    }
-
-    /// Feature vector of the current state (the original uses the query,
-    /// the current best distances, and their ratios).
-    fn features(&self) -> Vec<f32> {
-        let d1 = self.pool.first().map_or(0.0, |n| n.dist);
-        let dk = self
-            .pool
-            .get(9.min(self.pool.len().saturating_sub(1)))
-            .map_or(0.0, |n| n.dist);
-        let dlast = self.pool.last().map_or(0.0, |n| n.dist);
-        vec![
-            d1,
-            dk,
-            dlast,
-            if dk > 0.0 { d1 / dk } else { 1.0 },
-            if dlast > 0.0 { dk / dlast } else { 1.0 },
-            self.hops as f32,
-        ]
-    }
+/// Feature vector of a walk's state after `hops` expansions (the original
+/// uses the query, the current best distances, and their ratios).
+fn features(pool: PoolView<'_>, hops: u64) -> Vec<f32> {
+    let dist = |i: usize| pool.get(i).map_or(0.0, |n| n.dist);
+    let last = pool.len().saturating_sub(1);
+    let (d1, dk, dlast) = (dist(0), dist(9.min(last)), dist(last));
+    let ratio = |a: f32, b: f32| if b > 0.0 { a / b } else { 1.0 };
+    vec![d1, dk, dlast, ratio(d1, dk), ratio(dk, dlast), hops as f32]
 }
 
 /// An ML2-optimized index wrapping a base graph.
@@ -162,38 +68,39 @@ pub fn optimize(
     params: &Ml2Params,
 ) -> Ml2Index {
     let t0 = std::time::Instant::now();
-    let mut visited = VisitedPool::new(ds.len());
-    let mut features = Vec::new();
-    let mut targets = Vec::new();
+    let c = params.checkpoint_hops;
+    let mut scratch = SearchScratch::new(ds.len());
+    let (mut rows, mut targets) = (Vec::new(), Vec::new());
     for qi in 0..train_queries.len() as u32 {
         let q = train_queries.point(qi);
         let truth = knn_scan(ds, q, 1, None)[0].id;
-        let mut beam = ResumableBeam::start(ds, &graph, q, &entries, params.beam, &mut visited);
-        beam.run_until(params.checkpoint_hops, &mut visited);
-        let feats = beam.features();
-        // Continue until the true NN is at the pool head (or convergence),
-        // recording how many expansions that took.
-        let needed;
-        loop {
-            if beam.pool.first().map(|n| n.id) == Some(truth) {
-                needed = beam.hops;
-                break;
-            }
-            let before = beam.hops;
-            let converged = beam.run_until(beam.hops + 5, &mut visited);
-            if beam.pool.first().map(|n| n.id) == Some(truth) {
-                needed = beam.hops;
-                break;
-            }
-            if converged || beam.hops == before {
-                needed = beam.hops; // never found: budget = full convergence
-                break;
-            }
-        }
-        features.push(feats);
+        // Features at the checkpoint (or at convergence, if earlier); the
+        // target is the first hop count from the checkpoint on, in steps of
+        // 5, with the true NN at the pool head, or the converged length.
+        let (mut feats, mut needed) = (Vec::new(), 0);
+        scratch.next_epoch();
+        beam_search_until(
+            ds,
+            &graph,
+            q,
+            &entries,
+            params.beam,
+            &mut scratch,
+            &mut SearchStats::default(),
+            |hops, pool| {
+                if hops <= c {
+                    feats = features(pool, hops);
+                }
+                needed = hops;
+                hops >= c
+                    && (hops - c).is_multiple_of(5)
+                    && pool.get(0).map(|n| n.id) == Some(truth)
+            },
+        );
+        rows.push(feats);
         targets.push(needed as f32);
     }
-    let model = Gbdt::fit(&features, &targets, &params.gbdt);
+    let model = Gbdt::fit(&rows, &targets, &params.gbdt);
     Ml2Index {
         graph,
         entries,
@@ -205,23 +112,40 @@ pub fn optimize(
 }
 
 impl Ml2Index {
-    /// Adaptive-termination search: returns `(results, ndc, hops)`.
+    /// Adaptive-termination search: returns `(results, ndc, hops)`. The
+    /// walk reads its features at the checkpoint and stops at the larger
+    /// of the checkpoint and the predicted budget; a `beam` below `k` is
+    /// served as `k`.
     pub fn search(
         &self,
         ds: &Dataset,
         query: &[f32],
         k: usize,
         beam: usize,
-        visited: &mut VisitedPool,
+        scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, u64, u64) {
-        let mut rb = ResumableBeam::start(ds, &self.graph, query, &self.entries, beam, visited);
-        rb.run_until(self.checkpoint_hops, visited);
-        let predicted = self.model.predict(&rb.features()).max(0.0);
-        let budget = (predicted * self.margin).ceil() as u64;
-        rb.run_until(budget.max(self.checkpoint_hops), visited);
-        let mut out = rb.pool.clone();
+        let c = self.checkpoint_hops;
+        let mut limit = c;
+        let mut stats = SearchStats::default();
+        scratch.next_epoch();
+        let mut out = beam_search_until(
+            ds,
+            &self.graph,
+            query,
+            &self.entries,
+            beam.max(k),
+            scratch,
+            &mut stats,
+            |hops, pool| {
+                if hops == c {
+                    let predicted = self.model.predict(&features(pool, hops)).max(0.0);
+                    limit = ((predicted * self.margin).ceil() as u64).max(c);
+                }
+                hops >= limit
+            },
+        );
         out.truncate(k);
-        (out, rb.ndc, rb.hops)
+        (out, stats.ndc, stats.hops)
     }
 
     /// The trained effort regressor.
@@ -264,7 +188,7 @@ mod tests {
             &Ml2Params::default(),
         );
         let gt = ground_truth(&ds, &test, 10, 4);
-        let mut visited = VisitedPool::new(ds.len());
+        let mut scratch = SearchScratch::new(ds.len());
         let mut ctx = SearchContext::new(ds.len());
         let (mut r_base, mut r_ml2) = (0.0f64, 0.0f64);
         let mut ndc_ml2 = 0u64;
@@ -276,7 +200,7 @@ mod tests {
                 .map(|n| n.id)
                 .collect();
             r_base += recall(&b, &gt[qi as usize]);
-            let (m, ndc, _) = ml2.search(&ds, q, 10, 60, &mut visited);
+            let (m, ndc, _) = ml2.search(&ds, q, 10, 60, &mut scratch);
             let mids: Vec<u32> = m.iter().map(|n| n.id).collect();
             r_ml2 += recall(&mids, &gt[qi as usize]);
             ndc_ml2 += ndc;
@@ -306,5 +230,37 @@ mod tests {
         );
         assert!(ml2.training_secs > 0.0);
         assert!(ml2.extra_memory_bytes() > 0);
+    }
+
+    fn trained() -> (Dataset, Dataset, Ml2Index) {
+        let (ds, train, test, base) = setup();
+        let entries = vec![ds.medoid()];
+        let ml2 = optimize(&ds, base.graph, entries, &train, &Ml2Params::default());
+        (ds, test, ml2)
+    }
+
+    /// A beam of 0 is served as `k` like every other index's: the walk
+    /// neither panics nor comes back empty.
+    #[test]
+    fn beam_zero_is_served_as_k() {
+        let (ds, test, ml2) = trained();
+        let mut scratch = SearchScratch::new(ds.len());
+        for qi in 0..test.len() as u32 {
+            let (res, ndc, _) = ml2.search(&ds, test.point(qi), 1, 0, &mut scratch);
+            assert_eq!(res.len(), 1);
+            assert!(ndc > 0);
+        }
+    }
+
+    /// A beam below `k` still returns `k` results, as ML1, ML3 and SQ8 do.
+    #[test]
+    fn beam_below_k_is_served_as_k() {
+        let (ds, test, ml2) = trained();
+        let mut scratch = SearchScratch::new(ds.len());
+        for qi in 0..test.len() as u32 {
+            let (res, _, _) = ml2.search(&ds, test.point(qi), 10, 4, &mut scratch);
+            assert_eq!(res.len(), 10);
+            assert!(res.windows(2).all(|w| w[0] < w[1]));
+        }
     }
 }

@@ -12,8 +12,7 @@
 use crate::pca::Pca;
 use weavess_core::algorithms::nsg::{self, NsgParams};
 use weavess_core::index::{AnnIndex, SearchContext};
-use weavess_core::search::VisitedPool;
-use weavess_data::neighbor::insert_into_pool;
+use weavess_core::search::rerank;
 use weavess_data::{Dataset, Neighbor};
 
 /// An ML3-optimized index: a graph over the reduced-space dataset.
@@ -57,18 +56,12 @@ impl Ml3Index {
             .inner
             .search(&self.reduced, &rq, beam.max(k), beam, ctx);
         let reduced_evals = ctx.stats.ndc - before;
-        let mut rer: Vec<Neighbor> = Vec::with_capacity(pool.len());
-        let mut full_evals = 0u64;
-        for c in &pool {
-            full_evals += 1;
-            insert_into_pool(
-                &mut rer,
-                pool.len(),
-                Neighbor::new(c.id, ds.dist_to(query, c.id)),
-            );
-        }
-        rer.truncate(k);
-        (rer, reduced_evals, full_evals)
+        let full_evals = pool.len() as u64;
+        (
+            rerank(ds, query, &pool, k, &mut ctx.scratch),
+            reduced_evals,
+            full_evals,
+        )
     }
 
     /// Extra memory: the reduced copy plus the projection (the reduced
@@ -83,11 +76,8 @@ impl Ml3Index {
     }
 
     /// Fresh context sized for this index.
-    pub fn context(&self) -> (SearchContext, VisitedPool) {
-        (
-            SearchContext::new(self.reduced.len()),
-            VisitedPool::new(self.reduced.len()),
-        )
+    pub fn context(&self) -> SearchContext {
+        SearchContext::new(self.reduced.len())
     }
 }
 
@@ -112,7 +102,7 @@ mod tests {
         let (ds, qs) = setup();
         let gt = ground_truth(&ds, &qs, 10, 4);
         let ml3 = optimize(&ds, 12, &NsgParams::tuned(4, 1));
-        let (mut ctx, _) = ml3.context();
+        let mut ctx = ml3.context();
         let mut total = 0.0;
         let mut reduced_evals = 0u64;
         for qi in 0..qs.len() as u32 {

@@ -128,8 +128,7 @@ fn ml2_search_and_predictions_are_pinned() {
     for k in KS {
         for beam in BEAMS {
             for qi in 0..test.len() as u32 {
-                let (res, ndc, hops) =
-                    m2.search(&ds, test.point(qi), k, beam, &mut scratch.visited);
+                let (res, ndc, hops) = m2.search(&ds, test.point(qi), k, beam, &mut scratch);
                 fold(&mut digest, &res, &[ndc, hops]);
             }
         }

@@ -65,7 +65,7 @@ fn main() {
 
     // ML3: search in a learned (PCA) low-dimensional space, rerank.
     let m3 = ml3::optimize(&base, 16, &NsgParams::tuned(4, 1));
-    let (mut mctx, _) = m3.context();
+    let mut mctx = m3.context();
     let mut r = 0.0;
     let mut eff = 0.0;
     for qi in 0..queries.len() as u32 {

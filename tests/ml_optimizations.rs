@@ -4,7 +4,7 @@
 
 use weavess::core::algorithms::nsg::{self, NsgParams};
 use weavess::core::index::{AnnIndex, SearchContext};
-use weavess::core::search::{SearchScratch, VisitedPool};
+use weavess::core::search::SearchScratch;
 use weavess::data::ground_truth::ground_truth;
 use weavess::data::metrics::recall;
 use weavess::data::synthetic::MixtureSpec;
@@ -55,7 +55,7 @@ fn ml1_and_ml3_cut_effective_ndc_at_high_recall() {
 
     // ML3.
     let m3 = ml3::optimize(&base, 12, &nsg_params);
-    let (mut mctx, _) = m3.context();
+    let mut mctx = m3.context();
     let (mut r3, mut eff3) = (0.0, 0.0);
     for qi in 0..queries.len() as u32 {
         let (res, re, fe) = m3.search(&base, queries.point(qi), 1, 40, &mut mctx);
@@ -83,7 +83,7 @@ fn ml2_terminates_early_without_collapsing_recall() {
     );
 
     let mut ctx = SearchContext::new(base.len());
-    let mut visited = VisitedPool::new(base.len());
+    let mut scratch = SearchScratch::new(base.len());
     let eval: Vec<u32> = (half as u32..queries.len() as u32).collect();
     let (mut r_base, mut r_ml2) = (0.0, 0.0);
     let mut ndc_ml2 = 0u64;
@@ -91,7 +91,7 @@ fn ml2_terminates_early_without_collapsing_recall() {
         let res = base_idx.search(&base, queries.point(qi), 1, 60, &mut ctx);
         let ids: Vec<u32> = res.iter().map(|n| n.id).collect();
         r_base += recall(&ids, &gt[qi as usize][..1]);
-        let (res2, ndc, _) = m2.search(&base, queries.point(qi), 1, 60, &mut visited);
+        let (res2, ndc, _) = m2.search(&base, queries.point(qi), 1, 60, &mut scratch);
         let ids2: Vec<u32> = res2.iter().map(|n| n.id).collect();
         r_ml2 += recall(&ids2, &gt[qi as usize][..1]);
         ndc_ml2 += ndc;
