@@ -88,10 +88,7 @@ impl DynamicHnsw {
         let mut rng = StdRng::seed_from_u64(params.seed);
         let n = base.len();
         let levels = crate::telemetry::span("C1 init", || hnsw::draw_levels(n, &params, &mut rng));
-        let mut data = Dataset::empty(base.dim());
-        for i in 0..n as u32 {
-            data.push(base.point(i));
-        }
+        let data = base.clone();
         let (graph, enter, enter_level) = crate::telemetry::span("C2+C3 insertion", || {
             hnsw::build_layers(base, levels, &params)
         });
@@ -603,6 +600,27 @@ mod tests {
             DynamicHnsw::new(4, HnswParams::tuned(1, 1)).consolidate(),
             0
         );
+    }
+
+    /// Inserts grow the owned vectors past several reallocations; every
+    /// row must stay on a cache line (16 floats are one 64-byte line).
+    #[test]
+    fn inserted_rows_stay_on_cache_lines() {
+        let (base, _) = vectors(10_500);
+        let ids: Vec<u32> = (0..500).collect();
+        let mut idx = DynamicHnsw::bulk_load(&base.subset(&ids), HnswParams::tuned(2, 5));
+        for i in 500..base.len() as u32 {
+            idx.insert(base.point(i));
+        }
+        let ds = idx.dataset();
+        assert_eq!(ds.len(), 10_500);
+        for i in 0..ds.len() as u32 {
+            assert!(
+                (ds.point(i).as_ptr() as usize).is_multiple_of(64),
+                "row {i}"
+            );
+        }
+        assert_eq!(ds, &base);
     }
 
     #[test]

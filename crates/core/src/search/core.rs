@@ -14,10 +14,12 @@
 //! Expansion is batch-scored: the admitted neighbors of the expanded vertex
 //! are staged and scored with one [`VectorView::dist_to_many`] call, then
 //! offered to the frontier in adjacency order — visit order, distances and
-//! hence results are bit-identical to scoring one neighbor at a time. While
-//! a vertex is expanded the likely next candidate's node block and each
-//! staged neighbor's vector are prefetched — pure hints, so results are
-//! identical with prefetch on or off.
+//! hence results are bit-identical to scoring one neighbor at a time. The
+//! [`Open`] gate stages without a branch per neighbor
+//! ([`VisitedPool::visit_all`]); gated routers stage through their
+//! admission test. While a vertex is expanded the likely next candidate's
+//! node block and each staged neighbor's vector are prefetched — pure
+//! hints, so results are identical with prefetch on or off.
 
 use super::scratch::{SearchScratch, Stores};
 use super::{SearchStats, VisitedPool};
@@ -84,6 +86,27 @@ pub(crate) trait Gate {
     /// The admission test for the unvisited neighbors of `v`, the vertex
     /// about to be expanded.
     fn aim(&self, ds: &(impl VectorView + ?Sized), query: &[f32], v: u32) -> impl Fn(u32) -> bool;
+
+    /// Marks the unvisited neighbors `nbrs` of `v` that [`Gate::aim`]
+    /// admits visited and stages them into `ids` in adjacency order.
+    #[inline]
+    fn stage(
+        &self,
+        ds: &(impl VectorView + ?Sized),
+        query: &[f32],
+        v: u32,
+        nbrs: &[u32],
+        visited: &mut VisitedPool,
+        ids: &mut Vec<u32>,
+    ) {
+        let admits = self.aim(ds, query, v);
+        ids.clear();
+        for &u in nbrs {
+            if visited.visit_if(u, || admits(u)) {
+                ids.push(u);
+            }
+        }
+    }
 }
 
 /// The always-pass gate of plain best-first search.
@@ -93,6 +116,20 @@ impl Gate for Open {
     #[inline(always)]
     fn aim(&self, _: &(impl VectorView + ?Sized), _: &[f32], _: u32) -> impl Fn(u32) -> bool {
         |_| true
+    }
+
+    /// Every unvisited neighbor, staged without a branch per neighbor.
+    #[inline(always)]
+    fn stage(
+        &self,
+        _: &(impl VectorView + ?Sized),
+        _: &[f32],
+        _: u32,
+        nbrs: &[u32],
+        visited: &mut VisitedPool,
+        ids: &mut Vec<u32>,
+    ) {
+        visited.visit_all(nbrs, ids);
     }
 }
 
@@ -169,8 +206,7 @@ where
                     g.prefetch_neighbors(next);
                 }
             }
-            let admits = gate.aim(ds, query, c.id);
-            score_admitted(ds, g, query, c.id, pf, admits, visited, ids, dists, stats);
+            score_admitted(ds, g, query, c.id, pf, &gate, visited, ids, dists, stats);
             for (&u, &d) in ids.iter().zip(dists.iter()) {
                 frontier.offer(stores, Neighbor::new(u, d));
             }
@@ -182,12 +218,13 @@ where
 }
 
 /// One expansion's scoring pass: marks `v`'s unvisited, admitted neighbors
-/// visited, stages them in adjacency order (requesting each vector's first
-/// lines when `pf`), and scores the batch with a single
-/// [`VectorView::dist_to_many`] — one kernel-tier dispatch per expansion.
-/// `ids[i]`'s distance is `dists[i]`. The buffers arrive as separate
-/// `&mut` parameters so that the stamp array, the id stage and the
-/// counters are known not to alias and stay in registers across the loop.
+/// visited and stages them in adjacency order ([`Gate::stage`]), requests
+/// each staged vector's first lines when `pf`, and scores the batch with a
+/// single [`VectorView::dist_to_many`] — one kernel-tier dispatch per
+/// expansion. `ids[i]`'s distance is `dists[i]`. The buffers arrive as
+/// separate `&mut` parameters so that the stamp array, the id stage and
+/// the counters are known not to alias and stay in registers across the
+/// loop.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn score_admitted(
@@ -196,19 +233,16 @@ fn score_admitted(
     query: &[f32],
     v: u32,
     pf: bool,
-    admits: impl Fn(u32) -> bool,
+    gate: &impl Gate,
     visited: &mut VisitedPool,
     ids: &mut Vec<u32>,
     dists: &mut Vec<f32>,
     stats: &mut SearchStats,
 ) {
-    ids.clear();
-    for &u in g.neighbors(v) {
-        if visited.visit_if(u, || admits(u)) {
-            if pf {
-                ds.prefetch_vector(u);
-            }
-            ids.push(u);
+    gate.stage(ds, query, v, g.neighbors(v), visited, ids);
+    if pf {
+        for &u in ids.iter() {
+            ds.prefetch_vector(u);
         }
     }
     stats.ndc += ids.len() as u64;

@@ -24,6 +24,11 @@ use weavess_graph::adjacency::GraphView;
 /// `beam` bounds the traversal pool as usual; the result pool holds up to
 /// `k` accepted vertices. With a constant-true filter this returns exactly
 /// the top-k of [`super::beam_search`].
+///
+/// `filter` is called only for scored vertices that can still enter the
+/// result pool — while it holds fewer than `k`, or for one no farther than
+/// its current `k`-th — so it is not called for every vertex the
+/// traversal scores, and it must be a pure function of the id.
 #[allow(clippy::too_many_arguments)]
 pub fn filtered_beam_search(
     ds: &(impl VectorView + ?Sized),
@@ -76,10 +81,13 @@ struct Filtered<'a> {
 }
 
 impl Frontier for Filtered<'_> {
+    /// The result pool's bound is tested before the filter, so the filter
+    /// never runs for a candidate the pool would turn away anyway.
     #[inline]
     fn offer(&mut self, s: &mut Stores, n: Neighbor) {
-        if (self.filter)(n.id) {
-            insert_into_pool(&mut s.results, self.k, n);
+        let k = self.k;
+        if (s.results.len() < k || n <= s.results[k - 1]) && (self.filter)(n.id) {
+            insert_into_pool(&mut s.results, k, n);
         }
         s.pool.insert(n);
     }

@@ -185,7 +185,7 @@ proptest! {
         }
     }
 
-    /// Crossing the u32 epoch rollover never reports a stale visit as
+    /// Crossing the epoch rollover never reports a stale visit as
     /// fresh or a fresh visit as stale: the pool keeps obeying the same
     /// set semantics as a per-epoch HashSet model right through the wrap.
     #[test]
@@ -234,6 +234,32 @@ proptest! {
             let res = beam_search(&ds, &g, q, &[0], ds.len(), &mut scratch, &mut stats);
             let truth = knn_scan(&ds, q, 1, None)[0];
             prop_assert_eq!(res[0], truth, "query {}", qi);
+        }
+    }
+}
+
+/// The real wrap, without a fast-forward: 70 000 epochs cross the stamp
+/// counter's range once, and at every epoch the pool agrees with a
+/// per-epoch `HashSet` on every vertex — a stamp left from 65 535 epochs
+/// back must not read as visited after the counter comes round.
+#[test]
+fn visited_pool_survives_a_real_wrap() {
+    let mut pool = VisitedPool::new(64);
+    let mut seen = std::collections::HashSet::new();
+    let mut x = 0x2545_f491_u32;
+    for epoch in 0..70_000u32 {
+        pool.next_epoch();
+        seen.clear();
+        for v in 0..64 {
+            assert!(!pool.is_visited(v), "epoch {epoch}: vertex {v} stale");
+        }
+        for _ in 0..3 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            let v = x % 64;
+            assert_eq!(pool.visit(v), seen.insert(v), "epoch {epoch}: vertex {v}");
+            assert!(pool.is_visited(v));
         }
     }
 }

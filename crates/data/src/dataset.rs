@@ -8,7 +8,8 @@ use crate::neighbor::Neighbor;
 /// dataset is ~2M points; `u32` halves edge-list memory vs `usize`).
 ///
 /// A dataset that allocates its own buffer (generated, subset, built
-/// from rows, cloned) starts its rows on a 64-byte cache line.
+/// from rows, cloned, grown by [`Dataset::push`]) starts its rows on a
+/// 64-byte cache line.
 #[derive(Debug)]
 pub struct Dataset {
     /// The rows are the `n * dim` floats from `start` on; the floats
@@ -271,12 +272,22 @@ impl Dataset {
         }
     }
 
-    /// Appends one vector, returning its new id.
+    /// Appends one vector, returning its new id. A push that outgrows the
+    /// buffer moves the rows to a new one of twice the rows that starts
+    /// on a 64-byte cache line, so a growing dataset keeps its rows on
+    /// lines like every buffer a dataset allocates itself.
     ///
     /// # Panics
     /// Panics on a dimension mismatch.
     pub fn push(&mut self, point: &[f32]) -> u32 {
         assert_eq!(point.len(), self.dim, "dimension mismatch");
+        if self.buf.capacity() - self.buf.len() < self.dim {
+            let mut grown = Self::zeroed((2 * self.n).max(16), self.dim);
+            grown.buf.truncate(grown.start + self.n * self.dim);
+            grown.flat_mut().copy_from_slice(self.flat());
+            self.buf = grown.buf;
+            self.start = grown.start;
+        }
         self.buf.extend_from_slice(point);
         self.n += 1;
         (self.n - 1) as u32
@@ -362,6 +373,37 @@ mod tests {
         let flat = vec![1.0; 6];
         let ptr = flat.as_ptr();
         assert_eq!(Dataset::from_flat(flat, 2, 3).flat().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn pushed_rows_stay_on_cache_lines_across_reallocations() {
+        let dim = 64;
+        let mut ds = Dataset::empty(dim);
+        let mut moves = 0;
+        let mut base = ds.flat().as_ptr();
+        for i in 0..50_000u32 {
+            assert_eq!(ds.push(&[i as f32; 64]), i);
+            if ds.flat().as_ptr() != base {
+                moves += 1;
+                base = ds.flat().as_ptr();
+            }
+        }
+        assert!(moves >= 3, "only {moves} reallocations");
+        for i in 0..ds.len() as u32 {
+            assert!(
+                (ds.point(i).as_ptr() as usize).is_multiple_of(ROW_ALIGN),
+                "row {i}"
+            );
+            assert_eq!(ds.point(i)[dim - 1], i as f32);
+        }
+        // A caller's buffer is kept until it is outgrown.
+        let mut wrapped = Dataset::from_flat(vec![1.0; 6], 2, 3);
+        wrapped.push(&[2.0; 3]);
+        assert!((wrapped.flat().as_ptr() as usize).is_multiple_of(ROW_ALIGN));
+        assert_eq!(
+            wrapped.flat(),
+            &[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+        );
     }
 
     #[test]
