@@ -29,13 +29,14 @@
 //! - [`algorithms`]: one module per surveyed algorithm (Table 2 plus the
 //!   appendix's k-DR and §6's optimized algorithm OA), and the dynamic
 //!   HNSW extension ([`algorithms::hnsw_dynamic`]).
-//! - [`parallel`]: the deterministic parallel-construction layer — fixed
-//!   chunking, in-order combination, and the prefix-doubling batch
-//!   scheduler; every builder's threading goes through it, so built graphs
-//!   are bit-identical at any thread count. Also home of
-//!   [`parallel::WorkerPool`], the standing fork-join pool both serving
-//!   engines scatter through, which wakes a worker only when its measured
-//!   hand-off latency pays for the task that worker would take.
+//! - [`parallel`] (re-exported from `weavess_data`): the deterministic
+//!   fork-join layer — fixed chunking, in-order combination, and the
+//!   prefix-doubling batch scheduler; every builder's threading goes
+//!   through it, so built graphs are bit-identical at any thread count.
+//!   All of it runs on [`parallel::WorkerPool`]: builds on one standing
+//!   process-wide pool, each serving engine on its own, which wakes a
+//!   worker only when its measured hand-off latency pays for the task
+//!   that worker would take.
 //! - [`persist`]: save/load built indexes without rebuilding.
 //! - [`quantized`]: SQ8-routed search with full-precision rerank (the §6
 //!   "data encoding" challenge).
@@ -73,7 +74,6 @@ pub mod components;
 pub mod index;
 pub mod locality;
 pub mod nndescent;
-pub mod parallel;
 pub mod persist;
 pub mod pipeline;
 pub mod quantized;
@@ -102,3 +102,6 @@ pub use telemetry::{
     query_fingerprint, BuildProfile, Flight, FlightOptions, FlightRecorder, NoopTracer,
     RecordingTracer, RouteTracer, TraceAggregate,
 };
+/// The workspace's one fork-join runtime, re-exported from the data crate
+/// so builders and engines keep reaching it as `crate::parallel`.
+pub use weavess_data::parallel;

@@ -84,7 +84,7 @@ use crate::search::pool::{neighbor, slot, FLAG as NEW};
 use crate::telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use weavess_data::prefetch::{prefetch_enabled, prefetch_read};
+use weavess_data::prefetch::{prefetch_enabled, prefetch_lines};
 use weavess_data::{Dataset, Neighbor};
 
 /// RNN-Descent parameters.
@@ -172,19 +172,6 @@ fn has_new(row: &[u64]) -> bool {
 /// prefetched. One to four measured alike on `hidim`'s 1 KiB rows; eight
 /// lost.
 const LOOKAHEAD: usize = 2;
-
-/// Requests every cache line of `v`: a whole row is scored at once, and
-/// the two lines `prefetch_span` asks for are an eighth of a 1 KiB one.
-fn prefetch_lines(v: &[f32]) {
-    // 16 floats are one 64-byte line; the last element closes a row whose
-    // start is not line-aligned.
-    for line in v.chunks(16) {
-        prefetch_read(line.as_ptr());
-    }
-    if let Some(last) = v.last() {
-        prefetch_read(last);
-    }
-}
 
 /// Runs RNN-Descent and returns each vertex's `k` nearest discovered
 /// neighbors (sorted nearest-first) — a drop-in replacement for

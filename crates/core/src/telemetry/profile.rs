@@ -13,8 +13,10 @@
 //! helpers in [`crate::parallel`] block until their workers finish, so a
 //! span around a `par_fill` records the phase's true wall time. Distance
 //! computations performed inside worker closures are attributed by the
-//! builder summing them into an atomic and calling [`add_span_ndc`]
-//! within the span.
+//! builder summing them (per-chunk returns or an atomic) and calling
+//! [`add_span_ndc`] within the span. The orchestrating thread runs chunks
+//! too, so a worker closure never calls [`span`] or [`add_span_ndc`]
+//! itself: on that thread it would record into the build's profile.
 
 use std::cell::RefCell;
 use std::time::Instant;

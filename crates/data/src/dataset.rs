@@ -2,6 +2,7 @@
 
 use crate::distance::squared_euclidean;
 use crate::neighbor::Neighbor;
+use crate::parallel::{par_chunks_map, resolve_threads};
 
 /// A dense set of `n` vectors of dimension `dim`, stored contiguously
 /// row-major. Points are addressed by `u32` ids (the survey's largest
@@ -165,27 +166,21 @@ impl Dataset {
     /// chunks whose partial sums are combined in chunk order, so the result
     /// is independent of the worker count.
     pub fn centroid(&self) -> Vec<f32> {
-        let chunks: Vec<&[f32]> = self.flat().chunks(Self::SCAN_CHUNK * self.dim).collect();
-        let workers = Self::scan_workers(chunks.len());
-        let per = chunks.len().div_ceil(workers).max(1);
-        let mut partials: Vec<Vec<f64>> = vec![Vec::new(); chunks.len()];
-        std::thread::scope(|scope| {
-            for (w, slot) in partials.chunks_mut(per).enumerate() {
-                let chunks = &chunks;
-                let dim = self.dim;
-                scope.spawn(move || {
-                    for (j, out) in slot.iter_mut().enumerate() {
-                        let mut acc = vec![0.0f64; dim];
-                        for row in chunks[w * per + j].chunks_exact(dim) {
-                            for (a, &x) in acc.iter_mut().zip(row) {
-                                *a += x as f64;
-                            }
-                        }
-                        *out = acc;
+        let partials = par_chunks_map(
+            self.n,
+            Self::SCAN_CHUNK,
+            resolve_threads(0),
+            || (),
+            |_, rows| {
+                let mut acc = vec![0.0f64; self.dim];
+                for i in rows {
+                    for (a, &x) in acc.iter_mut().zip(self.point(i as u32)) {
+                        *a += x as f64;
                     }
-                });
-            }
-        });
+                }
+                acc
+            },
+        );
         let mut c = vec![0.0f64; self.dim];
         for p in &partials {
             for (a, &x) in c.iter_mut().zip(p) {
@@ -202,47 +197,22 @@ impl Dataset {
     /// worker count.
     pub fn medoid(&self) -> u32 {
         let c = self.centroid();
-        let nchunks = self.n.div_ceil(Self::SCAN_CHUNK).max(1);
-        let workers = Self::scan_workers(nchunks);
-        let per = nchunks.div_ceil(workers).max(1);
-        let mut bests: Vec<Neighbor> = vec![Neighbor::new(0, f32::INFINITY); nchunks];
-        std::thread::scope(|scope| {
-            for (w, slot) in bests.chunks_mut(per).enumerate() {
-                let c = &c;
-                let this = &*self;
-                scope.spawn(move || {
-                    for (j, out) in slot.iter_mut().enumerate() {
-                        let lo = (w * per + j) * Self::SCAN_CHUNK;
-                        let hi = (lo + Self::SCAN_CHUNK).min(this.n);
-                        let mut best = Neighbor::new(0, f32::INFINITY);
-                        for i in lo as u32..hi as u32 {
-                            let d = this.dist_to(c, i);
-                            if d < best.dist {
-                                best = Neighbor::new(i, d);
-                            }
-                        }
-                        *out = best;
-                    }
-                });
-            }
-        });
-        let mut best = Neighbor::new(0, f32::INFINITY);
-        for b in bests {
-            if b.dist < best.dist {
-                best = b;
-            }
-        }
-        best.id
-    }
-
-    /// Worker count for the threaded scans: bounded by available
-    /// parallelism and the number of work units.
-    fn scan_workers(nchunks: usize) -> usize {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(nchunks)
-            .max(1)
+        let first_strict_min =
+            |best: Neighbor, cand: Neighbor| if cand.dist < best.dist { cand } else { best };
+        let none = Neighbor::new(0, f32::INFINITY);
+        par_chunks_map(
+            self.n,
+            Self::SCAN_CHUNK,
+            resolve_threads(0),
+            || (),
+            |_, rows| {
+                rows.map(|i| Neighbor::new(i as u32, self.dist_to(&c, i as u32)))
+                    .fold(none, first_strict_min)
+            },
+        )
+        .into_iter()
+        .fold(none, first_strict_min)
+        .id
     }
 
     /// A new dataset containing the given rows of `self` (dataset-division

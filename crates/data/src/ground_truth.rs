@@ -2,16 +2,22 @@
 //!
 //! The paper computes every query's true 20/100 nearest neighbors by linear
 //! scan; recall and the exact-KNNG graph-quality reference both depend on
-//! this. Work is split across threads with `std::thread::scope` — the same
-//! "parallelize only vector math, keep algorithms scalar" policy the paper
-//! applies to index construction.
+//! this. Rows are scanned in fixed chunks on the shared build pool
+//! ([`crate::parallel::par_fill`]) — the same "parallelize only vector
+//! math, keep algorithms scalar" policy the paper applies to index
+//! construction — so every row is the serial scan's at any thread count.
 
 use crate::dataset::Dataset;
 use crate::neighbor::{insert_into_pool, Neighbor};
+use crate::parallel::{par_fill, resolve_threads};
 
 /// Points scored per [`Dataset::dist_to_many`] call in [`knn_scan`] — big
 /// enough to amortize the loop, small enough to stay in L1/L2.
 const SCAN_BLOCK: u32 = 256;
+
+/// Rows per work unit of [`scan_rows`]: every row is a scan of the whole
+/// base set, so a few already amortize the work queue.
+const SCAN_ROWS: usize = 8;
 
 /// Exact k nearest base points for one query vector (linear scan).
 ///
@@ -45,50 +51,50 @@ pub fn knn_scan(base: &Dataset, query: &[f32], k: usize, exclude: Option<u32>) -
     pool
 }
 
-/// Exact k-NN ids for every query, computed in parallel across `threads`.
-pub fn ground_truth(base: &Dataset, queries: &Dataset, k: usize, threads: usize) -> Vec<Vec<u32>> {
-    assert_eq!(base.dim(), queries.dim(), "dimension mismatch");
-    let nq = queries.len();
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); nq];
-    let threads = threads.max(1).min(nq.max(1));
-    let chunk = nq.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (t, slot) in out.chunks_mut(chunk).enumerate() {
-            let start = t * chunk;
-            s.spawn(move || {
-                for (j, row) in slot.iter_mut().enumerate() {
-                    let q = queries.point((start + j) as u32);
-                    *row = knn_scan(base, q, k, None).iter().map(|n| n.id).collect();
-                }
-            });
-        }
-    });
+/// `row(i)` for every `i` in `0..n`, in order, on `threads` workers (`0`:
+/// one per core) by fixed chunks of [`SCAN_ROWS`], so the output is the
+/// serial map's at any thread count.
+pub(crate) fn scan_rows<R: Default + Send>(
+    n: usize,
+    threads: usize,
+    row: impl Fn(u32) -> R + Sync,
+) -> Vec<R> {
+    let mut out: Vec<R> = std::iter::repeat_with(R::default).take(n).collect();
+    par_fill(
+        &mut out,
+        SCAN_ROWS,
+        resolve_threads(threads),
+        || (),
+        |_, start, slot| {
+            for (j, x) in slot.iter_mut().enumerate() {
+                *x = row((start + j) as u32);
+            }
+        },
+    );
     out
 }
 
+fn ids(nn: Vec<Neighbor>) -> Vec<u32> {
+    nn.iter().map(|n| n.id).collect()
+}
+
+/// Exact k-NN ids for every query, computed in parallel across `threads`
+/// (`0`: one per core).
+pub fn ground_truth(base: &Dataset, queries: &Dataset, k: usize, threads: usize) -> Vec<Vec<u32>> {
+    assert_eq!(base.dim(), queries.dim(), "dimension mismatch");
+    scan_rows(queries.len(), threads, |q| {
+        ids(knn_scan(base, queries.point(q), k, None))
+    })
+}
+
 /// Exact KNN ids for every *base* point against the rest of the base set
-/// (self excluded): the exact KNNG used by the graph-quality metric and by
-/// brute-force initializers (IEH, FANNG, k-DR).
+/// (self excluded), on `threads` (`0`: one per core): the exact KNNG used
+/// by the graph-quality metric and by brute-force initializers (IEH,
+/// FANNG, k-DR).
 pub fn exact_knn_graph(base: &Dataset, k: usize, threads: usize) -> Vec<Vec<u32>> {
-    let n = base.len();
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let threads = threads.max(1).min(n.max(1));
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (t, slot) in out.chunks_mut(chunk).enumerate() {
-            let start = t * chunk;
-            s.spawn(move || {
-                for (j, row) in slot.iter_mut().enumerate() {
-                    let id = (start + j) as u32;
-                    *row = knn_scan(base, base.point(id), k, Some(id))
-                        .iter()
-                        .map(|n| n.id)
-                        .collect();
-                }
-            });
-        }
-    });
-    out
+    scan_rows(base.len(), threads, |id| {
+        ids(knn_scan(base, base.point(id), k, Some(id)))
+    })
 }
 
 #[cfg(test)]

@@ -16,6 +16,10 @@
 //! - [`io`]: TexMex `fvecs`/`ivecs` readers and writers so the real datasets
 //!   drop in unchanged when available.
 //! - [`ground_truth`]: parallel brute-force exact k-NN.
+//! - [`parallel`]: the workspace's one fork-join runtime — fixed-chunk
+//!   deterministic maps over a standing [`parallel::WorkerPool`], which
+//!   every build, scan and generator phase and every serving engine runs
+//!   on.
 //! - [`metrics`]: `Recall@k`, local intrinsic dimensionality (LID), and the
 //!   distance-computation counter that underlies the paper's *speedup*
 //!   metric (`|S| / NDC`).
@@ -26,6 +30,7 @@ pub mod ground_truth;
 pub mod io;
 pub mod metrics;
 pub mod neighbor;
+pub mod parallel;
 pub mod pq;
 pub mod prefetch;
 pub mod quant;

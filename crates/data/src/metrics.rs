@@ -2,7 +2,7 @@
 //! intrinsic dimensionality (LID).
 
 use crate::dataset::Dataset;
-use crate::ground_truth::knn_scan;
+use crate::ground_truth::{knn_scan, scan_rows};
 
 /// `Recall@k` for one query: |result ∩ truth| / |truth| (§2.1 and §5.1).
 ///
@@ -77,25 +77,17 @@ pub fn lid_mle(dists: &[f32]) -> Option<f64> {
 }
 
 /// Mean MLE-LID of a dataset, estimated on `samples` random-stride points
-/// with `k` neighbors each (the survey uses k = 100).
+/// with `k` neighbors each (the survey uses k = 100), scanned on `threads`
+/// (`0`: one per core).
 pub fn dataset_lid(base: &Dataset, k: usize, samples: usize, threads: usize) -> f64 {
     let n = base.len();
     let samples = samples.min(n).max(1);
     let stride = (n / samples).max(1);
-    let ids: Vec<u32> = (0..samples).map(|i| (i * stride) as u32).collect();
-    let mut lids: Vec<f64> = vec![0.0; ids.len()];
-    let threads = threads.max(1).min(ids.len());
-    let chunk = ids.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for (slot, id_chunk) in lids.chunks_mut(chunk).zip(ids.chunks(chunk)) {
-            s.spawn(move || {
-                for (out, &id) in slot.iter_mut().zip(id_chunk) {
-                    let nn = knn_scan(base, base.point(id), k, Some(id));
-                    let dists: Vec<f32> = nn.iter().map(|x| x.dist.sqrt()).collect();
-                    *out = lid_mle(&dists).unwrap_or(0.0);
-                }
-            });
-        }
+    let lids = scan_rows(samples, threads, |s| {
+        let id = (s as usize * stride) as u32;
+        let nn = knn_scan(base, base.point(id), k, Some(id));
+        let dists: Vec<f32> = nn.iter().map(|x| x.dist.sqrt()).collect();
+        lid_mle(&dists).unwrap_or(0.0)
     });
     let valid: Vec<f64> = lids.into_iter().filter(|&x| x > 0.0).collect();
     if valid.is_empty() {

@@ -1,35 +1,35 @@
-//! Deterministic parallel construction: a scoped worker pool over
-//! fixed-size work chunks, combined in chunk order.
+//! The workspace's one fork-join runtime: deterministic maps over
+//! fixed-size work chunks, combined in chunk order, on a standing
+//! [`WorkerPool`].
 //!
-//! Every parallel phase of every builder routes through here, and all of
-//! them share one invariant: **results are a pure function of the input,
-//! never of the thread count**. Two rules enforce it:
+//! Every parallel phase of every builder, the data crate's scans and the
+//! generator route through here, and all of them share one invariant:
+//! **results are a pure function of the input, never of the thread
+//! count**. Two rules enforce it:
 //!
-//! 1. **Fixed chunk sizes.** Work is cut into chunks of a constant size
-//!    (like the PR-2 `Dataset::centroid`/`medoid` scheme), not
-//!    `n.div_ceil(threads)` — so the partition of work units is identical
-//!    whether 1 or 64 workers pull from the queue.
+//! 1. **Fixed chunk sizes.** Work is cut into chunks of a constant size,
+//!    not `n.div_ceil(threads)` — so the partition of work units is
+//!    identical whether 1 or 64 workers pull from the queue.
 //! 2. **In-order combination.** Each chunk's result lands in a slot keyed
 //!    by its chunk index; callers see results in chunk order regardless of
 //!    which worker finished first.
 //!
-//! Workers are spawned with [`std::thread::scope`] (no runtime dependency)
-//! and pull chunks from a shared atomic counter, so a slow chunk never
-//! stalls the rest of the queue. Each worker builds its state once (for
-//! search-based builders: a reusable [`crate::search::SearchScratch`]) and
-//! carries it across every chunk it processes.
+//! Workers pull chunks from a shared atomic counter, so a slow chunk
+//! never stalls the rest of the queue. Each worker builds its state once
+//! (for search-based builders: a reusable search scratch) and carries it
+//! across every chunk it processes.
 //!
 //! The third piece is [`prefix_doubling`], the batch schedule ParlayANN
 //! uses to parallelize *incremental* constructions (HNSW/NSW): insert
 //! points in rounds of doubling size, where every point in a round
 //! searches the frozen graph of all prior rounds.
 //!
-//! The serving tier's fork-join is [`WorkerPool`]: builds run for seconds
-//! and can afford a scope's thread creation per phase, a 100 µs query
-//! batch cannot, so the engines keep parked threads and the calling
-//! thread works beside them — and wakes one only when the pool's own
-//! measured hand-off latency says that thread would arrive in time to
-//! take a task off the caller.
+//! [`WorkerPool`] is the only thing in the workspace's library code that
+//! starts a thread: parked `'static` threads beside a calling thread that
+//! works too. Construction runs on one process-wide pool started on first
+//! use ([`par_fill`]); each serving engine keeps its own, which wakes a
+//! thread only when the pool's measured hand-off latency says it would
+//! arrive in time to take a task off the caller.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -40,9 +40,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
 
-/// Locks `m`, ignoring poisoning: no task runs under a lock in this crate,
-/// so a panicking task never leaves the guarded state half updated.
-pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks `m`, ignoring poisoning: no task runs under a lock in the
+/// workspace, so a panicking task never leaves the guarded state half
+/// updated.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -55,8 +56,26 @@ pub const CHUNK: usize = 256;
 /// allocator contention eat the gains at harness scales.
 const MAX_AUTO_THREADS: usize = 16;
 
+/// The most threads one [`par_fill`] runs on: the build pool's helpers
+/// plus the caller. At least [`MAX_AUTO_THREADS`], so an explicit request
+/// up to 16 gets that many threads even on one core.
+fn max_build_threads() -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .max(MAX_AUTO_THREADS)
+}
+
+/// The process-wide pool construction runs on, started on first use and
+/// never stopped. Its wake rule is the eager one: no caller states a cost.
+pub(crate) fn build_pool() -> &'static WorkerPool {
+    static POOL: OnceLock<WorkerPool> = OnceLock::new();
+    POOL.get_or_init(|| WorkerPool::new(max_build_threads() - 1))
+}
+
 /// Resolves a requested construction thread count: `0` means "one per
-/// available core" (capped at 16), any other value is taken as-is.
+/// available core" (capped at 16), any other value is taken as-is. The
+/// phases run on the build pool, so a request above max(cores, 16) runs
+/// on at most that many threads.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
         requested
@@ -98,6 +117,11 @@ where
 /// [`par_chunks_map`]; used where each work unit owns a disjoint output
 /// range (per-point neighbor lists) and, through the return value, where
 /// it also emits something for other ranges (staged offers).
+///
+/// The calling thread and up to `threads − 1` build-pool helpers claim
+/// the chunks; `threads` above max(cores, 16) runs on that many. A chunk
+/// that panics re-raises its own payload here once every other claimed
+/// chunk has finished.
 pub fn par_fill<T, R, S, I, F>(out: &mut [T], chunk: usize, threads: usize, init: I, f: F) -> Vec<R>
 where
     T: Send,
@@ -106,16 +130,6 @@ where
     F: Fn(&mut S, usize, &mut [T]) -> R + Sync,
 {
     let chunk = chunk.max(1);
-    let n_chunks = out.len().div_ceil(chunk);
-    let threads = threads.max(1).min(n_chunks.max(1));
-    if threads <= 1 {
-        let mut state = init();
-        return out
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, slot)| f(&mut state, c * chunk, slot))
-            .collect();
-    }
     // Each chunk's mutable slice goes out through a one-shot slot and its
     // result comes back through another, keyed by chunk index; the slices
     // are disjoint so workers never alias.
@@ -123,19 +137,17 @@ where
         out.chunks_mut(chunk).map(|s| Mutex::new(Some(s))).collect();
     let done: Vec<Mutex<Option<R>>> = work.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= work.len() {
-                        break;
-                    }
-                    let slot = lock(&work[c]).take().expect("chunk taken twice");
-                    *lock(&done[c]) = Some(f(&mut state, c * chunk, slot));
-                }
-            });
+    let workers = threads.min(work.len()).clamp(1, max_build_threads());
+    build_pool().run(workers, |_| {
+        let mut state = init();
+        loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            if c >= work.len() {
+                break;
+            }
+            let slot = lock(&work[c]).take().expect("chunk taken twice");
+            let value = f(&mut state, c * chunk, slot);
+            *lock(&done[c]) = Some(value);
         }
     });
     done.into_iter()
@@ -381,16 +393,16 @@ pub struct PoolSnapshot {
 impl PoolSnapshot {
     /// Folds another pool's view into this one (pools of one process wake
     /// threads of one host; the slowest is what a dashboard should see).
-    pub(crate) fn absorb(&mut self, other: PoolSnapshot) {
+    pub fn absorb(&mut self, other: PoolSnapshot) {
         self.handoff_ns = self.handoff_ns.max(other.handoff_ns);
         self.jobs_inline += other.jobs_inline;
         self.jobs_fanned_out += other.jobs_fanned_out;
     }
 }
 
-/// A standing fork-join pool for the serving path: parked `'static`
-/// threads plus the calling thread, all claiming task indices from one
-/// atomic cursor.
+/// A standing fork-join pool: parked `'static` threads plus the calling
+/// thread, all claiming task indices from one atomic cursor. Each serving
+/// engine owns one; construction shares one process-wide pool.
 ///
 /// Because the caller participates, [`run`](WorkerPool::run) is at worst
 /// the inline loop plus the wake-up calls it chose to make, and it makes
@@ -402,8 +414,9 @@ impl PoolSnapshot {
 /// 25 µs tasks runs on the thread that brought it and a 2 000-task batch
 /// spreads over every worker; where it needs 5 µs both spread. With
 /// either number unknown every parked worker a task could use is woken.
-/// Concurrent `run` calls are served oldest-first. Threads start on the
-/// first multi-task run and are joined on drop.
+/// Concurrent `run` calls are served oldest-first; a task may call `run`
+/// again, since every caller works its own job to the end. Threads start
+/// on the first multi-task run and are joined on drop.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     threads: usize,
@@ -690,6 +703,43 @@ mod tests {
             },
         );
         assert_eq!(counts.iter().sum::<usize>(), 512usize.div_ceil(16));
+    }
+
+    #[test]
+    fn a_chunk_panic_reaches_the_caller_verbatim_and_the_build_pool_survives() {
+        for threads in [1, 4] {
+            let mut out = vec![0u8; 100];
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                par_fill(
+                    &mut out,
+                    10,
+                    threads,
+                    || (),
+                    |_, start, _| {
+                        if start == 30 {
+                            panic!("chunk at 30 failed");
+                        }
+                    },
+                )
+            }))
+            .expect_err("the chunk's panic must reach the caller");
+            assert_eq!(
+                err.downcast_ref::<&str>(),
+                Some(&"chunk at 30 failed"),
+                "threads={threads}"
+            );
+            let mut hits = vec![0u8; 1_000];
+            par_fill(
+                &mut hits,
+                7,
+                threads,
+                || (),
+                |_, _, slot| {
+                    slot.iter_mut().for_each(|h| *h += 1);
+                },
+            );
+            assert!(hits.iter().all(|&h| h == 1), "threads={threads}");
+        }
     }
 
     #[test]

@@ -49,14 +49,32 @@ pub fn prefetch_read<T>(p: *const T) {
     }
 }
 
-/// Prefetches the first cache lines of an `len`-element `f32`-sized span
-/// starting at `p`. Long vectors only need their head requested: the
-/// hardware stride prefetcher follows once the first lines are touched.
+/// Prefetches the first two cache lines of a `len`-element span starting
+/// at `p`. Its callers are walks that may never score the row they
+/// request (a neighbor list, a candidate's vector ahead of a pruning
+/// check), so only the head is asked for; the hardware stride prefetcher
+/// follows once those lines are touched. A row that is scored whole as
+/// soon as it arrives wants [`prefetch_lines`].
 #[inline(always)]
 pub fn prefetch_span<T>(p: *const T, len: usize) {
     prefetch_read(p);
     if len * std::mem::size_of::<T>() > 64 {
-        prefetch_read(unsafe { (p as *const u8).add(64) });
+        // `wrapping_add`: an address past the span is still only a hint.
+        prefetch_read((p as *const u8).wrapping_add(64));
+    }
+}
+
+/// Requests every cache line of `v`, for a row that is about to be read
+/// whole (RNN-Descent scores each candidate against its full vector).
+#[inline]
+pub fn prefetch_lines(v: &[f32]) {
+    // 16 floats are one 64-byte line; the last element closes a row whose
+    // start is not line-aligned.
+    for line in v.chunks(16) {
+        prefetch_read(line.as_ptr());
+    }
+    if let Some(last) = v.last() {
+        prefetch_read(last);
     }
 }
 
@@ -79,7 +97,20 @@ mod tests {
         let v = [1.0f32; 32];
         prefetch_read(v.as_ptr());
         prefetch_span(v.as_ptr(), v.len());
+        // A span claimed past its allocation is still only a hint.
+        prefetch_span(v[31..].as_ptr(), 17);
         // Dangling/null addresses are fine too — prefetch never faults.
         prefetch_read(std::ptr::null::<f32>());
+    }
+
+    #[test]
+    fn prefetch_lines_reads_nothing_and_takes_any_row() {
+        let v: Vec<f32> = (0..300).map(|i| i as f32).collect();
+        for len in [0, 1, 15, 16, 17, 256, 299] {
+            // Unaligned starts too: the row's last line is still asked for.
+            prefetch_lines(&v[1..=len]);
+            prefetch_lines(&v[..len]);
+        }
+        assert!(v.iter().enumerate().all(|(i, &x)| x == i as f32));
     }
 }

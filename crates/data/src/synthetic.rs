@@ -16,6 +16,7 @@
 //!    is the property the paper's "simple vs hard dataset" findings rely on.
 
 use crate::dataset::Dataset;
+use crate::parallel::build_pool;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Mutex;
@@ -229,12 +230,7 @@ impl MixtureSpec {
                 fill(c * CHUNK, out, &mut checkpoint, &mut z);
             }
         };
-        std::thread::scope(|scope| {
-            for _ in 1..workers.min(n_chunks) {
-                scope.spawn(work);
-            }
-            work();
-        });
+        build_pool().run(workers.min(n_chunks), |_| work());
         (base, queries)
     }
 }
