@@ -26,8 +26,8 @@
 //!
 //! [`WorkerPool`] is the only thing in the workspace's library code that
 //! starts a thread: parked `'static` threads beside a calling thread that
-//! works too. Construction runs on one process-wide pool started on first
-//! use ([`par_fill`]); each serving engine keeps its own, which wakes a
+//! works too. Construction runs on one process-wide pool ([`par_fill`]);
+//! each serving engine keeps its own, which wakes a
 //! thread only when the pool's measured hand-off latency says it would
 //! arrive in time to take a task off the caller.
 
@@ -65,8 +65,9 @@ fn max_build_threads() -> usize {
         .max(MAX_AUTO_THREADS)
 }
 
-/// The process-wide pool construction runs on, started on first use and
-/// never stopped. Its wake rule is the eager one: no caller states a cost.
+/// The process-wide pool construction runs on. A helper starts when a
+/// caller first asks for that many threads and is never stopped; the wake
+/// rule is the eager one, since no caller states a cost.
 pub(crate) fn build_pool() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(|| WorkerPool::new(max_build_threads() - 1))
@@ -311,6 +312,8 @@ struct PoolState {
     /// — whether or not the job is still there, so a hand-off longer
     /// than the job it was paid for is measured like any other.
     wake_sent: Option<Instant>,
+    /// The workers started so far, joined on drop.
+    handles: Vec<JoinHandle<()>>,
 }
 
 impl PoolState {
@@ -415,12 +418,14 @@ impl PoolSnapshot {
 /// spreads over every worker; where it needs 5 µs both spread. With
 /// either number unknown every parked worker a task could use is woken.
 /// Concurrent `run` calls are served oldest-first; a task may call `run`
-/// again, since every caller works its own job to the end. Threads start
-/// on the first multi-task run and are joined on drop.
+/// again, since every caller works its own job to the end. A run starts
+/// the workers its tasks could use that have not started yet, so a pool
+/// sized for the largest job any caller may bring (the build pool's)
+/// holds only as many threads as its callers have asked for; they are
+/// joined on drop.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     threads: usize,
-    handles: OnceLock<Vec<JoinHandle<()>>>,
 }
 
 impl WorkerPool {
@@ -430,7 +435,6 @@ impl WorkerPool {
         WorkerPool {
             shared: Arc::new(PoolShared::default()),
             threads,
-            handles: OnceLock::new(),
         }
     }
 
@@ -461,18 +465,6 @@ impl WorkerPool {
             (0..n_tasks).for_each(task);
             return None;
         }
-        // A worker that cannot be spawned is one the caller stands in for.
-        self.handles.get_or_init(|| {
-            (0..self.threads)
-                .filter_map(|_| {
-                    let shared = Arc::clone(&self.shared);
-                    std::thread::Builder::new()
-                        .name("weavess-pool".into())
-                        .spawn(move || shared.worker_loop())
-                        .ok()
-                })
-                .collect()
-        });
         let task: &(dyn Fn(usize) + Sync) = &task;
         // SAFETY: this extends `task`'s borrow to `'static` so parked
         // `'static` threads can call it. Workers reach it only through
@@ -491,6 +483,18 @@ impl WorkerPool {
         let handoff = self.shared.handoff.estimate();
         let job = {
             let mut state = lock(&self.shared.state);
+            // A new worker finds the job once this lock is released. One
+            // that cannot be spawned is one the caller stands in for.
+            while state.handles.len() < self.threads.min(n_tasks - 1) {
+                let shared = Arc::clone(&self.shared);
+                match std::thread::Builder::new()
+                    .name("weavess-pool".into())
+                    .spawn(move || shared.worker_loop())
+                {
+                    Ok(handle) => state.handles.push(handle),
+                    Err(_) => break,
+                }
+            }
             let woken = wake_count(n_tasks, state.parked, handoff, task_cost_ns);
             if woken > 0 {
                 state.wake_sent = Some(Instant::now());
@@ -588,14 +592,16 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        if let Some(handles) = self.handles.take() {
-            lock(&self.shared.state).shutdown = true;
-            self.shared.wake.notify_all();
-            for h in handles {
-                // Workers catch every task panic, so this cannot fail —
-                // and a destructor must not panic if it somehow did.
-                let _ = h.join();
-            }
+        let handles = {
+            let mut state = lock(&self.shared.state);
+            state.shutdown = true;
+            std::mem::take(&mut state.handles)
+        };
+        self.shared.wake.notify_all();
+        for h in handles {
+            // Workers catch every task panic, so this cannot fail — and
+            // a destructor must not panic if it somehow did.
+            let _ = h.join();
         }
     }
 }
@@ -763,6 +769,10 @@ mod tests {
         assert_eq!(prefix_doubling(2, 64), vec![1..2]);
     }
 
+    fn spawned(pool: &WorkerPool) -> usize {
+        lock(&pool.shared.state).handles.len()
+    }
+
     /// Runs `n` tasks on `pool` and asserts each index ran exactly once.
     fn assert_each_task_once(pool: &WorkerPool, n: usize) {
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
@@ -793,9 +803,13 @@ mod tests {
         let pool = WorkerPool::new(3);
         let me = std::thread::current().id();
         pool.run(1, |_| assert_eq!(std::thread::current().id(), me));
-        assert!(pool.handles.get().is_none(), "a 1-task run spawned");
+        assert_eq!(spawned(&pool), 0, "a 1-task run spawned");
         pool.run(2, |_| {});
-        assert_eq!(pool.handles.get().map(Vec::len), Some(3));
+        assert_eq!(spawned(&pool), 1, "a 2-task run can use one helper");
+        pool.run(9, |_| {});
+        assert_eq!(spawned(&pool), 3, "never more than the pool's size");
+        pool.run(2, |_| {});
+        assert_eq!(spawned(&pool), 3, "started workers stay");
     }
 
     #[test]
@@ -856,7 +870,7 @@ mod tests {
         assert_eq!(err.downcast_ref::<&str>(), Some(&"task three failed"));
         assert_eq!(ran.load(Ordering::Relaxed), 63, "the other tasks still ran");
         assert_each_task_once(&pool, 1000);
-        assert_eq!(pool.handles.get().map(Vec::len), Some(2));
+        assert_eq!(spawned(&pool), 2);
     }
 
     #[test]
@@ -946,7 +960,8 @@ mod tests {
     /// Spins until every worker of a started pool is asleep on the
     /// condvar, so the next job's wake count is the rule's alone.
     fn wait_all_parked(pool: &WorkerPool) {
-        let spawned = pool.handles.get().expect("the pool has started").len();
+        let spawned = spawned(pool);
+        assert!(spawned > 0, "the pool has started");
         while lock(&pool.shared.state).parked < spawned {
             std::thread::yield_now();
         }
