@@ -57,6 +57,7 @@ impl HnswParams {
 }
 
 /// A built HNSW index: one frozen graph per layer.
+#[derive(Debug, PartialEq)]
 pub struct HnswIndex {
     /// `layers[0]` is the full bottom layer; upper layers cover subsets
     /// (absent vertices have empty neighbor lists).
@@ -79,6 +80,12 @@ impl HnswIndex {
     /// The frozen graph of one layer (0 = bottom).
     pub fn layer(&self, l: usize) -> &CsrGraph {
         &self.layers[l]
+    }
+
+    /// `v`'s neighbors on layer `l` (empty when `v` is absent from it,
+    /// and on every layer at or above [`Self::num_layers`]).
+    pub fn neighbors(&self, l: usize, v: u32) -> &[u32] {
+        self.layers.get(l).map_or(&[], |g| g.neighbors(v))
     }
 
     /// Reassembles an index from frozen layers (persistence).
@@ -586,6 +593,39 @@ mod tests {
                 want.hops += 1;
             }
             assert_eq!((got, stats), (cur, want), "query {qi}");
+        }
+    }
+
+    /// Freezing keeps every list the builder grew, in order, on every
+    /// layer and for every vertex: empty above a vertex's level and on the
+    /// layer above the top one.
+    #[test]
+    fn frozen_lists_are_the_builders_on_every_layer() {
+        let (ds, _) = dataset();
+        let p = HnswParams {
+            m: 4,
+            m0: 8,
+            ..HnswParams::tuned(2, 1)
+        };
+        let levels = draw_levels(ds.len(), &p, &mut StdRng::seed_from_u64(p.seed));
+        let (graph, enter, _) = build_layers(&ds, levels, &p);
+        let idx = build(&ds, &p);
+        assert!(
+            idx.num_layers() >= 4,
+            "the check must cover several upper layers"
+        );
+        assert_eq!(
+            (idx.num_layers(), idx.enter_point()),
+            (graph.num_layers(), enter)
+        );
+        for l in 0..=idx.num_layers() {
+            for v in 0..ds.len() as u32 {
+                assert_eq!(
+                    idx.neighbors(l, v),
+                    graph.neighbors(l, v),
+                    "layer {l}, vertex {v}"
+                );
+            }
         }
     }
 

@@ -604,11 +604,8 @@ mod tests {
         let path = tmp("hnsw.wvss");
         save_hnsw(&path, &idx).unwrap();
         let loaded = load_hnsw(&path).unwrap();
-        assert_eq!(loaded.num_layers(), idx.num_layers());
-        assert_eq!(loaded.enter_point(), idx.enter_point());
-        for l in 0..idx.num_layers() {
-            assert_eq!(loaded.layer(l), idx.layer(l), "layer {l}");
-        }
+        assert_eq!(loaded, idx);
+        assert_eq!(loaded.memory_bytes(), idx.memory_bytes());
         let mut c1 = SearchContext::new(ds.len());
         let mut c2 = SearchContext::new(ds.len());
         for qi in 0..qs.len() as u32 {
@@ -617,6 +614,81 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_eq!(c1.stats, c2.stats);
+    }
+
+    /// A file the builder never writes: a vertex that another one names
+    /// on layer 3, with a list there and an empty one on layer 2. It loads list for list, writes back
+    /// to the same bytes, and answers as recorded from the per-layer CSR
+    /// form (integer coordinates: every kernel tier gives equal bits).
+    #[test]
+    fn hnsw_file_with_a_gap_below_a_list_loads_and_answers_as_recorded() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut rows = |n: usize| -> Vec<Vec<f32>> {
+            (0..n)
+                .map(|_| (0..8).map(|_| rng.gen_range(-16i32..17) as f32).collect())
+                .collect()
+        };
+        let (ds, qs) = (
+            Dataset::from_rows(&rows(2_000)),
+            Dataset::from_rows(&rows(50)),
+        );
+        let params = HnswParams {
+            m: 4,
+            m0: 8,
+            ..HnswParams::tuned(2, 3)
+        };
+        let idx = hnsw::build(&ds, &params);
+        assert!(idx.num_layers() >= 4, "no layer 3");
+        let mut lists: Vec<Vec<Vec<u32>>> = (0..idx.num_layers())
+            .map(|l| {
+                (0..ds.len() as u32)
+                    .map(|v| idx.neighbors(l, v).to_vec())
+                    .collect()
+            })
+            .collect();
+        // The enter point: every descent reads its layer-3 list.
+        let gap = idx.enter_point();
+        assert!(!lists[3][gap as usize].is_empty() && !lists[2][gap as usize].is_empty());
+        assert!(lists[3].iter().any(|list| list.contains(&gap)));
+        lists[2][gap as usize].clear();
+        let mut bytes = Vec::new();
+        let enter = SeedStrategy::Fixed(vec![idx.enter_point()]);
+        write_record(&mut bytes, "HNSW", &Router::BestFirst, &enter, &lists[0]).unwrap();
+        bytes.push(UPPER_LAYERS);
+        bytes.extend((lists.len() as u32 - 1).to_le_bytes());
+        for layer in &lists[1..] {
+            write_graph_lists(&mut bytes, layer).unwrap();
+        }
+
+        let loaded = IndexFile::parse(&mut &bytes[..])
+            .and_then(IndexFile::into_hnsw)
+            .unwrap();
+        assert_eq!(loaded.num_layers(), lists.len());
+        for l in 0..=lists.len() {
+            for v in 0..ds.len() as u32 {
+                let want = lists.get(l).map_or(&[][..], |layer| &layer[v as usize]);
+                assert_eq!(loaded.neighbors(l, v), want, "layer {l}, vertex {v}");
+            }
+        }
+        let mut again = Vec::new();
+        write_hnsw(&mut again, &loaded).unwrap();
+        assert!(again == bytes, "the loaded index writes other bytes");
+        let mut ctx = SearchContext::new(ds.len());
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        let mut fnv = |bytes: &[u8]| {
+            for &b in bytes {
+                digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for qi in 0..qs.len() as u32 {
+            for r in loaded.search(&ds, qs.point(qi), 10, 40, &mut ctx) {
+                fnv(&r.id.to_le_bytes());
+                fnv(&r.dist.to_bits().to_le_bytes());
+            }
+            fnv(&ctx.stats.ndc.to_le_bytes());
+            fnv(&ctx.stats.hops.to_le_bytes());
+        }
+        assert_eq!(digest, 0x4989_11f4_fd92_9f18, "answers moved");
     }
 
     #[test]

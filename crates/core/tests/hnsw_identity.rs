@@ -14,6 +14,7 @@ use rand::{Rng, SeedableRng};
 use weavess_core::algorithms::hnsw::{self, HnswParams};
 use weavess_core::algorithms::hnsw_dynamic::DynamicHnsw;
 use weavess_core::index::AnnIndex;
+use weavess_core::persist;
 use weavess_data::Dataset;
 use weavess_graph::CsrGraph;
 
@@ -99,4 +100,24 @@ fn dynamic_stream_repeats_the_recorded_answers() {
     }
     assert_eq!(idx.len(), BASE + 1_265, "the stream itself moved");
     assert_eq!(digest, 0x7c0a67782f2cb94d, "dynamic HNSW answers moved");
+}
+
+/// The saved file is the format, whatever layout the index holds its
+/// layers in: `write_hnsw`'s bytes (the record with layer 0, then one list
+/// per vertex on every upper layer) for one build at four thread counts.
+#[test]
+fn write_hnsw_bytes_are_pinned() {
+    let ds = integer_dataset(3_000, 16, 1);
+    for threads in [1, 2, 3, 8] {
+        let idx = hnsw::build(&ds, &HnswParams::tuned(threads, 3));
+        let mut bytes = Vec::new();
+        persist::write_hnsw(&mut bytes, &idx).unwrap();
+        let mut digest = FNV_OFFSET;
+        fnv1a(&mut digest, &bytes);
+        assert_eq!(
+            (bytes.len(), digest),
+            (253_159, 0x7fb5_c207_cd01_d4aa),
+            "threads {threads}: write_hnsw bytes moved"
+        );
+    }
 }
