@@ -56,12 +56,16 @@ impl HnswParams {
     }
 }
 
-/// A built HNSW index: one frozen graph per layer.
+/// A built HNSW index: layer 0 as one [`CsrGraph`], the upper layers in
+/// the [`UpperLayers`] form the builder grows them in, frozen to CSR.
 #[derive(Debug, PartialEq)]
 pub struct HnswIndex {
-    /// `layers[0]` is the full bottom layer; upper layers cover subsets
-    /// (absent vertices have empty neighbor lists).
-    layers: Vec<CsrGraph>,
+    /// Layer 0, every vertex: what the beam search walks and
+    /// [`AnnIndex::graph`] returns.
+    base: CsrGraph,
+    /// Layers 1.., each vertex's blocks up to its last non-empty list.
+    upper: UpperLayers<CsrGraph>,
+    num_layers: usize,
     /// Fixed entry vertex (a top-layer member).
     enter: u32,
 }
@@ -69,7 +73,7 @@ pub struct HnswIndex {
 impl HnswIndex {
     /// Number of layers.
     pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        self.num_layers
     }
 
     /// The fixed entry point.
@@ -77,27 +81,35 @@ impl HnswIndex {
         self.enter
     }
 
-    /// The frozen graph of one layer (0 = bottom).
-    pub fn layer(&self, l: usize) -> &CsrGraph {
-        &self.layers[l]
-    }
-
     /// `v`'s neighbors on layer `l` (empty when `v` is absent from it,
     /// and on every layer at or above [`Self::num_layers`]).
     pub fn neighbors(&self, l: usize, v: u32) -> &[u32] {
-        self.layers.get(l).map_or(&[], |g| g.neighbors(v))
+        if l == 0 {
+            self.base.neighbors(v)
+        } else {
+            self.upper.neighbors(l, v)
+        }
     }
 
-    /// Reassembles an index from frozen layers (persistence).
+    /// Reassembles an index from one graph per layer, layer 0 first
+    /// (persistence); the upper layers are compacted as [`build`] freezes
+    /// them, so a saved index loads back equal.
     ///
     /// # Panics
     /// Panics when `layers` is empty or layer vertex counts disagree.
-    pub fn from_parts(layers: Vec<CsrGraph>, enter: u32) -> Self {
+    pub fn from_parts(mut layers: Vec<CsrGraph>, enter: u32) -> Self {
         assert!(!layers.is_empty(), "need at least the bottom layer");
         let n = layers[0].len();
         assert!(layers.iter().all(|l| l.len() == n), "layer size mismatch");
         assert!((enter as usize) < n, "enter point out of range");
-        HnswIndex { layers, enter }
+        let num_layers = layers.len();
+        let upper = UpperLayers::freeze(n, num_layers, |l, v| layers[l].neighbors(v));
+        HnswIndex {
+            base: layers.swap_remove(0),
+            upper,
+            num_layers,
+            enter,
+        }
     }
 }
 
@@ -109,29 +121,118 @@ pub fn build(ds: &Dataset, params: &HnswParams) -> HnswIndex {
     let (graph, enter, _) =
         crate::telemetry::span("C2+C3 insertion", || build_layers(ds, levels, params));
     crate::telemetry::span("freeze", || HnswIndex {
-        layers: (0..graph.num_layers())
-            .map(|l| CsrGraph::from_rows((0..ds.len() as u32).map(|v| graph.neighbors(l, v))))
-            .collect(),
+        base: CsrGraph::from_rows((0..ds.len() as u32).map(|v| graph.base.neighbors(v))),
+        upper: UpperLayers::freeze(ds.len(), graph.num_layers(), |l, v| graph.neighbors(l, v)),
+        num_layers: graph.num_layers(),
         enter,
     })
+}
+
+/// HNSW's upper layers (`l >= 1`) in hnswlib's scheme, shared by the
+/// growing [`LayeredGraph`] (`G` = [`SlotGraph`]) and the frozen
+/// [`HnswIndex`] (`G` = [`CsrGraph`]).
+///
+/// `blocks` holds one list per (vertex, layer) block, in vertex order and
+/// layer order within a vertex. Vertex `v` owns blocks `at[v]..at[v + 1]`,
+/// its layer-`l` list in block `at[v] + l - 1`, so `at[v + 1] - at[v]` is
+/// its level and a layer costs what it holds, not one offset per point.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct UpperLayers<G> {
+    /// `n + 1` block offsets.
+    at: Vec<u32>,
+    blocks: G,
+}
+
+impl<G: GraphView> UpperLayers<G> {
+    /// Number of vertices.
+    fn len(&self) -> usize {
+        self.at.len() - 1
+    }
+
+    /// `v`'s level: its number of blocks.
+    fn level(&self, v: u32) -> usize {
+        (self.at[v as usize + 1] - self.at[v as usize]) as usize
+    }
+
+    /// `v`'s block on layer `l >= 1`, if it has one.
+    #[inline]
+    fn block(&self, l: usize, v: u32) -> Option<u32> {
+        debug_assert!(l >= 1, "layer 0 is not an upper layer");
+        let at = self.at[v as usize] as usize + l - 1;
+        (at < self.at[v as usize + 1] as usize).then_some(at as u32)
+    }
+
+    /// `v`'s neighbors on layer `l >= 1` (empty when it has no block there).
+    #[inline]
+    fn neighbors(&self, l: usize, v: u32) -> &[u32] {
+        match self.block(l, v) {
+            Some(b) => self.blocks.neighbors(b),
+            None => &[],
+        }
+    }
+
+    /// Layer `l >= 1` as a routable graph.
+    fn layer(&self, l: usize) -> UpperLayer<'_, G> {
+        UpperLayer { upper: self, l }
+    }
+}
+
+impl UpperLayers<CsrGraph> {
+    /// Freezes layers `1..num_layers` of `n` vertices, read through
+    /// `list(l, v)`. Each vertex keeps its blocks up to its last non-empty
+    /// list: empty blocks above it are dropped (no route can tell them
+    /// from absent ones), so an index and its save → load are equal.
+    fn freeze<'a>(n: usize, num_layers: usize, list: impl Fn(usize, u32) -> &'a [u32]) -> Self {
+        let mut at = Vec::with_capacity(n + 1);
+        at.push(0u32);
+        for v in 0..n as u32 {
+            let level = (1..num_layers).rev().find(|&l| !list(l, v).is_empty());
+            let end = at[v as usize] as usize + level.unwrap_or(0);
+            at.push(u32::try_from(end).expect("more than u32::MAX upper-layer blocks"));
+        }
+        let blocks = at
+            .windows(2)
+            .enumerate()
+            .flat_map(|(v, w)| (1..=(w[1] - w[0]) as usize).map(move |l| (l, v as u32)));
+        let blocks = CsrGraph::from_rows(blocks.map(|(l, v)| list(l, v)));
+        UpperLayers { at, blocks }
+    }
+
+    /// Heap bytes: the block offsets and the CSR.
+    fn memory_bytes(&self) -> usize {
+        self.at.len() * std::mem::size_of::<u32>() + self.blocks.memory_bytes()
+    }
+}
+
+/// One upper layer of an [`UpperLayers`], borrowed for routing; vertices
+/// without a block on it are edgeless.
+pub(crate) struct UpperLayer<'a, G> {
+    upper: &'a UpperLayers<G>,
+    l: usize,
+}
+
+impl<G: GraphView> GraphView for UpperLayer<'_, G> {
+    #[inline]
+    fn neighbors(&self, v: u32) -> &[u32] {
+        self.upper.neighbors(self.l, v)
+    }
+    fn len(&self) -> usize {
+        self.upper.len()
+    }
 }
 
 /// The growing HNSW graph, shared by the batch builder and the dynamic
 /// index: every layer in fixed-stride blocks ([`SlotGraph`]).
 ///
-/// Layer 0 is one `m0`-wide block per vertex, indexed by vertex id. All
-/// upper layers share one array of `m`-wide blocks: a vertex of level
-/// `L >= 1` owns the `L` consecutive blocks starting at `upper_at[v]`,
-/// layer `l` at `upper_at[v] + l - 1` (hnswlib's scheme). Blocks are
-/// appended in vertex-id order, so a bulk load and the same points
-/// inserted one at a time lay out the same arrays.
+/// Layer 0 is one `m0`-wide block per vertex, indexed by vertex id. The
+/// upper layers are one [`UpperLayers`] of `m`-wide blocks: a vertex of
+/// level `L` owns `L` of them, one per layer it is on, empty or not.
+/// Blocks are appended in vertex-id order, so a bulk load and the same
+/// points inserted one at a time lay out the same arrays.
 #[derive(Debug, Clone)]
 pub(crate) struct LayeredGraph {
     base: SlotGraph,
-    upper: SlotGraph,
-    /// First upper block of each vertex (where its level-1 list lives).
-    upper_at: Vec<u32>,
-    levels: Vec<usize>,
+    upper: UpperLayers<SlotGraph>,
     top: usize,
 }
 
@@ -140,25 +241,21 @@ impl LayeredGraph {
     pub(crate) fn new(params: &HnswParams) -> Self {
         LayeredGraph {
             base: SlotGraph::new(params.m0),
-            upper: SlotGraph::new(params.m),
-            upper_at: Vec::new(),
-            levels: Vec::new(),
+            upper: UpperLayers {
+                at: vec![0],
+                blocks: SlotGraph::new(params.m),
+            },
             top: 0,
         }
     }
 
     /// Appends an edgeless vertex present on layers `0..=level`.
     pub(crate) fn push_vertex(&mut self, level: usize) {
-        self.upper_at.push(self.upper.len() as u32);
-        self.upper.resize(self.upper.len() + level);
-        self.levels.push(level);
-        self.base.resize(self.levels.len());
+        let end = self.upper.blocks.len() + level;
+        self.upper.blocks.resize(end);
+        self.upper.at.push(end as u32);
+        self.base.resize(self.upper.len());
         self.top = self.top.max(level);
-    }
-
-    /// Number of vertices.
-    pub(crate) fn len(&self) -> usize {
-        self.levels.len()
     }
 
     /// Number of layers (at least the bottom one).
@@ -168,7 +265,7 @@ impl LayeredGraph {
 
     /// The highest layer `v` is present on.
     pub(crate) fn level(&self, v: u32) -> usize {
-        self.levels[v as usize]
+        self.upper.level(v)
     }
 
     /// Layer 0, the graph every search ends on.
@@ -176,9 +273,10 @@ impl LayeredGraph {
         &self.base
     }
 
-    /// Layer `l` as a routable graph; vertices absent from it are edgeless.
-    pub(crate) fn layer(&self, l: usize) -> Layer<'_> {
-        Layer { graph: self, l }
+    /// Upper layer `l >= 1` as a routable graph; vertices absent from it
+    /// are edgeless.
+    pub(crate) fn layer(&self, l: usize) -> UpperLayer<'_, SlotGraph> {
+        self.upper.layer(l)
     }
 
     /// `v`'s neighbors on layer `l` (empty when `v` is absent from it).
@@ -189,7 +287,6 @@ impl LayeredGraph {
             None => &[],
         }
     }
-
     /// Replaces `v`'s list on layer `l`, which `v` must be present on.
     pub(crate) fn set(&mut self, l: usize, v: u32, ids: impl IntoIterator<Item = u32>) {
         let at = self.present(l, v);
@@ -251,10 +348,8 @@ impl LayeredGraph {
     fn slot(&self, l: usize, v: u32) -> Option<(&SlotGraph, u32)> {
         if l == 0 {
             Some((&self.base, v))
-        } else if self.levels[v as usize] >= l {
-            Some((&self.upper, self.upper_at[v as usize] + (l - 1) as u32))
         } else {
-            None
+            Some((&self.upper.blocks, self.upper.block(l, v)?))
         }
     }
 
@@ -269,24 +364,8 @@ impl LayeredGraph {
         if l == 0 {
             &mut self.base
         } else {
-            &mut self.upper
+            &mut self.upper.blocks
         }
-    }
-}
-
-/// One layer of a [`LayeredGraph`], borrowed for routing.
-pub(crate) struct Layer<'a> {
-    graph: &'a LayeredGraph,
-    l: usize,
-}
-
-impl GraphView for Layer<'_> {
-    #[inline]
-    fn neighbors(&self, v: u32) -> &[u32] {
-        self.graph.neighbors(self.l, v)
-    }
-    fn len(&self) -> usize {
-        self.graph.len()
     }
 }
 
@@ -466,10 +545,10 @@ impl HnswIndex {
         tracer: &mut T,
     ) -> Vec<Neighbor> {
         let mut ep = self.enter;
-        for l in (1..self.layers.len()).rev() {
+        for l in (1..self.num_layers).rev() {
             ep = greedy_closest(
                 ds,
-                &self.layers[l],
+                &self.upper.layer(l),
                 query,
                 ep,
                 &mut ctx.scratch.batch_dists,
@@ -479,7 +558,7 @@ impl HnswIndex {
         ctx.scratch.next_epoch();
         let mut pool = Router::BestFirst.search_traced(
             ds,
-            &self.layers[0],
+            &self.base,
             query,
             &[ep],
             beam.max(k),
@@ -521,11 +600,11 @@ impl AnnIndex for HnswIndex {
     }
 
     fn graph(&self) -> &CsrGraph {
-        &self.layers[0]
+        &self.base
     }
 
     fn memory_bytes(&self) -> usize {
-        self.layers.iter().map(|l| l.memory_bytes()).sum()
+        self.base.memory_bytes() + self.upper.memory_bytes()
     }
 }
 
@@ -567,7 +646,7 @@ mod tests {
     fn batched_greedy_descent_matches_per_neighbor_scoring() {
         let (ds, qs) = dataset();
         let idx = build(&ds, &HnswParams::tuned(2, 1));
-        let layer = &idx.layers[0];
+        let layer = idx.graph();
         let mut dists = Vec::new();
         for qi in 0..qs.len() as u32 {
             let q = qs.point(qi);
@@ -642,11 +721,13 @@ mod tests {
     fn upper_layers_are_sparser() {
         let (ds, _) = dataset();
         let idx = build(&ds, &HnswParams::tuned(2, 1));
+        let edges = |l| -> usize {
+            (0..ds.len() as u32)
+                .map(|v| idx.neighbors(l, v).len())
+                .sum()
+        };
         for l in 1..idx.num_layers() {
-            assert!(
-                idx.layers[l].num_edges() < idx.layers[l - 1].num_edges(),
-                "layer {l} not sparser"
-            );
+            assert!(edges(l) < edges(l - 1), "layer {l} not sparser");
         }
     }
 
@@ -657,7 +738,7 @@ mod tests {
         let (ds, _) = dataset();
         let idx = build(&ds, &HnswParams::tuned(2, 7));
         let upper: usize = (0..ds.len() as u32)
-            .filter(|&v| !idx.layers[1].neighbors(v).is_empty())
+            .filter(|&v| !idx.neighbors(1, v).is_empty())
             .count();
         assert!(
             (40..=320).contains(&upper),

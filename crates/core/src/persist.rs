@@ -36,7 +36,7 @@
 use crate::algorithms::hnsw::HnswIndex;
 use crate::algorithms::Algo;
 use crate::components::seeds::SeedStrategy;
-use crate::index::FlatIndex;
+use crate::index::{AnnIndex, FlatIndex};
 use crate::locality::{LayoutIndex, NodeLayout};
 use crate::search::Router;
 use std::collections::BTreeSet;
@@ -146,12 +146,15 @@ pub fn save_hnsw(path: &Path, index: &HnswIndex) -> Result<(), PersistError> {
 /// [`save_hnsw`] puts on disk, also usable for in-memory digesting.
 pub fn write_hnsw(w: &mut impl Write, index: &HnswIndex) -> Result<(), PersistError> {
     let enter = SeedStrategy::Fixed(vec![index.enter_point()]);
-    let layer0 = index.layer(0).to_lists();
+    let layer0 = index.graph().to_lists();
     write_record(w, Algo::Hnsw.name(), &Router::BestFirst, &enter, &layer0)?;
     w.write_all(&[UPPER_LAYERS])?;
     w.write_all(&(index.num_layers() as u32 - 1).to_le_bytes())?;
     for l in 1..index.num_layers() {
-        write_graph_lists(w, &index.layer(l).to_lists())?;
+        let lists: Vec<&[u32]> = (0..layer0.len() as u32)
+            .map(|v| index.neighbors(l, v))
+            .collect();
+        write_graph_lists(w, &lists)?;
     }
     Ok(())
 }
@@ -431,9 +434,10 @@ fn check_seeds(seeds: &SeedStrategy, n: usize) -> Result<(), PersistError> {
     problem.map_or(Ok(()), |m| Err(bad(m)))
 }
 
-fn write_graph_lists(w: &mut impl Write, lists: &[Vec<u32>]) -> Result<(), PersistError> {
+fn write_graph_lists(w: &mut impl Write, lists: &[impl AsRef<[u32]>]) -> Result<(), PersistError> {
     w.write_all(&(lists.len() as u64).to_le_bytes())?;
     for l in lists {
+        let l = l.as_ref();
         w.write_all(&(l.len() as u32).to_le_bytes())?;
         write_u32s(w, l)?;
     }

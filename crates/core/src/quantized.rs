@@ -14,14 +14,22 @@ use weavess_graph::{CsrGraph, FusedArena};
 /// The graph is built however the caller likes (full precision); only
 /// *search* touches the quantized vectors, so a deployment can drop the
 /// raw vectors from RAM and keep them on slower storage for reranking.
-/// [`QuantizedIndex::with_fused_layout`] additionally packs each vertex's
+/// [`QuantizedIndex::with_fused_layout`] instead packs each vertex's
 /// codes next to its adjacency in a [`FusedArena`] — bit-identical
 /// results, one pointer chase per expansion.
 pub struct QuantizedIndex {
-    graph: CsrGraph,
-    codes: Sq8Dataset,
+    routing: Routing,
     entries: Vec<u32>,
-    arena: Option<FusedArena>,
+    /// [`Sq8Dataset::memory_bytes`] of the codes, also once only the
+    /// arena holds them.
+    codes_bytes: usize,
+}
+
+/// What routing reads: the split graph and codes, or the one arena fused
+/// from them.
+enum Routing {
+    Split { graph: CsrGraph, codes: Sq8Dataset },
+    Fused(FusedArena),
 }
 
 impl QuantizedIndex {
@@ -50,20 +58,24 @@ impl QuantizedIndex {
                 dataset: ds.len(),
             });
         }
+        let codes = Sq8Dataset::quantize(ds);
         Ok(QuantizedIndex {
-            codes: Sq8Dataset::quantize(ds),
-            graph,
+            codes_bytes: codes.memory_bytes(),
+            routing: Routing::Split { graph, codes },
             entries,
-            arena: None,
         })
     }
 
-    /// Switches routing to a fused adjacency+codes arena. The split
-    /// `graph`/`codes` stay resident (the rerank path and accessors still
-    /// use them); routing reads only the arena.
-    pub fn with_fused_layout(mut self) -> Self {
-        self.arena = Some(FusedArena::with_sq8(&self.graph, &self.codes));
-        self
+    /// Switches routing to a fused adjacency+codes arena. The split graph
+    /// and codes go into the arena and are dropped: routing reads only the
+    /// arena, and [`Self::search`]'s rerank reads the caller's `full`
+    /// vectors.
+    pub fn with_fused_layout(self) -> Self {
+        let routing = match self.routing {
+            Routing::Split { graph, codes } => Routing::Fused(FusedArena::with_sq8(&graph, &codes)),
+            fused => fused,
+        };
+        QuantizedIndex { routing, ..self }
     }
 
     /// Best-first search over quantized distances; returns up to `beam`
@@ -80,17 +92,13 @@ impl QuantizedIndex {
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
         scratch.next_epoch();
-        match &self.arena {
-            Some(arena) => beam_search(arena, arena, query, &self.entries, beam, scratch, stats),
-            None => beam_search(
-                &self.codes,
-                &self.graph,
-                query,
-                &self.entries,
-                beam,
-                scratch,
-                stats,
-            ),
+        match &self.routing {
+            Routing::Fused(arena) => {
+                beam_search(arena, arena, query, &self.entries, beam, scratch, stats)
+            }
+            Routing::Split { graph, codes } => {
+                beam_search(codes, graph, query, &self.entries, beam, scratch, stats)
+            }
         }
     }
 
@@ -112,18 +120,19 @@ impl QuantizedIndex {
         rerank(full, query, &pool, k, scratch)
     }
 
-    /// Routing memory: the graph plus codes (raw vectors excluded — that
-    /// is the point), plus the fused arena when enabled.
+    /// Routing memory: the graph plus codes, or the fused arena (raw
+    /// vectors excluded — that is the point).
     pub fn memory_bytes(&self) -> usize {
-        self.graph.memory_bytes()
-            + self.codes.memory_bytes()
-            + self.arena.as_ref().map_or(0, |a| a.memory_bytes())
+        match &self.routing {
+            Routing::Split { graph, codes } => graph.memory_bytes() + codes.memory_bytes(),
+            Routing::Fused(arena) => arena.memory_bytes(),
+        }
     }
 
     /// Bytes of the SQ8 codes alone — the resident-vector footprint the
     /// quantization buys, independent of which layout routes over them.
     pub fn codes_memory_bytes(&self) -> usize {
-        self.codes.memory_bytes()
+        self.codes_bytes
     }
 }
 
@@ -220,6 +229,24 @@ mod tests {
         }
         let frac = overlap as f64 / (10 * qs.len()) as f64;
         assert!(frac > 0.8, "overlap {frac}");
+    }
+
+    /// Fusing keeps the arena alone: no split graph or codes stay
+    /// resident beside it, and the codes' byte count survives.
+    #[test]
+    fn fused_index_holds_only_its_arena() {
+        let (ds, _, base_idx) = setup();
+        let split = QuantizedIndex::new(base_idx.graph.clone(), &ds, vec![0]);
+        let fused = QuantizedIndex::new(base_idx.graph.clone(), &ds, vec![0]).with_fused_layout();
+        let codes = Sq8Dataset::quantize(&ds);
+        let arena = FusedArena::with_sq8(&base_idx.graph, &codes);
+        assert_eq!(fused.memory_bytes(), arena.memory_bytes());
+        assert_eq!(fused.codes_memory_bytes(), codes.memory_bytes());
+        assert_eq!(split.codes_memory_bytes(), codes.memory_bytes());
+        assert_eq!(
+            split.memory_bytes(),
+            base_idx.graph.memory_bytes() + codes.memory_bytes()
+        );
     }
 
     /// The fused SQ8 arena must be a pure layout change: same ids, same

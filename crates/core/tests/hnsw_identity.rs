@@ -46,10 +46,11 @@ fn static_hnsw_freezes_to_the_recorded_bytes() {
     let ds = integer_dataset(3_000, 16, 1);
     let idx = hnsw::build(&ds, &HnswParams::tuned(2, 3));
     assert!(idx.num_layers() >= 3, "the pin must cover upper layers");
+    let n = ds.len() as u32;
     let mut digest = FNV_OFFSET;
     fnv1a(&mut digest, &idx.enter_point().to_le_bytes());
     for l in 0..idx.num_layers() {
-        for list in idx.layer(l).to_lists() {
+        for list in (0..n).map(|v| idx.neighbors(l, v)) {
             fnv1a(&mut digest, &(list.len() as u32).to_le_bytes());
             list.iter()
                 .for_each(|u| fnv1a(&mut digest, &u.to_le_bytes()));
@@ -57,12 +58,26 @@ fn static_hnsw_freezes_to_the_recorded_bytes() {
     }
     assert_eq!(digest, 0x9c514b3d1c1a8865, "frozen HNSW layers moved");
     // Layers are exactly their lists: nothing of the block layout (spare
-    // slots, stride) leaks into the frozen graph.
-    for l in 0..idx.num_layers() {
-        let layer = idx.layer(l);
-        assert_eq!(&CsrGraph::from_lists(&layer.to_lists()), layer);
-    }
-    assert_eq!(idx.graph(), idx.layer(0));
+    // slots, stride) leaks into the frozen graph. Layer 0 is one CSR; the
+    // upper layers hold one `u32` locator per vertex (and one past the
+    // last), one `u64` offset per (vertex, layer) block up to the vertex's
+    // last non-empty list (and one past the last) and their edges.
+    let layer0 = (0..n).map(|v| idx.neighbors(0, v)).collect::<Vec<_>>();
+    assert_eq!(idx.graph(), &CsrGraph::from_lists(&layer0));
+    let last_list = |v| {
+        (1..idx.num_layers())
+            .rev()
+            .find(|&l| !idx.neighbors(l, v).is_empty())
+    };
+    let blocks: usize = (0..n).map(|v| last_list(v).unwrap_or(0)).sum();
+    let edges: usize = (1..idx.num_layers())
+        .flat_map(|l| (0..n).map(move |v| (l, v)))
+        .map(|(l, v)| idx.neighbors(l, v).len())
+        .sum();
+    assert_eq!(
+        idx.memory_bytes(),
+        idx.graph().memory_bytes() + 4 * (n as usize + 1) + 8 * (blocks + 1) + 4 * edges
+    );
 }
 
 /// A fixed 5 000-op insert/delete/search stream answers exactly as it did

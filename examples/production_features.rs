@@ -94,12 +94,12 @@ fn main() {
     let full_route = loaded.graph.memory_bytes() + base.memory_bytes();
     let split_route = loaded.graph.memory_bytes() + q_idx.codes_memory_bytes();
     println!(
-        "quantized routing: Recall@10 {:.3}, graph+codes {:.1} MB vs {:.1} MB full precision \
-         ({:.1} MB total with the fused arena resident)",
+        "quantized routing: Recall@10 {:.3}, graph+codes {:.1} MB split, {:.1} MB as the \
+         fused arena (the only copy it keeps), vs {:.1} MB full precision",
         mean_recall(&q_ids, &gt),
         split_route as f64 / 1e6,
-        full_route as f64 / 1e6,
-        q_idx.memory_bytes() as f64 / 1e6
+        q_idx.memory_bytes() as f64 / 1e6,
+        full_route as f64 / 1e6
     );
 
     // Serial baseline for comparison.
