@@ -9,6 +9,15 @@
 //! layer 0. The hierarchy costs memory (Figure 6's HNSW bar) — the
 //! flat-vs-hierarchy trade §3.2 discusses.
 //!
+//! Storage: layer 0 freezes to one [`CsrGraph`]; the upper layers keep
+//! the builder's hnswlib-style layout (`UpperLayers`): one locator of
+//! `n + 1` `u32`, whose consecutive differences are the vertex levels,
+//! and one CSR over the (vertex, layer ≥ 1) blocks. Upper layers so cost
+//! what they hold: on a 120 000 × 32 build (`M` 16, 7 431 / 470 / 37 / 2
+//! points on layers 1–4) ≈ 7.2 B per point (locator 4.0, block offsets
+//! 0.5, edges 2.7) beside layer 0's 69.4 B, where one full-`n` CSR per
+//! upper layer would cost 34.7 B, 32 B of it offsets.
+//!
 //! Construction is the *Increment* strategy parallelized with
 //! deterministic batch insertion (ParlayANN's scheme): points join in
 //! prefix-doubling batches; within a batch every point searches the
@@ -57,7 +66,7 @@ impl HnswParams {
 }
 
 /// A built HNSW index: layer 0 as one [`CsrGraph`], the upper layers in
-/// the [`UpperLayers`] form the builder grows them in, frozen to CSR.
+/// the block layout the builder grows them in, frozen to CSR.
 #[derive(Debug, PartialEq)]
 pub struct HnswIndex {
     /// Layer 0, every vertex: what the beam search walks and
@@ -190,11 +199,12 @@ impl UpperLayers<CsrGraph> {
             let end = at[v as usize] as usize + level.unwrap_or(0);
             at.push(u32::try_from(end).expect("more than u32::MAX upper-layer blocks"));
         }
-        let blocks = at
+        let list = &list;
+        let rows = at
             .windows(2)
             .enumerate()
-            .flat_map(|(v, w)| (1..=(w[1] - w[0]) as usize).map(move |l| (l, v as u32)));
-        let blocks = CsrGraph::from_rows(blocks.map(|(l, v)| list(l, v)));
+            .flat_map(|(v, w)| (1..=(w[1] - w[0]) as usize).map(move |l| list(l, v as u32)));
+        let blocks = CsrGraph::from_rows(rows);
         UpperLayers { at, blocks }
     }
 
@@ -282,11 +292,13 @@ impl LayeredGraph {
     /// `v`'s neighbors on layer `l` (empty when `v` is absent from it).
     #[inline]
     pub(crate) fn neighbors(&self, l: usize, v: u32) -> &[u32] {
-        match self.slot(l, v) {
-            Some((blocks, at)) => blocks.neighbors(at),
-            None => &[],
+        if l == 0 {
+            self.base.neighbors(v)
+        } else {
+            self.upper.neighbors(l, v)
         }
     }
+
     /// Replaces `v`'s list on layer `l`, which `v` must be present on.
     pub(crate) fn set(&mut self, l: usize, v: u32, ids: impl IntoIterator<Item = u32>) {
         let at = self.present(l, v);
@@ -295,7 +307,7 @@ impl LayeredGraph {
 
     /// Empties `v`'s list on layer `l`, if it has one.
     pub(crate) fn clear(&mut self, l: usize, v: u32) {
-        if let Some((_, at)) = self.slot(l, v) {
+        if let Some(at) = self.slot(l, v) {
             self.blocks_mut(l).clear(at);
         }
     }
@@ -343,19 +355,18 @@ impl LayeredGraph {
         }
     }
 
-    /// The block array holding layer `l` and `v`'s block in it.
-    #[inline]
-    fn slot(&self, l: usize, v: u32) -> Option<(&SlotGraph, u32)> {
+    /// `v`'s block in the array holding layer `l` ([`Self::blocks_mut`]).
+    fn slot(&self, l: usize, v: u32) -> Option<u32> {
         if l == 0 {
-            Some((&self.base, v))
+            Some(v)
         } else {
-            Some((&self.upper.blocks, self.upper.block(l, v)?))
+            self.upper.block(l, v)
         }
     }
 
     fn present(&self, l: usize, v: u32) -> u32 {
         match self.slot(l, v) {
-            Some((_, at)) => at,
+            Some(at) => at,
             None => panic!("HNSW: vertex {v} is linked on layer {l}, above its level"),
         }
     }

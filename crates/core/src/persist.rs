@@ -21,7 +21,10 @@
 //! out-of-order tag is [`PersistError::BadFormat`]. A split, unreordered,
 //! unadapted [`LayoutIndex`] thus writes exactly its [`FlatIndex`]'s bytes.
 //! An [`HnswIndex`] is the record named `"HNSW"` (`BestFirst`, seeds
-//! `Fixed([enter point])`, layer 0) plus section 4, always present.
+//! `Fixed([enter point])`, layer 0) plus section 4, always present. The
+//! section holds every upper layer as one list per vertex, whatever
+//! layout the index keeps them in; the loader compacts them
+//! ([`HnswIndex::from_parts`]).
 //!
 //! One reader validates every file. Each loader projects its result and
 //! refuses (`BadFormat`) a section its index type cannot store, so none
