@@ -631,6 +631,63 @@ fn refinement_builders_match_golden_digests() {
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
+/// Digest of a fixed query set's answers: per query, the ids and distance
+/// bits of the top 10 at beam 40 and the NDC spent, seeding included.
+fn answer_digest(idx: &FlatIndex, ds: &Dataset, qs: &Dataset) -> u64 {
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    let mut ctx = SearchContext::new(ds.len());
+    for qi in 0..qs.len() as u32 {
+        for n in idx.search(ds, qs.point(qi), 10, 40, &mut ctx) {
+            fnv1a(&mut digest, &n.id.to_le_bytes());
+            fnv1a(&mut digest, &n.dist.to_bits().to_le_bytes());
+        }
+        fnv1a(&mut digest, &ctx.take_stats().ndc.to_le_bytes());
+    }
+    digest
+}
+
+/// `index_digest` sees only the adjacency of EFANNA and IEH, whose seed
+/// structures (a KD-forest, LSH tables) do not persist; their answers see
+/// the structures too. Absolute per tier, at 1, 2 and 8 threads.
+#[test]
+fn tree_and_hash_seeded_answers_match_golden_digests() {
+    type Build = fn(&Dataset, usize) -> FlatIndex;
+    let cases: [(&str, Build, [u64; 3]); 2] = [
+        (
+            "EFANNA",
+            |ds, t| efanna::build(ds, &efanna::EfannaParams::tuned(t, 7)),
+            [
+                0xfd8c_5cf9_68f5_ca57,
+                0xfd8c_5cf9_68f5_ca57,
+                0xc54d_97be_fe28_be69,
+            ],
+        ),
+        (
+            "IEH",
+            |ds, t| ieh::build(ds, &ieh::IehParams::tuned(t, 7)),
+            [
+                0x9255_d61f_3682_5b66,
+                0x9255_d61f_3682_5b66,
+                0xe16b_d237_9319_f808,
+            ],
+        ),
+    ];
+    let (ds, qs) = MixtureSpec::table10(12, 700, 4, 3.0, 40).generate();
+    let mut wrong = Vec::new();
+    for (name, build, golden) in cases {
+        let want = golden_for_tier(golden);
+        for threads in THREAD_SWEEP {
+            let got = answer_digest(&build(&ds, threads), &ds, &qs);
+            if got != want {
+                wrong.push(format!(
+                    "{name} at {threads} threads: {got:#018x} != golden {want:#018x}"
+                ));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
 /// NSW has no refinement pass, so the table above does not cover it:
 /// its parallel insertion seeds every point's search from a per-point
 /// mixed RNG stream, and thread-count equality alone passes a change to

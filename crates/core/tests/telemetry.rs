@@ -15,8 +15,11 @@
 
 use proptest::prelude::*;
 use weavess_core::algorithms::dpg::{self, DpgParams};
+use weavess_core::algorithms::efanna::{self, EfannaParams};
 use weavess_core::algorithms::fanng::{self, FanngParams};
 use weavess_core::algorithms::hnsw::{self, HnswParams};
+use weavess_core::algorithms::ieh::{self, IehParams};
+use weavess_core::algorithms::kgraph::{self, KGraphParams};
 use weavess_core::algorithms::nsg::{self, NsgParams};
 use weavess_core::algorithms::nssg::{self, NssgParams};
 use weavess_core::algorithms::oa::{self, OaParams};
@@ -368,5 +371,40 @@ fn build_profiles_cover_hnsw_nsg_oa() {
         let json = p.to_json();
         assert!(json.contains("\"total_secs\""));
         assert!(json.contains("\"spans\""));
+    }
+}
+
+/// The builders that keep their C1 lists as the graph (KGraph, EFANNA,
+/// IEH) report the same spans and per-span NDC in any order.
+#[test]
+fn build_profiles_cover_kgraph_efanna_ieh() {
+    let spec = MixtureSpec::table10(10, 700, 3, 4.0, 2).with_seed(21);
+    let (base, _) = spec.generate();
+    type Build<'a> = &'a dyn Fn() -> Box<dyn AnnIndex>;
+    // (name, build, every (span, NDC) sorted).
+    type Case<'a> = (&'a str, Build<'a>, &'a [(&'a str, u64)]);
+    let cases: [Case; 3] = [
+        (
+            "KGraph",
+            &|| Box::new(kgraph::build(&base, &KGraphParams::tuned(2, 4))),
+            &[("C1 init", 3_525_033), ("freeze", 0)],
+        ),
+        (
+            "EFANNA",
+            &|| Box::new(efanna::build(&base, &EfannaParams::tuned(2, 4))),
+            &[("C1 init", 3_199_826), ("C4 seeds", 0), ("freeze", 0)],
+        ),
+        (
+            "IEH",
+            &|| Box::new(ieh::build(&base, &IehParams::tuned(2, 4))),
+            &[("C1 init", 0), ("C4 seeds", 0), ("freeze", 0)],
+        ),
+    ];
+    for (name, build, want) in cases {
+        let (_, profile) = profile_build(name, build);
+        let mut got: Vec<(&str, u64)> =
+            profile.spans.iter().map(|s| (s.component, s.ndc)).collect();
+        got.sort_unstable();
+        assert_eq!(got, want, "{name} spans and NDC");
     }
 }
