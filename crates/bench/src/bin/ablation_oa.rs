@@ -1,54 +1,29 @@
 //! Ablation study of the optimized algorithm's design choices (beyond the
 //! paper: §6 asserts each pick; this measures what each contributes).
 //!
-//! Variants, each degrading exactly one choice of OA:
+//! Every variant starts from `oa::pipeline(&OaParams::tuned(threads, 1))`,
+//! the OA that `fig11_optimized` measures, and degrades exactly one choice:
 //! - `no-two-stage` — C7 falls back to plain best-first;
 //! - `no-dfs-repair` — C5 skipped;
 //! - `closest-selection` — C3 falls back to distance-only;
 //! - `search-candidates` — C2 uses NSG-style per-point graph search
 //!   (the expensive acquisition OA deliberately avoids);
-//! - `entries-1` / `entries-32` — C4 entry-count sensitivity.
+//! - `entries-1` / `entries-32` — C4 entry-count sensitivity (of the
+//!   farthest-point spread).
 
 use weavess_bench::datasets::simple_and_hard;
 use weavess_bench::report::{banner, f, Table};
 use weavess_bench::runner::{default_beams, SweepPoint};
 use weavess_bench::{env_scale, env_threads};
+use weavess_core::algorithms::oa::{self, OaParams};
 use weavess_core::index::{AnnIndex, SearchContext};
-use weavess_core::nndescent::NnDescentParams;
 use weavess_core::pipeline::{
-    CandidateChoice, ConnectivityChoice, InitChoice, PipelineBuilder, SeedChoice, SelectionChoice,
+    CandidateChoice, ConnectivityChoice, PipelineBuilder, SeedChoice, SelectionChoice,
 };
 use weavess_core::search::Router;
 use weavess_data::metrics::recall;
 
 const K: usize = 10;
-
-fn oa_builder(threads: usize) -> PipelineBuilder {
-    PipelineBuilder {
-        init: InitChoice::NnDescent(NnDescentParams {
-            k: 40,
-            l: 60,
-            iters: 8,
-            sample: 15,
-            reverse: 30,
-            seed: 0x0A0A,
-            threads,
-        }),
-        candidates: CandidateChoice::Expansion { cap: 100 },
-        selection: SelectionChoice::RngAlpha {
-            degree: 30,
-            alpha: 1.0,
-        },
-        seeds: SeedChoice::FixedRandom { count: 8 },
-        connectivity: ConnectivityChoice::DfsRepair,
-        router: Router::TwoStage {
-            stage1_beam_frac: 0.4,
-        },
-        threads,
-        seed: 0x0A0A,
-        name: "OA",
-    }
-}
 
 fn main() {
     let scale = env_scale();
@@ -72,14 +47,8 @@ fn main() {
             "search-candidates",
             Box::new(|b| b.candidates = CandidateChoice::Search { beam: 60, cap: 100 }),
         ),
-        (
-            "entries-1",
-            Box::new(|b| b.seeds = SeedChoice::FixedRandom { count: 1 }),
-        ),
-        (
-            "entries-32",
-            Box::new(|b| b.seeds = SeedChoice::FixedRandom { count: 32 }),
-        ),
+        ("entries-1", Box::new(|b| spread(b, 1))),
+        ("entries-32", Box::new(|b| spread(b, 32))),
     ];
 
     let mut t = Table::new(vec![
@@ -93,7 +62,7 @@ fn main() {
     ]);
     for (label, mutate) in &variants {
         for ds in &sets {
-            let mut b = oa_builder(threads);
+            let mut b = oa::pipeline(&OaParams::tuned(threads, 1));
             mutate(&mut b);
             let (idx, _, secs) = b.build_timed(&ds.base);
             for &beam in &default_beams(K)[..6] {
@@ -114,6 +83,13 @@ fn main() {
     banner("OA ablations: search performance per degraded choice");
     t.print();
     t.write_csv("ablation_oa").expect("csv");
+}
+
+/// Sets how many entries OA's farthest-point sampling spreads.
+fn spread(b: &mut PipelineBuilder, entries: usize) {
+    if let SeedChoice::Spread { count, .. } = &mut b.seeds {
+        *count = entries;
+    }
 }
 
 fn run(

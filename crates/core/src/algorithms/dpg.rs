@@ -4,14 +4,12 @@
 //! edges give DPG its single connected component (Table 4) and its large
 //! index (Figure 6).
 
-use crate::components::connectivity::add_reverse_edges;
-use crate::components::refine::{freeze, per_point};
-use crate::components::seeds::SeedStrategy;
-use crate::components::selection::select_dpg;
 use crate::index::FlatIndex;
-use crate::nndescent::{nn_descent, NnDescentParams};
+use crate::nndescent::NnDescentParams;
+use crate::pipeline::{
+    CandidateChoice, ConnectivityChoice, InitChoice, PipelineBuilder, SeedChoice, SelectionChoice,
+};
 use crate::search::Router;
-use crate::telemetry;
 use weavess_data::Dataset;
 
 /// DPG parameters.
@@ -46,26 +44,30 @@ impl DpgParams {
     }
 }
 
-/// Builds a DPG index.
-pub fn build(ds: &Dataset, params: &DpgParams) -> FlatIndex {
-    let init = telemetry::span("C1 init", || nn_descent(ds, &params.nd, None));
-    let kappa = (params.nd.k / 2).max(2);
-    // Angular diversification (C3_DPG) of each point's own neighbors.
-    let mut lists = per_point(ds, params.nd.threads, "C3 selection", |p, _, _| {
-        select_dpg(ds, p, &init[p as usize], kappa)
-    });
-    // Undirect (C5_DPG).
-    telemetry::span("C5 connectivity", || {
-        add_reverse_edges(&mut lists, params.reverse_cap);
-    });
-    FlatIndex {
-        name: "DPG",
-        graph: freeze(&lists),
-        seeds: SeedStrategy::Random {
+/// DPG as a pipeline preset.
+pub fn pipeline(params: &DpgParams) -> PipelineBuilder {
+    PipelineBuilder {
+        init: InitChoice::NnDescent(params.nd.clone()),
+        candidates: CandidateChoice::Direct,
+        selection: SelectionChoice::Dpg {
+            kappa: (params.nd.k / 2).max(2),
+        },
+        seeds: SeedChoice::Random {
             count: params.search_seeds,
         },
+        connectivity: ConnectivityChoice::ReverseEdges {
+            max_degree: params.reverse_cap,
+        },
         router: Router::BestFirst,
+        threads: params.nd.threads,
+        seed: params.nd.seed,
+        name: "DPG",
     }
+}
+
+/// Builds a DPG index.
+pub fn build(ds: &Dataset, params: &DpgParams) -> FlatIndex {
+    pipeline(params).build(ds)
 }
 
 #[cfg(test)]

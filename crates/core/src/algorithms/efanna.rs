@@ -2,17 +2,13 @@
 //! initializes NN-Descent's pools (better starting quality, fewer
 //! iterations) and supplies query-adjacent seeds at search time.
 
-use crate::components::init::init_kdtree_nn_descent;
-use crate::components::refine::freeze;
-use crate::components::seeds::SeedStrategy;
 use crate::index::FlatIndex;
 use crate::nndescent::NnDescentParams;
+use crate::pipeline::{
+    CandidateChoice, ConnectivityChoice, InitChoice, PipelineBuilder, SeedChoice, SelectionChoice,
+};
 use crate::search::Router;
-use crate::telemetry;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use weavess_data::Dataset;
-use weavess_trees::KdForest;
 
 /// EFANNA parameters: KGraph's knobs plus the forest (`nTrees`) and budgets.
 #[derive(Debug, Clone)]
@@ -50,31 +46,34 @@ impl EfannaParams {
     }
 }
 
-/// Builds an EFANNA index.
-pub fn build(ds: &Dataset, params: &EfannaParams) -> FlatIndex {
-    let mut rng = StdRng::seed_from_u64(params.nd.seed ^ 0xEFA77A);
-    let forest = telemetry::span("C4 seeds", || {
-        KdForest::build(ds, params.n_trees, 32, &mut rng)
-    });
-    let lists = telemetry::span("C1 init", || {
-        init_kdtree_nn_descent(
-            ds,
-            &forest,
-            params.init_checks,
-            &params.nd,
-            params.nd.threads,
-        )
-    });
-    FlatIndex {
-        name: "EFANNA",
-        graph: freeze(&lists),
-        seeds: SeedStrategy::KdSearch {
-            forest,
+/// EFANNA as a pipeline preset: one forest, drawn from `nd.seed ^ 0xEFA77A`,
+/// seeds C1's pools and answers C4's searches.
+pub fn pipeline(params: &EfannaParams) -> PipelineBuilder {
+    let nd = &params.nd;
+    PipelineBuilder {
+        init: InitChoice::KdTree {
+            n_trees: params.n_trees,
+            checks_per_tree: params.init_checks,
+            nd: nd.clone(),
+        },
+        candidates: CandidateChoice::None,
+        selection: SelectionChoice::Closest { degree: nd.k },
+        seeds: SeedChoice::KdSearch {
+            n_trees: params.n_trees,
             count: params.search_seeds,
             checks_per_tree: params.seed_checks,
         },
+        connectivity: ConnectivityChoice::None,
         router: Router::BestFirst,
+        threads: nd.threads,
+        seed: nd.seed ^ 0xEFA77A,
+        name: "EFANNA",
     }
+}
+
+/// Builds an EFANNA index.
+pub fn build(ds: &Dataset, params: &EfannaParams) -> FlatIndex {
+    pipeline(params).build(ds)
 }
 
 #[cfg(test)]

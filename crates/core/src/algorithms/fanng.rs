@@ -8,14 +8,12 @@
 //! path for small datasets, and the shortcut — an oversized exact-KNN
 //! candidate list — above `exact_cutoff` points.
 
-use crate::components::init::init_brute_force;
-use crate::components::refine::{freeze, per_point};
-use crate::components::seeds::SeedStrategy;
-use crate::components::selection::select_rng_alpha;
 use crate::index::FlatIndex;
+use crate::pipeline::{
+    CandidateChoice, ConnectivityChoice, InitChoice, PipelineBuilder, SeedChoice, SelectionChoice,
+};
 use crate::search::Router;
-use crate::telemetry;
-use weavess_data::{Dataset, Neighbor};
+use weavess_data::Dataset;
 
 /// FANNG parameters (`R` degree bound, `L` candidate count).
 #[derive(Debug, Clone)]
@@ -49,41 +47,34 @@ impl FanngParams {
     }
 }
 
-/// Builds a FANNG index.
-pub fn build(ds: &Dataset, params: &FanngParams) -> FlatIndex {
-    let n = ds.len() as u32;
-    let lists = if ds.len() <= params.exact_cutoff {
-        // Exact: every other point, sorted, through the occlusion rule.
-        per_point(
-            ds,
-            params.threads,
-            "C2+C3 candidates+selection",
-            |p, _, _| {
-                let mut cands: Vec<Neighbor> = (0..n)
-                    .filter(|&x| x != p)
-                    .map(|x| Neighbor::new(x, ds.dist(p, x)))
-                    .collect();
-                cands.sort_unstable();
-                select_rng_alpha(ds, p, &cands, params.r, 1.0)
-            },
-        )
-    } else {
-        // Shortcut: oversized exact-KNN candidates.
-        let knn = telemetry::span("C1 init", || init_brute_force(ds, params.l, params.threads));
-        per_point(ds, params.threads, "C3 selection", |p, _, _| {
-            select_rng_alpha(ds, p, &knn[p as usize], params.r, 1.0)
-        })
-    };
-    FlatIndex {
-        name: "FANNG",
-        graph: freeze(&lists),
-        seeds: SeedStrategy::Random {
+/// FANNG as a pipeline preset: exhaustive candidates up to
+/// `exact_cutoff` points, `l` exact nearest neighbors above.
+pub fn pipeline(params: &FanngParams) -> PipelineBuilder {
+    PipelineBuilder {
+        init: InitChoice::BruteForce { k: params.l },
+        candidates: CandidateChoice::Exhaustive {
+            up_to: params.exact_cutoff,
+        },
+        selection: SelectionChoice::RngAlpha {
+            degree: params.r,
+            alpha: 1.0,
+        },
+        seeds: SeedChoice::Random {
             count: params.search_seeds,
         },
+        connectivity: ConnectivityChoice::None,
         router: Router::Backtrack {
             extra: params.backtracks,
         },
+        threads: params.threads,
+        seed: 0, // no stage of FANNG's build draws at random
+        name: "FANNG",
     }
+}
+
+/// Builds a FANNG index.
+pub fn build(ds: &Dataset, params: &FanngParams) -> FlatIndex {
+    pipeline(params).build(ds)
 }
 
 #[cfg(test)]

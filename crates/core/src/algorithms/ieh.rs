@@ -7,16 +7,12 @@
 //! The original uses a MATLAB-built hash; we substitute from-scratch
 //! sign-random-projection LSH (DESIGN.md §5).
 
-use crate::components::init::init_brute_force;
-use crate::components::refine::freeze;
-use crate::components::seeds::SeedStrategy;
 use crate::index::FlatIndex;
+use crate::pipeline::{
+    CandidateChoice, ConnectivityChoice, InitChoice, PipelineBuilder, SeedChoice, SelectionChoice,
+};
 use crate::search::Router;
-use crate::telemetry;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use weavess_data::Dataset;
-use weavess_trees::LshTable;
 
 /// IEH parameters (`p` seeds, `k` graph degree; the paper's `s` expansion
 /// iterations are subsumed by the best-first beam).
@@ -51,24 +47,28 @@ impl IehParams {
     }
 }
 
+/// IEH as a pipeline preset.
+pub fn pipeline(params: &IehParams) -> PipelineBuilder {
+    PipelineBuilder {
+        init: InitChoice::BruteForce { k: params.k },
+        candidates: CandidateChoice::None,
+        selection: SelectionChoice::Closest { degree: params.k },
+        seeds: SeedChoice::Lsh {
+            tables: params.tables,
+            bits: params.bits,
+            count: params.p,
+        },
+        connectivity: ConnectivityChoice::None,
+        router: Router::BestFirst,
+        threads: params.threads,
+        seed: params.seed,
+        name: "IEH",
+    }
+}
+
 /// Builds an IEH index.
 pub fn build(ds: &Dataset, params: &IehParams) -> FlatIndex {
-    let lists = telemetry::span("C1 init", || init_brute_force(ds, params.k, params.threads));
-    let graph = freeze(&lists);
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let table = telemetry::span("C4 seeds", || {
-        LshTable::build(ds, params.tables, params.bits, &mut rng)
-    });
-    FlatIndex {
-        name: "IEH",
-        graph,
-        seeds: SeedStrategy::Lsh {
-            table,
-            count: params.p,
-            fallback: vec![ds.medoid()],
-        },
-        router: Router::BestFirst,
-    }
+    pipeline(params).build(ds)
 }
 
 #[cfg(test)]

@@ -5,12 +5,12 @@
 //! expansion C2 (inside NN-Descent's local join), distance-only C3, no C5,
 //! random C6, best-first C7.
 
-use crate::components::refine::freeze;
-use crate::components::seeds::SeedStrategy;
 use crate::index::FlatIndex;
-use crate::nndescent::{nn_descent, NnDescentParams};
+use crate::nndescent::NnDescentParams;
+use crate::pipeline::{
+    CandidateChoice, ConnectivityChoice, InitChoice, PipelineBuilder, SeedChoice, SelectionChoice,
+};
 use crate::search::Router;
-use crate::telemetry;
 use weavess_data::Dataset;
 
 /// KGraph parameters — the five sensitive knobs of Appendix H plus seeds.
@@ -40,17 +40,27 @@ impl KGraphParams {
     }
 }
 
-/// Builds a KGraph index.
-pub fn build(ds: &Dataset, params: &KGraphParams) -> FlatIndex {
-    let lists = telemetry::span("C1 init", || nn_descent(ds, &params.nd, None));
-    FlatIndex {
-        name: "KGraph",
-        graph: freeze(&lists),
-        seeds: SeedStrategy::Random {
+/// KGraph as a pipeline preset.
+pub fn pipeline(params: &KGraphParams) -> PipelineBuilder {
+    let nd = &params.nd;
+    PipelineBuilder {
+        init: InitChoice::NnDescent(nd.clone()),
+        candidates: CandidateChoice::None,
+        selection: SelectionChoice::Closest { degree: nd.k },
+        seeds: SeedChoice::Random {
             count: params.search_seeds,
         },
+        connectivity: ConnectivityChoice::None,
         router: Router::BestFirst,
+        threads: nd.threads,
+        seed: nd.seed,
+        name: "KGraph",
     }
+}
+
+/// Builds a KGraph index.
+pub fn build(ds: &Dataset, params: &KGraphParams) -> FlatIndex {
+    pipeline(params).build(ds)
 }
 
 #[cfg(test)]

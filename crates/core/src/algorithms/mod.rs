@@ -1,8 +1,12 @@
 //! The surveyed algorithms (§3.2's A1–A13, Appendix N's k-DR, and §6's
-//! optimized algorithm), each built from the shared components. The
-//! refinement builders' per-point C2+C3 pass and every builder's final
-//! freeze are one skeleton (`components::refine`): a module here supplies
-//! what happens for one point, plus its own C1, C4 and C5.
+//! optimized algorithm), each built from the shared components. The eight
+//! refinement algorithms (KGraph, EFANNA, IEH, FANNG, DPG, NSG, NSSG, OA)
+//! are [`crate::pipeline::PipelineBuilder`] presets: each module keeps its
+//! `Params` and `tuned`, and its `pipeline(&Params)` names one choice per
+//! component, which its `build` runs. The other builders (insertion,
+//! divide and conquer, and k-DR) compose the components themselves; HCNNG, SPTAG and Vamana
+//! freeze, and SPTAG runs its per-point passes, on the same
+//! `components::refine` skeleton the pipeline uses.
 //!
 //! | module | algorithms | base graph | construction strategy |
 //! |--------|-----------|------------|----------------------|

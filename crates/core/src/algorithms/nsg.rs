@@ -3,29 +3,24 @@
 //! from the medoid; a DFS pass guarantees every vertex is reachable from
 //! the medoid, which is also the fixed search entry.
 
-use crate::components::candidates::candidates_by_search;
-use crate::components::connectivity::dfs_repair;
-use crate::components::init::C1Choice;
-use crate::components::refine::{freeze, per_point};
-use crate::components::seeds::SeedStrategy;
-use crate::components::selection::select_rng_alpha;
 use crate::index::FlatIndex;
 use crate::nndescent::NnDescentParams;
+use crate::pipeline::{
+    CandidateChoice, ConnectivityChoice, InitChoice, PipelineBuilder, SeedChoice, SelectionChoice,
+};
 use crate::rnndescent::RnnDescentParams;
 use crate::search::Router;
-use crate::telemetry;
-use weavess_data::neighbor::insert_into_pool;
 use weavess_data::Dataset;
-use weavess_graph::CsrGraph;
 
 /// NSG parameters (Appendix H: `L`, `R`, `C` over a KGraph base).
 #[derive(Debug, Clone)]
 pub struct NsgParams {
-    /// NN-Descent configuration for the initial graph.
+    /// NN-Descent configuration for the initial graph; its `threads` are
+    /// the construction threads.
     pub nd: NnDescentParams,
-    /// Which descent engine actually runs as C1 (defaults to NN-Descent;
-    /// see [`NsgParams::with_rnn_c1`]).
-    pub init: C1Choice,
+    /// The C1 that runs: NN-Descent on `nd` from [`NsgParams::tuned`],
+    /// RNN-Descent sized from `nd` after [`NsgParams::with_rnn_c1`].
+    pub init: InitChoice,
     /// Candidate-acquisition beam (`L`).
     pub l: usize,
     /// Maximum out-degree (`R`).
@@ -37,17 +32,18 @@ pub struct NsgParams {
 impl NsgParams {
     /// Defaults tuned for the harness's dataset scales.
     pub fn tuned(threads: usize, seed: u64) -> Self {
+        let nd = NnDescentParams {
+            k: 40,
+            l: 50,
+            iters: 8,
+            sample: 12,
+            reverse: 25,
+            seed,
+            threads,
+        };
         NsgParams {
-            nd: NnDescentParams {
-                k: 40,
-                l: 50,
-                iters: 8,
-                sample: 12,
-                reverse: 25,
-                seed,
-                threads,
-            },
-            init: C1Choice::NnDescent,
+            init: InitChoice::NnDescent(nd.clone()),
+            nd,
             l: 60,
             r: 30,
             c: 100,
@@ -57,51 +53,35 @@ impl NsgParams {
     /// Swaps C1 to RNN-Descent, sized to stand in for the configured
     /// NN-Descent ([`RnnDescentParams::matching`]); C2–C7 are untouched.
     pub fn with_rnn_c1(mut self) -> Self {
-        self.init = C1Choice::RnnDescent(RnnDescentParams::matching(&self.nd));
+        self.init = InitChoice::RnnDescent(RnnDescentParams::matching(&self.nd));
         self
+    }
+}
+
+/// NSG as a pipeline preset.
+pub fn pipeline(params: &NsgParams) -> PipelineBuilder {
+    PipelineBuilder {
+        init: params.init.clone(),
+        candidates: CandidateChoice::SearchMerge {
+            beam: params.l,
+            cap: params.c,
+        },
+        selection: SelectionChoice::RngAlpha {
+            degree: params.r,
+            alpha: 1.0,
+        },
+        seeds: SeedChoice::Medoid,
+        connectivity: ConnectivityChoice::DfsRepairFromEntry { beam: params.l },
+        router: Router::BestFirst,
+        threads: params.nd.threads,
+        seed: params.nd.seed,
+        name: "NSG",
     }
 }
 
 /// Builds an NSG index.
 pub fn build(ds: &Dataset, params: &NsgParams) -> FlatIndex {
-    let (init, init_csr, medoid) = telemetry::span("C1 init", || {
-        let init = params.init.build(ds, &params.nd, None);
-        let init_csr = CsrGraph::from_neighbor_lists(&init);
-        (init, init_csr, ds.medoid())
-    });
-    let mut lists = per_point(
-        ds,
-        params.nd.threads,
-        "C2+C3 candidates+selection",
-        |p, scratch, stats| {
-            let mut cands = candidates_by_search(
-                ds,
-                &init_csr,
-                p,
-                &[medoid],
-                params.l,
-                params.c,
-                scratch,
-                stats,
-            );
-            // NSG's sync_prune merges the point's initial-graph
-            // neighbors into the pool before selection.
-            for x in &init[p as usize] {
-                insert_into_pool(&mut cands, params.c, *x);
-            }
-            select_rng_alpha(ds, p, &cands, params.r, 1.0)
-        },
-    );
-    drop(init_csr);
-    telemetry::span("C5 connectivity", || {
-        dfs_repair(ds, &mut lists, medoid, params.l);
-    });
-    FlatIndex {
-        name: "NSG",
-        graph: freeze(&lists),
-        seeds: SeedStrategy::Fixed(vec![medoid]),
-        router: Router::BestFirst,
-    }
+    pipeline(params).build(ds)
 }
 
 #[cfg(test)]

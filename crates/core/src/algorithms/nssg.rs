@@ -5,15 +5,12 @@
 //! MRNG. Entries are fixed at build time, spread by farthest-point
 //! sampling so clustered datasets keep an entry near every cluster.
 
-use crate::components::candidates::candidates_by_expansion;
-use crate::components::connectivity::dfs_repair;
-use crate::components::refine::{freeze, per_point};
-use crate::components::seeds::{spread_entries, SeedStrategy};
-use crate::components::selection::select_angle;
 use crate::index::FlatIndex;
-use crate::nndescent::{nn_descent, NnDescentParams};
+use crate::nndescent::NnDescentParams;
+use crate::pipeline::{
+    CandidateChoice, ConnectivityChoice, InitChoice, PipelineBuilder, SeedChoice, SelectionChoice,
+};
 use crate::search::Router;
-use crate::telemetry;
 use weavess_data::Dataset;
 
 /// NSSG parameters (Appendix H: `L`, `R`, `Angle` over a KGraph base).
@@ -53,33 +50,32 @@ impl NssgParams {
     }
 }
 
+/// NSSG as a pipeline preset; its entries are spread from `nd.seed ^ 0x7556`.
+pub fn pipeline(params: &NssgParams) -> PipelineBuilder {
+    PipelineBuilder {
+        init: InitChoice::NnDescent(params.nd.clone()),
+        candidates: CandidateChoice::Expansion { cap: params.l },
+        selection: SelectionChoice::Angle {
+            degree: params.r,
+            min_deg: params.angle,
+        },
+        seeds: SeedChoice::Spread {
+            count: params.entries,
+            seed: params.nd.seed ^ 0x7556,
+        },
+        connectivity: ConnectivityChoice::DfsRepairFromEntry {
+            beam: params.l.min(64),
+        },
+        router: Router::BestFirst,
+        threads: params.nd.threads,
+        seed: params.nd.seed,
+        name: "NSSG",
+    }
+}
+
 /// Builds an NSSG index.
 pub fn build(ds: &Dataset, params: &NssgParams) -> FlatIndex {
-    let init = telemetry::span("C1 init", || nn_descent(ds, &params.nd, None));
-    let mut lists = per_point(
-        ds,
-        params.nd.threads,
-        "C2+C3 candidates+selection",
-        |p, _, _| {
-            let cands = candidates_by_expansion(ds, &init, p, params.l);
-            select_angle(ds, p, &cands, params.r, params.angle)
-        },
-    );
-    // DFS connectivity from a fixed entry (NSSG attaches DFS like NSG).
-    // Entries are fixed at build time; farthest-point sampling spreads them
-    // across the dataset so each cluster has a nearby entry.
-    let entries = telemetry::span("C4 seeds", || {
-        spread_entries(ds, params.entries.max(1), params.nd.seed ^ 0x7556)
-    });
-    telemetry::span("C5 connectivity", || {
-        dfs_repair(ds, &mut lists, entries[0], params.l.min(64));
-    });
-    FlatIndex {
-        name: "NSSG",
-        graph: freeze(&lists),
-        seeds: SeedStrategy::Fixed(entries),
-        router: Router::BestFirst,
-    }
+    pipeline(params).build(ds)
 }
 
 #[cfg(test)]

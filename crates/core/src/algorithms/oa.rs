@@ -13,15 +13,12 @@
 //! Figure 11 / Appendix P: OA beats the state of the art on the
 //! speedup-recall trade-off while building fast and staying small.
 
-use crate::components::candidates::candidates_by_expansion;
-use crate::components::connectivity::dfs_repair;
-use crate::components::refine::{freeze, per_point};
-use crate::components::seeds::{spread_entries, SeedStrategy};
-use crate::components::selection::select_rng_alpha;
 use crate::index::FlatIndex;
-use crate::nndescent::{nn_descent, NnDescentParams};
+use crate::nndescent::NnDescentParams;
+use crate::pipeline::{
+    CandidateChoice, ConnectivityChoice, InitChoice, PipelineBuilder, SeedChoice, SelectionChoice,
+};
 use crate::search::Router;
-use crate::telemetry;
 use weavess_data::Dataset;
 
 /// OA parameters.
@@ -61,37 +58,38 @@ impl OaParams {
     }
 }
 
-/// Builds the optimized algorithm's index.
-pub fn build(ds: &Dataset, params: &OaParams) -> FlatIndex {
-    let init = telemetry::span("C1 init", || nn_descent(ds, &params.nd, None));
-    let mut lists = per_point(
-        ds,
-        params.nd.threads,
-        "C2+C3 candidates+selection",
-        |p, _, _| {
-            let cands = candidates_by_expansion(ds, &init, p, params.l);
-            select_rng_alpha(ds, p, &cands, params.r, 1.0)
+/// OA as a pipeline preset; its entries are spread from `nd.seed ^ 0x0A0A`.
+pub fn pipeline(params: &OaParams) -> PipelineBuilder {
+    PipelineBuilder {
+        init: InitChoice::NnDescent(params.nd.clone()),
+        candidates: CandidateChoice::Expansion { cap: params.l },
+        selection: SelectionChoice::RngAlpha {
+            degree: params.r,
+            alpha: 1.0,
         },
-    );
-    let entries = telemetry::span("C4 seeds", || {
-        spread_entries(ds, params.entries.max(1), params.nd.seed ^ 0x0A0A)
-    });
-    telemetry::span("C5 connectivity", || {
-        dfs_repair(ds, &mut lists, entries[0], 64);
-    });
-    FlatIndex {
-        name: "OA",
-        graph: freeze(&lists),
-        seeds: SeedStrategy::Fixed(entries),
+        seeds: SeedChoice::Spread {
+            count: params.entries,
+            seed: params.nd.seed ^ 0x0A0A,
+        },
+        connectivity: ConnectivityChoice::DfsRepairFromEntry { beam: 64 },
         router: Router::TwoStage {
             stage1_beam_frac: params.stage1_frac,
         },
+        threads: params.nd.threads,
+        seed: params.nd.seed,
+        name: "OA",
     }
+}
+
+/// Builds the optimized algorithm's index.
+pub fn build(ds: &Dataset, params: &OaParams) -> FlatIndex {
+    pipeline(params).build(ds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::components::seeds::SeedStrategy;
     use crate::index::{AnnIndex, SearchContext};
     use weavess_data::ground_truth::ground_truth;
     use weavess_data::metrics::recall;

@@ -49,12 +49,6 @@ pub fn candidates_by_expansion(
     pool
 }
 
-/// Direct-neighbor acquisition (DPG): just `p`'s current neighbors. DPG
-/// compensates by building the initial graph with a larger out-degree.
-pub fn candidates_direct(lists: &[Vec<Neighbor>], p: u32) -> Vec<Neighbor> {
-    lists[p as usize].clone()
-}
-
 /// Subspace acquisition (SPTAG, HCNNG): within a divide-and-conquer leaf,
 /// every other member is a candidate.
 pub fn candidates_subspace(ds: &Dataset, leaf: &[u32], p: u32) -> Vec<Neighbor> {

@@ -3,49 +3,10 @@
 
 use crate::nndescent::{nn_descent, seed_table, NnDescentParams};
 use crate::parallel;
-use crate::rnndescent::{rnn_descent, RnnDescentParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use weavess_data::{Dataset, Neighbor};
 use weavess_trees::KdForest;
-
-/// The descent engine a *Refinement*-strategy builder runs as C1.
-///
-/// NSG carries one next to its [`NnDescentParams`]
-/// ([`crate::algorithms::nsg::NsgParams::with_rnn_c1`]); its C2–C7 stages
-/// are untouched by the choice. The other NN-Descent consumers swap C1
-/// the way the survey does, through
-/// [`crate::pipeline::InitChoice::RnnDescent`]. Both engines produce the
-/// same shape (per-vertex nearest-`k`, sorted, kernel distances attached)
-/// under the same determinism and termination contracts — see
-/// [`crate::nndescent`] and [`crate::rnndescent`].
-#[derive(Debug, Clone, Default)]
-pub enum C1Choice {
-    /// Plain NN-Descent local joins (the surveyed algorithms' default).
-    #[default]
-    NnDescent,
-    /// Relative NN-Descent: RNG-style pruning interleaved into the
-    /// descent (arXiv 2310.20419) — much cheaper at comparable quality.
-    RnnDescent(RnnDescentParams),
-}
-
-impl C1Choice {
-    /// Runs the chosen engine. `nd` is the builder's NN-Descent
-    /// configuration (used directly by [`C1Choice::NnDescent`], ignored —
-    /// beyond having sized the stored [`RnnDescentParams`] — by
-    /// [`C1Choice::RnnDescent`]); `initial` optionally seeds the pools.
-    pub fn build(
-        &self,
-        ds: &Dataset,
-        nd: &NnDescentParams,
-        initial: Option<&[Vec<Neighbor>]>,
-    ) -> Vec<Vec<Neighbor>> {
-        match self {
-            C1Choice::NnDescent => nn_descent(ds, nd, initial),
-            C1Choice::RnnDescent(p) => rnn_descent(ds, p, initial),
-        }
-    }
-}
 
 /// Random neighbor initialization (KGraph, Vamana): `k` distinct random
 /// neighbors per point, distances computed — the descent engines' seeding
@@ -56,17 +17,17 @@ pub fn init_random(ds: &Dataset, k: usize, seed: u64) -> Vec<Vec<Neighbor>> {
     table.lists(k)
 }
 
-/// Budgeted KD-forest search pools — the seed material for EFANNA-style
-/// tree-assisted descent (`pool_size` entries per vertex, self excluded).
-pub fn kd_seed_pools(
+/// KD-forest initialization (EFANNA): seed each point's pool with a
+/// budgeted forest search (`params.l` entries, self excluded), then refine
+/// with NN-Descent.
+pub fn init_kdtree_nn_descent(
     ds: &Dataset,
     forest: &KdForest,
     checks_per_tree: usize,
-    pool_size: usize,
+    params: &NnDescentParams,
     threads: usize,
 ) -> Vec<Vec<Neighbor>> {
-    let n = ds.len();
-    let mut initial: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
+    let mut initial: Vec<Vec<Neighbor>> = vec![Vec::new(); ds.len()];
     parallel::par_fill(
         &mut initial,
         parallel::CHUNK,
@@ -75,25 +36,12 @@ pub fn kd_seed_pools(
         |_, start, slot| {
             for (j, row) in slot.iter_mut().enumerate() {
                 let v = (start + j) as u32;
-                let (mut pool, _) = forest.search(ds, ds.point(v), pool_size, checks_per_tree);
+                let (mut pool, _) = forest.search(ds, ds.point(v), params.l, checks_per_tree);
                 pool.retain(|x| x.id != v);
                 *row = pool;
             }
         },
     );
-    initial
-}
-
-/// KD-forest initialization (EFANNA): seed each point's pool by budgeted
-/// forest search, then refine with NN-Descent.
-pub fn init_kdtree_nn_descent(
-    ds: &Dataset,
-    forest: &KdForest,
-    checks_per_tree: usize,
-    params: &NnDescentParams,
-    threads: usize,
-) -> Vec<Vec<Neighbor>> {
-    let initial = kd_seed_pools(ds, forest, checks_per_tree, params.l, threads);
     nn_descent(ds, params, Some(&initial))
 }
 

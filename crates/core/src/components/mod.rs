@@ -3,9 +3,9 @@
 //! | component | module | implementations |
 //! |-----------|--------|-----------------|
 //! | C1 initialization | [`init`] | random, NN-Descent, KD-forest, brute force |
-//! | C2 candidate acquisition | [`candidates`] | graph search, 2-hop expansion, direct neighbors |
+//! | C2 candidate acquisition | [`candidates`] | graph search, 2-hop expansion, direct neighbors, every point |
 //! | C3 neighbor selection | [`selection`] | distance-only, RNG rule (α-generalized), NSSG angle, DPG angular, MST |
-//! | C4 seed preprocessing + C6 seed acquisition | [`seeds`] | random, fixed, KD-forest, VP-tree, BK-tree, LSH |
+//! | C4 seed preprocessing + C6 seed acquisition | [`seeds`] | random, fixed, farthest-point spread, KD-forest, VP-tree, BK-tree, LSH |
 //! | C5 connectivity | [`connectivity`] | DFS repair, reverse edges |
 //! | C7 routing | [`crate::search`] | best-first, range, backtrack, guided, two-stage |
 //!

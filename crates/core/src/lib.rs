@@ -16,13 +16,14 @@
 //! - [`rnndescent`]: Relative NN-Descent — the faster C1 alternative that
 //!   interleaves RNG-style pruning into the descent loop itself; same
 //!   output shape and determinism contract as [`nndescent`], selectable
-//!   on NSG through [`components::init::C1Choice`] and on any component
-//!   pipeline through [`pipeline::InitChoice::RnnDescent`].
+//!   as [`pipeline::InitChoice::RnnDescent`] on any component pipeline,
+//!   NSG's included (`NsgParams::with_rnn_c1`).
 //! - [`components`]: the C1–C6 pipeline stages as free functions and
 //!   strategy enums, so any combination can be composed.
 //! - [`pipeline`]: the §5.4 benchmark algorithm — a
 //!   [`pipeline::PipelineBuilder`] holding one choice per component, used
-//!   for controlled single-component ablations (Figure 10).
+//!   for controlled single-component ablations (Figure 10) and, as
+//!   presets, by every refinement algorithm.
 //! - [`index`]: the uniform [`index::AnnIndex`] trait every built index
 //!   implements, and the [`index::FlatIndex`] (graph + seeds + router) that
 //!   covers all single-layer algorithms.

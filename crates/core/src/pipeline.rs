@@ -6,15 +6,17 @@
 //! is that machine. [`PipelineBuilder::benchmark`] reproduces the Table 13
 //! configuration: `C1_NSG` (NN-Descent), `C2_NSSG` (expansion), `C3_HNSW`
 //! (RNG rule), `C4_NSSG`/`C6_NSSG` (fixed random entries), `C5_IEH`
-//! (no connectivity repair), `C7_NSW` (best-first).
+//! (no connectivity repair), `C7_NSW` (best-first). The eight refinement
+//! algorithms (KGraph, EFANNA, IEH, FANNG, DPG, NSG, NSSG, OA) are presets
+//! of the same builder: each module's `pipeline(&Params)`.
 
 use crate::components::candidates::{
-    candidates_by_expansion, candidates_by_search, candidates_direct,
+    candidates_by_expansion, candidates_by_search, candidates_subspace,
 };
 use crate::components::connectivity::{add_reverse_edges, dfs_repair};
 use crate::components::init::{init_brute_force, init_kdtree_nn_descent, init_random};
 use crate::components::refine::{freeze, per_point};
-use crate::components::seeds::SeedStrategy;
+use crate::components::seeds::{spread_entries, SeedStrategy};
 use crate::components::selection::{
     select_angle, select_closest, select_dpg, select_mst, select_rng_alpha,
 };
@@ -25,9 +27,14 @@ use crate::search::Router;
 use crate::telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::OnceCell;
+use weavess_data::neighbor::insert_into_pool;
 use weavess_data::{Dataset, Neighbor};
 use weavess_graph::CsrGraph;
 use weavess_trees::{BkTree, KdForest, LshTable, VpTree};
+
+/// Span of a per-point pass that acquires candidates and selects.
+const C2_C3: &str = "C2+C3 candidates+selection";
 
 /// C1 choice.
 #[derive(Debug, Clone)]
@@ -43,7 +50,9 @@ pub enum InitChoice {
     /// descent — same output contract as NN-Descent, far fewer distance
     /// computations.
     RnnDescent(RnnDescentParams),
-    /// KD-forest assisted NN-Descent (`C1_EFANNA`).
+    /// KD-forest assisted NN-Descent (`C1_EFANNA`). The forest is the first
+    /// draw from the builder's `seed`; a [`SeedChoice::KdSearch`] of the
+    /// same `n_trees` searches this forest rather than building its own.
     KdTree {
         /// Trees in the forest.
         n_trees: usize,
@@ -62,8 +71,19 @@ pub enum InitChoice {
 /// C2 choice.
 #[derive(Debug, Clone)]
 pub enum CandidateChoice {
+    /// No C2+C3 pass: the C1 lists, already each point's nearest, are the
+    /// graph (KGraph, EFANNA, IEH). `selection` is not read.
+    None,
     /// Greedy search on the initial graph (`C2_NSW` / `C2_NSG`).
     Search {
+        /// Search beam width (NSG's `L`).
+        beam: usize,
+        /// Candidate cap (NSG's `C`).
+        cap: usize,
+    },
+    /// [`CandidateChoice::Search`], then the point's C1 neighbors merged
+    /// into the capped pool (NSG's `sync_prune`).
+    SearchMerge {
         /// Search beam width (NSG's `L`).
         beam: usize,
         /// Candidate cap (NSG's `C`).
@@ -76,6 +96,12 @@ pub enum CandidateChoice {
     },
     /// Direct neighbors only (`C2_DPG`).
     Direct,
+    /// Every other point (FANNG's exact rule; no C1 runs) up to `up_to`
+    /// points; above, the C1 lists as [`CandidateChoice::Direct`].
+    Exhaustive {
+        /// Largest dataset searched exhaustively.
+        up_to: usize,
+    },
 }
 
 /// C3 choice.
@@ -123,6 +149,14 @@ pub enum SeedChoice {
     FixedRandom {
         /// Number of fixed entries.
         count: usize,
+    },
+    /// Fixed at build time, spread by farthest-point sampling
+    /// ([`spread_entries`]; NSSG, OA).
+    Spread {
+        /// Number of fixed entries.
+        count: usize,
+        /// The sampling's own RNG seed.
+        seed: u64,
     },
     /// KD-forest leaf lookup (`C4_HCNNG`).
     KdLeaf {
@@ -177,8 +211,15 @@ pub enum SeedChoice {
 pub enum ConnectivityChoice {
     /// No repair (`C5_IEH` / `C5_Vamana`).
     None,
-    /// NSG-style DFS repair from the medoid (`C5_NSG`).
+    /// NSG-style DFS repair from the medoid, bridges found at beam 64.
     DfsRepair,
+    /// DFS repair from C4's first fixed entry (else the medoid), bridges
+    /// found at `beam`: NSG from its medoid at its `L`, NSSG and OA from
+    /// their first spread entry at 64.
+    DfsRepairFromEntry {
+        /// Beam of the search that finds each bridge.
+        beam: usize,
+    },
     /// DPG-style reverse edges (`C5_DPG`), bounded per vertex.
     ReverseEdges {
         /// Per-vertex degree cap after undirection.
@@ -217,7 +258,7 @@ pub struct PipelineBuilder {
     /// Construction threads (0 = one per available core). The built graph
     /// is identical for every value.
     pub threads: usize,
-    /// Seed for every randomized stage.
+    /// Seed of the RNG stream C1's KD-forest, then C4, draws from.
     pub seed: u64,
     /// Name stamped on the built index.
     pub name: &'static str,
@@ -258,88 +299,94 @@ impl PipelineBuilder {
     }
 
     /// Runs the pipeline and reports `(index, init_seconds, total_seconds)`
-    /// for the Table 15 per-component construction-time study.
+    /// for the Table 15 per-component construction-time study. A stage
+    /// with nothing to build (random or medoid seeds, say) opens no span.
     pub fn build_timed(&self, ds: &Dataset) -> (FlatIndex, f64, f64) {
         let t0 = std::time::Instant::now();
+        let n = ds.len();
         let mut rng = StdRng::seed_from_u64(self.seed);
+        let medoid_cell = OnceCell::new();
+        let medoid = || *medoid_cell.get_or_init(|| ds.medoid());
 
-        // --- C1: initialization ---
-        let init_lists: Vec<Vec<Neighbor>> = telemetry::span("C1 init", || match &self.init {
-            InitChoice::Random { k } => init_random(ds, *k, self.seed),
-            InitChoice::NnDescent(p) => nn_descent(ds, p, None),
-            InitChoice::RnnDescent(p) => rnn_descent(ds, p, None),
-            InitChoice::KdTree {
-                n_trees,
-                checks_per_tree,
-                nd,
-            } => {
-                let forest = KdForest::build(ds, *n_trees, 32, &mut rng);
-                init_kdtree_nn_descent(ds, &forest, *checks_per_tree, nd, self.threads)
-            }
-            InitChoice::BruteForce { k } => init_brute_force(ds, *k, self.threads),
-        });
+        // --- C1: initialization, unless C2 reads no starting graph ---
+        let exhaustive =
+            matches!(self.candidates, CandidateChoice::Exhaustive { up_to } if n <= up_to);
+        let mut c1_forest = None;
+        let init_lists: Vec<Vec<Neighbor>> = if exhaustive {
+            Vec::new()
+        } else {
+            telemetry::span("C1 init", || match &self.init {
+                InitChoice::Random { k } => init_random(ds, *k, self.seed),
+                InitChoice::NnDescent(p) => nn_descent(ds, p, None),
+                InitChoice::RnnDescent(p) => rnn_descent(ds, p, None),
+                InitChoice::KdTree {
+                    n_trees,
+                    checks_per_tree,
+                    nd,
+                } => {
+                    let forest = KdForest::build(ds, *n_trees, 32, &mut rng);
+                    let (_, forest) = c1_forest.insert((*n_trees, forest));
+                    init_kdtree_nn_descent(ds, forest, *checks_per_tree, nd, self.threads)
+                }
+                InitChoice::BruteForce { k } => init_brute_force(ds, *k, self.threads),
+            })
+        };
         let init_secs = t0.elapsed().as_secs_f64();
 
-        // Entry for search-based acquisition and DFS repair.
-        let medoid = ds.medoid();
-
         // --- C2 + C3: per-point candidate acquisition and selection ---
-        let init_csr = CsrGraph::from_neighbor_lists(&init_lists);
-        let n = ds.len();
-        let mut new_lists = per_point(
-            ds,
-            self.threads,
-            "C2+C3 candidates+selection",
-            |p, scratch, stats| {
-                let cands = match &self.candidates {
-                    CandidateChoice::Search { beam, cap } => candidates_by_search(
-                        ds,
-                        &init_csr,
-                        p,
-                        &[medoid],
-                        *beam,
-                        *cap,
-                        scratch,
-                        stats,
-                    ),
-                    CandidateChoice::Expansion { cap } => {
-                        candidates_by_expansion(ds, &init_lists, p, *cap)
-                    }
-                    CandidateChoice::Direct => candidates_direct(&init_lists, p),
-                };
-                match &self.selection {
-                    SelectionChoice::Closest { degree } => select_closest(&cands, *degree),
-                    SelectionChoice::RngAlpha { degree, alpha } => {
-                        select_rng_alpha(ds, p, &cands, *degree, *alpha)
-                    }
-                    SelectionChoice::Angle { degree, min_deg } => {
-                        select_angle(ds, p, &cands, *degree, *min_deg)
-                    }
-                    SelectionChoice::Dpg { kappa } => select_dpg(ds, p, &cands, *kappa),
-                    SelectionChoice::Mst => select_mst(ds, p, &cands),
-                }
-            },
-        );
-        drop(init_csr);
-
-        // --- C5: connectivity ---
-        telemetry::span("C5 connectivity", || match &self.connectivity {
-            ConnectivityChoice::None => {}
-            ConnectivityChoice::DfsRepair => {
-                dfs_repair(ds, &mut new_lists, medoid, 64);
+        let select = |p: u32, cands: &[Neighbor]| match &self.selection {
+            SelectionChoice::Closest { degree } => select_closest(cands, *degree),
+            SelectionChoice::RngAlpha { degree, alpha } => {
+                select_rng_alpha(ds, p, cands, *degree, *alpha)
             }
-            ConnectivityChoice::ReverseEdges { max_degree } => {
-                add_reverse_edges(&mut new_lists, *max_degree);
+            SelectionChoice::Angle { degree, min_deg } => {
+                select_angle(ds, p, cands, *degree, *min_deg)
             }
-        });
+            SelectionChoice::Dpg { kappa } => select_dpg(ds, p, cands, *kappa),
+            SelectionChoice::Mst => select_mst(ds, p, cands),
+        };
+        let mut lists = match &self.candidates {
+            CandidateChoice::None => init_lists,
+            CandidateChoice::Exhaustive { .. } if exhaustive => {
+                let all: Vec<u32> = (0..n as u32).collect();
+                per_point(ds, self.threads, C2_C3, |p, _, _| {
+                    select(p, &candidates_subspace(ds, &all, p))
+                })
+            }
+            CandidateChoice::Direct | CandidateChoice::Exhaustive { .. } => {
+                per_point(ds, self.threads, "C3 selection", |p, _, _| {
+                    select(p, &init_lists[p as usize])
+                })
+            }
+            CandidateChoice::Expansion { cap } => per_point(ds, self.threads, C2_C3, |p, _, _| {
+                select(p, &candidates_by_expansion(ds, &init_lists, p, *cap))
+            }),
+            CandidateChoice::Search { beam, cap } | CandidateChoice::SearchMerge { beam, cap } => {
+                let init_csr = CsrGraph::from_neighbor_lists(&init_lists);
+                let entry = [medoid()];
+                let merge = matches!(self.candidates, CandidateChoice::SearchMerge { .. });
+                per_point(ds, self.threads, C2_C3, |p, scratch, stats| {
+                    let mut cands =
+                        candidates_by_search(ds, &init_csr, p, &entry, *beam, *cap, scratch, stats);
+                    if merge {
+                        for x in &init_lists[p as usize] {
+                            insert_into_pool(&mut cands, *cap, *x);
+                        }
+                    }
+                    select(p, &cands)
+                })
+            }
+        };
 
         // --- C4: seed preprocessing ---
-        let seeds = telemetry::span("C4 seeds", || match &self.seeds {
+        let c4 = || match &self.seeds {
             SeedChoice::Random { count } => SeedStrategy::Random { count: *count },
-            SeedChoice::Medoid => SeedStrategy::Fixed(vec![medoid]),
+            SeedChoice::Medoid => SeedStrategy::Fixed(vec![medoid()]),
             SeedChoice::FixedRandom { count } => {
-                let fixed: Vec<u32> = (0..*count).map(|_| rng.gen_range(0..n as u32)).collect();
-                SeedStrategy::Fixed(fixed)
+                SeedStrategy::Fixed((0..*count).map(|_| rng.gen_range(0..n as u32)).collect())
+            }
+            SeedChoice::Spread { count, seed } => {
+                SeedStrategy::Fixed(spread_entries(ds, *count, *seed))
             }
             SeedChoice::KdLeaf { n_trees, count } => SeedStrategy::KdLeaf {
                 forest: KdForest::build(ds, *n_trees, 32, &mut rng),
@@ -350,7 +397,10 @@ impl PipelineBuilder {
                 count,
                 checks_per_tree,
             } => SeedStrategy::KdSearch {
-                forest: KdForest::build(ds, *n_trees, 32, &mut rng),
+                forest: match c1_forest {
+                    Some((t, forest)) if t == *n_trees => forest,
+                    _ => KdForest::build(ds, *n_trees, 32, &mut rng),
+                },
                 count: *count,
                 checks_per_tree: *checks_per_tree,
             },
@@ -371,15 +421,40 @@ impl PipelineBuilder {
             } => SeedStrategy::Lsh {
                 table: LshTable::build(ds, *tables, *bits, &mut rng),
                 count: *count,
-                fallback: vec![medoid],
+                fallback: vec![medoid()],
             },
             SeedChoice::Pq { m, count } => SeedStrategy::Pq {
                 pq: weavess_data::pq::PqDataset::train(ds, *m, ds.len().min(20_000)),
                 count: *count,
             },
-        });
+        };
+        let seeds = match self.seeds {
+            SeedChoice::Random { .. } | SeedChoice::Medoid => c4(),
+            _ => telemetry::span("C4 seeds", c4),
+        };
 
-        let graph = freeze(&new_lists);
+        // --- C5: connectivity ---
+        let first_entry = match &seeds {
+            SeedStrategy::Fixed(entries) => entries.first().copied(),
+            _ => None,
+        };
+        let c5 = "C5 connectivity";
+        match self.connectivity {
+            ConnectivityChoice::None => {}
+            ConnectivityChoice::DfsRepair => {
+                let root = medoid();
+                telemetry::span(c5, || dfs_repair(ds, &mut lists, root, 64));
+            }
+            ConnectivityChoice::DfsRepairFromEntry { beam } => {
+                let root = first_entry.unwrap_or_else(medoid);
+                telemetry::span(c5, || dfs_repair(ds, &mut lists, root, beam));
+            }
+            ConnectivityChoice::ReverseEdges { max_degree } => {
+                telemetry::span(c5, || add_reverse_edges(&mut lists, max_degree));
+            }
+        }
+
+        let graph = freeze(&lists);
         let total_secs = t0.elapsed().as_secs_f64();
         (
             FlatIndex {

@@ -136,9 +136,9 @@ impl RnnDescentParams {
     /// Derives an RNN-Descent configuration that stands in for a given
     /// NN-Descent configuration as C1: same output degree, seed and
     /// threads, with descent knobs sized so the pruned pools regrow a
-    /// comparable candidate stream. These are the settings the
-    /// `C1Choice::RnnDescent` builders (and so the benchmark's NSG
-    /// workloads) run.
+    /// comparable candidate stream. These are the settings
+    /// `NsgParams::with_rnn_c1` (and so the benchmark's NSG workloads)
+    /// runs as [`crate::pipeline::InitChoice::RnnDescent`].
     pub fn matching(nd: &NnDescentParams) -> Self {
         // Two outer rounds with a generous inner budget beat three lean
         // rounds at equal wall-clock: the inner loop self-terminates via

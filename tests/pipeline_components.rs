@@ -112,6 +112,7 @@ fn all_seed_choices_produce_working_indexes() {
         SeedChoice::Random { count: 8 },
         SeedChoice::Medoid,
         SeedChoice::FixedRandom { count: 8 },
+        SeedChoice::Spread { count: 8, seed: 1 },
         SeedChoice::KdLeaf {
             n_trees: 2,
             count: 8,
@@ -151,6 +152,9 @@ fn all_candidate_choices_produce_working_indexes() {
         CandidateChoice::Expansion { cap: 100 },
         CandidateChoice::Direct,
         CandidateChoice::Search { beam: 40, cap: 100 },
+        CandidateChoice::None,
+        CandidateChoice::SearchMerge { beam: 40, cap: 100 },
+        CandidateChoice::Exhaustive { up_to: 2_000 },
     ] {
         let mut b = PipelineBuilder::benchmark(4, 2);
         let label = format!("{cand:?}");
