@@ -33,9 +33,6 @@ use weavess_data::{Dataset, Neighbor};
 use weavess_graph::CsrGraph;
 use weavess_trees::{BkTree, KdForest, LshTable, VpTree};
 
-/// Span of a per-point pass that acquires candidates and selects.
-const C2_C3: &str = "C2+C3 candidates+selection";
-
 /// C1 choice.
 #[derive(Debug, Clone)]
 pub enum InitChoice {
@@ -211,7 +208,8 @@ pub enum SeedChoice {
 pub enum ConnectivityChoice {
     /// No repair (`C5_IEH` / `C5_Vamana`).
     None,
-    /// NSG-style DFS repair from the medoid, bridges found at beam 64.
+    /// NSG-style DFS repair from the medoid (`C5_NSG`), bridges found at
+    /// beam 64.
     DfsRepair,
     /// DFS repair from C4's first fixed entry (else the medoid), bridges
     /// found at `beam`: NSG from its medoid at its `L`, NSSG and OA from
@@ -345,11 +343,12 @@ impl PipelineBuilder {
             SelectionChoice::Dpg { kappa } => select_dpg(ds, p, cands, *kappa),
             SelectionChoice::Mst => select_mst(ds, p, cands),
         };
+        let c2_c3 = "C2+C3 candidates+selection";
         let mut lists = match &self.candidates {
             CandidateChoice::None => init_lists,
             CandidateChoice::Exhaustive { .. } if exhaustive => {
                 let all: Vec<u32> = (0..n as u32).collect();
-                per_point(ds, self.threads, C2_C3, |p, _, _| {
+                per_point(ds, self.threads, c2_c3, |p, _, _| {
                     select(p, &candidates_subspace(ds, &all, p))
                 })
             }
@@ -358,14 +357,14 @@ impl PipelineBuilder {
                     select(p, &init_lists[p as usize])
                 })
             }
-            CandidateChoice::Expansion { cap } => per_point(ds, self.threads, C2_C3, |p, _, _| {
+            CandidateChoice::Expansion { cap } => per_point(ds, self.threads, c2_c3, |p, _, _| {
                 select(p, &candidates_by_expansion(ds, &init_lists, p, *cap))
             }),
             CandidateChoice::Search { beam, cap } | CandidateChoice::SearchMerge { beam, cap } => {
                 let init_csr = CsrGraph::from_neighbor_lists(&init_lists);
                 let entry = [medoid()];
                 let merge = matches!(self.candidates, CandidateChoice::SearchMerge { .. });
-                per_point(ds, self.threads, C2_C3, |p, scratch, stats| {
+                per_point(ds, self.threads, c2_c3, |p, scratch, stats| {
                     let mut cands =
                         candidates_by_search(ds, &init_csr, p, &entry, *beam, *cap, scratch, stats);
                     if merge {
