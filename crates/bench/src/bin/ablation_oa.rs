@@ -87,7 +87,7 @@ fn main() {
 
 /// Sets how many entries OA's farthest-point sampling spreads.
 fn spread(b: &mut PipelineBuilder, entries: usize) {
-    if let SeedChoice::Spread { count, .. } = &mut b.seeds {
+    if let SeedChoice::Spread { count } = &mut b.seeds {
         *count = entries;
     }
 }

@@ -18,9 +18,9 @@ pub struct NsgParams {
     /// NN-Descent configuration for the initial graph; its `threads` are
     /// the construction threads.
     pub nd: NnDescentParams,
-    /// The C1 that runs: NN-Descent on `nd` from [`NsgParams::tuned`],
-    /// RNN-Descent sized from `nd` after [`NsgParams::with_rnn_c1`].
-    pub init: InitChoice,
+    /// Runs RNN-Descent sized from `nd` ([`RnnDescentParams::matching`])
+    /// as C1 in place of NN-Descent on `nd`.
+    pub rnn_c1: bool,
     /// Candidate-acquisition beam (`L`).
     pub l: usize,
     /// Maximum out-degree (`R`).
@@ -32,18 +32,17 @@ pub struct NsgParams {
 impl NsgParams {
     /// Defaults tuned for the harness's dataset scales.
     pub fn tuned(threads: usize, seed: u64) -> Self {
-        let nd = NnDescentParams {
-            k: 40,
-            l: 50,
-            iters: 8,
-            sample: 12,
-            reverse: 25,
-            seed,
-            threads,
-        };
         NsgParams {
-            init: InitChoice::NnDescent(nd.clone()),
-            nd,
+            nd: NnDescentParams {
+                k: 40,
+                l: 50,
+                iters: 8,
+                sample: 12,
+                reverse: 25,
+                seed,
+                threads,
+            },
+            rnn_c1: false,
             l: 60,
             r: 30,
             c: 100,
@@ -53,7 +52,7 @@ impl NsgParams {
     /// Swaps C1 to RNN-Descent, sized to stand in for the configured
     /// NN-Descent ([`RnnDescentParams::matching`]); C2–C7 are untouched.
     pub fn with_rnn_c1(mut self) -> Self {
-        self.init = InitChoice::RnnDescent(RnnDescentParams::matching(&self.nd));
+        self.rnn_c1 = true;
         self
     }
 }
@@ -61,7 +60,11 @@ impl NsgParams {
 /// NSG as a pipeline preset.
 pub fn pipeline(params: &NsgParams) -> PipelineBuilder {
     PipelineBuilder {
-        init: params.init.clone(),
+        init: if params.rnn_c1 {
+            InitChoice::RnnDescent(RnnDescentParams::matching(&params.nd))
+        } else {
+            InitChoice::NnDescent(params.nd.clone())
+        },
         candidates: CandidateChoice::SearchMerge {
             beam: params.l,
             cap: params.c,
@@ -152,6 +155,26 @@ mod tests {
         let medoid = ds.medoid();
         let reach = reachable_from(idx.graph(), medoid);
         assert!(reach.iter().all(|&r| r), "DFS repair left orphans");
+    }
+
+    #[test]
+    fn c1_follows_nd_edited_after_tuned() {
+        // `nd` is C1's one source: an edit after `tuned` (or after the
+        // RNN-Descent swap) reaches the descent that runs.
+        let (ds, _) = MixtureSpec::table10(8, 600, 3, 3.0, 2).generate();
+        for rnn in [false, true] {
+            let p = NsgParams {
+                rnn_c1: rnn,
+                ..NsgParams::tuned(2, 1)
+            };
+            let mut edited = p.clone();
+            edited.nd.k = 20;
+            assert_ne!(
+                build(&ds, &p).graph(),
+                build(&ds, &edited).graph(),
+                "rnn_c1={rnn}"
+            );
+        }
     }
 
     #[test]

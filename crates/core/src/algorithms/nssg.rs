@@ -61,14 +61,13 @@ pub fn pipeline(params: &NssgParams) -> PipelineBuilder {
         },
         seeds: SeedChoice::Spread {
             count: params.entries,
-            seed: params.nd.seed ^ 0x7556,
         },
         connectivity: ConnectivityChoice::DfsRepairFromEntry {
             beam: params.l.min(64),
         },
         router: Router::BestFirst,
         threads: params.nd.threads,
-        seed: params.nd.seed,
+        seed: params.nd.seed ^ 0x7556,
         name: "NSSG",
     }
 }

@@ -69,14 +69,13 @@ pub fn pipeline(params: &OaParams) -> PipelineBuilder {
         },
         seeds: SeedChoice::Spread {
             count: params.entries,
-            seed: params.nd.seed ^ 0x0A0A,
         },
         connectivity: ConnectivityChoice::DfsRepairFromEntry { beam: 64 },
         router: Router::TwoStage {
             stage1_beam_frac: params.stage1_frac,
         },
         threads: params.nd.threads,
-        seed: params.nd.seed,
+        seed: params.nd.seed ^ 0x0A0A,
         name: "OA",
     }
 }

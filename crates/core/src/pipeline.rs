@@ -48,8 +48,8 @@ pub enum InitChoice {
     /// computations.
     RnnDescent(RnnDescentParams),
     /// KD-forest assisted NN-Descent (`C1_EFANNA`). The forest is the first
-    /// draw from the builder's `seed`; a [`SeedChoice::KdSearch`] of the
-    /// same `n_trees` searches this forest rather than building its own.
+    /// draw from the builder's `seed`; a [`SeedChoice::KdSearch`] of equal
+    /// `n_trees` searches it, so that C4 depends on this C1.
     KdTree {
         /// Trees in the forest.
         n_trees: usize,
@@ -148,12 +148,10 @@ pub enum SeedChoice {
         count: usize,
     },
     /// Fixed at build time, spread by farthest-point sampling
-    /// ([`spread_entries`]; NSSG, OA).
+    /// ([`spread_entries`] from the builder's `seed`; NSSG, OA).
     Spread {
         /// Number of fixed entries.
         count: usize,
-        /// The sampling's own RNG seed.
-        seed: u64,
     },
     /// KD-forest leaf lookup (`C4_HCNNG`).
     KdLeaf {
@@ -162,7 +160,8 @@ pub enum SeedChoice {
         /// Seeds per query.
         count: usize,
     },
-    /// KD-forest budgeted search (`C4_EFANNA` / `C4_SPTAG-KDT`).
+    /// KD-forest budgeted search (`C4_EFANNA` / `C4_SPTAG-KDT`), over C1's
+    /// forest after an [`InitChoice::KdTree`] of equal `n_trees` (EFANNA).
     KdSearch {
         /// Trees.
         n_trees: usize,
@@ -256,7 +255,8 @@ pub struct PipelineBuilder {
     /// Construction threads (0 = one per available core). The built graph
     /// is identical for every value.
     pub threads: usize,
-    /// Seed of the RNG stream C1's KD-forest, then C4, draws from.
+    /// Seeds C1's random pools, C4's spread, and the one RNG stream that
+    /// C1's KD-forest, then C4's random entries, trees and tables draw from.
     pub seed: u64,
     /// Name stamped on the built index.
     pub name: &'static str,
@@ -384,8 +384,8 @@ impl PipelineBuilder {
             SeedChoice::FixedRandom { count } => {
                 SeedStrategy::Fixed((0..*count).map(|_| rng.gen_range(0..n as u32)).collect())
             }
-            SeedChoice::Spread { count, seed } => {
-                SeedStrategy::Fixed(spread_entries(ds, *count, *seed))
+            SeedChoice::Spread { count } => {
+                SeedStrategy::Fixed(spread_entries(ds, *count, self.seed))
             }
             SeedChoice::KdLeaf { n_trees, count } => SeedStrategy::KdLeaf {
                 forest: KdForest::build(ds, *n_trees, 32, &mut rng),

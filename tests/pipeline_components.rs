@@ -112,7 +112,7 @@ fn all_seed_choices_produce_working_indexes() {
         SeedChoice::Random { count: 8 },
         SeedChoice::Medoid,
         SeedChoice::FixedRandom { count: 8 },
-        SeedChoice::Spread { count: 8, seed: 1 },
+        SeedChoice::Spread { count: 8 },
         SeedChoice::KdLeaf {
             n_trees: 2,
             count: 8,
