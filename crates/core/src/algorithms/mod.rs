@@ -4,9 +4,9 @@
 //! are [`crate::pipeline::PipelineBuilder`] presets: each module keeps its
 //! `Params` and `tuned`, and its `pipeline(&Params)` names one choice per
 //! component, which its `build` runs. The other builders (insertion,
-//! divide and conquer, and k-DR) compose the components themselves; HCNNG, SPTAG and Vamana
-//! freeze, and SPTAG runs its per-point passes, on the same
-//! `components::refine` skeleton the pipeline uses.
+//! divide and conquer, and k-DR) compose the components themselves;
+//! HCNNG, SPTAG and Vamana freeze, and SPTAG runs its per-point passes,
+//! on the same `components::refine` skeleton the pipeline uses.
 //!
 //! | module | algorithms | base graph | construction strategy |
 //! |--------|-----------|------------|----------------------|
