@@ -18,12 +18,15 @@ use weavess_core::algorithms::dpg::{self, DpgParams};
 use weavess_core::algorithms::efanna::{self, EfannaParams};
 use weavess_core::algorithms::fanng::{self, FanngParams};
 use weavess_core::algorithms::hnsw::{self, HnswParams};
+use weavess_core::algorithms::hnsw_dynamic::DynamicHnsw;
 use weavess_core::algorithms::ieh::{self, IehParams};
 use weavess_core::algorithms::kgraph::{self, KGraphParams};
 use weavess_core::algorithms::nsg::{self, NsgParams};
 use weavess_core::algorithms::nssg::{self, NssgParams};
+use weavess_core::algorithms::nsw::{self, NswParams};
 use weavess_core::algorithms::oa::{self, OaParams};
 use weavess_core::algorithms::sptag::{self, SptagParams};
+use weavess_core::algorithms::vamana::{self, VamanaParams};
 use weavess_core::index::AnnIndex;
 use weavess_core::search::{
     filtered_beam_search, filtered_beam_search_traced, Router, SearchScratch, SearchStats,
@@ -375,29 +378,55 @@ fn build_profiles_cover_hnsw_nsg_oa() {
 }
 
 /// The builders that keep their C1 lists as the graph (KGraph, EFANNA,
-/// IEH) report the same spans and per-span NDC in any order.
+/// IEH) and the insertion builders (NSW, HNSW and its dynamic bulk load,
+/// Vamana) report the same spans and per-span NDC in any order.
 #[test]
 fn build_profiles_cover_kgraph_efanna_ieh() {
     let spec = MixtureSpec::table10(10, 700, 3, 4.0, 2).with_seed(21);
     let (base, _) = spec.generate();
-    type Build<'a> = &'a dyn Fn() -> Box<dyn AnnIndex>;
+    type Build<'a> = &'a dyn Fn();
     // (name, build, every (span, NDC) sorted).
     type Case<'a> = (&'a str, Build<'a>, &'a [(&'a str, u64)]);
-    let cases: [Case; 3] = [
+    let cases: [Case; 7] = [
         (
             "KGraph",
-            &|| Box::new(kgraph::build(&base, &KGraphParams::tuned(2, 4))),
+            &|| drop(kgraph::build(&base, &KGraphParams::tuned(2, 4))),
             &[("C1 init", 3_525_033), ("freeze", 0)],
         ),
         (
             "EFANNA",
-            &|| Box::new(efanna::build(&base, &EfannaParams::tuned(2, 4))),
+            &|| drop(efanna::build(&base, &EfannaParams::tuned(2, 4))),
             &[("C1 init", 3_199_826), ("C4 seeds", 0), ("freeze", 0)],
         ),
         (
             "IEH",
-            &|| Box::new(ieh::build(&base, &IehParams::tuned(2, 4))),
+            &|| drop(ieh::build(&base, &IehParams::tuned(2, 4))),
             &[("C1 init", 0), ("C4 seeds", 0), ("freeze", 0)],
+        ),
+        (
+            "NSW",
+            &|| drop(nsw::build(&base, &NswParams::tuned(2, 4))),
+            &[("C2+C3 incremental insertion", 96_295), ("freeze", 0)],
+        ),
+        (
+            "HNSW",
+            &|| drop(hnsw::build(&base, &HnswParams::tuned(2, 4))),
+            &[("C1 init", 0), ("C2+C3 insertion", 96_410), ("freeze", 0)],
+        ),
+        (
+            "HNSW bulk load",
+            &|| drop(DynamicHnsw::bulk_load(&base, HnswParams::tuned(2, 4))),
+            &[("C1 init", 0), ("C2+C3 insertion", 96_410)],
+        ),
+        (
+            "Vamana",
+            &|| drop(vamana::build(&base, &VamanaParams::tuned(2, 4))),
+            &[
+                ("C1 init", 0),
+                ("C2+C3 pass 1 (alpha=1)", 476_012),
+                ("C2+C3 pass 2 (alpha)", 142_787),
+                ("freeze", 0),
+            ],
         ),
     ];
     for (name, build, want) in cases {
