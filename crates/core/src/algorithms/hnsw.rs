@@ -18,16 +18,16 @@
 //! 0.5, edges 2.7) beside layer 0's 69.4 B, where one full-`n` CSR per
 //! upper layer would cost 34.7 B, 32 B of it offsets.
 //!
-//! Construction is the *Increment* strategy parallelized with
-//! deterministic batch insertion (ParlayANN's scheme): points join in
-//! prefix-doubling batches; within a batch every point searches the
-//! *frozen* graph of all prior batches in parallel, then edges are
+//! Construction is the *Increment* strategy on the shared deterministic
+//! batch insertion (ParlayANN's scheme, `components::refine`): points
+//! join in prefix-doubling batches; within a batch every point searches
+//! the *frozen* graph of all prior batches in parallel, then edges are
 //! committed sequentially in point-id order. The built graph is therefore
 //! bit-identical for any [`HnswParams::threads`].
 
+use crate::components::refine::insert_in_batches;
 use crate::components::selection::select_rng_alpha;
 use crate::index::{AnnIndex, SearchContext};
-use crate::parallel;
 use crate::search::{beam_search, Router, SearchScratch, SearchStats};
 use crate::telemetry::{NoopTracer, RouteTracer};
 use rand::rngs::StdRng;
@@ -127,13 +127,13 @@ pub fn build(ds: &Dataset, params: &HnswParams) -> HnswIndex {
     let levels = crate::telemetry::span("C1 init", || {
         draw_levels(ds.len(), params, &mut StdRng::seed_from_u64(params.seed))
     });
-    let (graph, enter, _) =
+    let (graph, entry) =
         crate::telemetry::span("C2+C3 insertion", || build_layers(ds, levels, params));
     crate::telemetry::span("freeze", || HnswIndex {
         base: CsrGraph::from_rows((0..ds.len() as u32).map(|v| graph.base.neighbors(v))),
         upper: UpperLayers::freeze(ds.len(), graph.num_layers(), |l, v| graph.neighbors(l, v)),
         num_layers: graph.num_layers(),
-        enter,
+        enter: entry.id,
     })
 }
 
@@ -335,6 +335,25 @@ impl LayeredGraph {
         }
     }
 
+    /// Commits one insertion's [`search_one`]: links `p` on every layer it
+    /// selected neighbors on, then makes `p` the entry when its level is
+    /// above the entry's.
+    pub(crate) fn commit(
+        &mut self,
+        ds: &Dataset,
+        entry: &mut Entry,
+        p: u32,
+        per_layer: &[(usize, Vec<Neighbor>)],
+    ) {
+        for (l, selected) in per_layer {
+            self.link(ds, *l, p, selected);
+        }
+        let level = self.level(p);
+        if level > entry.level {
+            *entry = Entry { id: p, level };
+        }
+    }
+
     /// Best-first search of layer `l` from `ep` with an `ef`-wide pool.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn beam(
@@ -395,89 +414,56 @@ pub(crate) fn draw_level(params: &HnswParams, rng: &mut StdRng) -> usize {
     (-u.ln() * ml).floor() as usize
 }
 
-/// Work-unit size for the parallel search phase: small, because one unit
-/// is `SEARCH_CHUNK` beam searches.
-const SEARCH_CHUNK: usize = 32;
+/// The entry vertex of a growing HNSW graph and the layer it tops.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Entry {
+    pub(crate) id: u32,
+    pub(crate) level: usize,
+}
 
 /// The deterministic batch-insert core, shared with the dynamic index:
-/// returns `(graph, enter, enter_level)` as mutable adjacency.
+/// returns the graph and its entry.
 ///
-/// Each prefix-doubling batch runs two phases. The **search phase** is
-/// parallel and pure: every batch point descends and beam-searches the
-/// frozen graph of all prior batches, producing its per-layer selected
-/// neighbors. The **commit phase** is sequential in point-id order: edges
-/// (and reverse-list shrinks) are applied, then the entry point advances
-/// to the first point of the batch that raised the top level. No step
-/// depends on the thread count, so the graph is bit-identical at 1/2/N
-/// threads.
+/// Runs on `components::refine::insert_in_batches`: every point of a
+/// batch descends and beam-searches the frozen graph of all prior batches
+/// ([`search_one`]), then [`LayeredGraph::commit`] links the batch in
+/// point-id order, moving the entry to the first point of the batch that
+/// raised the top level.
 pub(crate) fn build_layers(
     ds: &Dataset,
     levels: Vec<usize>,
     params: &HnswParams,
-) -> (LayeredGraph, u32, usize) {
-    let n = ds.len();
+) -> (LayeredGraph, Entry) {
     let mut graph = LayeredGraph::new(params);
     for &level in &levels {
         graph.push_vertex(level);
     }
-    let mut enter: u32 = 0;
-    let mut enter_level: usize = levels.first().copied().unwrap_or(0);
-    let threads = parallel::resolve_threads(params.threads);
-    let max_batch = (n / 8).max(64);
-    let build_ndc = std::sync::atomic::AtomicU64::new(0);
-
-    for batch in parallel::prefix_doubling(n, max_batch) {
-        // Search phase: per-point selected neighbors per layer, computed
-        // against the frozen `graph` — parallel, in fixed chunks.
-        let selected: Vec<Vec<(usize, Vec<Neighbor>)>> = parallel::par_chunks_map(
-            batch.len(),
-            SEARCH_CHUNK,
-            threads,
-            || (SearchScratch::new(n), SearchStats::default()),
-            |(scratch, stats), range| {
-                let before = stats.ndc;
-                let out = range
-                    .map(|i| {
-                        let p = (batch.start + i) as u32;
-                        search_one(ds, &graph, enter, enter_level, params, p, scratch, stats)
-                    })
-                    .collect::<Vec<_>>();
-                build_ndc.fetch_add(stats.ndc - before, std::sync::atomic::Ordering::Relaxed);
-                out
-            },
-        )
-        .into_iter()
-        .flatten()
-        .collect();
-
-        // Commit phase: sequential, in point-id order.
-        for (i, per_layer) in selected.into_iter().enumerate() {
-            let p = (batch.start + i) as u32;
-            for (l, selected) in &per_layer {
-                graph.link(ds, *l, p, selected);
-            }
-            let lp = graph.level(p);
-            if lp > enter_level {
-                enter = p;
-                enter_level = lp;
-            }
-        }
-    }
-    crate::telemetry::add_span_ndc(build_ndc.load(std::sync::atomic::Ordering::Relaxed));
-    (graph, enter, enter_level)
+    let entry = Entry {
+        id: 0,
+        level: levels.first().copied().unwrap_or(0),
+    };
+    let mut built = (graph, entry);
+    insert_in_batches(
+        ds,
+        params.threads,
+        &mut built,
+        |(graph, entry), _, p, scratch, stats| {
+            search_one(ds, graph, *entry, params, p, scratch, stats)
+        },
+        |(graph, entry), p, per_layer| graph.commit(ds, entry, p, &per_layer),
+    );
+    built
 }
 
 /// The pure (read-only) half of one insertion: greedy descent above the
 /// point's level, then per-layer beam search + RNG selection against the
-/// frozen graph. Returns `(layer, selected)` pairs, top layer first; the
-/// caller commits them with [`LayeredGraph::link`] (the dynamic index
-/// too: a link on layer `l` changes nothing a lower layer's search reads).
-#[allow(clippy::too_many_arguments)]
+/// frozen graph. Returns `(layer, selected)` pairs, top layer first, for
+/// [`LayeredGraph::commit`] (a link on layer `l` changes nothing a lower
+/// layer's search reads).
 pub(crate) fn search_one(
     ds: &Dataset,
     graph: &LayeredGraph,
-    enter: u32,
-    enter_level: usize,
+    entry: Entry,
     params: &HnswParams,
     p: u32,
     scratch: &mut SearchScratch,
@@ -485,8 +471,8 @@ pub(crate) fn search_one(
 ) -> Vec<(usize, Vec<Neighbor>)> {
     let lp = graph.level(p);
     let query = ds.point(p);
-    let mut ep = enter;
-    for l in ((lp + 1)..=enter_level).rev() {
+    let mut ep = entry.id;
+    for l in ((lp + 1)..=entry.level).rev() {
         ep = greedy_closest(
             ds,
             &graph.layer(l),
@@ -496,8 +482,8 @@ pub(crate) fn search_one(
             stats,
         );
     }
-    let mut out = Vec::with_capacity(lp.min(enter_level) + 1);
-    for l in (0..=lp.min(enter_level)).rev() {
+    let mut out = Vec::with_capacity(lp.min(entry.level) + 1);
+    for l in (0..=lp.min(entry.level)).rev() {
         let pool = graph.beam(ds, l, query, ep, params.ef_construction, scratch, stats);
         let sel = select_rng_alpha(ds, p, &pool, params.m, 1.0);
         ep = sel.first().map(|s| s.id).unwrap_or(ep);
@@ -698,7 +684,7 @@ mod tests {
             ..HnswParams::tuned(2, 1)
         };
         let levels = draw_levels(ds.len(), &p, &mut StdRng::seed_from_u64(p.seed));
-        let (graph, enter, _) = build_layers(&ds, levels, &p);
+        let (graph, entry) = build_layers(&ds, levels, &p);
         let idx = build(&ds, &p);
         assert!(
             idx.num_layers() >= 4,
@@ -706,7 +692,7 @@ mod tests {
         );
         assert_eq!(
             (idx.num_layers(), idx.enter_point()),
-            (graph.num_layers(), enter)
+            (graph.num_layers(), entry.id)
         );
         for l in 0..=idx.num_layers() {
             for v in 0..ds.len() as u32 {

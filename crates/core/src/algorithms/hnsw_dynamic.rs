@@ -14,7 +14,7 @@
 //! - **Search** uses the filtered traversal from
 //!   [`crate::search::filtered`] to skip tombstones.
 
-use crate::algorithms::hnsw::{self, HnswParams, LayeredGraph};
+use crate::algorithms::hnsw::{self, Entry, HnswParams, LayeredGraph};
 use crate::components::selection::select_rng_alpha;
 use crate::search::{filtered_beam_search, SearchScratch, SearchStats};
 use rand::rngs::StdRng;
@@ -43,9 +43,8 @@ pub struct DynamicHnsw {
     /// Tombstones: a deleted vertex keeps routing until `consolidate`.
     deleted: Vec<bool>,
     live: usize,
-    /// Entry vertex, present on layer `enter_level` (the top one in use).
-    enter: u32,
-    enter_level: usize,
+    /// Entry vertex and the layer it tops (the top one in use).
+    entry: Entry,
     params: HnswParams,
     /// Level stream; a bulk load leaves it where `len()` inserts would.
     rng: StdRng,
@@ -64,8 +63,7 @@ impl DynamicHnsw {
             graph: LayeredGraph::new(&params),
             deleted: Vec::new(),
             live: 0,
-            enter: 0,
-            enter_level: 0,
+            entry: Entry { id: 0, level: 0 },
             params,
             rng,
             scratch: SearchScratch::new(0),
@@ -89,7 +87,7 @@ impl DynamicHnsw {
         let n = base.len();
         let levels = crate::telemetry::span("C1 init", || hnsw::draw_levels(n, &params, &mut rng));
         let data = base.clone();
-        let (graph, enter, enter_level) = crate::telemetry::span("C2+C3 insertion", || {
+        let (graph, entry) = crate::telemetry::span("C2+C3 insertion", || {
             hnsw::build_layers(base, levels, &params)
         });
         DynamicHnsw {
@@ -97,8 +95,7 @@ impl DynamicHnsw {
             graph,
             deleted: vec![false; n],
             live: n,
-            enter,
-            enter_level,
+            entry,
             params,
             rng,
             scratch: SearchScratch::new(n),
@@ -143,27 +140,20 @@ impl DynamicHnsw {
         let lp = hnsw::draw_level(&self.params, &mut self.rng);
         self.graph.push_vertex(lp);
         if p == 0 {
-            self.enter = 0;
-            self.enter_level = lp;
+            self.entry = Entry { id: 0, level: lp };
             return p;
         }
         let per_layer = hnsw::search_one(
             &self.data,
             &self.graph,
-            self.enter,
-            self.enter_level,
+            self.entry,
             &self.params,
             p,
             &mut self.scratch,
             &mut self.stats,
         );
-        for (l, selected) in &per_layer {
-            self.graph.link(&self.data, *l, p, selected);
-        }
-        if lp > self.enter_level {
-            self.enter = p;
-            self.enter_level = lp;
-        }
+        self.graph
+            .commit(&self.data, &mut self.entry, p, &per_layer);
         p
     }
 
@@ -190,8 +180,8 @@ impl DynamicHnsw {
         if self.data.is_empty() || self.live == 0 {
             return Vec::new();
         }
-        let mut ep = self.enter;
-        for l in (1..=self.enter_level).rev() {
+        let mut ep = self.entry.id;
+        for l in (1..=self.entry.level).rev() {
             ep = self.greedy_closest(l, query, ep);
         }
         let deleted = &self.deleted;
@@ -275,13 +265,15 @@ impl DynamicHnsw {
         // The entry must be live. Take the live vertex of the highest
         // level (lowest id among equals) so the hierarchy above layer 0
         // stays in use.
-        if self.deleted.get(self.enter as usize) == Some(&true) {
+        if self.deleted.get(self.entry.id as usize) == Some(&true) {
             let top = (0..n)
                 .filter(|&v| !self.deleted[v as usize])
                 .max_by_key(|&v| (self.graph.level(v), std::cmp::Reverse(v)));
             if let Some(live) = top {
-                self.enter = live;
-                self.enter_level = self.graph.level(live);
+                self.entry = Entry {
+                    id: live,
+                    level: self.graph.level(live),
+                };
             }
         }
         rebuilt
@@ -448,12 +440,12 @@ mod tests {
     fn consolidate_moves_a_deleted_entry_point() {
         let (base, _) = vectors(400);
         let mut idx = build_dynamic(&base);
-        let entry_before = idx.enter;
+        let entry_before = idx.entry.id;
         assert!(idx.graph.num_layers() >= 2, "no hierarchy to lose");
         idx.delete(entry_before);
         idx.consolidate();
-        assert_ne!(idx.enter, entry_before);
-        assert!(!idx.deleted[idx.enter as usize]);
+        assert_ne!(idx.entry.id, entry_before);
+        assert!(!idx.deleted[idx.entry.id as usize]);
         // The new entry is the top of the live hierarchy (lowest id among
         // equals), so searches keep descending through the upper layers.
         let top_live = (0..base.len() as u32)
@@ -462,10 +454,10 @@ mod tests {
             .max()
             .unwrap();
         assert!(top_live >= 1);
-        assert_eq!(idx.enter_level, top_live);
+        assert_eq!(idx.entry.level, top_live);
         let first_at_top = (0..base.len() as u32)
             .find(|&v| !idx.deleted[v as usize] && idx.graph.level(v) == top_live);
-        assert_eq!(Some(idx.enter), first_at_top);
+        assert_eq!(Some(idx.entry.id), first_at_top);
         let res = idx.search(base.point(3), 5, 40);
         assert_eq!(res.len(), 5);
     }
@@ -581,7 +573,7 @@ mod tests {
                 assert_eq!(idx.live_len(), live.len());
                 if batch % 4 == 3 {
                     idx.consolidate();
-                    assert!(!idx.deleted[idx.enter as usize]);
+                    assert!(!idx.deleted[idx.entry.id as usize]);
                     for v in 0..idx.len() as u32 {
                         for l in 0..idx.graph.num_layers() {
                             let list = idx.graph.neighbors(l, v);

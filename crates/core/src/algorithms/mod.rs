@@ -4,9 +4,12 @@
 //! are [`crate::pipeline::PipelineBuilder`] presets: each module keeps its
 //! `Params` and `tuned`, and its `pipeline(&Params)` names one choice per
 //! component, which its `build` runs. The other builders (insertion,
-//! divide and conquer, and k-DR) compose the components themselves;
-//! HCNNG, SPTAG and Vamana freeze, and SPTAG runs its per-point passes,
-//! on the same `components::refine` skeleton the pipeline uses.
+//! divide and conquer, and k-DR) compose the components themselves, on
+//! the same `components::refine` runner the pipeline uses: NSW and HNSW
+//! (static, and `DynamicHnsw`'s bulk load) insert through its batch
+//! insertion loop, Vamana's fixed batches and SPTAG's passes search
+//! through it, and HCNNG, SPTAG and Vamana freeze there. NGT's ANNG
+//! insertion stays a serial loop.
 //!
 //! | module | algorithms | base graph | construction strategy |
 //! |--------|-----------|------------|----------------------|

@@ -54,7 +54,8 @@ pub struct NgtParams {
 }
 
 impl NgtParams {
-    /// NGT-panng defaults.
+    /// NGT-panng defaults. `_threads` is unused: ANNG insertion is a
+    /// serial loop, so an NGT build runs on the calling thread.
     pub fn panng(_threads: usize, seed: u64) -> Self {
         NgtParams {
             variant: NgtVariant::Panng,
@@ -70,7 +71,7 @@ impl NgtParams {
         }
     }
 
-    /// NGT-onng defaults.
+    /// NGT-onng defaults. `_threads` is unused, as in [`NgtParams::panng`].
     pub fn onng(_threads: usize, seed: u64) -> Self {
         NgtParams {
             variant: NgtVariant::Onng,

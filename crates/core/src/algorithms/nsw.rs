@@ -4,18 +4,18 @@
 //! large out-degrees (the Table 11 signature) and the index is big
 //! (Figure 6) — the costs §3.2 calls out.
 //!
-//! The *Increment* strategy is parallelized with deterministic batch
-//! insertion: points join in prefix-doubling batches, each searching the
-//! frozen prefix graph in parallel, with edges committed in point-id
-//! order. Each point's search seeds come from its own RNG stream (the
-//! build seed mixed with the point id), so the search phase is a pure
+//! The *Increment* strategy runs on the shared deterministic batch
+//! insertion (`components::refine::insert_in_batches`): each point
+//! searches the frozen prefix graph, and its edges are committed in
+//! point-id order. Each point's search seeds come from its own RNG stream
+//! (the build seed mixed with the point id), so the search is a pure
 //! function of `(frozen graph, point)` and the result is bit-identical at
 //! any thread count.
 
+use crate::components::refine::insert_in_batches;
 use crate::components::seeds::SeedStrategy;
 use crate::index::FlatIndex;
-use crate::parallel;
-use crate::search::{beam_search, Router, SearchScratch, SearchStats};
+use crate::search::{beam_search, Router};
 use crate::shard::partition_key;
 use crate::telemetry;
 use rand::rngs::StdRng;
@@ -53,70 +53,45 @@ impl NswParams {
     }
 }
 
-/// Work-unit size for the parallel insertion-search phase.
-const SEARCH_CHUNK: usize = 32;
-
 /// Builds an NSW index.
 pub fn build(ds: &Dataset, params: &NswParams) -> FlatIndex {
-    let n = ds.len();
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let threads = parallel::resolve_threads(params.threads);
-    let max_batch = (n / 8).max(64);
+    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); ds.len()];
     telemetry::span("C2+C3 incremental insertion", || {
-        let insert_ndc = std::sync::atomic::AtomicU64::new(0);
-        for batch in parallel::prefix_doubling(n, max_batch) {
-            let frozen = batch.start; // the graph prefix this batch searches
-            let targets: Vec<Vec<u32>> = parallel::par_chunks_map(
-                batch.len(),
-                SEARCH_CHUNK,
-                threads,
-                || (SearchScratch::new(n), SearchStats::default()),
-                |(scratch, stats), range| {
-                    let before = stats.ndc;
-                    let out = range
-                        .map(|i| {
-                            let p = (frozen + i) as u32;
-                            // Random seeds among the frozen prefix [0, frozen),
-                            // drawn from the point's own stream, decorrelated
-                            // by the same SplitMix64 key the shards deal by.
-                            let key = partition_key(params.seed, p as u64);
-                            let mut rng = StdRng::seed_from_u64(key);
-                            let seeds: Vec<u32> = (0..params.search_seeds.min(frozen))
-                                .map(|_| rng.gen_range(0..frozen as u32))
-                                .collect();
-                            scratch.next_epoch();
-                            let pool = beam_search(
-                                ds,
-                                &adj[..frozen],
-                                ds.point(p),
-                                &seeds,
-                                params.ef_construction,
-                                scratch,
-                                stats,
-                            );
-                            pool.iter()
-                                .take(params.m)
-                                .map(|c| c.id)
-                                .collect::<Vec<u32>>()
-                        })
-                        .collect::<Vec<_>>();
-                    insert_ndc.fetch_add(stats.ndc - before, std::sync::atomic::Ordering::Relaxed);
-                    out
-                },
-            )
-            .into_iter()
-            .flatten()
-            .collect();
-            // Commit bidirectional edges in point-id order.
-            for (i, cands) in targets.into_iter().enumerate() {
-                let p = (frozen + i) as u32;
+        insert_in_batches(
+            ds,
+            params.threads,
+            &mut adj,
+            |adj, frozen, p, scratch, stats| {
+                // Random seeds among the frozen prefix [0, frozen), drawn
+                // from the point's own stream, decorrelated by the same
+                // SplitMix64 key the shards deal by.
+                let mut rng = StdRng::seed_from_u64(partition_key(params.seed, p as u64));
+                let seeds: Vec<u32> = (0..params.search_seeds.min(frozen))
+                    .map(|_| rng.gen_range(0..frozen as u32))
+                    .collect();
+                scratch.next_epoch();
+                let pool = beam_search(
+                    ds,
+                    &adj[..frozen],
+                    ds.point(p),
+                    &seeds,
+                    params.ef_construction,
+                    scratch,
+                    stats,
+                );
+                pool.iter()
+                    .take(params.m)
+                    .map(|c| c.id)
+                    .collect::<Vec<u32>>()
+            },
+            |adj, p, cands| {
+                // Bidirectional edges.
                 for c in cands {
                     adj[p as usize].push(c);
                     adj[c as usize].push(p);
                 }
-            }
-        }
-        telemetry::add_span_ndc(insert_ndc.load(std::sync::atomic::Ordering::Relaxed));
+            },
+        );
     });
     FlatIndex {
         name: "NSW",

@@ -13,14 +13,12 @@
 
 use crate::components::candidates::candidates_by_search;
 use crate::components::init::init_random;
-use crate::components::refine::freeze;
+use crate::components::refine::{freeze, per_id};
 use crate::components::seeds::SeedStrategy;
 use crate::components::selection::select_rng_alpha;
 use crate::index::FlatIndex;
-use crate::parallel;
-use crate::search::{Router, SearchScratch, SearchStats};
+use crate::search::Router;
 use crate::telemetry;
-use std::sync::atomic::{AtomicU64, Ordering};
 use weavess_data::neighbor::insert_into_pool;
 use weavess_data::{Dataset, Neighbor};
 use weavess_graph::CsrGraph;
@@ -82,7 +80,7 @@ pub fn build(ds: &Dataset, params: &VamanaParams) -> FlatIndex {
     }
 }
 
-/// One in-place refinement pass over all points in batches.
+/// One in-place refinement pass over all points in fixed batches.
 fn refine_pass_inplace(
     ds: &Dataset,
     lists: &mut [Vec<Neighbor>],
@@ -91,53 +89,34 @@ fn refine_pass_inplace(
     alpha: f32,
 ) {
     let n = ds.len();
-    let threads = parallel::resolve_threads(params.threads);
     let batch = params.batch_size.max(64);
-    let ids: Vec<u32> = (0..n as u32).collect();
-    let pass_ndc = AtomicU64::new(0);
-    for batch_ids in ids.chunks(batch) {
-        // Snapshot of the *current* graph for this batch's searches.
+    for start in (0..n).step_by(batch) {
+        let ids = start..(start + batch).min(n);
+        // Snapshot of the *current* graph for this batch's searches, which
+        // run in parallel; the sequential apply below sees their results
+        // in id order at any thread count.
         let csr = CsrGraph::from_neighbor_lists(lists);
-        // Parallel candidate acquisition + pruning for the batch; results
-        // combine in chunk order, so the sequential apply below sees the
-        // same sequence at any thread count.
-        let new_lists: Vec<(u32, Vec<Neighbor>)> = {
-            let lists = &*lists;
-            parallel::par_chunks_map(
-                batch_ids.len(),
-                parallel::CHUNK,
-                threads,
-                || (SearchScratch::new(n), SearchStats::default()),
-                |(scratch, stats), range| {
-                    let before = stats.ndc;
-                    let mut out = Vec::with_capacity(range.len());
-                    for &p in &batch_ids[range] {
-                        let mut cands = candidates_by_search(
-                            ds,
-                            &csr,
-                            p,
-                            &[medoid],
-                            params.l,
-                            params.l * 2,
-                            scratch,
-                            stats,
-                        );
-                        for x in &lists[p as usize] {
-                            insert_into_pool(&mut cands, params.l * 2, *x);
-                        }
-                        out.push((p, select_rng_alpha(ds, p, &cands, params.r, alpha)));
-                    }
-                    pass_ndc.fetch_add(stats.ndc - before, Ordering::Relaxed);
-                    out
-                },
-            )
-            .into_iter()
-            .flatten()
-            .collect()
-        };
+        let current = &*lists;
+        let new_lists = per_id(ds, ids.clone(), params.threads, |p, scratch, stats| {
+            let mut cands = candidates_by_search(
+                ds,
+                &csr,
+                p,
+                &[medoid],
+                params.l,
+                params.l * 2,
+                scratch,
+                stats,
+            );
+            for x in &current[p as usize] {
+                insert_into_pool(&mut cands, params.l * 2, *x);
+            }
+            select_rng_alpha(ds, p, &cands, params.r, alpha)
+        });
         // Apply the batch and insert reverse edges immediately (robust
         // prune on overflow keeps long edges alive via the α rule).
-        for (p, new) in new_lists {
+        for (p, new) in ids.zip(new_lists) {
+            let p = p as u32;
             lists[p as usize] = new.clone();
             for x in &new {
                 let l = &mut lists[x.id as usize];
@@ -153,7 +132,6 @@ fn refine_pass_inplace(
             }
         }
     }
-    telemetry::add_span_ndc(pass_ndc.load(Ordering::Relaxed));
 }
 
 #[cfg(test)]

@@ -405,8 +405,10 @@ pub(crate) fn seed_table(
 /// neighbors (sorted nearest-first). When `initial` is given it seeds the
 /// pools (EFANNA's KD-tree initialization); otherwise pools start random.
 ///
+/// A one-point dataset gets one empty list: a lone point has no neighbor.
+///
 /// # Panics
-/// If the dataset has fewer than two or more than 2^31 points, or if
+/// If the dataset is empty or has more than 2^31 points, or if
 /// `initial` does not have one row per point or names an id outside the
 /// dataset.
 pub fn nn_descent(
@@ -415,7 +417,10 @@ pub fn nn_descent(
     initial: Option<&[Vec<Neighbor>]>,
 ) -> Vec<Vec<Neighbor>> {
     let n = ds.len();
-    assert!(n >= 2, "need at least two points");
+    assert!(n >= 1, "need at least one point");
+    if n == 1 {
+        return vec![Vec::new()];
+    }
     let l = params.l.max(params.k).max(2);
     let k = params.k.max(1);
     let threads = parallel::resolve_threads(params.threads);

@@ -35,6 +35,7 @@ use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
+use weavess_core::algorithms::nsg::{self, NsgParams};
 use weavess_core::components::seeds::SeedStrategy;
 use weavess_core::index::{FlatIndex, IndexError};
 use weavess_core::locality::{LayoutIndex, NodeLayout};
@@ -587,6 +588,31 @@ fn build_failures_return_typed_errors() {
             dataset: 4
         })
     );
+}
+
+/// A singleton shard: 3 points over 2 shards deal shards of 2 and 1
+/// points. An NSG shard builder, with either descent as its C1, builds
+/// both, and each point is its own nearest neighbor through the engine.
+#[test]
+fn nsg_builds_a_singleton_shard() {
+    let (base, _) = dataset(100, 1);
+    let tiny = base.subset(&[0, 1, 2]);
+    for rnn in [false, true] {
+        let build = |ds: &Dataset, s: usize| {
+            let p = NsgParams::tuned(1, 7 + s as u64);
+            nsg::build(ds, &if rnn { p.with_rnn_c1() } else { p })
+        };
+        let set = ShardSet::build(&tiny, 2, PARTITION_SEED, NodeLayout::Split, false, 1, build)
+            .expect("3 points fill 2 shards");
+        let mut sizes: Vec<usize> = set.shards().iter().map(|s| s.len()).collect();
+        sizes.sort_unstable();
+        assert_eq!(sizes, [1, 2]);
+        let engine = ShardedEngine::new(&set);
+        for p in 0..3u32 {
+            let got = engine.search_one(tiny.point(p), 1, 8);
+            assert_eq!(got, [Neighbor::new(p, 0.0)], "point {p}, rnn C1 {rnn}");
+        }
+    }
 }
 
 /// Two exact shards over `base`: the fixture every close-rule test serves.

@@ -18,18 +18,26 @@ fn tiny() -> Dataset {
 
 #[test]
 fn every_algorithm_survives_a_five_point_dataset() {
-    let ds = tiny();
-    for &algo in Algo::all() {
-        let index = algo.build(&ds, 1, 1);
-        let mut ctx = SearchContext::new(ds.len());
-        let res = index.search(&ds, &[0.5, 0.5], 3, 10, &mut ctx);
-        assert!(!res.is_empty(), "{} returned nothing", algo.name());
-        assert!(res.len() <= 3);
-        assert!(
-            res.windows(2).all(|w| w[0].dist <= w[1].dist),
-            "{} unsorted",
-            algo.name()
-        );
+    // Also its one- and two-point prefixes: a lone point has no neighbor.
+    let five = tiny();
+    for n in [5, 1, 2] {
+        let ds = five.subset(&(0..n as u32).collect::<Vec<_>>());
+        for &algo in Algo::all() {
+            let index = algo.build(&ds, 1, 1);
+            let mut ctx = SearchContext::new(ds.len());
+            let res = index.search(&ds, &[0.5, 0.5], 3, 10, &mut ctx);
+            assert!(
+                !res.is_empty(),
+                "{} returned nothing at n = {n}",
+                algo.name()
+            );
+            assert!(res.len() <= 3.min(n));
+            assert!(
+                res.windows(2).all(|w| w[0].dist <= w[1].dist),
+                "{} unsorted at n = {n}",
+                algo.name()
+            );
+        }
     }
 }
 
