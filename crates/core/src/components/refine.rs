@@ -32,32 +32,27 @@ use weavess_graph::CsrGraph;
 /// [`SearchStats`] per worker, and crediting the distance computations
 /// `step` counted in `stats` to the open telemetry span. `step` must be a
 /// pure function of `p` and of state that does not change during the pass.
-pub(crate) fn per_id<T: Send>(
+pub(crate) fn per_id<T: Default + Send>(
     ds: &Dataset,
     ids: Range<usize>,
     threads: usize,
     step: impl Fn(u32, &mut SearchScratch, &mut SearchStats) -> T + Sync,
 ) -> Vec<T> {
-    let chunks = parallel::par_chunks_map(
-        ids.len(),
+    let mut out: Vec<T> = std::iter::repeat_with(T::default).take(ids.len()).collect();
+    let ndc_per_chunk = parallel::par_fill(
+        &mut out,
         parallel::CHUNK,
         parallel::resolve_threads(threads),
         || (SearchScratch::new(ds.len()), SearchStats::default()),
-        |(scratch, stats), range| {
+        |(scratch, stats), start, slot| {
             let before = stats.ndc;
-            let out: Vec<T> = range
-                .map(|i| step((ids.start + i) as u32, scratch, stats))
-                .collect();
-            (out, stats.ndc - before)
+            for (j, out) in slot.iter_mut().enumerate() {
+                *out = step((ids.start + start + j) as u32, scratch, stats);
+            }
+            stats.ndc - before
         },
     );
-    let mut out = Vec::with_capacity(ids.len());
-    let mut ndc = 0;
-    for (part, part_ndc) in chunks {
-        out.extend(part);
-        ndc += part_ndc;
-    }
-    telemetry::add_span_ndc(ndc);
+    telemetry::add_span_ndc(ndc_per_chunk.into_iter().sum());
     out
 }
 
@@ -79,7 +74,7 @@ pub(crate) fn per_point(
 /// the graph of the `frozen` points committed before the batch; then
 /// `commit(graph, p, found)` applies the results sequentially in id order.
 /// Neither phase depends on the thread count, so neither does `graph`.
-pub(crate) fn insert_in_batches<G: Sync, T: Send>(
+pub(crate) fn insert_in_batches<G: Sync, T: Default + Send>(
     ds: &Dataset,
     threads: usize,
     graph: &mut G,
