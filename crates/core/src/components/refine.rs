@@ -25,7 +25,8 @@ use weavess_graph::CsrGraph;
 /// Runs `step(p, scratch, stats)` for every point id `p` in `ids` and
 /// returns what it produced, in id order.
 ///
-/// Owns everything about the pass that is not the algorithm: thread
+/// Owns everything about the pass that is not the algorithm: the output
+/// (allocated once, each chunk's slots filled in place), thread
 /// resolution (`threads == 0` is one per core), the fixed
 /// [`parallel::CHUNK`] partition that makes the result independent of the
 /// worker count, one reusable [`SearchScratch`] (sized for `ds`) and
